@@ -1,4 +1,4 @@
-"""Exact scalars q·ζ^e in a fixed cyclotomic field, and zero-testing of their sums.
+"""Exact scalars q·ζ^e in a fixed cyclotomic field, and elements of that field.
 
 A :class:`CycScalar` is a nonzero rational ``q`` times a power of
 ``ζ = exp(2πi/L)``; the order ``L`` is fixed once per problem instance.  The
@@ -7,10 +7,15 @@ exponents ``e ≥ L/2`` into the sign of ``q`` via ``ζ^{L/2} = −1``.  After
 folding, two scalars are equal as complex numbers exactly when their folded
 ``(q, e)`` pairs agree, so equality and hashing are structural.
 
-Finite sums of such scalars live in :class:`CycVector`, a rational coefficient
-vector over the basis ``1, ζ, …, ζ^{L−1}`` (arithmetic may use ``ζ^L = 1``
-freely).  Zero-testing reduces the vector modulo the L-th cyclotomic
-polynomial ``Φ_L``, computed by the recursive division
+A general element of ``Q(ζ_L)`` is a :class:`CycVector`: integer numerators
+over the power basis ``1, ζ, …, ζ^{φ(L)−1}`` modulo the L-th cyclotomic
+polynomial ``Φ_L``, with one positive common denominator, in lowest terms.
+This form is unique, so equality and hashing are structural and zero-testing
+is a scan for a nonzero numerator.  Every construction reduces once: a sum
+``Σ qᵢ·ζ^{eᵢ}`` or a product is folded modulo ``x^L − 1`` (which ``Φ_L``
+divides), then divided by the monic ``Φ_L``; the division is skipped when the
+top exponent is already below ``φ(L)``.  An element takes O(φ(L)) memory and
+the only per-order table is ``Φ_L`` itself, computed by the recursive division
 ``Φ_L = (x^L − 1) / ∏ Φ_d`` over the proper divisors ``d`` of ``L``.
 
 No floating point is used anywhere; ``complex(x)`` is provided only so tests
@@ -22,12 +27,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InputError, OrderMismatchError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _divisors(n: int) -> list[int]:
@@ -66,27 +71,28 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
-    # Residues of x^j modulo Φ_order for j in [0, order); each residue is an
-    # integer vector of length deg Φ_order.
+def _phi_taps(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # deg Φ_order and the nonzero lower coefficients (j, c) of Φ_order.
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    residues: list[tuple[int, ...]] = []
-    cur = [0] * deg
-    cur[0] = 1
-    residues.append(tuple(cur))
-    for _ in range(1, order):
-        nxt = [0] + cur[:-1] if deg > 1 else [0]
-        lead = cur[-1] if deg > 0 else 0
-        if deg == 0:
-            residues.append(())
-            continue
-        if lead:
-            for t in range(deg):
-                nxt[t] -= lead * phi[t]
-        cur = nxt
-        residues.append(tuple(cur))
-    return tuple(residues)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(order: int, poly: list[int]) -> list[int]:
+    """Power-basis coordinates of an integer polynomial of length at least
+    φ(order) (low-to-high, reduced in place) modulo Φ_order."""
+    deg, taps = _phi_taps(order)
+    if len(poly) > order:
+        for i in range(order, len(poly)):
+            poly[i % order] += poly[i]
+        del poly[order:]
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            base = i - deg
+            for j, t in taps:
+                poly[base + j] -= c * t
+    del poly[deg:]
+    return poly
 
 
 class CycScalar:
@@ -212,39 +218,86 @@ def multiplicative_order(a: CycScalar, bound: int) -> int | None:
     return None
 
 
+def _poly_divmod(p: list[Fraction], q: list[Fraction]):
+    # Quotient and remainder over Q, low-to-high; q and the returned
+    # remainder have no trailing zeros.
+    rem = list(p)
+    dq = len(q) - 1
+    quo = [_ZERO] * max(0, len(rem) - dq)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dq] / q[-1]
+        if c:
+            quo[i] = c
+            for j, qc in enumerate(q):
+                rem[i + j] -= c * qc
+    if quo:
+        del rem[dq:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
 class CycVector:
-    """Rational coefficient vector over ``1, ζ, …, ζ^{L−1}``."""
+    """Element of ``Q(ζ_L)``: integer numerators ``num`` over the power basis
+    ``1, ζ, …, ζ^{φ(L)−1}`` and a positive common denominator ``den``, in
+    lowest terms (the zero element has ``den = 1``).
 
-    __slots__ = ("order", "coeffs")
+    ``CycVector(order, coeffs)`` takes ``L`` rational coefficients over the
+    spanning set ``1, ζ, …, ζ^{L−1}`` and reduces them modulo ``Φ_L``.
+    """
 
-    def __init__(self, order: int, coeffs: Iterable[Fraction] | None = None):
-        object.__setattr__(self, "order", order)
-        if coeffs is None:
-            c = (_ZERO,) * order
-        else:
-            c = tuple(Fraction(x) for x in coeffs)
-            if len(c) != order:
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order: int, coeffs: Iterable | None = None, *, _num=None, _den=1):
+        # Internal callers pass reduced numerators ``_num`` (length φ(L)) over
+        # a positive ``_den``; they are brought to lowest terms here.
+        if _num is None:
+            c = [] if coeffs is None else [Fraction(x) for x in coeffs]
+            if coeffs is not None and len(c) != order:
                 raise InputError("coefficient vector has wrong length")
-        object.__setattr__(self, "coeffs", c)
+            _num, _den = _fold(order, enumerate(c))
+        if _den != 1:
+            g = gcd(_den, *_num)
+            if g != 1:
+                _num = [a // g for a in _num]
+                _den //= g
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "num", tuple(_num))
+        object.__setattr__(self, "den", _den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycVector is immutable")
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "CycVector":
         return cls(order)
 
     @classmethod
+    def from_terms(cls, order: int, terms: Iterable[tuple[int, object]]) -> "CycVector":
+        """``Σ q·ζ^e`` over ``(e, q)`` pairs with integer ``e`` (any sign) and
+        ``q`` an ``int`` or ``Fraction``; reduced once."""
+        num, den = _fold(order, terms)
+        return cls(order, _num=num, _den=den)
+
+    @classmethod
     def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
-        c = [_ZERO] * s.order
-        c[s.e] = s.q * Fraction(weight)
-        return cls(s.order, c)
+        return cls.from_terms(s.order, [(s.e, s.q * Fraction(weight))])
 
     @classmethod
     def from_rational(cls, q, order: int) -> "CycVector":
-        c = [_ZERO] * order
-        c[0] = Fraction(q)
-        return cls(order, c)
+        return cls.from_terms(order, [(0, Fraction(q))])
+
+    # -- structure -----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Canonical power-basis coordinates, length φ(L)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
 
     def _check(self, other: "CycVector") -> None:
         if self.order != other.order:
@@ -254,16 +307,33 @@ class CycVector:
                 right=other.order,
             )
 
-    def __add__(self, other: "CycVector") -> "CycVector":
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycVector):
+            return NotImplemented
         self._check(other)
-        return CycVector(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.den, self.num))
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _combine(self, other: "CycVector", sign: int) -> "CycVector":
+        self._check(other)
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = sign * (den // other.den)
+        num = [a * fa + b * fb for a, b in zip(self.num, other.num)]
+        return CycVector(self.order, _num=num, _den=den)
+
+    def __add__(self, other: "CycVector") -> "CycVector":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CycVector") -> "CycVector":
-        self._check(other)
-        return CycVector(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CycVector":
-        return CycVector(self.order, [-a for a in self.coeffs])
+        return CycVector(self.order, _num=tuple(-a for a in self.num), _den=self.den)
 
     def scale(self, s: CycScalar, weight=1) -> "CycVector":
         """Multiply by ``weight · s`` (scalar q·ζ^e acts by a weighted shift)."""
@@ -272,134 +342,69 @@ class CycVector:
                 "scalar and vector orders differ", scalar=s.order, vector=self.order
             )
         w = s.q * Fraction(weight)
-        L = self.order
-        out = [_ZERO] * L
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(j + s.e) % L] += w * c
-        return CycVector(L, out)
+        poly = _reduce(self.order, [0] * s.e + [w.numerator * a for a in self.num])
+        return CycVector(self.order, _num=poly, _den=self.den * w.denominator)
 
     def scale_rational(self, w) -> "CycVector":
         w = Fraction(w)
-        return CycVector(self.order, [w * c for c in self.coeffs])
+        num = [w.numerator * a for a in self.num]
+        return CycVector(self.order, _num=num, _den=self.den * w.denominator)
 
     def __mul__(self, other: "CycVector") -> "CycVector":
         self._check(other)
-        L = self.order
-        out = [_ZERO] * L
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % L] += a * b
-        return CycVector(L, out)
-
-    def residue(self) -> tuple[Fraction, ...]:
-        """Coordinates modulo Φ_order, length deg Φ_order."""
-        table = _power_residues(self.order)
-        deg = len(cyclotomic_polynomial(self.order)) - 1
-        acc = [_ZERO] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[j]
-                for t in range(deg):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return tuple(acc)
-
-    def is_zero(self) -> bool:
-        if not any(self.coeffs):
-            return True
-        return not any(self.residue())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycVector):
-            return NotImplemented
-        self._check(other)
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("CycVector is unhashable (equality is up to Φ_L)")
+        return _product(self, other)
 
     def inverse(self) -> "CycVector":
         """Field inverse modulo Φ_order (extended Euclid over Q[x])."""
         if self.is_zero():
             raise ZeroDivisionError("zero element of the cyclotomic field")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.residue())
-        # Strip to an honest degree.
-        while a and a[-1] == 0:
-            a.pop()
-
-        def polymod(p, q):
-            p = p[:]
-            while len(p) >= len(q) and any(p):
-                if p[-1] == 0:
-                    p.pop()
-                    continue
-                f = p[-1] / q[-1]
-                off = len(p) - len(q)
-                for i, qc in enumerate(q):
-                    p[off + i] -= f * qc
-                p.pop()
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def polydivmod(p, q):
-            p = p[:]
-            quo = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-            while len(p) >= len(q) and any(p):
-                if p[-1] == 0:
-                    p.pop()
-                    continue
-                f = p[-1] / q[-1]
-                off = len(p) - len(q)
-                quo[off] += f
-                for i, qc in enumerate(q):
-                    p[off + i] -= f * qc
-                p.pop()
-            while p and p[-1] == 0:
-                p.pop()
-            return quo, p
-
-        def polymulsub(r, q, s):
-            # r − q·s
-            out = list(r) + [Fraction(0)] * max(0, len(q) + len(s) - 1 - len(r))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s):
-                        if sc:
-                            out[i + j] -= qc * sc
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        # Extended Euclid: r0 = phi, r1 = a; keep s-coefficients for a.
-        r0, r1 = phi, a
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = polydivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, polymulsub(t0, q, t1)
+        L = self.order
+        # Euclid on (Φ_L, num) keeps t·num ≡ r (mod Φ_L), so the cofactors t
+        # may be reduced: they are kept as field elements.
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(L)]
+        r1 = [Fraction(c) for c in self.num]
+        while not r1[-1]:
+            r1.pop()
+        t0, t1 = CycVector.zero(L), CycVector.from_rational(1, L)
+        while r1:
+            quo, rem = _poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            t0, t1 = t1, t0 - _product(CycVector.from_terms(L, enumerate(quo)), t1)
         if len(r0) != 1:
             raise ArithmeticError("element not invertible modulo Φ_L")
-        lead = r0[0]
-        inv = [c / lead for c in t0]
-        inv = polymod(inv, phi)
-        out = [_ZERO] * self.order
-        for j, c in enumerate(inv):
-            out[j] = c
-        return CycVector(self.order, out)
+        return t0.scale_rational(self.den / r0[0])
 
     def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(float(c) * z ** j for j, c in enumerate(self.coeffs))
+        return sum(x / self.den * z ** j for j, x in enumerate(self.num))
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{j}" for j, c in enumerate(self.coeffs) if c]
         return "CycVector(" + (" + ".join(terms) if terms else "0") + f"; L={self.order})"
+
+
+def _fold(order: int, terms) -> tuple[list[int], int]:
+    # (exponent, rational) pairs -> reduced numerators over a common denominator.
+    terms = [(e % order, q) for e, q in terms if q]
+    den = lcm(*(q.denominator for _, q in terms))
+    deg, _ = _phi_taps(order)
+    top = max((e for e, _ in terms), default=0)
+    poly = [0] * max(deg, top + 1)
+    for e, q in terms:
+        poly[e] += q.numerator * (den // q.denominator)
+    return _reduce(order, poly), den
+
+
+def _product(a: CycVector, b: CycVector) -> CycVector:
+    bs = [(j, y) for j, y in enumerate(b.num) if y]
+    if not bs:
+        return CycVector.zero(a.order)
+    poly = [0] * (len(a.num) + bs[-1][0])
+    for i, x in enumerate(a.num):
+        if x:
+            for j, y in bs:
+                poly[i + j] += x * y
+    return CycVector(a.order, _num=_reduce(a.order, poly), _den=a.den * b.den)
 
 
 def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:
@@ -411,11 +416,9 @@ def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:
     if not terms:
         return True
     order = terms[0][0].order
-    acc = [_ZERO] * order
-    for s, w in terms:
+    for s, _ in terms:
         if s.order != order:
             raise OrderMismatchError(
                 "terms have different cyclotomic orders", left=order, right=s.order
             )
-        acc[s.e] += s.q * Fraction(w)
-    return CycVector(order, acc).is_zero()
+    return CycVector.from_terms(order, [(s.e, s.q * Fraction(w)) for s, w in terms]).is_zero()

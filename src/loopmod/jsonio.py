@@ -38,7 +38,10 @@ def _fraction_from(value) -> Fraction:
 
 def _scalar_orders(raw) -> int:
     if isinstance(raw, dict):
-        return int(raw.get("zeta_order", 1))
+        order = int(raw.get("zeta_order", 1))
+        if order < 1:
+            raise InputError("zeta_order must be positive", value=raw)
+        return order
     return 1
 
 
@@ -50,9 +53,11 @@ def _scalar_from(raw, order: int) -> CycScalar:
         num = raw.get("num")
         if num is None:
             raise InputError("scalar object needs 'num'", value=raw)
-        den = raw.get("den", 1)
-        q = Fraction(int(num), int(den))
-        own = int(raw.get("zeta_order", 1))
+        den = int(raw.get("den", 1))
+        if den == 0:
+            raise InputError("scalar denominator must be nonzero", value=raw)
+        q = Fraction(int(num), den)
+        own = _scalar_orders(raw)
         e = int(raw.get("zeta_pow", 0))
         if order % own:
             raise InputError("scalar order does not divide the global order")

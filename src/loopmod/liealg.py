@@ -269,10 +269,8 @@ def restrict_weight(aut: DiagramAut, weight: Weight, field_order: int) -> Restri
     for j in range(1, k):
         comps = []
         for orbit in full:
-            coeffs = [Fraction(0)] * field_order
-            for t, node in enumerate(orbit):
-                coeffs[(-j * t * step) % field_order] += weight[node]
-            comps.append(CycVector(field_order, coeffs))
+            terms = [(-j * t * step, weight[node]) for t, node in enumerate(orbit)]
+            comps.append(CycVector.from_terms(field_order, terms))
         higher.append(tuple(comps))
     return RestrictedWeight(comp0=comp0, higher=tuple(higher))
 

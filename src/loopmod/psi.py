@@ -148,18 +148,16 @@ class Evaluator:
 
     def functional(self, m) -> list[CycVector]:
         """v(m) as one cyclotomic vector per fundamental-weight coordinate."""
-        d = self.spec.algebra.rank
-        L = self.order
-        acc = [[Fraction(0)] * L for _ in range(d)]
+        terms = [[] for _ in range(self.spec.algebra.rank)]
         for I in self._indices:
             w = self.spec.weights[I]
             if not any(w):
                 continue
             a = self.coefficient(I, m)
-            for c in range(d):
-                if w[c]:
-                    acc[c][a.e] += a.q * w[c]
-        return [CycVector(L, row) for row in acc]
+            for c, x in enumerate(w):
+                if x:
+                    terms[c].append((a.e, a.q * x))
+        return [CycVector.from_terms(self.order, t) for t in terms]
 
     def is_nonzero(self, m) -> bool:
         return any(not v.is_zero() for v in self.functional(m))
@@ -179,15 +177,14 @@ class SupportLattice:
         return self.lattice.coset_reps()
 
 
-def _axis_periods(ev: Evaluator, bounds) -> tuple[int, ...]:
-    n = ev.spec.n
+def _axis_periods(is_nonzero, n: int, bounds) -> tuple[int, ...]:
     periods = []
     for i in range(n):
         m = [0] * n
         found = None
         for t in range(1, bounds[i] + 1):
             m[i] = t
-            if ev.is_nonzero(m):
+            if is_nonzero(m):
                 found = t
                 break
         if found is None:
@@ -243,7 +240,7 @@ def support_lattice(spec: PsiSpec) -> SupportLattice:
     if spec.is_trivial():
         raise TrivialModuleError("all weights are zero")
     ev = Evaluator(spec)
-    periods = _axis_periods(ev, spec.dims)
+    periods = _axis_periods(ev.is_nonzero, spec.n, spec.dims)
     audit = tuple(
         max(6, 2 * max(r, d)) for r, d in zip(periods, spec.dims)
     )

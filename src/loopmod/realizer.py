@@ -305,9 +305,9 @@ class FieldEchelon:
         vec = list(vec)
         for piv, row in zip(self.pivots, self.rows):
             c = vec[piv]
-            if any(c.coeffs) and not c.is_zero():
+            if not c.is_zero():
                 for t in range(self.length):
-                    if any(row[t].coeffs):
+                    if not row[t].is_zero():
                         vec[t] = vec[t] - c * row[t]
         return vec
 
@@ -316,13 +316,13 @@ class FieldEchelon:
         vec = self._reduce(vec)
         piv = None
         for t, entry in enumerate(vec):
-            if any(entry.coeffs) and not entry.is_zero():
+            if not entry.is_zero():
                 piv = t
                 break
         if piv is None:
             return None
         inv = vec[piv].inverse()
-        row = [inv * entry if any(entry.coeffs) else entry for entry in vec]
+        row = [entry if entry.is_zero() else inv * entry for entry in vec]
         row[piv] = CycVector.from_rational(1, self.order)
         at = 0
         while at < len(self.pivots) and self.pivots[at] < piv:
@@ -365,7 +365,7 @@ def _apply(fin: FinModule, cols_per_slot, coeffs_per_slot, vec, order: int):
         stride = fin.strides[k]
         dim = fin.slots[k].dim
         for g, val in enumerate(vec):
-            if not any(val.coeffs):
+            if val.is_zero():
                 continue
             comp = (g // stride) % dim
             for r, x in cols[comp]:

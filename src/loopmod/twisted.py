@@ -37,7 +37,6 @@ from .errors import (
 )
 from .liealg import (
     DiagramAut,
-    RestrictedWeight,
     apply_aut,
     node_orbits,
     primitive_root_of_unity,
@@ -100,34 +99,39 @@ class TwistedEvaluator:
         self.base = Evaluator(spec.base)
         self.k = spec.order
         L = spec.base.field_order
-        self.restricted: dict[Index, RestrictedWeight] = {
-            I: restrict_weight(spec.aut, w, L)
-            for I, w in spec.base.weights.items()
-        }
-        self.orbit_count = len(node_orbits(spec.aut))
-        self.full_count = sum(
-            1 for o in node_orbits(spec.aut) if len(o) == self.k
-        )
+        restricted = [
+            (I, restrict_weight(spec.aut, spec.base.weights[I], L))
+            for I in self.base._indices
+        ]
+        orbits = node_orbits(spec.aut)
+        self.orbit_count = len(orbits)
+        self.full_count = sum(1 for o in orbits if len(o) == self.k)
+        # _terms[j]: for each index whose components on the m₁ ≡ j eigenbasis
+        # do not all vanish, its components as (exponent, rational) pairs.
+        self._terms: list[list[tuple[Index, list]]] = []
+        for j in range(self.k):
+            rows = []
+            for I, rw in restricted:
+                if j == 0:
+                    comps = [[(0, c)] if c else [] for c in rw.comp0]
+                else:
+                    comps = [
+                        [(e, c) for e, c in enumerate(v.coeffs) if c]
+                        for v in rw.higher[j - 1]
+                    ]
+                if any(comps):
+                    rows.append((I, comps))
+            self._terms.append(rows)
 
     def restricted_values(self, m) -> list[CycVector]:
         j = m[0] % self.k
-        L = self.base.order
         slots = self.orbit_count if j == 0 else self.full_count
-        acc = [CycVector.zero(L) for _ in range(slots)]
-        for I in table_indices(self.spec.base.dims):
-            rw = self.restricted[I]
-            comps = (
-                [CycVector.from_rational(c, L) for c in rw.comp0]
-                if j == 0
-                else list(rw.higher[j - 1])
-            )
-            if all(v.is_zero() for v in comps):
-                continue
+        acc = [[] for _ in range(slots)]
+        for I, comps in self._terms[j]:
             a = self.base.coefficient(I, m)
-            for t, v in enumerate(comps):
-                if not v.is_zero():
-                    acc[t] = acc[t] + v.scale(a)
-        return acc
+            for t, terms in enumerate(comps):
+                acc[t].extend((e + a.e, a.q * c) for e, c in terms)
+        return [CycVector.from_terms(self.base.order, t) for t in acc]
 
     def is_nonzero(self, m) -> bool:
         return any(not v.is_zero() for v in self.restricted_values(m))
@@ -140,21 +144,12 @@ def twisted_support(spec: TwistedSpec) -> SupportLattice:
     ev = TwistedEvaluator(spec)
     n = spec.base.n
     bounds = [spec.order * spec.base.dims[0]] + list(spec.base.dims[1:])
-    periods = _axis_periods_twisted(ev, bounds)
+    periods = _axis_periods(ev.is_nonzero, n, bounds)
     ordering = tuple(range(1, n)) + (0,)
     audit = tuple(max(6, 2 * max(r, b)) for r, b in zip(periods, bounds))
     return _support_from_membership(
         ev.is_nonzero, n, periods, ordering=ordering, audit_radii=audit
     )
-
-
-def _axis_periods_twisted(ev: TwistedEvaluator, bounds):
-    # Same search as the untwisted axis periods, against the restricted test.
-    class _Shim:
-        spec = ev.spec.base
-        is_nonzero = staticmethod(ev.is_nonzero)
-
-    return _axis_periods(_Shim, bounds)
 
 
 def m_hat(support: SupportLattice) -> int:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loopmod
 from loopmod.cli import main
 
 SPEC_2Z = {
@@ -201,3 +205,44 @@ def test_wrong_declared_aut_order(write, capsys):
     code, doc = _run(capsys, ["twisted-classify", path])
     assert code == 2
     assert doc["diagnostics"][0]["type"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [
+        {"num": 1, "den": 0},
+        {"num": 1, "zeta_order": 0, "zeta_pow": 1},
+        {"num": 1, "zeta_order": -4, "zeta_pow": 1},
+    ],
+    ids=["den-zero", "order-zero", "order-negative"],
+)
+def test_bad_scalar_is_input_error(write, capsys, scalar):
+    path = write(dict(SPEC_A, evals=[[scalar]]), "bad_scalar.json")
+    code, doc = _run(capsys, ["classify", path])
+    assert code == 2
+    assert doc["diagnostics"][0]["type"] == "InputError"
+
+
+def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
+    # Elements take O(L) memory, so a two-entry table at L = 200003 fits in
+    # 1 GiB of address space.
+    spec = dict(
+        SPEC_2Z,
+        evals=[[1, {"num": 1, "zeta_order": 200003, "zeta_pow": 1}]],
+    )
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps(spec))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from loopmod.cli import main\n"
+        "sys.exit(main(['classify', sys.argv[1]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(loopmod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["result"]["index"] == 1

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -171,8 +172,9 @@ def test_sum_is_zero_against_float():
 
 def test_vector_zero_detection_nontrivial():
     # 1 + ζ₃ + ζ₃² vanishes only after reduction mod Φ₃.
-    v = CycVector(3, [Fraction(1)] * 3)
-    assert any(v.coeffs) and v.is_zero()
+    raw = [Fraction(1)] * 3
+    v = CycVector(3, raw)
+    assert any(raw) and v.is_zero()
     w = CycVector(3, [Fraction(1), Fraction(1), Fraction(0)])
     assert not w.is_zero()
 
@@ -195,3 +197,66 @@ def test_vector_inverse():
             continue
         inv = v.inverse()
         assert v * inv == CycVector.from_rational(1, order)
+
+
+_PROPERTY_ORDERS = (1, 2, 3, 4, 6, 12, 60, 105)
+
+
+def _close(x: complex, y: complex) -> bool:
+    return abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+
+@st.composite
+def field_elements(draw, order):
+    coeffs = [Fraction(0)] * order
+    for _ in range(draw(st.integers(0, 5))):
+        e = draw(st.integers(0, order - 1))
+        coeffs[e] += Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return coeffs
+
+
+@st.composite
+def element_pairs(draw):
+    order = draw(st.sampled_from(_PROPERTY_ORDERS))
+    return order, draw(field_elements(order)), draw(field_elements(order))
+
+
+@given(element_pairs(), st.integers(0, 104), st.integers(-3, 3), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_vector_arithmetic_vs_complex(data, e, wn, wd):
+    order, ca, cb = data
+    a, b = CycVector(order, ca), CycVector(order, cb)
+    za, zb = complex(a), complex(b)
+    z = cmath.exp(2j * cmath.pi / order)
+    assert _close(za, sum(float(c) * z ** j for j, c in enumerate(ca)))
+    assert _close(complex(a + b), za + zb)
+    assert _close(complex(a - b), za - zb)
+    assert _close(complex(a * b), za * zb)
+    s = CycScalar(Fraction(wn or 1, wd), e, order)
+    assert _close(complex(a.scale(s, wd)), za * complex(s) * wd)
+    w = Fraction(wn, wd)
+    assert _close(complex(a.scale_rational(w)), za * float(w))
+    assert (a == b) == _close(za, zb)
+    if not a.is_zero():
+        inv = a.inverse()
+        assert a * inv == CycVector.from_rational(1, order)
+        assert abs(complex(inv) * za - 1) <= 1e-6
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_vector_equal_implies_equal_hash(draw):
+    # Adding a full orbit of p-th roots of unity (a zero sum) changes the
+    # spanning-set coefficients but not the element.
+    order = draw.draw(st.sampled_from(_PROPERTY_ORDERS))
+    ca = draw.draw(field_elements(order))
+    p = draw.draw(st.sampled_from([d for d in (2, 3, 5, 7) if order % d == 0] or [1]))
+    shifted = list(ca)
+    if p > 1:
+        c = Fraction(draw.draw(st.integers(1, 5)))
+        r = draw.draw(st.integers(0, order - 1))
+        for t in range(p):
+            shifted[(r + t * (order // p)) % order] += c
+    a, b = CycVector(order, ca), CycVector(order, shifted)
+    assert a == b and hash(a) == hash(b)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
