@@ -282,6 +282,23 @@ class CycVector:
         return cls(order, _num=num, _den=den)
 
     @classmethod
+    def combination(cls, order: int, terms) -> "CycVector":
+        """``Σ w·ζ^e·x`` over ``(x, e, w)`` triples with ``x`` a vector of this
+        order, ``0 ≤ e < order`` and ``w`` a ``Fraction``; reduced once."""
+        terms = list(terms)
+        if not terms:
+            return cls.zero(order)
+        den = lcm(*(x.den * w.denominator for x, _, w in terms))
+        deg, _ = _phi_taps(order)
+        poly = [0] * (deg + max(e for _, e, _ in terms))
+        for x, e, w in terms:
+            f = den // (x.den * w.denominator) * w.numerator
+            for i, a in enumerate(x.num, e):
+                if a:
+                    poly[i] += f * a
+        return cls(order, _num=_reduce(order, poly), _den=den)
+
+    @classmethod
     def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
         return cls.from_terms(s.order, [(s.e, s.q * Fraction(weight))])
 
@@ -341,9 +358,7 @@ class CycVector:
             raise OrderMismatchError(
                 "scalar and vector orders differ", scalar=s.order, vector=self.order
             )
-        w = s.q * Fraction(weight)
-        poly = _reduce(self.order, [0] * s.e + [w.numerator * a for a in self.num])
-        return CycVector(self.order, _num=poly, _den=self.den * w.denominator)
+        return CycVector.combination(self.order, [(self, s.e, s.q * Fraction(weight))])
 
     def scale_rational(self, w) -> "CycVector":
         w = Fraction(w)
@@ -359,6 +374,11 @@ class CycVector:
         if self.is_zero():
             raise ZeroDivisionError("zero element of the cyclotomic field")
         L = self.order
+        live = [(e, a) for e, a in enumerate(self.num) if a]
+        if len(live) == 1:
+            # (a/den)·ζ^e has inverse (den/a)·ζ^{−e}.
+            (e, a), = live
+            return CycVector.from_terms(L, [(-e, Fraction(self.den, a))])
         # Euclid on (Φ_L, num) keeps t·num ≡ r (mod Φ_L), so the cofactors t
         # may be reduced: they are kept as field elements.
         r0 = [Fraction(c) for c in cyclotomic_polynomial(L)]

@@ -36,9 +36,16 @@ def _fraction_from(value) -> Fraction:
     raise InputError("expected an integer or a 'p/q' string", value=value)
 
 
+def _int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"'{field}' must be an integer", value=value) from exc
+
+
 def _scalar_orders(raw) -> int:
     if isinstance(raw, dict):
-        order = int(raw.get("zeta_order", 1))
+        order = _int(raw.get("zeta_order", 1), "zeta_order")
         if order < 1:
             raise InputError("zeta_order must be positive", value=raw)
         return order
@@ -53,12 +60,12 @@ def _scalar_from(raw, order: int) -> CycScalar:
         num = raw.get("num")
         if num is None:
             raise InputError("scalar object needs 'num'", value=raw)
-        den = int(raw.get("den", 1))
+        den = _int(raw.get("den", 1), "den")
         if den == 0:
             raise InputError("scalar denominator must be nonzero", value=raw)
-        q = Fraction(int(num), den)
+        q = Fraction(_int(num, "num"), den)
         own = _scalar_orders(raw)
-        e = int(raw.get("zeta_pow", 0))
+        e = _int(raw.get("zeta_pow", 0), "zeta_pow")
         if order % own:
             raise InputError("scalar order does not divide the global order")
         return CycScalar(q, e * (order // own), order)
@@ -84,13 +91,15 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         raise InputError("spec document must be an object")
     try:
         alg_doc = doc["algebra"]
-        algebra = build_algebra(str(alg_doc["series"]), int(alg_doc["rank"]))
-        n = int(doc["n"])
-        dims = tuple(int(x) for x in doc["dims"])
+        algebra = build_algebra(str(alg_doc["series"]), _int(alg_doc["rank"], "rank"))
+        n = _int(doc["n"], "n")
+        dims = tuple(_int(x, "dims") for x in doc["dims"])
         raw_weights = doc["weights"]
         raw_evals = doc["evals"]
     except KeyError as exc:
         raise InputError(f"spec is missing required field {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"spec field has the wrong type: {exc}") from exc
 
     aut_doc = doc.get("aut")
     order = 1
@@ -98,13 +107,13 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         for raw in axis:
             order = lcm(order, _scalar_orders(raw))
     if aut_doc is not None:
-        order = lcm(order, int(aut_doc.get("order", 1)) or 1)
+        order = lcm(order, _int(aut_doc.get("order", 1), "order") or 1)
 
     weights = {}
     for entry in raw_weights:
         try:
-            idx = tuple(int(x) for x in entry["index"])
-            coords = tuple(int(x) for x in entry["coords"])
+            idx = tuple(_int(x, "index") for x in entry["index"])
+            coords = tuple(_int(x, "coords") for x in entry["coords"])
         except (KeyError, TypeError) as exc:
             raise InputError("weight entries need 'index' and 'coords'") from exc
         if idx in weights:
@@ -121,12 +130,12 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     if aut_doc is None:
         return spec
     try:
-        perm = tuple(int(x) - 1 for x in aut_doc["perm"])
+        perm = tuple(_int(x, "perm") - 1 for x in aut_doc["perm"])
     except KeyError as exc:
         raise InputError("aut needs a 'perm' node list") from exc
     aut = build_aut(algebra, perm)
     declared = aut_doc.get("order")
-    if declared is not None and int(declared) != aut.order:
+    if declared is not None and _int(declared, "order") != aut.order:
         raise InputError(
             "declared automorphism order is wrong", declared=declared, actual=aut.order
         )

@@ -8,21 +8,33 @@ candidate is dependent exactly when its Gram residual vanishes.  Raising and
 lowering matrices come out of the same Gram solves; everything is rational.
 
 ``generate_component`` closes the seeded vector ``v(m̃)`` under the degree
-``{0, ±e₁, …, ±eₙ}`` generators inside a degree box, keeping one echelon
-basis per degree over the cyclotomic field (row reduction with exact
-field-element pivots).  The box is widened by ``margin`` during the sweep and
-cropped on return, so reported fibers do not suffer boundary truncation.
-Closure terminates because in-box fiber ranks grow monotonically.
+``{0, ±e₁, …, ±eₙ}`` generators inside a degree box.  Every generator moves
+a weight by one fixed shift, so each degree fiber splits into weight spaces:
+the closure keeps one echelon basis per degree and weight class over the
+cyclotomic field (row reduction with exact field-element pivots), with rows
+only as long as the class.  It skips an image whose target class is already
+full, since the image lies in its span, and a diagonal generator at step 0
+that acts on each class by a scalar.  The box is widened by ``margin``
+during the sweep and cropped on return, so reported fibers do not suffer
+boundary truncation.  Closure terminates because in-box fiber ranks grow
+monotonically.
 
 The twisted closure is supported for the rank-2 A series with a twist of
 order 2: the fixed and anti-fixed parts of the algebra are spanned by
 ``{e₁+e₂, f₁+f₂, h₁+h₂}`` and ``{h₁−h₂, e₁−e₂, f₁−f₂, [e₁,e₂], [f₁,f₂]}``,
-and each part only steps the first loop degree by its own parity.
+and each part only steps the first loop degree by its own parity.  Its weight
+classes are the values of the weight on the orbit sums of the diagram nodes
+(``h0_weight_map``), which every one of these generators shifts by one amount.
+
+``audit_decomposition`` checks the components of a decomposition against
+each other, with one combined echelon per degree and weight class; ``verify``
+and ``count_components`` both use it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,13 +42,18 @@ from functools import lru_cache
 
 from .cyclotomic import CycVector
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
-from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant
+from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits
 from .psi import Evaluator, PsiSpec, support_lattice, table_indices
 from .twisted import TwistedSpec
 
 Matrix = list[list[Fraction]]
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _constant(q: int, order: int) -> CycVector:
+    return CycVector.from_rational(q, order)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +313,8 @@ class FieldEchelon:
         self.order = order
         self.rows: list[list[CycVector]] = []
         self.pivots: list[int] = []
+        self._supports: list[tuple[int, ...]] = []  # nonzero positions per row
+        self._zero = _constant(0, order)
 
     @property
     def rank(self) -> int:
@@ -303,32 +322,31 @@ class FieldEchelon:
 
     def _reduce(self, vec: list[CycVector]) -> list[CycVector]:
         vec = list(vec)
-        for piv, row in zip(self.pivots, self.rows):
+        for piv, row, support in zip(self.pivots, self.rows, self._supports):
             c = vec[piv]
             if not c.is_zero():
-                for t in range(self.length):
-                    if not row[t].is_zero():
-                        vec[t] = vec[t] - c * row[t]
+                for t in support[1:]:
+                    vec[t] = vec[t] - c * row[t]
+                vec[piv] = self._zero
         return vec
 
     def add(self, vec) -> list[CycVector] | None:
         """Insert if independent; returns the stored normalized row."""
         vec = self._reduce(vec)
-        piv = None
-        for t, entry in enumerate(vec):
-            if not entry.is_zero():
-                piv = t
-                break
-        if piv is None:
+        support = tuple(t for t, entry in enumerate(vec) if not entry.is_zero())
+        if not support:
             return None
-        inv = vec[piv].inverse()
-        row = [entry if entry.is_zero() else inv * entry for entry in vec]
-        row[piv] = CycVector.from_rational(1, self.order)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
+        piv = support[0]
+        row = [self._zero] * self.length
+        row[piv] = _constant(1, self.order)
+        if len(support) > 1:
+            inv = vec[piv].inverse()
+            for t in support[1:]:
+                row[t] = inv * vec[t]
+        at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, row)
+        self._supports.insert(at, support)
         return row
 
     def contains(self, vec) -> bool:
@@ -336,45 +354,142 @@ class FieldEchelon:
 
 
 # ---------------------------------------------------------------------------
-# graded closure
+# weight-graded closure
 # ---------------------------------------------------------------------------
+
+class Grading:
+    """The tensor basis split into classes by a linear map on weights:
+    ``members`` lists each class's basis vectors, ``local`` gives each basis
+    vector's position in its class."""
+
+    def __init__(self, fin: FinModule, class_map):
+        members: dict = {}
+        for g, wt in enumerate(fin.basis_weights):
+            members.setdefault(class_map(wt), []).append(g)
+        self.members: dict = {c: tuple(gs) for c, gs in sorted(members.items())}
+        self.local = [0] * fin.total
+        for gs in self.members.values():
+            for i, g in enumerate(gs):
+                self.local[g] = i
+
+
+class GradedFiber:
+    """One degree of a closure: a ``FieldEchelon`` per weight class, whose rows
+    are as long as the class.  ``rank``, ``rows`` and ``contains`` see the
+    fiber as full-length vectors."""
+
+    def __init__(self, grading: Grading, order: int):
+        self.grading = grading
+        self.order = order
+        self.parts: dict = {}
+
+    def part(self, cls) -> FieldEchelon:
+        ech = self.parts.get(cls)
+        if ech is None:
+            ech = FieldEchelon(len(self.grading.members[cls]), self.order)
+            self.parts[cls] = ech
+        return ech
+
+    @property
+    def rank(self) -> int:
+        return sum(ech.rank for ech in self.parts.values())
+
+    @property
+    def rows(self) -> list[list[CycVector]]:
+        zero = _constant(0, self.order)
+        out = []
+        for cls, ech in sorted(self.parts.items()):
+            members = self.grading.members[cls]
+            for short in ech.rows:
+                row = [zero] * len(self.grading.local)
+                for g, x in zip(members, short):
+                    row[g] = x
+                out.append(row)
+        return out
+
+    def contains(self, vec) -> bool:
+        for cls, members in self.grading.members.items():
+            short = [vec[g] for g in members]
+            ech = self.parts.get(cls)
+            if ech is None:
+                if not all(x.is_zero() for x in short):
+                    return False
+            elif not ech.contains(short):
+                return False
+        return True
+
 
 @dataclass
 class GradedBox:
     radius: int
-    fibers: dict[tuple[int, ...], FieldEchelon]
+    fibers: dict[tuple[int, ...], GradedFiber]
     fin: FinModule
     seed: tuple[int, ...]
+    grading: Grading
 
     def dims(self) -> dict[tuple[int, ...], int]:
         return {
-            deg: ech.rank
-            for deg, ech in sorted(self.fibers.items())
-            if ech.rank and max(abs(x) for x in deg) <= self.radius
+            deg: fib.rank
+            for deg, fib in sorted(self.fibers.items())
+            if fib.rank and max(abs(x) for x in deg) <= self.radius
         }
 
-    def fiber(self, degree) -> FieldEchelon | None:
+    def fiber(self, degree) -> GradedFiber | None:
         return self.fibers.get(tuple(degree))
 
 
-def _apply(fin: FinModule, cols_per_slot, coeffs_per_slot, vec, order: int):
-    out = [CycVector.zero(order)] * fin.total
-    hitset = set()
-    for k, cols in enumerate(cols_per_slot):
-        coeff = coeffs_per_slot[k]
-        stride = fin.strides[k]
-        dim = fin.slots[k].dim
-        for g, val in enumerate(vec):
-            if val.is_zero():
-                continue
-            comp = (g // stride) % dim
+def _plan(fin: FinModule, cols_per_slot, coeffs_per_slot, members, local, size: int):
+    """One generator at one step, from the basis vectors ``members`` into
+    ``size`` target positions: per target, the ``(source position, ζ-exponent,
+    rational weight)`` terms of its coordinate in the image."""
+    plan: list[dict] = [{} for _ in range(size)]
+    for i, g in enumerate(members):
+        for k, cols in enumerate(cols_per_slot):
+            stride = fin.strides[k]
+            comp = (g // stride) % fin.slots[k].dim
+            c = coeffs_per_slot[k]
             for r, x in cols[comp]:
-                tgt = g + (r - comp) * stride
-                out[tgt] = out[tgt] + val.scale(coeff, x)
-                hitset.add(tgt)
-    if not hitset:
-        return None
-    return out
+                terms = plan[local[g + (r - comp) * stride]]
+                terms[i, c.e] = terms.get((i, c.e), _F0) + c.q * x
+    return [[(i, e, w) for (i, e), w in terms.items() if w] for terms in plan]
+
+
+def _apply(plan, vec, order: int):
+    zero = _constant(0, order)
+    out = []
+    for terms in plan:
+        live = [(vec[i], e, w) for i, e, w in terms if not vec[i].is_zero()]
+        out.append(CycVector.combination(order, live) if live else zero)
+    return out if any(x is not zero for x in out) else None
+
+
+def _class_shift(fin: FinModule, mats, class_map):
+    """``(shift, diagonal)`` of a generator: the one class shift of all its
+    nonzero slot entries (None when it acts as zero) and whether every slot
+    matrix is diagonal.  Raises if the generator is not homogeneous."""
+    shifts = set()
+    diagonal = True
+    for slot, mat in zip(fin.slots, mats):
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    diagonal = diagonal and r == c
+                    a, b = class_map(slot.weights[r]), class_map(slot.weights[c])
+                    shifts.add(tuple(p - q for p, q in zip(a, b)))
+    if len(shifts) > 1:
+        raise UnsupportedError("closure generator does not preserve the weight grading")
+    return (shifts.pop() if shifts else None), diagonal
+
+
+def _scalar_on_classes(fin: FinModule, mats, grading: Grading) -> bool:
+    # Whether the total diagonal Σ_k mats[k] is constant on every class.
+    def diag(g):
+        return sum(
+            m[fin.slot_component(g, k)][fin.slot_component(g, k)]
+            for k, m in enumerate(mats)
+        )
+
+    return all(len({diag(g) for g in gs}) == 1 for gs in grading.members.values())
 
 
 def _closure(
@@ -384,47 +499,76 @@ def _closure(
     seed_degree,
     radius: int,
     margin: int,
+    class_map,
 ) -> GradedBox:
-    n = ev.spec.n
     order = ev.order
     work = radius + margin
     seed_degree = tuple(int(x) for x in seed_degree)
     if any(abs(x) > work for x in seed_degree):
         raise InputError("seed degree outside the working box", seed=seed_degree)
     indices = table_indices(ev.spec.dims)
-    gens = []
+    grading = Grading(fin, class_map)
+    members = grading.members
+    gens = []  # (per-slot columns, class shift, per-slot coefficients, step)
     for mats, steps in generators:
+        shift, diagonal = _class_shift(fin, mats, class_map)
+        if shift is None:
+            continue
+        # At step 0 every coefficient is 1, so a diagonal generator whose
+        # total diagonal is constant on each class maps a row of that class
+        # to a multiple of itself.
+        skip_zero = diagonal and _scalar_on_classes(fin, mats, grading)
         cols = [_columns(m) for m in mats]
         for s in steps:
-            coeffs = [ev.coefficient(I, s) for I in indices]
-            gens.append((cols, coeffs, tuple(s)))
-
-    fibers: dict[tuple[int, ...], FieldEchelon] = {}
-
-    def fiber(deg):
-        ech = fibers.get(deg)
-        if ech is None:
-            ech = FieldEchelon(fin.total, order)
-            fibers[deg] = ech
-        return ech
-
-    seed_vec = [CycVector.zero(order)] * fin.total
-    seed_vec[fin.hw_index] = CycVector.from_rational(1, order)
-    stored = fiber(seed_degree).add(seed_vec)
-    queue: deque = deque([(seed_degree, stored)])
-    while queue:
-        deg, row = queue.popleft()
-        for cols, coeffs, step in gens:
-            tgt = tuple(a + b for a, b in zip(deg, step))
-            if any(abs(x) > work for x in tgt):
+            if skip_zero and not any(s):
                 continue
-            image = _apply(fin, cols, coeffs, row, order)
+            coeffs = [ev.coefficient(I, s) for I in indices]
+            gens.append((cols, shift, coeffs, tuple(s)))
+
+    # Per source class, the moves into classes that have basis vectors:
+    # (generator id, target class, its size, step).
+    moves: dict = {cls: [] for cls in members}
+    for gid, (_, shift, _, step) in enumerate(gens):
+        for cls, out in moves.items():
+            tcls = tuple(a + b for a, b in zip(cls, shift))
+            if tcls in members:
+                out.append((gid, tcls, len(members[tcls]), step))
+    plans: dict = {}
+
+    fibers: dict[tuple[int, ...], GradedFiber] = {}
+    seed_cls = class_map(fin.basis_weights[fin.hw_index])
+    seed_vec = [_constant(0, order)] * len(members[seed_cls])
+    seed_vec[grading.local[fin.hw_index]] = _constant(1, order)
+    fibers[seed_degree] = GradedFiber(grading, order)
+    stored = fibers[seed_degree].part(seed_cls).add(seed_vec)
+    queue: deque = deque([(seed_degree, seed_cls, stored)])
+    while queue:
+        deg, cls, row = queue.popleft()
+        for gid, tcls, size, step in moves[cls]:
+            tgt = tuple(a + b for a, b in zip(deg, step))
+            if max(tgt) > work or min(tgt) < -work:
+                continue
+            fib = fibers.get(tgt)
+            if fib is None:
+                fib = fibers[tgt] = GradedFiber(grading, order)
+            ech = fib.part(tcls)
+            if ech.rank == size:
+                continue  # the image lies in a full weight space
+            plan = plans.get((gid, cls))
+            if plan is None:
+                cols, _, coeffs, _ = gens[gid]
+                plan = plans[gid, cls] = _plan(
+                    fin, cols, coeffs, members[cls], grading.local, size
+                )
+            image = _apply(plan, row, order)
             if image is None:
                 continue
-            added = fiber(tgt).add(image)
+            added = ech.add(image)
             if added is not None:
-                queue.append((tgt, added))
-    return GradedBox(radius=radius, fibers=fibers, fin=fin, seed=seed_degree)
+                queue.append((tgt, tcls, added))
+    return GradedBox(
+        radius=radius, fibers=fibers, fin=fin, seed=seed_degree, grading=grading
+    )
 
 
 def _untwisted_generators(fin: FinModule):
@@ -436,6 +580,10 @@ def _untwisted_generators(fin: FinModule):
     for j in range(d):
         gens.append([_diag_matrix([w[j] for w in slot.weights]) for slot in fin.slots])
     return gens
+
+
+def _identity(wt):
+    return wt
 
 
 def _steps(n: int):
@@ -466,7 +614,7 @@ def generate_component(
     steps = _steps(spec.n)
     generators = [(mats, steps) for mats in _untwisted_generators(fin)]
     seed = seed_degree if seed_degree is not None else (0,) * spec.n
-    return _closure(fin, ev, generators, seed, radius, margin)
+    return _closure(fin, ev, generators, seed, radius, margin, _identity)
 
 
 def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, degree=None):
@@ -488,9 +636,10 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
         mats = [_diag_matrix([w[idx] for w in slot.weights]) for slot in fin.slots]
     else:
         raise InputError("unknown generator kind", kind=kind)
-    cols = [_columns(m) for m in mats]
+    everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
-    image = _apply(fin, cols, coeffs, vec, order)
+    cols = [_columns(m) for m in mats]
+    image = _apply(_plan(fin, cols, coeffs, everything, everything, fin.total), vec, order)
     if image is None:
         return [CycVector.zero(order)] * fin.total
     return image
@@ -507,52 +656,97 @@ def component_decomposition(
     ]
 
 
+@dataclass
+class DecompositionAudit:
+    """Per-degree audit of components on their box ``[-radius, radius]ⁿ``."""
+
+    fiber_dims: list  # (degree, rank of each component's fiber), in degree order
+    overlaps: list  # degrees where two components share a nonzero vector
+    shortfalls: dict  # degree -> combined rank, where the fibers do not fill the module
+
+
+def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
+    """Fiber-disjointness and degree sums of closures over one grading and
+    box, with one combined echelon per (degree, weight class).  A class that
+    only one component reaches needs no echelon: the rows of one echelon are
+    independent."""
+    fin = boxes[0].fin
+    radius = boxes[0].radius
+    members = boxes[0].grading.members
+    order = boxes[0].fibers[boxes[0].seed].order
+    n = len(boxes[0].seed)
+    audit = DecompositionAudit([], [], {})
+    for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(n))):
+        fibs = [box.fibers.get(deg) for box in boxes]
+        ranks = tuple(f.rank if f is not None else 0 for f in fibs)
+        audit.fiber_dims.append((deg, ranks))
+        combined_rank = 0
+        overlap = False
+        for cls, gs in members.items():
+            parts = [
+                f.parts[cls] for f in fibs
+                if f is not None and cls in f.parts and f.parts[cls].rank
+            ]
+            if len(parts) == 1:
+                combined_rank += parts[0].rank
+                continue
+            combined = FieldEchelon(len(gs), order)
+            for ech in parts:
+                for row in ech.rows:
+                    if combined.add(row) is None:
+                        overlap = True
+            combined_rank += combined.rank
+        if overlap:
+            audit.overlaps.append(deg)
+        if combined_rank != fin.total or combined_rank != sum(ranks):
+            audit.shortfalls[deg] = combined_rank
+    return audit
+
+
 def count_components(spec: PsiSpec, radius: int, cap: int = 64, margin: int = 1) -> int:
     """Number of graded components, verified disjoint and jointly exhaustive."""
     boxes = component_decomposition(spec, radius, cap=cap, margin=margin)
-    fin = boxes[0].fin
-    order = boxes[0].fibers[boxes[0].seed].order
-    for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(spec.n))):
-        combined = FieldEchelon(fin.total, order)
-        total_rank = 0
-        for box in boxes:
-            ech = box.fibers.get(deg)
-            if ech is None:
-                continue
-            total_rank += ech.rank
-            for row in ech.rows:
-                if combined.add(row) is None:
-                    raise RealizationMismatchError(
-                        "components are not fiber-disjoint", degree=deg
-                    )
-        if combined.rank != total_rank or combined.rank != fin.total:
+    audit = audit_decomposition(boxes)
+    for deg, _ in audit.fiber_dims:
+        if deg in audit.overlaps:
+            raise RealizationMismatchError("components are not fiber-disjoint", degree=deg)
+        if deg in audit.shortfalls:
             raise RealizationMismatchError(
                 "component fibers do not fill the module at a degree",
                 degree=deg,
-                rank=combined.rank,
-                expected=fin.total,
+                rank=audit.shortfalls[deg],
+                expected=boxes[0].fin.total,
             )
     return len(boxes)
 
 
 def fiber_character(box: GradedBox, deg, weight_map):
-    ech = box.fibers.get(tuple(deg))
-    if ech is None or ech.rank == 0:
+    """Multiplicity of each ``weight_map`` value in the fiber at ``deg``.
+
+    Where ``weight_map`` is constant on a weight class of the closure, that
+    class adds its rank; otherwise the class's rows are projected onto each
+    value's coordinates and ranked."""
+    fib = box.fibers.get(tuple(deg))
+    if fib is None or fib.rank == 0:
         return ()
-    fin = box.fin
-    groups: dict = {}
-    for g in range(fin.total):
-        groups.setdefault(weight_map(fin.basis_weights[g]), []).append(g)
-    out = []
-    for wt, cols in sorted(groups.items()):
-        sub = FieldEchelon(len(cols), ech.order)
-        mult = 0
-        for row in ech.rows:
-            if sub.add([row[c] for c in cols]) is not None:
-                mult += 1
-        if mult:
-            out.append((wt, mult))
-    return tuple(out)
+    weights = box.fin.basis_weights
+    mult: dict = {}
+    for cls, ech in fib.parts.items():
+        if not ech.rank:
+            continue
+        groups: dict = {}
+        for i, g in enumerate(box.grading.members[cls]):
+            groups.setdefault(weight_map(weights[g]), []).append(i)
+        if len(groups) == 1:
+            (wt,) = groups
+            mult[wt] = mult.get(wt, 0) + ech.rank
+            continue
+        for wt, cols in groups.items():
+            sub = FieldEchelon(len(cols), fib.order)
+            for row in ech.rows:
+                if sub.add([row[c] for c in cols]) is not None:
+                    mult[wt] = mult.get(wt, 0) + 1
+    return tuple(sorted(mult.items()))
 
 
 def graded_character(
@@ -567,7 +761,7 @@ def graded_character(
     if box is None:
         box = generate_component(spec, radius, cap=cap, margin=margin)
     if weight_map is None:
-        weight_map = lambda wt: wt  # noqa: E731
+        weight_map = _identity
     out = {}
     for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(spec.n))):
         char = fiber_character(box, deg, weight_map)
@@ -644,7 +838,9 @@ def twisted_generate_component(
     generators = [(mats, fixed_steps) for mats in fixed]
     generators += [(mats, anti_steps) for mats in anti]
     seed = seed_degree if seed_degree is not None else zero
-    return _closure(fin, ev, generators, seed, radius, margin)
+    return _closure(
+        fin, ev, generators, seed, radius, margin, h0_weight_map(node_orbits(tspec.aut))
+    )
 
 
 def h0_weight_map(aut_orbits):

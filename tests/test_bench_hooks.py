@@ -1,0 +1,40 @@
+"""The benchmark's traced run wraps ``loopmod`` functions and methods by name
+(``bench/spans.py``); renaming one of them would break ``--trace 1``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    for _, module, attr in _spans().FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_every_traced_method_is_defined_on_its_class():
+    for _, module, cls_name, attr in _spans().METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        # The tracer replaces ``vars(cls)[attr]``, so an inherited method fails.
+        assert attr in vars(cls), (module, cls_name, attr)
+
+
+def test_tracer_installs_and_restores():
+    spans = _spans()
+    realizer = importlib.import_module("loopmod.realizer")
+    add = realizer.FieldEchelon.add
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert realizer.FieldEchelon.add is not add
+    finally:
+        tracer.uninstall()
+    assert realizer.FieldEchelon.add is add

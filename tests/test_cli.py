@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -208,19 +209,45 @@ def test_wrong_declared_aut_order(write, capsys):
 
 
 @pytest.mark.parametrize(
-    "scalar",
+    "fields",
     [
-        {"num": 1, "den": 0},
-        {"num": 1, "zeta_order": 0, "zeta_pow": 1},
-        {"num": 1, "zeta_order": -4, "zeta_pow": 1},
+        {"evals": [[{"num": 1, "den": 0}]]},
+        {"evals": [[{"num": 1, "zeta_order": 0, "zeta_pow": 1}]]},
+        {"evals": [[{"num": 1, "zeta_order": -4, "zeta_pow": 1}]]},
+        {"evals": [[{"num": "x"}]]},
+        {"evals": [[{"num": 1, "den": "x"}]]},
+        {"evals": [[{"num": 1, "zeta_order": 4, "zeta_pow": "x"}]]},
+        {"evals": [[{"num": 1, "zeta_order": "x", "zeta_pow": 1}]]},
+        {"dims": ["x"]},
+        {"n": "x"},
     ],
-    ids=["den-zero", "order-zero", "order-negative"],
+    ids=[
+        "den-zero", "order-zero", "order-negative", "num-text", "den-text",
+        "pow-text", "order-text", "dims-text", "n-text",
+    ],
 )
-def test_bad_scalar_is_input_error(write, capsys, scalar):
-    path = write(dict(SPEC_A, evals=[[scalar]]), "bad_scalar.json")
+def test_bad_scalar_is_input_error(write, capsys, fields):
+    path = write(dict(SPEC_A, **fields), "bad_scalar.json")
     code, doc = _run(capsys, ["classify", path])
     assert code == 2
     assert doc["diagnostics"][0]["type"] == "InputError"
+
+
+def test_main_builds_the_parser_once(write, capsys, monkeypatch):
+    path = write(SPEC_A, "a.json")
+    main(["classify", path])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["classify", path], ["support", path], ["verify", path, "--box", "1"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_large_prime_order_classifies_in_bounded_memory(tmp_path):

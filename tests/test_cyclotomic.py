@@ -199,6 +199,15 @@ def test_vector_inverse():
         assert v * inv == CycVector.from_rational(1, order)
 
 
+def test_vector_inverse_of_one_coordinate():
+    # (a/d)·ζ^e with one nonzero power-basis coordinate inverts to (d/a)·ζ^{−e}.
+    for order in (1, 2, 3, 4, 5, 12, 60):
+        phi = len(cyclotomic_polynomial(order)) - 1
+        for e in range(phi):
+            v = CycVector.from_terms(order, [(e, Fraction(-3, 7))])
+            assert v * v.inverse() == CycVector.from_rational(1, order)
+
+
 _PROPERTY_ORDERS = (1, 2, 3, 4, 6, 12, 60, 105)
 
 
@@ -236,6 +245,9 @@ def test_vector_arithmetic_vs_complex(data, e, wn, wd):
     assert _close(complex(a.scale(s, wd)), za * complex(s) * wd)
     w = Fraction(wn, wd)
     assert _close(complex(a.scale_rational(w)), za * float(w))
+    if w:
+        combo = CycVector.combination(order, [(a, e % order, w), (b, 0, Fraction(1))])
+        assert combo == a.scale(CycScalar(w, e, order)) + b
     assert (a == b) == _close(za, zb)
     if not a.is_zero():
         inv = a.inverse()

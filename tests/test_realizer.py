@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import A1, A2, A2_FLIP, sc, spec
+from loopmod import realizer
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import CapExceededError, UnsupportedError
-from loopmod.liealg import build_algebra, build_aut, weyl_dim
-from loopmod.psi import support_lattice
+from loopmod.liealg import build_algebra, build_aut, node_orbits, weyl_dim
+from loopmod.psi import Evaluator, support_lattice
 from loopmod.realizer import (
+    FieldEchelon,
     build_tensor,
     count_components,
+    fiber_character,
     fin_for_spec,
     generate_component,
     graded_character,
@@ -21,6 +24,7 @@ from loopmod.realizer import (
     twisted_generate_component,
 )
 from loopmod.twisted import TwistedSpec
+from test_acceptance import _acceptance3_specs
 
 
 def test_irreducible_module_sl2():
@@ -322,3 +326,144 @@ def test_twisted_h0_character():
     # top orbit-sum weight 2 present at every even degree of the component
     assert ((2,), 1) in char[(0,)]
     assert ((2,), 1) in char[(2,)]
+
+
+# ---------------------------------------------------------------------------
+# weight-graded fibers
+# ---------------------------------------------------------------------------
+
+_H0 = h0_weight_map(node_orbits(A2_FLIP))
+
+
+def _identity(wt):
+    return wt
+
+
+def _graded_boxes():
+    """(box, map from a basis weight to its closure class) for the
+    acceptance-3 specs and for twisted A₂ specs."""
+    out = [(generate_component(s, 2), _identity) for s in _acceptance3_specs()]
+    for s in (
+        spec(A2, (1,), {(1,): (1, 1)}, [(1,)]),
+        spec(A2, (1,), {(1,): (1, 0)}, [(1,)]),
+        spec(A2, (2,), {(1,): (1, 0), (2,): (0, 1)}, [(1, -1)]),
+    ):
+        out.append((twisted_generate_component(TwistedSpec(base=s, aut=A2_FLIP), 2), _H0))
+    return out
+
+
+@pytest.fixture(scope="module")
+def graded_boxes():
+    return _graded_boxes()
+
+
+def test_graded_rows_vanish_outside_their_class(graded_boxes):
+    for box, class_map in graded_boxes:
+        weights = box.fin.basis_weights
+        for fib in box.fibers.values():
+            for row in fib.rows:
+                assert len(row) == box.fin.total
+                classes = {class_map(weights[g]) for g, x in enumerate(row) if not x.is_zero()}
+                assert len(classes) == 1
+
+
+def test_graded_rows_reinsert_to_the_fiber_rank(graded_boxes):
+    for box, _ in graded_boxes:
+        for deg, fib in box.fibers.items():
+            full = FieldEchelon(box.fin.total, fib.order)
+            for row in fib.rows:
+                assert full.add(row) is not None, deg
+                assert fib.contains(row)
+            assert full.rank == fib.rank
+
+
+def test_graded_fiber_rejects_vectors_outside_it():
+    # V(1)⊗V(1) at (1, −1): odd fibers are the alternating line only.
+    s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
+    fib = generate_component(s, 2).fiber((1,))
+    order = s.field_order
+    one, zero = CycVector.from_rational(1, order), CycVector.zero(order)
+    assert fib.contains([zero, one, -one, zero])
+    assert not fib.contains([zero, one, one, zero])
+    assert not fib.contains([one, zero, zero, zero])
+
+
+def _character_from_rows(box, deg, weight_map):
+    # Independent rebuild: rank of the fiber's full rows projected onto the
+    # coordinates of each weight_map value.
+    fib = box.fibers.get(deg)
+    groups = {}
+    for g, wt in enumerate(box.fin.basis_weights):
+        groups.setdefault(weight_map(wt), []).append(g)
+    out = []
+    for wt, cols in sorted(groups.items()):
+        sub = FieldEchelon(len(cols), fib.order)
+        mult = sum(1 for row in fib.rows if sub.add([row[c] for c in cols]) is not None)
+        if mult:
+            out.append((wt, mult))
+    return tuple(out)
+
+
+def test_fiber_character_matches_a_rebuild_from_rows(graded_boxes):
+    for box, class_map in graded_boxes:
+        maps = (_identity, _H0) if box.fin.algebra.rank == 2 else (_identity,)
+        for deg, fib in box.fibers.items():
+            if not fib.rank:
+                continue
+            for weight_map in maps:
+                char = fiber_character(box, deg, weight_map)
+                assert char == _character_from_rows(box, deg, weight_map)
+                if weight_map is _H0 or class_map is _identity:
+                    # weight_map is a function of the closure's class: the
+                    # fiber splits along it.
+                    assert sum(m for _, m in char) == fib.rank
+
+
+def test_echelon_stores_one_entry_vectors_as_unit_rows(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("inverse() called for a one-entry vector")
+
+    order = 3
+    z = CycVector.zero(order)
+    zeta = CycVector(order, [0, 5, 0])
+    one = CycVector.from_rational(1, order)
+    ech = FieldEchelon(3, order)
+    monkeypatch.setattr(CycVector, "inverse", no_inverse)
+    assert ech.add([z, zeta, z]) == [z, one, z]
+    monkeypatch.undo()
+    ech.add([one, one, one])
+    # Reduces to one entry against the stored rows.
+    monkeypatch.setattr(CycVector, "inverse", no_inverse)
+    assert ech.add([one, one + zeta, CycVector.from_rational(2, order)]) == [z, z, one]
+    assert ech.rank == 3
+
+
+def test_closure_rejects_a_generator_that_mixes_classes():
+    # e₁ + e₂ moves weights by α₁ or α₂, which the identity grading separates.
+    s = spec(A2, (1,), {(1,): (1, 1)}, [(1,)])
+    fin = fin_for_spec(s)
+    fixed, _ = realizer._twisted_generators(fin)
+    with pytest.raises(UnsupportedError):
+        realizer._closure(fin, Evaluator(s), [(fixed[0], [(1,)])], (0,), 1, 1, _identity)
+
+
+def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
+    s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
+    boxes = realizer.component_decomposition(s, 2)
+    good = realizer.audit_decomposition(boxes)
+    assert not good.overlaps and not good.shortfalls
+    assert [deg for deg, _ in good.fiber_dims] == [(m,) for m in range(-2, 3)]
+    assert all(sum(ranks) == 4 for _, ranks in good.fiber_dims)
+    # One of the two components alone misses vectors at every degree.
+    alone = realizer.audit_decomposition(boxes[:1])
+    assert not alone.overlaps
+    assert alone.shortfalls == {(m,): 3 if m % 2 == 0 else 1 for m in range(-2, 3)}
+    # A component counted twice shares every vector with itself.
+    twice = realizer.audit_decomposition([boxes[0], boxes[0]])
+    assert twice.overlaps == [(m,) for m in range(-2, 3)]
+    monkeypatch.setattr(realizer, "component_decomposition", lambda *a, **k: [boxes[0]] * 2)
+    with pytest.raises(realizer.RealizationMismatchError, match="fiber-disjoint"):
+        count_components(s, 2)
+    monkeypatch.setattr(realizer, "component_decomposition", lambda *a, **k: boxes[:1])
+    with pytest.raises(realizer.RealizationMismatchError, match="fill the module"):
+        count_components(s, 2)
