@@ -10,6 +10,8 @@ solution set of ``x^{rᵢ} = c^{rᵢ}``.  Any deviation is a structure violation
 into equality classes (each class size must be a multiple of the index ``p``);
 ``decide_iso`` searches for a witness (per-axis permutations τᵢ, per-axis
 scalings 𝔰ᵢ, and a grading shift in Γ) relating two classified descriptors.
+The search itself is ``find_witness``, which the twisted decision runs too,
+with its own axis-1 candidates and weight test.
 
 The permutation search uses per-axis value distinctness: fixing the partner
 ``a_{i,j₀}`` of the first scalar ``b_{i,1}`` determines the scaling
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycScalar, multiplicative_order
 from .errors import StructureViolationError
+from .lattice import Lattice
 from .liealg import Weight
 from .psi import PsiSpec, SupportLattice, common_field_order, support_lattice, table_indices
 
@@ -119,10 +122,14 @@ class ModuleDescriptor:
 
     @property
     def realization_statement(self) -> str:
-        factors = " ⊗ ".join(
-            "V(" + ",".join(str(x) for x in w) + ")" + (f"^{c}" if c > 1 else "") for w, c in self.realization
-        )
-        return f"irreducible component of ({factors})^⊗{self.p} ⊗ A"
+        return f"irreducible component of ({tensor_factors(self.realization)})^⊗{self.p} ⊗ A"
+
+
+def tensor_factors(realization) -> str:
+    """``V(λ)^c ⊗ …`` for (weight, count) pairs; a count of 1 is left out."""
+    return " ⊗ ".join(
+        "V(" + ",".join(str(x) for x in w) + ")" + (f"^{c}" if c > 1 else "") for w, c in realization
+    )
 
 
 def weight_classes(spec: PsiSpec) -> tuple[tuple[Weight, int], ...]:
@@ -193,41 +200,79 @@ def axis_candidates(
     return out
 
 
-def decide_iso(d1: ModuleDescriptor, d2: ModuleDescriptor) -> IsoResult:
-    """Witness search over the classified descriptors, or the first failure."""
-    s1, s2 = d1.spec, d2.spec
+def tau_image(taus, I: Index) -> Index:
+    """The first spec's index that a witness's taus pair with ``I``."""
+    return tuple(t[i - 1] + 1 for t, i in zip(taus, I))
+
+
+def _same_weights(s1: PsiSpec, s2: PsiSpec):
+    indices = table_indices(s1.dims)
+
+    def test(taus, candidate):
+        if all(s2.weights[I] == s1.weights[tau_image(taus, I)] for I in indices):
+            return candidate
+        return None
+
+    return test
+
+
+def find_witness(
+    s1: PsiSpec,
+    s2: PsiSpec,
+    gamma1: Lattice,
+    gamma2: Lattice,
+    same_algebra: bool = True,
+    axis1=None,
+    weight_test=None,
+    witness=Witness,
+) -> IsoResult:
+    """The witness search of both isomorphism decisions, or its first failure.
+
+    After the dimension and algebra checks both specs are lifted to a common
+    field.  ``axis1(a, b)`` lists the axis-1 candidates (``axis_candidates``
+    unless given), each a tuple ``(scaling, τ, *extra)``; the other axes use
+    ``axis_candidates``.  Candidate tuples are tried in lexicographic order.
+    ``weight_test(s1, s2)`` gives the test of one (equal weight tables unless
+    given): called with the taus and the axis-1 candidate, it returns the
+    candidate to record, possibly re-gauged, or None.  The first hit must
+    also see equal supports ``gamma1``, ``gamma2`` and an integral grading
+    shift in ``gamma1``; the witness is ``witness(taus, scalings, shift,
+    *extra)``.
+    """
     if s1.n != s2.n or s1.dims != s2.dims:
         return IsoResult(False, reason="dimension-mismatch")
-    if s1.algebra.cartan != s2.algebra.cartan:
+    if s1.algebra.cartan != s2.algebra.cartan or not same_algebra:
         return IsoResult(False, reason="algebra-mismatch")
     order = common_field_order(s1, s2)
     s1 = s1.with_field_order(order)
     s2 = s2.with_field_order(order)
 
-    per_axis = [axis_candidates(s1.evals[i], s2.evals[i]) for i in range(s1.n)]
+    per_axis = [(axis1 or axis_candidates)(s1.evals[0], s2.evals[0])]
+    per_axis += [axis_candidates(s1.evals[i], s2.evals[i]) for i in range(1, s1.n)]
     if any(not c for c in per_axis):
         return IsoResult(False, reason="no-scaling-permutation")
 
-    indices = table_indices(s1.dims)
-    weight_hit = False
+    test = (weight_test or _same_weights)(s1, s2)
     for combo in itertools.product(*per_axis):
-        taus = tuple(tau for _, tau in combo)
-        if all(
-            s2.weights[I] == s1.weights[tuple(t[i - 1] + 1 for t, i in zip(taus, I))]
-            for I in indices
-        ):
-            weight_hit = True
+        taus = tuple(c[1] for c in combo)
+        hit = test(taus, combo[0])
+        if hit is not None:
             break
-    if not weight_hit:
+    else:
         return IsoResult(False, reason="weight-mismatch")
-    scalings = tuple(s for s, _ in combo)
+    scalings = (hit[0],) + tuple(s for s, _ in combo[1:])
 
-    if not d1.support.lattice.same_subgroup(d2.support.lattice):
+    if not gamma1.same_subgroup(gamma2):
         return IsoResult(False, reason="support-mismatch")
     delta = [b - a for a, b in zip(s1.rho, s2.rho)]
     if any(x.denominator != 1 for x in delta):
         return IsoResult(False, reason="grading-shift")
     shift = tuple(int(x) for x in delta)
-    if not d1.support.lattice.contains(shift):
+    if not gamma1.contains(shift):
         return IsoResult(False, reason="grading-shift")
-    return IsoResult(True, witness=Witness(taus=taus, scalings=scalings, shift=shift))
+    return IsoResult(True, witness=witness(taus, scalings, shift, *hit[2:]))
+
+
+def decide_iso(d1: ModuleDescriptor, d2: ModuleDescriptor) -> IsoResult:
+    """Witness search over the classified descriptors, or the first failure."""
+    return find_witness(d1.spec, d2.spec, d1.support.lattice, d2.support.lattice)

@@ -90,7 +90,7 @@ def _emit(report: dict, output: str) -> None:
 def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
     descriptor = classify(spec)
     support = descriptor.support
-    boxes = realizer.component_decomposition(spec, box, cap=cap)
+    boxes = realizer.component_decomposition(spec, support, box, cap=cap)
     fin = boxes[0].fin
     audit = realizer.audit_decomposition(boxes)
     table = [

@@ -43,6 +43,12 @@ def _int(value, field: str) -> int:
         raise InputError(f"'{field}' must be an integer", value=value) from exc
 
 
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"'{field}' must be a list", value=value)
+    return value
+
+
 def _scalar_orders(raw) -> int:
     if isinstance(raw, dict):
         order = _int(raw.get("zeta_order", 1), "zeta_order")
@@ -94,14 +100,16 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         algebra = build_algebra(str(alg_doc["series"]), _int(alg_doc["rank"], "rank"))
         n = _int(doc["n"], "n")
         dims = tuple(_int(x, "dims") for x in doc["dims"])
-        raw_weights = doc["weights"]
-        raw_evals = doc["evals"]
+        raw_weights = _list(doc["weights"], "weights")
+        raw_evals = [_list(axis, "evals") for axis in _list(doc["evals"], "evals")]
     except KeyError as exc:
         raise InputError(f"spec is missing required field {exc}") from exc
     except TypeError as exc:
         raise InputError(f"spec field has the wrong type: {exc}") from exc
 
     aut_doc = doc.get("aut")
+    if aut_doc is not None and not isinstance(aut_doc, dict):
+        raise InputError("'aut' must be an object", value=aut_doc)
     order = 1
     for axis in raw_evals:
         for raw in axis:
@@ -122,15 +130,14 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     evals = tuple(
         tuple(_scalar_from(raw, order) for raw in axis) for axis in raw_evals
     )
-    rho_raw = doc.get("rho", [0] * n)
-    rho = tuple(_fraction_from(x) for x in rho_raw)
+    rho = tuple(_fraction_from(x) for x in _list(doc.get("rho", [0] * n), "rho"))
     spec = PsiSpec(
         algebra=algebra, n=n, dims=dims, weights=weights, evals=evals, rho=rho
     )
     if aut_doc is None:
         return spec
     try:
-        perm = tuple(_int(x, "perm") - 1 for x in aut_doc["perm"])
+        perm = tuple(_int(x, "perm") - 1 for x in _list(aut_doc["perm"], "perm"))
     except KeyError as exc:
         raise InputError("aut needs a 'perm' node list") from exc
     aut = build_aut(algebra, perm)
@@ -190,15 +197,21 @@ def blocks_to_json(blocks) -> list:
     return out
 
 
+def _realization_to_json(d: ModuleDescriptor | TwistedDescriptor) -> dict:
+    return {
+        "classes": [{"weight": list(w), "size": s} for w, s in d.classes],
+        "realization": [{"weight": list(w), "count": c} for w, c in d.realization],
+        "statement": d.realization_statement,
+    }
+
+
 def descriptor_to_json(d: ModuleDescriptor) -> dict:
     return {
         "dims": list(d.spec.dims),
         "support": support_to_json(d.support),
         "index": d.p,
         "blocks": blocks_to_json(d.blocks),
-        "classes": [{"weight": list(w), "size": s} for w, s in d.classes],
-        "realization": [{"weight": list(w), "count": c} for w, c in d.realization],
-        "statement": d.realization_statement,
+        **_realization_to_json(d),
     }
 
 
@@ -210,9 +223,7 @@ def twisted_descriptor_to_json(d: TwistedDescriptor) -> dict:
         "m_hat": d.m_hat_n,
         "marginal_index": d.marginal_index,
         "exponent": d.exponent,
-        "classes": [{"weight": list(w), "size": s} for w, s in d.classes],
-        "realization": [{"weight": list(w), "count": c} for w, c in d.realization],
-        "statement": d.realization_statement,
+        **_realization_to_json(d),
     }
 
 

@@ -11,7 +11,9 @@ The support ``Γ = {m : v(m) ≠ 0}`` of a nontrivial table with dominant weight
 is a full-rank subgroup of Z^n; it is computed from the axis periods
 ``rᵢ = min{t ≥ 1 : v(t·eᵢ) ≠ 0}`` by scanning the box ``∏[0, rᵢ)`` — the
 support is a union of cosets of ``⊕ rᵢZeᵢ``, so the scan is exhaustive — and
-audited for subgroup closure afterwards.
+audited for subgroup closure afterwards.  ``nonvanishing_support`` does this
+for any nonvanishing predicate; the twisted support calls it with the
+restricted functional.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation on a cube of degrees, scanning in order of increasing
@@ -177,56 +179,47 @@ class SupportLattice:
         return self.lattice.coset_reps()
 
 
-def _axis_periods(is_nonzero, n: int, bounds) -> tuple[int, ...]:
+def nonvanishing_support(is_nonzero, n: int, bounds, ordering=None) -> SupportLattice:
+    """The set ``{m : is_nonzero(m)}`` as a full-rank lattice.
+
+    Each axis period ``rᵢ`` is searched up to ``boundsᵢ``; the members of the
+    box ``∏[0, rᵢ)`` and the ``rᵢeᵢ`` generate the lattice (in ``ordering``,
+    see ``Lattice.from_generators``).  The box determines the lattice only if
+    the nonvanishing set is a subgroup; isolated cancellations (possible for
+    exactly tuned weights) surface as mismatches on a wider window, so the
+    cube of radii ``max(6, 2·max(rᵢ, boundsᵢ))`` is audited before the result
+    is trusted.
+    """
     periods = []
     for i in range(n):
         m = [0] * n
-        found = None
         for t in range(1, bounds[i] + 1):
             m[i] = t
             if is_nonzero(m):
-                found = t
+                periods.append(t)
                 break
-        if found is None:
+        else:
             raise NoPeriodWithinBoundError(
                 "axis functional vanishes on the whole search range",
                 axis=i + 1,
                 bound=bounds[i],
             )
-        periods.append(found)
-    return tuple(periods)
-
-
-def _support_from_membership(
-    ev_nonzero,
-    n: int,
-    periods: tuple[int, ...],
-    ordering=None,
-    audit_radii: tuple[int, ...] | None = None,
-) -> SupportLattice:
-    box = list(itertools.product(*(range(r) for r in periods)))
-    members = [m for m in box if ev_nonzero(m)]
-    gens = list(members)
+    gens = [m for m in itertools.product(*(range(r) for r in periods)) if is_nonzero(m)]
     for i, r in enumerate(periods):
         e = [0] * n
         e[i] = r
         gens.append(tuple(e))
     lat = Lattice.from_generators(gens, n=n, ordering=ordering)
-    # Closure audit.  The box determines the lattice only if the nonvanishing
-    # set is a subgroup; isolated cancellations (possible for exactly tuned
-    # weights) surface as mismatches on a wider window, so scan well beyond
-    # the fundamental box before trusting the result.
-    if audit_radii is None:
-        audit_radii = tuple(max(6, 2 * r) for r in periods)
-    for m in itertools.product(*(range(-a, a + 1) for a in audit_radii)):
-        if lat.contains(m) != ev_nonzero(m):
+    radii = [max(6, 2 * max(r, b)) for r, b in zip(periods, bounds)]
+    for m in itertools.product(*(range(-a, a + 1) for a in radii)):
+        if lat.contains(m) != is_nonzero(m):
             raise SupportNotSubgroupError(
                 "nonvanishing degrees are not closed under the group operations",
                 witness=m,
             )
     index = lat.index
     assert index is not None  # rᵢ·eᵢ generators force full rank
-    return SupportLattice(lattice=lat, periods=periods, index=index)
+    return SupportLattice(lattice=lat, periods=tuple(periods), index=index)
 
 
 def support_lattice(spec: PsiSpec) -> SupportLattice:
@@ -239,14 +232,7 @@ def support_lattice(spec: PsiSpec) -> SupportLattice:
     """
     if spec.is_trivial():
         raise TrivialModuleError("all weights are zero")
-    ev = Evaluator(spec)
-    periods = _axis_periods(ev.is_nonzero, spec.n, spec.dims)
-    audit = tuple(
-        max(6, 2 * max(r, d)) for r, d in zip(periods, spec.dims)
-    )
-    return _support_from_membership(
-        ev.is_nonzero, spec.n, periods, audit_radii=audit
-    )
+    return nonvanishing_support(Evaluator(spec).is_nonzero, spec.n, spec.dims)
 
 
 def box_scan_order(n: int, radius: int) -> list[tuple[int, ...]]:

@@ -14,10 +14,10 @@ the closure keeps one echelon basis per degree and weight class over the
 cyclotomic field (row reduction with exact field-element pivots), with rows
 only as long as the class.  It skips an image whose target class is already
 full, since the image lies in its span, and a diagonal generator at step 0
-that acts on each class by a scalar.  The box is widened by ``margin``
-during the sweep and cropped on return, so reported fibers do not suffer
-boundary truncation.  Closure terminates because in-box fiber ranks grow
-monotonically.
+that acts on each class by a scalar.  The box is widened by one degree
+(``_MARGIN``) during the sweep and cropped on return, so reported fibers do
+not suffer boundary truncation.  Closure terminates because in-box fiber
+ranks grow monotonically.
 
 The twisted closure is supported for the rank-2 A series with a twist of
 order 2: the fixed and anti-fixed parts of the algebra are spanned by
@@ -25,6 +25,10 @@ order 2: the fixed and anti-fixed parts of the algebra are spanned by
 and each part only steps the first loop degree by its own parity.  Its weight
 classes are the values of the weight on the orbit sums of the diagram nodes
 (``h0_weight_map``), which every one of these generators shifts by one amount.
+Both closures, and ``loop_action``, take the per-slot ``e_i``, ``f_i`` and
+``h_i`` matrices from ``_slot_matrices`` and their degree steps from
+``_steps``, and run the same ``_closure``; they differ only in the generator
+list and the weight-class map.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -43,12 +47,13 @@ from functools import lru_cache
 from .cyclotomic import CycVector
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits
-from .psi import Evaluator, PsiSpec, support_lattice, table_indices
+from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
 from .twisted import TwistedSpec
 
 Matrix = list[list[Fraction]]
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_MARGIN = 1  # degrees the closure sweeps beyond the reported box
 
 
 @lru_cache(maxsize=None)
@@ -498,11 +503,10 @@ def _closure(
     generators,  # list of (per-slot matrices, list of step degrees)
     seed_degree,
     radius: int,
-    margin: int,
     class_map,
 ) -> GradedBox:
     order = ev.order
-    work = radius + margin
+    work = radius + _MARGIN
     seed_degree = tuple(int(x) for x in seed_degree)
     if any(abs(x) > work for x in seed_degree):
         raise InputError("seed degree outside the working box", seed=seed_degree)
@@ -571,24 +575,31 @@ def _closure(
     )
 
 
+def _slot_matrices(fin: FinModule, kind: str, i: int) -> list[Matrix]:
+    """Per-slot matrices of ``e_i``, ``f_i`` or ``h_i`` (``kind`` 'e', 'f', 'h')."""
+    if kind == "e":
+        return [slot.raiser[i] for slot in fin.slots]
+    if kind == "f":
+        return [slot.lower[i] for slot in fin.slots]
+    if kind == "h":
+        return [_diag_matrix([w[i] for w in slot.weights]) for slot in fin.slots]
+    raise InputError("unknown generator kind", kind=kind)
+
+
 def _untwisted_generators(fin: FinModule):
     d = fin.algebra.rank
-    gens = []
-    for i in range(d):
-        gens.append([slot.lower[i] for slot in fin.slots])
-        gens.append([slot.raiser[i] for slot in fin.slots])
-    for j in range(d):
-        gens.append([_diag_matrix([w[j] for w in slot.weights]) for slot in fin.slots])
-    return gens
+    gens = [_slot_matrices(fin, kind, i) for i in range(d) for kind in "fe"]
+    return gens + [_slot_matrices(fin, "h", j) for j in range(d)]
 
 
 def _identity(wt):
     return wt
 
 
-def _steps(n: int):
-    out = [tuple(0 for _ in range(n))]
-    for i in range(n):
+def _steps(n: int, axes, zero: bool = True):
+    """The zero step when ``zero``, then ``+eᵢ`` and ``−eᵢ`` for each axis."""
+    out = [(0,) * n] if zero else []
+    for i in axes:
         for sgn in (1, -1):
             s = [0] * n
             s[i] = sgn
@@ -602,19 +613,14 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
 
 
 def generate_component(
-    spec: PsiSpec,
-    radius: int,
-    cap: int = 64,
-    margin: int = 1,
-    seed_degree=None,
+    spec: PsiSpec, radius: int, cap: int = 64, seed_degree=None
 ) -> GradedBox:
     """Closure of v(m̃) under all simple-generator steps, fibers per degree."""
     fin = fin_for_spec(spec, cap=cap)
-    ev = Evaluator(spec)
-    steps = _steps(spec.n)
+    steps = _steps(spec.n, range(spec.n))
     generators = [(mats, steps) for mats in _untwisted_generators(fin)]
     seed = seed_degree if seed_degree is not None else (0,) * spec.n
-    return _closure(fin, ev, generators, seed, radius, margin, _identity)
+    return _closure(fin, Evaluator(spec), generators, seed, radius, _identity)
 
 
 def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, degree=None):
@@ -628,14 +634,7 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
             raise InputError("the derivation action needs the vector's degree")
         factor = Fraction(degree[idx]) + spec.rho[idx]
         return [v.scale_rational(factor) for v in vec]
-    if kind == "f":
-        mats = [slot.lower[idx] for slot in fin.slots]
-    elif kind == "e":
-        mats = [slot.raiser[idx] for slot in fin.slots]
-    elif kind == "h":
-        mats = [_diag_matrix([w[idx] for w in slot.weights]) for slot in fin.slots]
-    else:
-        raise InputError("unknown generator kind", kind=kind)
+    mats = _slot_matrices(fin, kind, idx)
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
     cols = [_columns(m) for m in mats]
@@ -646,12 +645,12 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
 
 
 def component_decomposition(
-    spec: PsiSpec, radius: int, cap: int = 64, margin: int = 1
+    spec: PsiSpec, support: SupportLattice, radius: int, cap: int = 64
 ) -> list[GradedBox]:
-    """One closure per coset representative of the support."""
-    support = support_lattice(spec)
+    """One closure per coset representative of ``support``, the support of
+    ``spec``."""
     return [
-        generate_component(spec, radius, cap=cap, margin=margin, seed_degree=rep)
+        generate_component(spec, radius, cap=cap, seed_degree=rep)
         for rep in support.coset_reps()
     ]
 
@@ -703,9 +702,9 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     return audit
 
 
-def count_components(spec: PsiSpec, radius: int, cap: int = 64, margin: int = 1) -> int:
+def count_components(spec: PsiSpec, radius: int, cap: int = 64) -> int:
     """Number of graded components, verified disjoint and jointly exhaustive."""
-    boxes = component_decomposition(spec, radius, cap=cap, margin=margin)
+    boxes = component_decomposition(spec, support_lattice(spec), radius, cap=cap)
     audit = audit_decomposition(boxes)
     for deg, _ in audit.fiber_dims:
         if deg in audit.overlaps:
@@ -753,13 +752,12 @@ def graded_character(
     spec: PsiSpec,
     radius: int,
     cap: int = 64,
-    margin: int = 1,
     weight_map=None,
     box: GradedBox | None = None,
 ):
     """Per-degree multiset of Cartan weights of the v(0̃)-component fibers."""
     if box is None:
-        box = generate_component(spec, radius, cap=cap, margin=margin)
+        box = generate_component(spec, radius, cap=cap)
     if weight_map is None:
         weight_map = _identity
     out = {}
@@ -775,12 +773,7 @@ def graded_character(
 # ---------------------------------------------------------------------------
 
 def _twisted_generators(fin: FinModule):
-    e = [[slot.raiser[i] for slot in fin.slots] for i in range(2)]
-    f = [[slot.lower[i] for slot in fin.slots] for i in range(2)]
-    h = [
-        [_diag_matrix([w[i] for w in slot.weights]) for slot in fin.slots]
-        for i in range(2)
-    ]
+    e, f, h = ([_slot_matrices(fin, kind, i) for i in range(2)] for kind in "efh")
 
     def comb(a, b, sign):
         return [_mat_add(x, y, sign) for x, y in zip(a, b)]
@@ -800,18 +793,12 @@ def _twisted_generators(fin: FinModule):
 
 
 def twisted_generate_component(
-    tspec: TwistedSpec,
-    radius: int,
-    cap: int = 64,
-    margin: int = 1,
-    seed_degree=None,
+    tspec: TwistedSpec, radius: int, cap: int = 64, seed_degree=None
 ) -> GradedBox:
     """Closure under the twist-compatible generators only."""
     base = tspec.base
     if tspec.order == 1:
-        return generate_component(
-            base, radius, cap=cap, margin=margin, seed_degree=seed_degree
-        )
+        return generate_component(base, radius, cap=cap, seed_degree=seed_degree)
     if not (base.algebra.series == "A" and base.algebra.rank == 2 and tspec.order == 2):
         raise UnsupportedError(
             "twisted realization is supported for the rank-2 A series, twist order 2",
@@ -820,26 +807,16 @@ def twisted_generate_component(
             k=tspec.order,
         )
     fin = fin_for_spec(base, cap=cap)
-    ev = Evaluator(base)
     n = base.n
     fixed, anti = _twisted_generators(fin)
-    zero = tuple(0 for _ in range(n))
-    fixed_steps = [zero]
-    for i in range(1, n):
-        for sgn in (1, -1):
-            s = [0] * n
-            s[i] = sgn
-            fixed_steps.append(tuple(s))
-    anti_steps = []
-    for sgn in (1, -1):
-        s = [0] * n
-        s[0] = sgn
-        anti_steps.append(tuple(s))
+    # Fixed-part generators step by 0 and ±eᵢ for i ≥ 2, anti-fixed ones by ±e₁.
+    fixed_steps = _steps(n, range(1, n))
+    anti_steps = _steps(n, (0,), zero=False)
     generators = [(mats, fixed_steps) for mats in fixed]
     generators += [(mats, anti_steps) for mats in anti]
-    seed = seed_degree if seed_degree is not None else zero
+    seed = seed_degree if seed_degree is not None else (0,) * n
     return _closure(
-        fin, ev, generators, seed, radius, margin, h0_weight_map(node_orbits(tspec.aut))
+        fin, Evaluator(base), generators, seed, radius, h0_weight_map(node_orbits(tspec.aut))
     )
 
 

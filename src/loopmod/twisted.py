@@ -5,29 +5,41 @@ degree-m piece of the fixed-point Cartan data is ``𝔥_{m₁ mod k} ⊗ t^m``, 
 the restricted functional at degree m is the full functional evaluated on the
 eigenbasis of ``𝔥_{m₁ mod k}``.  The twisted support ``Γ^μ`` collects the
 degrees where that restriction is nonzero; it is computed with the same box
-scan as the untwisted support, but in the axis ordering (2, …, n, 1), so the
-last diagonal entry of its triangular basis is the axis-1 projection
-generator ``m̂ₙ``.  Axis-period bounds are ``Nᵢ`` on axes ≥ 2 and ``k·N₁`` on
-axis 1 (the restricted support can be coarser there by a factor dividing k).
+scan and audit as the untwisted support, but in the axis ordering
+(2, …, n, 1), so the last diagonal entry of its triangular basis is the
+axis-1 projection generator ``m̂ₙ``.  Axis-period bounds are ``Nᵢ`` on axes
+≥ 2 and ``k·N₁`` on axis 1 (the restricted support can be coarser there by a
+factor dividing k).
 
 A table fixed pointwise by μ gives a *second type* module (all restricted
 components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module is of
-*first type* and ``m̂ₙ = 1``.  ``decide_twisted_iso`` mirrors the untwisted
-witness search on axes ≥ 2; on axis 1 scalars are matched through their k-th
-powers, each ratio must be a k-th root of unity ε, and the weight conditions
-compare restricted components twisted by ε^{−j}.  The k-th root of the
-power-level scaling is only determined up to a k-th root of unity, so the
-search ranges over that finite gauge as well.
+*first type* and ``m̂ₙ = 1``.
+
+Both the support and the isomorphism search are the untwisted routines run
+on twisted inputs.  ``twisted_support`` hands the restricted functional, the
+bounds and the ordering to ``psi.nonvanishing_support``.
+``decide_twisted_iso`` runs ``classify.find_witness`` with its own axis-1
+candidates (scalars matched through their k-th powers, each ratio a k-th
+root of unity ε).  Second-type tables are compared for equality, as in the
+untwisted search; first-type tables compare restricted components twisted by
+ε^{−j}, up to a gauge (``_first_type_test``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 from typing import Literal
 
-from .classify import IsoResult, Witness, axis_candidates, weight_classes
+from .classify import (
+    IsoResult,
+    Witness,
+    find_witness,
+    tau_image,
+    tensor_factors,
+    weight_classes,
+)
 from .cyclotomic import CycScalar, CycVector, root_of_unity_order_divides
 from .errors import (
     ImageMismatchError,
@@ -46,8 +58,7 @@ from .psi import (
     Evaluator,
     PsiSpec,
     SupportLattice,
-    _axis_periods,
-    _support_from_membership,
+    nonvanishing_support,
     support_lattice,
     table_indices,
 )
@@ -141,15 +152,10 @@ def twisted_support(spec: TwistedSpec) -> SupportLattice:
     """Support of the restricted functional, in the ordering (2, …, n, 1)."""
     if spec.base.is_trivial():
         raise TrivialModuleError("all weights are zero")
-    ev = TwistedEvaluator(spec)
     n = spec.base.n
     bounds = [spec.order * spec.base.dims[0]] + list(spec.base.dims[1:])
-    periods = _axis_periods(ev.is_nonzero, n, bounds)
     ordering = tuple(range(1, n)) + (0,)
-    audit = tuple(max(6, 2 * max(r, b)) for r, b in zip(periods, bounds))
-    return _support_from_membership(
-        ev.is_nonzero, n, periods, ordering=ordering, audit_radii=audit
-    )
+    return nonvanishing_support(TwistedEvaluator(spec).is_nonzero, n, bounds, ordering)
 
 
 def m_hat(support: SupportLattice) -> int:
@@ -171,12 +177,8 @@ class TwistedDescriptor:
 
     @property
     def realization_statement(self) -> str:
-        factors = " ⊗ ".join(
-            "V(" + ",".join(str(x) for x in w) + ")" + (f"^{c}" if c > 1 else "") for w, c in self.realization
-        )
-        return (
-            f"irreducible twisted-loop submodule of ({factors})^⊗{self.exponent} ⊗ A"
-        )
+        factors = tensor_factors(self.realization)
+        return f"irreducible twisted-loop submodule of ({factors})^⊗{self.exponent} ⊗ A"
 
 
 def marginal_spec(spec: PsiSpec) -> PsiSpec:
@@ -286,92 +288,53 @@ def _axis1_candidates(spec: TwistedSpec, a_values, b_values):
     return out
 
 
+def _first_type_test(aut: DiagramAut, s1: PsiSpec, s2: PsiSpec):
+    """First-type weight test for ``find_witness``: equal 𝔥₀ components, and
+    components on the m₁ ≡ j eigenbasis that differ by ε^{−j}, where ε is the
+    index's axis-1 root of unity times a gauge.  The k-th root of the
+    power-level scaling is only fixed up to a k-th root of unity, so the test
+    ranges over that gauge and records the candidate re-gauged."""
+    k = aut.order
+    order = s1.field_order
+    r1 = {I: restrict_weight(aut, w, order) for I, w in s1.weights.items()}
+    r2 = {I: restrict_weight(aut, w, order) for I, w in s2.weights.items()}
+    eps_prim = primitive_root_of_unity(k, order)
+    indices = table_indices(s1.dims)
+
+    def matches(taus, eps_list, gauge) -> bool:
+        for I in indices:
+            J = tau_image(taus, I)
+            eps = eps_list[I[0] - 1] * gauge
+            if r2[I].comp0 != r1[J].comp0 or any(
+                v2 != v1.scale(eps ** (-j))
+                for j in range(1, k)
+                for v2, v1 in zip(r2[I].higher[j - 1], r1[J].higher[j - 1])
+            ):
+                return False
+        return True
+
+    def test(taus, candidate):
+        wp, tau1, eps_list = candidate
+        for g in range(k):
+            gauge = eps_prim ** g
+            if matches(taus, eps_list, gauge):
+                return wp / gauge, tau1, tuple(e * gauge for e in eps_list)
+        return None
+
+    return test
+
+
 def decide_twisted_iso(d1: TwistedDescriptor, d2: TwistedDescriptor) -> IsoResult:
     """Witness search per the twisted criteria, or the first failed clause."""
     if d1.module_type != d2.module_type:
         return IsoResult(False, reason="type-mismatch")
-    s1, s2 = d1.spec.base, d2.spec.base
-    if s1.n != s2.n or s1.dims != s2.dims:
-        return IsoResult(False, reason="dimension-mismatch")
-    if s1.algebra.cartan != s2.algebra.cartan or d1.spec.aut != d2.spec.aut:
-        return IsoResult(False, reason="algebra-mismatch")
-    k = d1.spec.order
-    order = lcm(s1.field_order, s2.field_order)
-    s1 = s1.with_field_order(order)
-    s2 = s2.with_field_order(order)
-    aut = d1.spec.aut
-
-    axis1 = _axis1_candidates(d1.spec, s1.evals[0], s2.evals[0])
-    rest = [axis_candidates(s1.evals[i], s2.evals[i]) for i in range(1, s1.n)]
-    if not axis1 or any(not c for c in rest):
-        return IsoResult(False, reason="no-scaling-permutation")
-
-    indices = table_indices(s1.dims)
-    second = d1.module_type == "second"
-    r1 = {I: restrict_weight(aut, w, order) for I, w in s1.weights.items()}
-    r2 = {I: restrict_weight(aut, w, order) for I, w in s2.weights.items()}
-    eps_prim = primitive_root_of_unity(k, order)
-
-    def tau_image(taus, I):
-        return tuple(t[i - 1] + 1 for t, i in zip(taus, I))
-
-    hit = None
-    for cand1 in axis1:
-        wp, tau1, eps_list = cand1
-        for combo in itertools.product(*rest):
-            taus = (tau1,) + tuple(tau for _, tau in combo)
-            if second:
-                if all(
-                    s2.weights[I] == s1.weights[tau_image(taus, I)] for I in indices
-                ):
-                    hit = (wp, taus, eps_list, tuple(s for s, _ in combo))
-                    break
-            else:
-                # The k-th root of the power-level scaling is only fixed up
-                # to a k-th root of unity; range over that gauge.
-                for g in range(k):
-                    gauge = eps_prim ** g
-                    ok = True
-                    for I in indices:
-                        J = tau_image(taus, I)
-                        if r2[I].comp0 != r1[J].comp0:
-                            ok = False
-                            break
-                        eps = eps_list[I[0] - 1] * gauge
-                        for j in range(1, k):
-                            twistf = eps ** (-j)
-                            for v2, v1 in zip(r2[I].higher[j - 1], r1[J].higher[j - 1]):
-                                if v2 != v1.scale(twistf):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        eff = tuple(e * gauge for e in eps_list)
-                        hit = (wp / gauge, taus, eff, tuple(s for s, _ in combo))
-                        break
-                if hit:
-                    break
-        if hit:
-            break
-    if hit is None:
-        return IsoResult(False, reason="weight-mismatch")
-    wp, taus, eps_list, rest_scalings = hit
-
-    if not d1.gamma_mu.lattice.same_subgroup(d2.gamma_mu.lattice):
-        return IsoResult(False, reason="support-mismatch")
-    delta = [b - a for a, b in zip(s1.rho, s2.rho)]
-    if any(x.denominator != 1 for x in delta):
-        return IsoResult(False, reason="grading-shift")
-    shift = tuple(int(x) for x in delta)
-    if not d1.gamma_mu.lattice.contains(shift):
-        return IsoResult(False, reason="grading-shift")
-    witness = TwistedWitness(
-        taus=taus,
-        scalings=(wp,) + rest_scalings,
-        shift=shift,
-        epsilons=eps_list,
+    return find_witness(
+        d1.spec.base,
+        d2.spec.base,
+        d1.gamma_mu.lattice,
+        d2.gamma_mu.lattice,
+        same_algebra=d1.spec.aut == d2.spec.aut,
+        axis1=partial(_axis1_candidates, d1.spec),
+        weight_test=partial(_first_type_test, d1.spec.aut) if d1.module_type == "first" else None,
+        witness=TwistedWitness,
     )
-    return IsoResult(True, witness=witness)

@@ -204,7 +204,7 @@ def _acceptance3_specs():
 
 def _decomposed(s, radius=3):
     d = classify(s)
-    return d, component_decomposition(s, radius)
+    return d, component_decomposition(s, d.support, radius)
 
 
 def test_acceptance_3a_component_count():

@@ -20,6 +20,15 @@ def test_every_traced_function_exists():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
+def test_traced_functions_are_distinct_objects():
+    # The tracer rebinds by identity: an alias of another traced function
+    # would be wrapped twice and its spans counted twice.
+    targets = {}
+    for _, module, attr in _spans().FUNCTIONS:
+        fn = getattr(importlib.import_module(module), attr)
+        assert targets.setdefault(id(fn), (module, attr)) == (module, attr), (module, attr)
+
+
 def test_every_traced_method_is_defined_on_its_class():
     for _, module, cls_name, attr in _spans().METHODS:
         cls = getattr(importlib.import_module(module), cls_name)

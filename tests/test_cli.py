@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import loopmod
+from loopmod import psi
 from loopmod.cli import main
 
 SPEC_2Z = {
@@ -220,10 +221,18 @@ def test_wrong_declared_aut_order(write, capsys):
         {"evals": [[{"num": 1, "zeta_order": "x", "zeta_pow": 1}]]},
         {"dims": ["x"]},
         {"n": "x"},
+        {"evals": 5},
+        {"evals": [3]},
+        {"weights": 5},
+        {"rho": 5},
+        {"aut": 5},
+        {"aut": {"perm": 5}},
     ],
     ids=[
         "den-zero", "order-zero", "order-negative", "num-text", "den-text",
-        "pow-text", "order-text", "dims-text", "n-text",
+        "pow-text", "order-text", "dims-text", "n-text", "evals-scalar",
+        "evals-axis-scalar", "weights-scalar", "rho-scalar", "aut-scalar",
+        "perm-scalar",
     ],
 )
 def test_bad_scalar_is_input_error(write, capsys, fields):
@@ -248,6 +257,24 @@ def test_main_builds_the_parser_once(write, capsys, monkeypatch):
         assert main(argv) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_verify_computes_the_support_once(write, capsys, monkeypatch):
+    original = psi.support_lattice
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # Callers import the name directly, so rebind it wherever it is bound.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopmod") and getattr(module, "support_lattice", None) is original:
+            monkeypatch.setattr(module, "support_lattice", counting)
+    path = write(SPEC_2Z, "two.json")
+    code, doc = _run(capsys, ["verify", path, "--box", "2"])
+    assert code == 0 and doc["result"]["ok"]
+    assert len(calls) == 1
 
 
 def test_large_prime_order_classifies_in_bounded_memory(tmp_path):

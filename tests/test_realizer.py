@@ -444,12 +444,12 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     fin = fin_for_spec(s)
     fixed, _ = realizer._twisted_generators(fin)
     with pytest.raises(UnsupportedError):
-        realizer._closure(fin, Evaluator(s), [(fixed[0], [(1,)])], (0,), 1, 1, _identity)
+        realizer._closure(fin, Evaluator(s), [(fixed[0], [(1,)])], (0,), 1, _identity)
 
 
 def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    boxes = realizer.component_decomposition(s, 2)
+    boxes = realizer.component_decomposition(s, support_lattice(s), 2)
     good = realizer.audit_decomposition(boxes)
     assert not good.overlaps and not good.shortfalls
     assert [deg for deg, _ in good.fiber_dims] == [(m,) for m in range(-2, 3)]

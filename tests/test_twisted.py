@@ -5,6 +5,8 @@ from math import lcm
 import pytest
 
 from helpers import (
+    random_spec,
+    transformed_spec,
     A2,
     A2_FLIP,
     D4,
@@ -13,6 +15,7 @@ from helpers import (
     sc,
     spec,
 )
+from loopmod.classify import classify, decide_iso
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import EngineError, ImageMismatchError, SupportNotSubgroupError
 from loopmod.liealg import apply_aut, build_aut
@@ -70,6 +73,67 @@ def test_twisted_support_identity_aut_equals_support():
     base = spec(A2, (2,), {(1,): (1, 0), (2,): (1, 1)}, [(1, 2)])
     t = TwistedSpec(base=base, aut=ident)
     assert twisted_support(t).lattice.same_subgroup(support_lattice(base).lattice)
+
+
+def _perturbed(rng: random.Random, s: PsiSpec) -> PsiSpec:
+    """``s`` with its grading shift, one weight or one scalar changed."""
+    rho, weights, evals = list(s.rho), dict(s.weights), [list(a) for a in s.evals]
+    axis = rng.randrange(s.n)
+    kind = rng.choice(("half-shift", "unit-shift", "weight", "scalar"))
+    if kind == "half-shift":
+        rho[axis] += Fraction(1, 2)
+    elif kind == "unit-shift":
+        rho[axis] += 1
+    elif kind == "weight":
+        I = rng.choice(sorted(weights))
+        weights[I] = (weights[I][0] + 1,) + weights[I][1:]
+    else:
+        evals[axis][rng.randrange(s.dims[axis])] *= CycScalar(Fraction(5), 0, s.field_order)
+    return PsiSpec(
+        algebra=s.algebra, n=s.n, dims=s.dims, weights=weights,
+        evals=tuple(tuple(a) for a in evals), rho=tuple(rho),
+    )
+
+
+def test_identity_twist_iso_equals_untwisted_iso():
+    # Under the identity automorphism the twisted search must find the same
+    # witness, or fail on the same clause, as the untwisted one it shares.
+    # Each draw is paired with a witnessed transform, a perturbation of that
+    # and the previous draw.  Three-axis draws are skipped: each costs a 13³
+    # audit cube per support and the search treats them like two-axis ones.
+    rng = random.Random(5)
+
+    def both(s):
+        ident = build_aut(s.algebra, range(s.algebra.rank))
+        try:
+            return classify(s), twisted_classify(TwistedSpec(base=s, aut=ident))
+        except EngineError:
+            return None
+
+    reasons = set()
+    compared = 0
+    previous = None
+    for _ in range(60):
+        s = random_spec(rng)
+        d = both(s) if s.n < 3 else None
+        if d is None:
+            continue
+        witnessed, _, _ = transformed_spec(rng, d[0].spec, shift_support=d[0].support)
+        for other in (both(witnessed), both(_perturbed(rng, witnessed)), previous):
+            if other is None:
+                continue
+            untwisted = decide_iso(d[0], other[0])
+            twisted = decide_twisted_iso(d[1], other[1])
+            compared += 1
+            reasons.add(untwisted.reason)
+            assert (twisted.isomorphic, twisted.reason) == (untwisted.isomorphic, untwisted.reason)
+            if untwisted:
+                a, b = untwisted.witness, twisted.witness
+                assert (b.taus, b.scalings, b.shift) == (a.taus, a.scalings, a.shift)
+        previous = d
+    assert compared >= 140
+    assert {None, "dimension-mismatch", "no-scaling-permutation", "weight-mismatch",
+            "grading-shift"} <= reasons
 
 
 def test_twisted_classify_frozen():
