@@ -37,6 +37,9 @@ def _fraction_from(value) -> Fraction:
 
 
 def _int(value, field: str) -> int:
+    # int() would truncate a float and read a boolean as 0 or 1.
+    if isinstance(value, (bool, float)):
+        raise InputError(f"'{field}' must be an integer", value=value)
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
@@ -175,6 +178,7 @@ def support_to_json(s: SupportLattice) -> dict:
         "lattice": lattice_to_json(s.lattice),
         "periods": list(s.periods),
         "index": s.index,
+        "certificate": s.certificate,
     }
 
 

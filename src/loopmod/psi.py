@@ -8,12 +8,17 @@ rational grading shifts ``ϱ``.  The degree-``m`` functional is
 
 a vector of cyclotomic-field coefficients in the fundamental-weight basis.
 The support ``Γ = {m : v(m) ≠ 0}`` of a nontrivial table with dominant weights
-is a full-rank subgroup of Z^n; it is computed from the axis periods
-``rᵢ = min{t ≥ 1 : v(t·eᵢ) ≠ 0}`` by scanning the box ``∏[0, rᵢ)`` — the
-support is a union of cosets of ``⊕ rᵢZeᵢ``, so the scan is exhaustive — and
-audited for subgroup closure afterwards.  ``nonvanishing_support`` does this
-for any nonvanishing predicate; the twisted support calls it with the
-restricted functional.
+is, when it is a subgroup, a full-rank subgroup of Z^n.  It is generated by
+the members of the box ``∏[0, rᵢ)`` and the ``rᵢeᵢ``, where
+``rᵢ = min{t ≥ 1 : v(t·eᵢ) ≠ 0}`` are the axis periods.  Membership comes
+from a certificate ladder, cheapest rung first, before anything is
+evaluated (``nonvanishing_support``): a slot only one index reaches
+(``single-entry``), the Lam–Leung theorem on vanishing sums of roots of unity
+(``lam-leung``), per-coset class sums of the functional on the cosets of
+``D = ⊕ MᵢZ`` (``domain``), an n = 1 dominance window that lists every zero
+(``descartes``), and, for what is left, direct evaluation on the audit cube
+(``audit``).  The rung is reported as the support's ``certificate``.  The
+twisted support runs the same ladder on the restricted functional.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation on a cube of degrees, scanning in order of increasing
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CycScalar, CycVector
 from .errors import (
@@ -126,13 +131,30 @@ def common_field_order(*specs: PsiSpec) -> int:
 
 
 class Evaluator:
-    """Caches per-axis scalar powers and evaluates v(m) coordinatewise."""
+    """Caches per-axis scalar powers and evaluates v(m) coordinatewise.
+
+    ``terms[j]`` is the term table the support certificates read: for the
+    degrees with ``m₁ ≡ j (mod k)``, every index whose contribution does not
+    vanish, with its contribution to each output slot as ``(ζ-exponent,
+    rational)`` pairs.  Untwisted, ``k = 1`` and slot ``c`` of index ``I``
+    holds ``λ_I[c]``, so each slot is a nonnegative integer combination of the
+    ``a_I^m`` and the Lam–Leung test applies (``lam_leung``).
+    """
+
+    k = 1
+    lam_leung = True
 
     def __init__(self, spec: PsiSpec):
         self.spec = spec
         self.order = spec.field_order
+        self.evals = spec.evals
         self._pows: dict[tuple[int, int, int], CycScalar] = {}
         self._indices = table_indices(spec.dims)
+        self.terms = [[
+            (I, [[(0, x)] if x else [] for x in spec.weights[I]])
+            for I in self._indices
+            if any(spec.weights[I])
+        ]]
 
     def _pow(self, axis: int, j: int, m: int) -> CycScalar:
         key = (axis, j, m)
@@ -174,28 +196,320 @@ class SupportLattice:
     lattice: Lattice
     periods: tuple[int, ...]
     index: int
+    certificate: str = "audit"
 
     def coset_reps(self):
         return self.lattice.coset_reps()
 
 
-def nonvanishing_support(is_nonzero, n: int, bounds, ordering=None) -> SupportLattice:
-    """The set ``{m : is_nonzero(m)}`` as a full-rank lattice.
+def _phase(a: CycScalar) -> tuple[int, int]:
+    # a/|a| = (−1)^s·ζ^e as (s, e).
+    return (1 if a.q < 0 else 0), a.e
 
-    Each axis period ``rᵢ`` is searched up to ``boundsᵢ``; the members of the
-    box ``∏[0, rᵢ)`` and the ``rᵢeᵢ`` generate the lattice (in ``ordering``,
-    see ``Lattice.from_generators``).  The box determines the lattice only if
-    the nonvanishing set is a subgroup; isolated cancellations (possible for
-    exactly tuned weights) surface as mismatches on a wider window, so the
-    cube of radii ``max(6, 2·max(rᵢ, boundsᵢ))`` is audited before the result
-    is trusted.
+
+def _phase_order(s: int, e: int, order: int) -> int:
+    # Multiplicative order of (−1)^s·ζ_order^e, a (2·order)-th root of unity.
+    return 2 * order // gcd(2 * order, 2 * e + s * order)
+
+
+class _CosetSums:
+    """An evaluator's functional on the cosets of ``D = ⊕ MᵢZ``.
+
+    Write ``a_{i,j} = |q_{i,j}|·φ_{i,j}`` with ``φ`` a root of unity, so an
+    active index has ``a_I^m = ρ_I^m·φ_I^m`` with ``ρ_I`` its vector of
+    ``|q|`` values.  ``Mᵢ`` is the order of the phase ratios
+    ``φ_{i,j}/φ_{i,j₀}`` over the active ``j`` of axis ``i`` (times ``k`` on
+    axis 1, so that the term table is constant on a coset).  Then
+    ``φ_I^{r+d} = χ(d)·φ_I^r`` for ``d ∈ D``, with a root of unity ``χ(d)``
+    shared by every ``I``, and grouping the indices into torsion classes
+    ``K`` by ``ρ_I`` gives
+
+        v(r + d) = χ(d)·Σ_K ρ_K^{r+d}·u_K(r),   u_K(r) = Σ_{I∈K} φ_I^r·c_I(r),
+
+    where ``c_I(r)`` is the index's entry in the term table of ``r``.
     """
+
+    def __init__(self, ev):
+        self.ev = ev
+        active = sorted({I for rows in ev.terms for I, _ in rows})
+        self.phases = {
+            I: [_phase(ev.evals[i][j - 1]) for i, j in enumerate(I)] for I in active
+        }
+        self.rho = {
+            I: tuple(abs(ev.evals[i][j - 1].q) for i, j in enumerate(I)) for I in active
+        }
+        self.classes = sorted(set(self.rho.values()))
+        moduli = []
+        for i, axis in enumerate(ev.evals):
+            js = sorted({I[i] for I in active})
+            mod = 1
+            if js:
+                s0, e0 = _phase(axis[js[0] - 1])
+                for j in js[1:]:
+                    s, e = _phase(axis[j - 1])
+                    mod = lcm(mod, _phase_order(s ^ s0, e - e0, ev.order))
+            moduli.append(mod)
+        moduli[0] = lcm(moduli[0], ev.k)
+        self.moduli = tuple(moduli)
+
+    def sums(self, r) -> list[tuple[tuple[Fraction, ...], list[CycVector]]]:
+        """``(ρ_K, u_K(r))`` for every class with ``u_K(r) ≠ 0``, by ``ρ_K``."""
+        acc: dict = {}
+        for I, comps in self.ev.terms[r[0] % self.ev.k]:
+            e = sign = 0
+            for (s, f), x in zip(self.phases[I], r):
+                e += f * x
+                sign += s * x
+            q = -1 if sign % 2 else 1
+            slots = acc.setdefault(self.rho[I], [[] for _ in comps])
+            for out, terms in zip(slots, comps):
+                out.extend((e + f, q * c) for f, c in terms)
+        out = []
+        for rho in self.classes:
+            if rho in acc:
+                u = [CycVector.from_terms(self.ev.order, t) for t in acc[rho]]
+                if any(not x.is_zero() for x in u):
+                    out.append((rho, u))
+        return out
+
+
+def _single_entry(ev) -> bool:
+    # Every term table has a slot that exactly one index reaches: that slot
+    # is a single nonzero term a_I^m·c at every degree the table serves.
+    for rows in ev.terms:
+        slots = len(rows[0][1]) if rows else 0
+        if not any(sum(1 for _, comps in rows if comps[t]) == 1 for t in range(slots)):
+            return False
+    return True
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + ([m] if m > 1 else [])
+
+
+def _lam_leung(ev, form: _CosetSums) -> bool:
+    """Some slot never vanishes by Lam–Leung (J. Algebra 224, 2000).
+
+    With one torsion class, slot c of v(m) is ρ^m·φ_{I₀}^m times a sum of
+    ``W = Σ_I λ_I[c]`` roots of unity of order dividing ``M = lcm(Mᵢ)``; such a
+    sum vanishes only if ``W ∈ ℕp₁ + … + ℕp_r`` for the primes ``pᵢ | M``."""
+    primes = _prime_factors(lcm(*form.moduli))
+    rows = ev.terms[0]
+    for t in range(len(rows[0][1])):
+        w = sum(q for _, comps in rows for _, q in comps[t])
+        if w and not _in_semigroup(w, primes):
+            return True
+    return False
+
+
+def _in_semigroup(w: int, primes: list[int]) -> bool:
+    """``w ∈ ℕp₁ + … + ℕp_r`` for increasing primes."""
+    if len(primes) >= 2 and w >= (primes[0] - 1) * (primes[1] - 1):
+        return True  # Sylvester: ℕp₁ + ℕp₂ holds every w from there on
+    if len(primes) <= 1:
+        return w % primes[0] == 0 if primes else w == 0
+    p = primes[-1]
+    return any(_in_semigroup(w - j * p, primes[:-1]) for j in range(w // p + 1))
+
+
+def _independent(vectors) -> bool:
+    """Linear independence over Q of sparse rational vectors (dicts)."""
+    basis: dict = {}
+    for v in vectors:
+        row = {k: Fraction(x) for k, x in v.items()}
+        while row:
+            p = min(row)
+            b = basis.get(p)
+            if b is None:
+                basis[p] = row
+                break
+            f = row[p] / b[p]
+            for k, x in b.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
+        else:
+            return False
+    return True
+
+
+def _coset_verdict(us) -> bool | None:
+    """Whether ``Σ_K c_K·u_K`` with every ``c_K > 0`` is nonzero (None: the
+    class sums alone do not decide)."""
+    if len(us) < 2:
+        return bool(us)
+    for t in range(len(us[0])):
+        for b in range(len(us[0][t].num)):
+            vals = [u[t].num[b] for u in us]
+            if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
+                return True  # one sign on a power-basis coordinate
+    flat = [{(t, b): x for t, y in enumerate(u) for b, x in enumerate(y.num) if x} for u in us]
+    return True if _independent(flat) else None
+
+
+def _dominance_steps(lead: Fraction, rest: Fraction, ratio: Fraction, limit: int) -> int | None:
+    # Least s ≥ 0 with lead·ratio^s > rest, or None past ``limit``.
+    s = 0
+    while lead <= rest:
+        s += 1
+        if s > limit:
+            return None
+        lead *= ratio
+    return s
+
+
+def _window_zeros(ev, form: _CosetSums, r0: int, sums, limit: int):
+    """n = 1: the zeros of v on the coset ``r₀ + MZ``, or None past ``limit``.
+
+    On a power-basis coordinate, ``v(r₀ + Mt)/χ = Σ_K w_K·β_K^t`` with
+    ``β_K = ρ_K^M`` distinct and ``w_K`` rational: a real exponential sum.  Its
+    term of largest base dominates once ``|w_top|·(β_top/β_next)^t`` exceeds
+    the other ``|w_K|`` together (t ≥ 0), and likewise the smallest base for
+    t ≤ 0; every zero therefore lies in the window between, which is
+    evaluated.  Returns ``(window size, zeros)`` for the narrowest window."""
+    M = form.moduli[0]
+    best = None
+    for t in range(len(sums[0][1])):
+        for b in range(len(sums[0][1][t].num)):
+            ws = sorted(
+                (rho[0] ** M, rho[0] ** r0 * Fraction(u[t].num[b], u[t].den))
+                for rho, u in sums
+                if u[t].num[b]
+            )
+            if len(ws) < 2:
+                continue
+            hi = _dominance_steps(
+                abs(ws[-1][1]), sum(abs(w) for _, w in ws[:-1]), ws[-1][0] / ws[-2][0], limit
+            )
+            lo = _dominance_steps(
+                abs(ws[0][1]), sum(abs(w) for _, w in ws[1:]), ws[1][0] / ws[0][0], limit
+            )
+            if hi is not None and lo is not None:
+                window = range(1 - lo, hi)
+                if best is None or len(window) < len(best):
+                    best = window
+    if best is None or len(best) > limit:
+        return None
+    zeros = [(r0 + M * t,) for t in best if not ev.is_nonzero((r0 + M * t,))]
+    return len(best), zeros
+
+
+@dataclass
+class _Certificate:
+    """Membership in the nonvanishing set by coset lookup.
+
+    ``status`` maps each coset representative of ``D = ⊕ moduliᵢZ`` to True
+    (inside), False (outside) or None (uncertified: evaluate).  ``zeros`` are
+    the exact zeros found inside certified cosets.  When every coset is
+    certified, the set is a lattice iff it agrees with it on ``checks``: the
+    generators of D and the representatives."""
+
+    label: str
+    ev: object
+    moduli: tuple[int, ...]
+    status: dict
+    zeros: list = field(default_factory=list)
+
+    def member(self, m) -> bool:
+        st = self.status.get(tuple(x % M for x, M in zip(m, self.moduli)))
+        if st is None:
+            return self.ev.is_nonzero(m)
+        return st and tuple(m) not in self.zeros
+
+    @property
+    def checks(self) -> list:
+        n = len(self.moduli)
+        gens = [tuple(M if i == j else 0 for j in range(n)) for i, M in enumerate(self.moduli)]
+        return gens + list(self.status)
+
+
+def _certify(ev, n: int, bounds) -> _Certificate:
+    """The certificate ladder, cheapest first (see ``nonvanishing_support``)."""
+    everything = {(0,) * n: True}
+    if _single_entry(ev):
+        return _Certificate("single-entry", ev, (1,) * n, everything)
+    form = _CosetSums(ev)
+    if ev.lam_leung and len(form.classes) == 1 and _lam_leung(ev, form):
+        return _Certificate("lam-leung", ev, (1,) * n, everything)
+    budget = 1
+    for b in bounds:
+        budget *= 2 * max(6, 2 * b) + 1  # the audit cube
+    spent = 1
+    for M in form.moduli:
+        spent *= M
+    if spent > budget:
+        return _Certificate("audit", ev, form.moduli, {})
+    status: dict = {}
+    zeros: list = []
+    label = "domain"
+    for r in itertools.product(*(range(M) for M in form.moduli)):
+        sums = form.sums(r)
+        verdict = _coset_verdict([u for _, u in sums])
+        if verdict is None and n == 1:
+            found = _window_zeros(ev, form, r[0], sums, budget - spent)
+            if found is not None:
+                spent += found[0]
+                zeros += found[1]
+                verdict = True
+                label = "descartes"
+        status[r] = verdict
+    if None in status.values():
+        label = "audit"
+    zeros.sort(key=lambda m: (abs(m[0]), -m[0]))  # n = 1: the audit cube's order
+    return _Certificate(label, ev, form.moduli, status, zeros)
+
+
+def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
+    """The set ``Γ = {m : ev.is_nonzero(m)}`` as a full-rank lattice.
+
+    ``ev`` is an evaluator with a term table (``Evaluator``,
+    ``twisted.TwistedEvaluator``).  Γ is certified from the term table and
+    the class sums ``u_K(r)`` of ``_CosetSums`` before the functional is
+    evaluated; the rungs, in order, and the ``certificate`` they leave on the
+    result:
+
+    * ``single-entry``: a slot that exactly one index reaches never vanishes,
+      so Γ = Zⁿ.
+    * ``lam-leung``: one torsion class, and a slot whose weight lies outside
+      ``ℕp₁ + … + ℕp_r`` for the primes of ``lcm(Mᵢ)``; Γ = Zⁿ (untwisted
+      only).
+    * ``domain``: every coset ``r + D`` is decided by its class sums — none
+      active: outside Γ; one active: inside; two or more: inside when they
+      are linearly independent over Q or share one sign on a power-basis
+      coordinate (the ``ρ_K^{r+d}`` are positive).
+    * ``descartes``: as ``domain``, with the remaining cosets of an n = 1
+      functional settled by a dominance window that lists every zero.
+    * ``audit``: some coset is left (n ≥ 2), or the scan over the cosets or a
+      window would cost more than the audit cube it replaces; the uncertified
+      cosets are evaluated, on the cube of radii ``max(6, 2·max(rᵢ, boundsᵢ))``.
+
+    Every rung yields exact membership by lookup.  From it the axis periods
+    ``rᵢ`` (searched up to ``boundsᵢ``) and the members of the box
+    ``∏[0, rᵢ)`` generate the lattice, together with the ``rᵢeᵢ`` (in
+    ``ordering``, see ``Lattice.from_generators``).  Below ``audit``, closure
+    is decided exactly: with no exact zero, Γ is a union of D-cosets, so it
+    is this lattice iff both contain D and agree on the representatives.  A
+    failure reports the first mismatch on the audit cube in its usual order,
+    and otherwise an exact zero (which lies in the group Γ generates) or the
+    mismatching check.
+    """
+    cert = _certify(ev, n, bounds)
+    member = cert.member
     periods = []
     for i in range(n):
         m = [0] * n
         for t in range(1, bounds[i] + 1):
             m[i] = t
-            if is_nonzero(m):
+            if member(m):
                 periods.append(t)
                 break
         else:
@@ -204,22 +518,34 @@ def nonvanishing_support(is_nonzero, n: int, bounds, ordering=None) -> SupportLa
                 axis=i + 1,
                 bound=bounds[i],
             )
-    gens = [m for m in itertools.product(*(range(r) for r in periods)) if is_nonzero(m)]
+    gens = [m for m in itertools.product(*(range(r) for r in periods)) if member(m)]
     for i, r in enumerate(periods):
         e = [0] * n
         e[i] = r
         gens.append(tuple(e))
     lat = Lattice.from_generators(gens, n=n, ordering=ordering)
     radii = [max(6, 2 * max(r, b)) for r, b in zip(periods, bounds)]
-    for m in itertools.product(*(range(-a, a + 1) for a in radii)):
-        if lat.contains(m) != is_nonzero(m):
-            raise SupportNotSubgroupError(
-                "nonvanishing degrees are not closed under the group operations",
-                witness=m,
-            )
+    cube = itertools.product(*(range(-a, a + 1) for a in radii))
+
+    def mismatch(m) -> bool:
+        return lat.contains(m) != member(m)
+
+    failed = bool(cert.zeros) or (cert.label != "audit" and any(map(mismatch, cert.checks)))
+    witness = None
+    if failed or cert.label == "audit":
+        witness = next(filter(mismatch, cube), None)
+    if witness is None and failed:
+        witness = cert.zeros[0] if cert.zeros else next(filter(mismatch, cert.checks))
+    if witness is not None:
+        raise SupportNotSubgroupError(
+            "nonvanishing degrees are not closed under the group operations",
+            witness=witness,
+        )
     index = lat.index
     assert index is not None  # rᵢ·eᵢ generators force full rank
-    return SupportLattice(lattice=lat, periods=tuple(periods), index=index)
+    return SupportLattice(
+        lattice=lat, periods=tuple(periods), index=index, certificate=cert.label
+    )
 
 
 def support_lattice(spec: PsiSpec) -> SupportLattice:
@@ -232,7 +558,7 @@ def support_lattice(spec: PsiSpec) -> SupportLattice:
     """
     if spec.is_trivial():
         raise TrivialModuleError("all weights are zero")
-    return nonvanishing_support(Evaluator(spec).is_nonzero, spec.n, spec.dims)
+    return nonvanishing_support(Evaluator(spec), spec.n, spec.dims)
 
 
 def box_scan_order(n: int, radius: int) -> list[tuple[int, ...]]:

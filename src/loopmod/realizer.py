@@ -27,8 +27,12 @@ classes are the values of the weight on the orbit sums of the diagram nodes
 (``h0_weight_map``), which every one of these generators shifts by one amount.
 Both closures, and ``loop_action``, take the per-slot ``e_i``, ``f_i`` and
 ``h_i`` matrices from ``_slot_matrices`` and their degree steps from
-``_steps``, and run the same ``_closure``; they differ only in the generator
-list and the weight-class map.
+``_steps``, and run the same closure; they differ only in the generator
+list and the weight-class map.  What a closure needs besides its seed (the
+grading, each generator's columns, class shift and coefficients, the moves
+between classes and the term plans) is a ``_ClosureTables``;
+``component_decomposition`` builds it once and closes every coset
+representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -497,6 +501,92 @@ def _scalar_on_classes(fin: FinModule, mats, grading: Grading) -> bool:
     return all(len({diag(g) for g in gs}) == 1 for gs in grading.members.values())
 
 
+class _ClosureTables:
+    """The seed-independent part of a closure: the grading, each generator's
+    columns, class shift and per-step coefficients, the moves between
+    classes, and the term plans, built on first use and kept for every later
+    seed."""
+
+    def __init__(self, fin: FinModule, ev: Evaluator, generators, class_map):
+        # generators: list of (per-slot matrices, list of step degrees)
+        self.fin = fin
+        self.order = ev.order
+        self.class_map = class_map
+        indices = table_indices(ev.spec.dims)
+        self.grading = grading = Grading(fin, class_map)
+        members = grading.members
+        gens = []  # (per-slot columns, class shift, per-slot coefficients, step)
+        for mats, steps in generators:
+            shift, diagonal = _class_shift(fin, mats, class_map)
+            if shift is None:
+                continue
+            # At step 0 every coefficient is 1, so a diagonal generator whose
+            # total diagonal is constant on each class maps a row of that class
+            # to a multiple of itself.
+            skip_zero = diagonal and _scalar_on_classes(fin, mats, grading)
+            cols = [_columns(m) for m in mats]
+            for s in steps:
+                if skip_zero and not any(s):
+                    continue
+                coeffs = [ev.coefficient(I, s) for I in indices]
+                gens.append((cols, shift, coeffs, tuple(s)))
+        self.gens = gens
+        # Per source class, the moves into classes that have basis vectors:
+        # (generator id, target class, its size, step).
+        self.moves: dict = {cls: [] for cls in members}
+        for gid, (_, shift, _, step) in enumerate(gens):
+            for cls, out in self.moves.items():
+                tcls = tuple(a + b for a, b in zip(cls, shift))
+                if tcls in members:
+                    out.append((gid, tcls, len(members[tcls]), step))
+        self.plans: dict = {}
+
+    def plan(self, gid: int, cls, size: int):
+        plan = self.plans.get((gid, cls))
+        if plan is None:
+            cols, _, coeffs, _ = self.gens[gid]
+            plan = self.plans[gid, cls] = _plan(
+                self.fin, cols, coeffs, self.grading.members[cls], self.grading.local, size
+            )
+        return plan
+
+    def close(self, seed_degree, radius: int) -> GradedBox:
+        """Closure of the highest-weight vector placed at ``seed_degree``."""
+        fin, grading, order = self.fin, self.grading, self.order
+        work = radius + _MARGIN
+        seed_degree = tuple(int(x) for x in seed_degree)
+        if any(abs(x) > work for x in seed_degree):
+            raise InputError("seed degree outside the working box", seed=seed_degree)
+        fibers: dict[tuple[int, ...], GradedFiber] = {}
+        seed_cls = self.class_map(fin.basis_weights[fin.hw_index])
+        seed_vec = [_constant(0, order)] * len(grading.members[seed_cls])
+        seed_vec[grading.local[fin.hw_index]] = _constant(1, order)
+        fibers[seed_degree] = GradedFiber(grading, order)
+        stored = fibers[seed_degree].part(seed_cls).add(seed_vec)
+        queue: deque = deque([(seed_degree, seed_cls, stored)])
+        while queue:
+            deg, cls, row = queue.popleft()
+            for gid, tcls, size, step in self.moves[cls]:
+                tgt = tuple(a + b for a, b in zip(deg, step))
+                if max(tgt) > work or min(tgt) < -work:
+                    continue
+                fib = fibers.get(tgt)
+                if fib is None:
+                    fib = fibers[tgt] = GradedFiber(grading, order)
+                ech = fib.part(tcls)
+                if ech.rank == size:
+                    continue  # the image lies in a full weight space
+                image = _apply(self.plan(gid, cls, size), row, order)
+                if image is None:
+                    continue
+                added = ech.add(image)
+                if added is not None:
+                    queue.append((tgt, tcls, added))
+        return GradedBox(
+            radius=radius, fibers=fibers, fin=fin, seed=seed_degree, grading=grading
+        )
+
+
 def _closure(
     fin: FinModule,
     ev: Evaluator,
@@ -505,74 +595,7 @@ def _closure(
     radius: int,
     class_map,
 ) -> GradedBox:
-    order = ev.order
-    work = radius + _MARGIN
-    seed_degree = tuple(int(x) for x in seed_degree)
-    if any(abs(x) > work for x in seed_degree):
-        raise InputError("seed degree outside the working box", seed=seed_degree)
-    indices = table_indices(ev.spec.dims)
-    grading = Grading(fin, class_map)
-    members = grading.members
-    gens = []  # (per-slot columns, class shift, per-slot coefficients, step)
-    for mats, steps in generators:
-        shift, diagonal = _class_shift(fin, mats, class_map)
-        if shift is None:
-            continue
-        # At step 0 every coefficient is 1, so a diagonal generator whose
-        # total diagonal is constant on each class maps a row of that class
-        # to a multiple of itself.
-        skip_zero = diagonal and _scalar_on_classes(fin, mats, grading)
-        cols = [_columns(m) for m in mats]
-        for s in steps:
-            if skip_zero and not any(s):
-                continue
-            coeffs = [ev.coefficient(I, s) for I in indices]
-            gens.append((cols, shift, coeffs, tuple(s)))
-
-    # Per source class, the moves into classes that have basis vectors:
-    # (generator id, target class, its size, step).
-    moves: dict = {cls: [] for cls in members}
-    for gid, (_, shift, _, step) in enumerate(gens):
-        for cls, out in moves.items():
-            tcls = tuple(a + b for a, b in zip(cls, shift))
-            if tcls in members:
-                out.append((gid, tcls, len(members[tcls]), step))
-    plans: dict = {}
-
-    fibers: dict[tuple[int, ...], GradedFiber] = {}
-    seed_cls = class_map(fin.basis_weights[fin.hw_index])
-    seed_vec = [_constant(0, order)] * len(members[seed_cls])
-    seed_vec[grading.local[fin.hw_index]] = _constant(1, order)
-    fibers[seed_degree] = GradedFiber(grading, order)
-    stored = fibers[seed_degree].part(seed_cls).add(seed_vec)
-    queue: deque = deque([(seed_degree, seed_cls, stored)])
-    while queue:
-        deg, cls, row = queue.popleft()
-        for gid, tcls, size, step in moves[cls]:
-            tgt = tuple(a + b for a, b in zip(deg, step))
-            if max(tgt) > work or min(tgt) < -work:
-                continue
-            fib = fibers.get(tgt)
-            if fib is None:
-                fib = fibers[tgt] = GradedFiber(grading, order)
-            ech = fib.part(tcls)
-            if ech.rank == size:
-                continue  # the image lies in a full weight space
-            plan = plans.get((gid, cls))
-            if plan is None:
-                cols, _, coeffs, _ = gens[gid]
-                plan = plans[gid, cls] = _plan(
-                    fin, cols, coeffs, members[cls], grading.local, size
-                )
-            image = _apply(plan, row, order)
-            if image is None:
-                continue
-            added = ech.add(image)
-            if added is not None:
-                queue.append((tgt, tcls, added))
-    return GradedBox(
-        radius=radius, fibers=fibers, fin=fin, seed=seed_degree, grading=grading
-    )
+    return _ClosureTables(fin, ev, generators, class_map).close(seed_degree, radius)
 
 
 def _slot_matrices(fin: FinModule, kind: str, i: int) -> list[Matrix]:
@@ -612,15 +635,25 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
     return build_tensor(spec.algebra, tops, cap=cap)
 
 
-def generate_component(
-    spec: PsiSpec, radius: int, cap: int = 64, seed_degree=None
-) -> GradedBox:
-    """Closure of v(m̃) under all simple-generator steps, fibers per degree."""
+def _untwisted_tables(spec: PsiSpec, cap: int) -> _ClosureTables:
     fin = fin_for_spec(spec, cap=cap)
     steps = _steps(spec.n, range(spec.n))
     generators = [(mats, steps) for mats in _untwisted_generators(fin)]
+    return _ClosureTables(fin, Evaluator(spec), generators, _identity)
+
+
+def generate_component(
+    spec: PsiSpec, radius: int, cap: int = 64, seed_degree=None, tables=None
+) -> GradedBox:
+    """Closure of v(m̃) under all simple-generator steps, fibers per degree.
+
+    ``tables`` are the seed-independent closure tables of ``spec`` at ``cap``
+    when the caller closes several seeds of one spec (see
+    ``component_decomposition``); they are built here otherwise."""
+    if tables is None:
+        tables = _untwisted_tables(spec, cap)
     seed = seed_degree if seed_degree is not None else (0,) * spec.n
-    return _closure(fin, Evaluator(spec), generators, seed, radius, _identity)
+    return tables.close(seed, radius)
 
 
 def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, degree=None):
@@ -648,9 +681,10 @@ def component_decomposition(
     spec: PsiSpec, support: SupportLattice, radius: int, cap: int = 64
 ) -> list[GradedBox]:
     """One closure per coset representative of ``support``, the support of
-    ``spec``."""
+    ``spec``, all sharing one set of closure tables."""
+    tables = _untwisted_tables(spec, cap)
     return [
-        generate_component(spec, radius, cap=cap, seed_degree=rep)
+        generate_component(spec, radius, cap=cap, seed_degree=rep, tables=tables)
         for rep in support.coset_reps()
     ]
 

@@ -4,19 +4,23 @@ The twist is a diagram automorphism μ of order k acting on loop axis 1: the
 degree-m piece of the fixed-point Cartan data is ``𝔥_{m₁ mod k} ⊗ t^m``, so
 the restricted functional at degree m is the full functional evaluated on the
 eigenbasis of ``𝔥_{m₁ mod k}``.  The twisted support ``Γ^μ`` collects the
-degrees where that restriction is nonzero; it is computed with the same box
-scan and audit as the untwisted support, but in the axis ordering
-(2, …, n, 1), so the last diagonal entry of its triangular basis is the
-axis-1 projection generator ``m̂ₙ``.  Axis-period bounds are ``Nᵢ`` on axes
-≥ 2 and ``k·N₁`` on axis 1 (the restricted support can be coarser there by a
-factor dividing k).
+degrees where that restriction is nonzero; it is computed with the same
+certificate ladder as the untwisted support (``psi.nonvanishing_support``),
+but in the axis ordering (2, …, n, 1), so the last diagonal entry of its
+triangular basis is the axis-1 projection generator ``m̂ₙ``.  The restricted
+functional supplies its own term table, one per residue of m₁ mod k, so its
+cosets are taken modulo ``lcm(M₁, k)`` on axis 1; its components are not
+positive sums of roots of unity, so the Lam–Leung rung is skipped, and
+``gamma_mu`` reports the rung that settled it as its ``certificate``.
+Axis-period bounds are ``Nᵢ`` on axes ≥ 2 and ``k·N₁`` on axis 1 (the
+restricted support can be coarser there by a factor dividing k).
 
 A table fixed pointwise by μ gives a *second type* module (all restricted
 components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module is of
 *first type* and ``m̂ₙ = 1``.
 
 Both the support and the isomorphism search are the untwisted routines run
-on twisted inputs.  ``twisted_support`` hands the restricted functional, the
+on twisted inputs.  ``twisted_support`` hands the restricted evaluator, the
 bounds and the ordering to ``psi.nonvanishing_support``.
 ``decide_twisted_iso`` runs ``classify.find_witness`` with its own axis-1
 candidates (scalars matched through their k-th powers, each ratio a k-th
@@ -103,12 +107,20 @@ def classify_type(spec: TwistedSpec) -> ModuleType:
 
 
 class TwistedEvaluator:
-    """Restricted functional: v(m) paired against the 𝔥_{m₁ mod k} eigenbasis."""
+    """Restricted functional: v(m) paired against the 𝔥_{m₁ mod k} eigenbasis.
+
+    Its term table (see ``psi.Evaluator``) holds the restricted components,
+    which are not sums of roots of unity with positive weights, so the
+    Lam–Leung rung is skipped."""
+
+    lam_leung = False
 
     def __init__(self, spec: TwistedSpec):
         self.spec = spec
         self.base = Evaluator(spec.base)
         self.k = spec.order
+        self.order = self.base.order
+        self.evals = spec.base.evals
         L = spec.base.field_order
         restricted = [
             (I, restrict_weight(spec.aut, spec.base.weights[I], L))
@@ -117,9 +129,9 @@ class TwistedEvaluator:
         orbits = node_orbits(spec.aut)
         self.orbit_count = len(orbits)
         self.full_count = sum(1 for o in orbits if len(o) == self.k)
-        # _terms[j]: for each index whose components on the m₁ ≡ j eigenbasis
+        # terms[j]: for each index whose components on the m₁ ≡ j eigenbasis
         # do not all vanish, its components as (exponent, rational) pairs.
-        self._terms: list[list[tuple[Index, list]]] = []
+        self.terms: list[list[tuple[Index, list]]] = []
         for j in range(self.k):
             rows = []
             for I, rw in restricted:
@@ -132,13 +144,13 @@ class TwistedEvaluator:
                     ]
                 if any(comps):
                     rows.append((I, comps))
-            self._terms.append(rows)
+            self.terms.append(rows)
 
     def restricted_values(self, m) -> list[CycVector]:
         j = m[0] % self.k
         slots = self.orbit_count if j == 0 else self.full_count
         acc = [[] for _ in range(slots)]
-        for I, comps in self._terms[j]:
+        for I, comps in self.terms[j]:
             a = self.base.coefficient(I, m)
             for t, terms in enumerate(comps):
                 acc[t].extend((e + a.e, a.q * c) for e, c in terms)
@@ -155,7 +167,7 @@ def twisted_support(spec: TwistedSpec) -> SupportLattice:
     n = spec.base.n
     bounds = [spec.order * spec.base.dims[0]] + list(spec.base.dims[1:])
     ordering = tuple(range(1, n)) + (0,)
-    return nonvanishing_support(TwistedEvaluator(spec).is_nonzero, n, bounds, ordering)
+    return nonvanishing_support(TwistedEvaluator(spec), n, bounds, ordering)
 
 
 def m_hat(support: SupportLattice) -> int:

@@ -227,12 +227,18 @@ def test_wrong_declared_aut_order(write, capsys):
         {"rho": 5},
         {"aut": 5},
         {"aut": {"perm": 5}},
+        {"weights": [{"index": [1], "coords": [1.9]}]},
+        {"evals": [[{"num": 2.7}]]},
+        {"weights": [{"index": [1], "coords": [True]}]},
+        {"evals": [[{"num": 1, "den": True}]]},
+        {"dims": [1.0]},
     ],
     ids=[
         "den-zero", "order-zero", "order-negative", "num-text", "den-text",
         "pow-text", "order-text", "dims-text", "n-text", "evals-scalar",
         "evals-axis-scalar", "weights-scalar", "rho-scalar", "aut-scalar",
-        "perm-scalar",
+        "perm-scalar", "coords-float", "num-float", "coords-bool", "den-bool",
+        "dims-float",
     ],
 )
 def test_bad_scalar_is_input_error(write, capsys, fields):

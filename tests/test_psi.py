@@ -1,9 +1,13 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import A1, spec, random_spec
+from loopmod import psi
+from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import InputError, SupportNotSubgroupError, TrivialModuleError
 from loopmod.lattice import from_generators
@@ -168,3 +172,104 @@ def test_verify_support_examples():
 def test_box_scan_order_is_by_max_norm():
     order = box_scan_order(1, 2)
     assert order == [(0,), (1,), (-1,), (2,), (-2,)]
+
+
+def test_far_zero_is_flagged_with_its_exact_witness(tmp_path, capsys):
+    # λ=((1),(8192)), a=(2,−1): v(m) = 2^m + 8192·(−1)^m vanishes at m = 13
+    # only, outside the audit cube (radius 6).  The dominance window on the
+    # odd coset lists that zero, and 13 lies in the group Z that Γ generates.
+    s = _two_point((1,), (8192,), 2, -1)
+    with pytest.raises(SupportNotSubgroupError) as info:
+        support_lattice(s)
+    assert info.value.data["witness"] == (13,)
+    doc = {
+        "schema": 1,
+        "algebra": {"series": "A", "rank": 1},
+        "n": 1,
+        "dims": [2],
+        "weights": [{"index": [1], "coords": [1]}, {"index": [2], "coords": [8192]}],
+        "evals": [[2, -1]],
+        "rho": [0],
+    }
+    path = tmp_path / "far_zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["support", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"][0]["type"] == "SupportNotSubgroupError"
+    assert report["diagnostics"][0]["data"]["witness"] == [13]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ``Evaluator.functional`` calls and of coset-sum scans."""
+    calls = Counter()
+
+    def wrap(owner, name):
+        original = getattr(owner, name)
+
+        def counting(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    wrap(Evaluator, "functional")
+    wrap(psi._CosetSums, "sums")
+    return calls
+
+
+@pytest.mark.parametrize(
+    "evals",
+    [(1, (1, 1, 2003)), ((-1, 2, 2003), -1)],
+    ids=["one-zeta", "minus-zeta-squared"],
+)
+def test_lam_leung_certifies_without_a_scan(counted, evals):
+    # One torsion class (every |a| = 1) of weight 2.  For a = (−ζ², −1) the
+    # phases have order 4006, but their ratio ζ² has order 2003: with the
+    # ratio order the only prime is 2003 and 2 ∉ 2003ℕ, so Γ = Z; with the
+    # absolute order 2 would be a prime and the test would not apply.
+    s = _two_point((1,), (1,), *evals)
+    sup = support_lattice(s)
+    assert sup.certificate == "lam-leung"
+    assert sup.lattice.rows == ((1,),) and sup.periods == (1,)
+    assert counted["functional"] == 0
+    assert counted["sums"] == 0
+
+
+def _brute_force_not_closed(s, radius) -> bool:
+    # Two nonvanishing degrees of the cube whose difference vanishes.
+    ev = Evaluator(s)
+    cube = box_scan_order(s.n, radius)
+    members = [m for m in cube if ev.is_nonzero(m)]
+    inside = set(members)
+    return any(
+        tuple(x - y for x, y in zip(a, b)) not in inside
+        for a in members
+        for b in members
+        if max(abs(x - y) for x, y in zip(a, b)) <= radius
+    )
+
+
+def test_certified_support_agrees_with_the_oracle():
+    # Every rung of the ladder against the brute-force oracle: n ≤ 2 draws
+    # are checked on twice the audit cube's radius, n = 3 draws on it.
+    rng = random.Random(2)
+    rungs = Counter()
+    for _ in range(80):
+        s = random_spec(rng)
+        cube = max(max(6, 2 * d) for d in s.dims)
+        radius = 2 * cube if s.n <= 2 else cube
+        try:
+            sup = support_lattice(s)
+        except TrivialModuleError:
+            continue
+        except SupportNotSubgroupError:
+            rungs["not-a-subgroup"] += 1
+            assert _brute_force_not_closed(s, min(radius, 8))
+            continue
+        rungs[sup.certificate] += 1
+        res = verify_support(s, sup, radius)
+        assert res, (sup.certificate, res.counterexample)
+    assert set(rungs) == {
+        "single-entry", "lam-leung", "domain", "descartes", "audit", "not-a-subgroup"
+    }, rungs

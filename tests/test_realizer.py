@@ -467,3 +467,25 @@ def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
     monkeypatch.setattr(realizer, "component_decomposition", lambda *a, **k: boxes[:1])
     with pytest.raises(realizer.RealizationMismatchError, match="fill the module"):
         count_components(s, 2)
+
+
+def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
+    # Γ = 2Z, so two closures; they share the module, the generators and the
+    # term plans, and give the fibers that separate closures give.
+    s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
+    sup = support_lattice(s)
+    built = {"fin_for_spec": 0, "_plan": 0}
+    for name in built:
+        original = getattr(realizer, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            built[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(realizer, name, counting)
+    boxes = realizer.component_decomposition(s, sup, 2)
+    assert len(boxes) == 2 and built["fin_for_spec"] == 1
+    shared = built["_plan"]
+    separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
+    assert built["_plan"] - shared > shared
+    assert [b.dims() for b in boxes] == [b.dims() for b in separate]

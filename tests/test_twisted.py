@@ -99,8 +99,7 @@ def test_identity_twist_iso_equals_untwisted_iso():
     # Under the identity automorphism the twisted search must find the same
     # witness, or fail on the same clause, as the untwisted one it shares.
     # Each draw is paired with a witnessed transform, a perturbation of that
-    # and the previous draw.  Three-axis draws are skipped: each costs a 13³
-    # audit cube per support and the search treats them like two-axis ones.
+    # and the previous draw.
     rng = random.Random(5)
 
     def both(s):
@@ -115,7 +114,7 @@ def test_identity_twist_iso_equals_untwisted_iso():
     previous = None
     for _ in range(60):
         s = random_spec(rng)
-        d = both(s) if s.n < 3 else None
+        d = both(s)
         if d is None:
             continue
         witnessed, _, _ = transformed_spec(rng, d[0].spec, shift_support=d[0].support)
