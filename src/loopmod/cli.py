@@ -1,7 +1,8 @@
 """Batch front-end: parse spec files, dispatch, emit deterministic reports.
 
 Exit codes: 0 success or witness; 1 criteria not satisfied or verification
-mismatch; 2 malformed input or resource cap; 3 typed structure errors
+mismatch; otherwise the ``exit_code`` of the ``EngineError`` raised, which is
+2 for malformed input or a resource cap and 3 for the typed structure errors
 (trivial module, missing axis period, support closure failure, block or type
 violations, restricted-image mismatch).
 """
@@ -16,17 +17,7 @@ import sys
 
 from . import realizer
 from .classify import classify, decide_iso, detect_blocks
-from .errors import (
-    CapExceededError,
-    EngineError,
-    ImageMismatchError,
-    InputError,
-    NoPeriodWithinBoundError,
-    StructureViolationError,
-    SupportNotSubgroupError,
-    TrivialModuleError,
-    UnsupportedError,
-)
+from .errors import CapExceededError, EngineError, InputError
 from .jsonio import (
     blocks_to_json,
     descriptor_to_json,
@@ -42,20 +33,6 @@ from .twisted import (
     decide_twisted_iso,
     twisted_classify,
 )
-
-_EXIT_OK = 0
-_EXIT_UNSATISFIED = 1
-_EXIT_INPUT = 2
-_EXIT_STRUCTURE = 3
-
-_STRUCTURE_ERRORS = (
-    TrivialModuleError,
-    NoPeriodWithinBoundError,
-    SupportNotSubgroupError,
-    StructureViolationError,
-    ImageMismatchError,
-)
-
 
 def _digest(paths) -> str:
     h = hashlib.sha256()
@@ -145,7 +122,10 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
     return result, all(checks.values())
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # One tree for every call: a fresh one per call is about 30 KB of cyclic
+    # garbage, so batch callers' memory would follow the collector's timing.
     parser = argparse.ArgumentParser(
         prog="loopmod",
         description="classify and compare graded loop-module evaluation data",
@@ -181,23 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # One tree for every call: a fresh one per call is about 30 KB of cyclic
-    # garbage, so batch callers' memory would follow the collector's timing.
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     report: dict = {"schema": 1, "command": args.command, "diagnostics": []}
-    exit_code = _EXIT_OK
+    exit_code = 0
     try:
-        if args.command in ("support", "classify", "blocks", "twisted-classify",
-                            "reducibility", "verify"):
-            paths = [args.spec]
-        else:
-            paths = [args.left, args.right]
+        paths = [args.spec] if "spec" in args else [args.left, args.right]
         report["input_digest"] = _digest(paths)
         spec = load_spec(paths[0])
 
@@ -225,7 +194,7 @@ def main(argv=None) -> int:
                 )
             report["result"] = payload
             if not res:
-                exit_code = _EXIT_UNSATISFIED
+                exit_code = 1
         elif args.command == "twisted-classify":
             tspec = _need_twisted(spec, args.command)
             report["result"] = twisted_descriptor_to_json(twisted_classify(tspec))
@@ -236,7 +205,7 @@ def main(argv=None) -> int:
             res = decide_twisted_iso(twisted_classify(t1), twisted_classify(t2))
             report["result"] = iso_result_to_json(res)
             if not res:
-                exit_code = _EXIT_UNSATISFIED
+                exit_code = 1
         elif args.command == "reducibility":
             tspec = _need_twisted(spec, args.command)
             ok, reason = check_complete_reducibility(tspec)
@@ -245,16 +214,10 @@ def main(argv=None) -> int:
             result, ok = _verify_report(_base(spec), args.box, args.cap)
             report["result"] = result
             if not ok:
-                exit_code = _EXIT_UNSATISFIED
-    except (InputError, CapExceededError, UnsupportedError) as exc:
-        report["diagnostics"].append(_diag(exc))
-        exit_code = _EXIT_INPUT
-    except _STRUCTURE_ERRORS as exc:
-        report["diagnostics"].append(_diag(exc))
-        exit_code = _EXIT_STRUCTURE
+                exit_code = 1
     except EngineError as exc:
         report["diagnostics"].append(_diag(exc))
-        exit_code = _EXIT_INPUT
+        exit_code = exc.exit_code
 
     _emit(report, args.output)
     return exit_code

@@ -177,10 +177,6 @@ class CycScalar:
     def is_one(self) -> bool:
         return self.q == 1 and self.e == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.e == 0
-
     def with_order(self, order: int) -> "CycScalar":
         """Re-express in a field of larger compatible order."""
         if order % self.order:
@@ -190,9 +186,6 @@ class CycScalar:
                 target=order,
             )
         return CycScalar(self.q, self.e * (order // self.order), order)
-
-    def multiplicative_order_divides(self, k: int) -> bool:
-        return (self ** k).is_one
 
     def __complex__(self) -> complex:
         return float(self.q) * cmath.exp(2j * cmath.pi * self.e / self.order)
@@ -207,7 +200,7 @@ def root_of_unity_order_divides(a: CycScalar, k: int) -> bool:
     """True iff ``a^k = 1``, i.e. ``a`` is a k-th root of unity."""
     if k < 1:
         raise InputError("k must be positive", k=k)
-    return a.multiplicative_order_divides(k)
+    return (a ** k).is_one
 
 
 def multiplicative_order(a: CycScalar, bound: int) -> int | None:

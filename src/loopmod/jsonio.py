@@ -4,8 +4,8 @@ Input files carry 1-based table indices and 1-based automorphism node lists.
 Scalars serialize as ``{"num", "den", "zeta_pow", "zeta_order"}``; integers
 and ``"p/q"`` strings are accepted as rational shorthand.  On load, one
 cyclotomic order is fixed for the whole instance — the lcm of every
-``zeta_order`` in the file and of the twist order — and all scalars are
-re-expressed in it.
+``zeta_order`` in the file — and all scalars are re-expressed in it; a
+twisted spec lifts it to a multiple of the twist order (``TwistedSpec``).
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def scalar_to_json(a: CycScalar) -> dict:
     }
 
 
-def fraction_to_json(x: Fraction):
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     """Parse a spec document; returns a twisted spec when 'aut' is present."""
     if not isinstance(doc, dict):
@@ -117,8 +113,6 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     for axis in raw_evals:
         for raw in axis:
             order = lcm(order, _scalar_orders(raw))
-    if aut_doc is not None:
-        order = lcm(order, _int(aut_doc.get("order", 1), "order") or 1)
 
     weights = {}
     for entry in raw_weights:

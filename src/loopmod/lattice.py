@@ -139,11 +139,6 @@ class Lattice:
             det *= row[i]
         return abs(det)
 
-    def diagonal(self) -> tuple[int, ...]:
-        if not self.full_rank:
-            raise InfiniteIndexError("lattice is rank-deficient")
-        return tuple(self.rows[i][i] for i in range(self.n))
-
     def _permute(self, vec) -> list[int]:
         return [int(vec[self.ordering[p]]) for p in range(self.n)]
 
@@ -152,20 +147,17 @@ class Lattice:
         if len(vec) != self.n:
             raise InputError("vector has wrong length", expected=self.n)
         v = self._permute(vec)
-
-        def last_nonzero(row):
-            for j in range(self.n - 1, -1, -1):
-                if row[j]:
-                    return j
-            return -1
-
-        for row in sorted(self.rows, key=last_nonzero, reverse=True):
-            j = last_nonzero(row)
-            if v[j] % row[j]:
+        # The rows' last nonzero columns increase strictly, so from the last
+        # row up each row clears its own column and touches none to its right.
+        for row in reversed(self.rows):
+            j = self.n - 1
+            while not row[j]:
+                j -= 1
+            c, r = divmod(v[j], row[j])
+            if r:
                 return False
-            c = v[j] // row[j]
             if c:
-                for t in range(self.n):
+                for t in range(j + 1):
                     v[t] -= c * row[t]
         return not any(v)
 

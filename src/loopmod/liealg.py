@@ -182,11 +182,6 @@ class DiagramAut:
     sigma: tuple[int, ...]  # node permutation, 0-based
     order: int
 
-    def apply_node(self, i: int, times: int = 1) -> int:
-        for _ in range(times % self.order if self.order else 0):
-            i = self.sigma[i]
-        return i
-
 
 def build_aut(algebra: SimpleLieAlgebra, sigma) -> DiagramAut:
     sigma = tuple(int(x) for x in sigma)

@@ -587,17 +587,6 @@ class _ClosureTables:
         )
 
 
-def _closure(
-    fin: FinModule,
-    ev: Evaluator,
-    generators,  # list of (per-slot matrices, list of step degrees)
-    seed_degree,
-    radius: int,
-    class_map,
-) -> GradedBox:
-    return _ClosureTables(fin, ev, generators, class_map).close(seed_degree, radius)
-
-
 def _slot_matrices(fin: FinModule, kind: str, i: int) -> list[Matrix]:
     """Per-slot matrices of ``e_i``, ``f_i`` or ``h_i`` (``kind`` 'e', 'f', 'h')."""
     if kind == "e":
@@ -849,9 +838,8 @@ def twisted_generate_component(
     generators = [(mats, fixed_steps) for mats in fixed]
     generators += [(mats, anti_steps) for mats in anti]
     seed = seed_degree if seed_degree is not None else (0,) * n
-    return _closure(
-        fin, Evaluator(base), generators, seed, radius, h0_weight_map(node_orbits(tspec.aut))
-    )
+    tables = _ClosureTables(fin, Evaluator(base), generators, h0_weight_map(node_orbits(tspec.aut)))
+    return tables.close(seed, radius)
 
 
 def h0_weight_map(aut_orbits):

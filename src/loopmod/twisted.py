@@ -20,11 +20,14 @@ components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module 
 *first type* and ``m̂ₙ = 1``.
 
 Both the support and the isomorphism search are the untwisted routines run
-on twisted inputs.  ``twisted_support`` hands the restricted evaluator, the
-bounds and the ordering to ``psi.nonvanishing_support``.
-``decide_twisted_iso`` runs ``classify.find_witness`` with its own axis-1
-candidates (scalars matched through their k-th powers, each ratio a k-th
-root of unity ε).  Second-type tables are compared for equality, as in the
+on twisted inputs; what is the twisted path's own is the restricted term
+table, the realizer's twist-compatible generator list and the first-type
+weight test.  ``twisted_support`` hands the restricted evaluator, the bounds
+and the ordering to ``psi.nonvanishing_support``.  ``decide_twisted_iso``
+runs ``classify.find_witness`` with axis-1 candidates from
+``classify.axis_candidates`` on the k-th powers of the axis-1 scalars
+(b_j^k = ℘₁^k·a_{τ₁(j)}^k), so each ratio ε_j = b_j/(℘₁·a_{τ₁(j)}) is a k-th
+root of unity.  Second-type tables are compared for equality, as in the
 untwisted search; first-type tables compare restricted components twisted by
 ε^{−j}, up to a gauge (``_first_type_test``).
 """
@@ -39,12 +42,13 @@ from typing import Literal
 from .classify import (
     IsoResult,
     Witness,
+    axis_candidates,
     find_witness,
     tau_image,
     tensor_factors,
     weight_classes,
 )
-from .cyclotomic import CycScalar, CycVector, root_of_unity_order_divides
+from .cyclotomic import CycScalar, CycVector
 from .errors import (
     ImageMismatchError,
     InputError,
@@ -170,12 +174,6 @@ def twisted_support(spec: TwistedSpec) -> SupportLattice:
     return nonvanishing_support(TwistedEvaluator(spec), n, bounds, ordering)
 
 
-def m_hat(support: SupportLattice) -> int:
-    """Last diagonal entry of the reordered triangular basis."""
-    rows = support.lattice.rows
-    return rows[-1][-1]
-
-
 @dataclass(frozen=True)
 class TwistedDescriptor:
     spec: TwistedSpec
@@ -224,7 +222,7 @@ def twisted_classify(spec: TwistedSpec) -> TwistedDescriptor:
         )
     module_type = classify_type(spec)
     gamma_mu = twisted_support(spec)
-    mh = m_hat(gamma_mu)
+    mh = gamma_mu.lattice.rows[-1][-1]  # m̂ₙ, the last diagonal entry
     k = spec.order
     if module_type == "first" and mh != 1:
         raise StructureViolationError(
@@ -274,29 +272,15 @@ class TwistedWitness(Witness):
 
 
 def _axis1_candidates(spec: TwistedSpec, a_values, b_values):
-    """(℘₁, τ₁, ε-list) with b_j = ε_j·℘₁·a_{τ₁(j)} and ε_j^k = 1."""
+    """(℘₁, τ₁, ε-list) with b_j = ε_j·℘₁·a_{τ₁(j)} and ε_j^k = 1.
+
+    These are the untwisted candidates of the k-th powers: a match
+    b_j^k = ℘₁^k·a_{τ₁(j)}^k already makes each ε_j a k-th root of unity."""
     k = spec.order
     out = []
-    power_lookup = {a ** k: j for j, a in enumerate(a_values)}
-    for j0 in range(len(a_values)):
-        wp = b_values[0] / a_values[j0]
-        wpk = wp ** k
-        tau = []
-        eps = []
-        ok = True
-        for b in b_values:
-            j = power_lookup.get((b ** k) / wpk)
-            if j is None:
-                ok = False
-                break
-            ratio = b / (wp * a_values[j])
-            if not root_of_unity_order_divides(ratio, k):
-                ok = False
-                break
-            tau.append(j)
-            eps.append(ratio)
-        if ok:
-            out.append((wp, tuple(tau), tuple(eps)))
+    for _, tau in axis_candidates([a ** k for a in a_values], [b ** k for b in b_values]):
+        wp = b_values[0] / a_values[tau[0]]
+        out.append((wp, tau, tuple(b / (wp * a_values[j]) for b, j in zip(b_values, tau))))
     return out
 
 

@@ -47,3 +47,23 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert realizer.FieldEchelon.add is add
+
+
+def test_tracer_counts_the_twisted_axis1_candidates_too():
+    # The twisted axis-1 candidates come from ``classify.axis_candidates``,
+    # which ``twisted`` binds under the same name; the candidate counter must
+    # see those calls as well.
+    spans = _spans()
+    classify = importlib.import_module("loopmod.classify")
+    twisted = importlib.import_module("loopmod.twisted")
+    candidates = classify.axis_candidates
+    assert twisted.axis_candidates is candidates
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert twisted.axis_candidates is not candidates
+        assert twisted.axis_candidates is classify.axis_candidates
+    finally:
+        tracer.uninstall()
+    assert twisted.axis_candidates is candidates
+    assert classify.axis_candidates is candidates

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import loopmod
-from loopmod import psi
+from loopmod import cli, errors, psi
 from loopmod.cli import main
 
 SPEC_2Z = {
@@ -139,6 +139,44 @@ def test_exit_code_structure_errors(write, capsys):
     code, doc = _run(capsys, ["classify", path])
     assert code == 3
     assert doc["diagnostics"][0]["type"] == "TrivialModuleError"
+
+
+# The exit code of every engine error type, as the README lists them; a new
+# type must be added here.
+EXIT_CODES = {
+    "EngineError": 2,
+    "InputError": 2,
+    "OrderMismatchError": 2,
+    "TrivialModuleError": 3,
+    "NoPeriodWithinBoundError": 3,
+    "SupportNotSubgroupError": 3,
+    "StructureViolationError": 3,
+    "ImageMismatchError": 3,
+    "InfiniteIndexError": 2,
+    "CapExceededError": 2,
+    "RealizationMismatchError": 2,
+    "UnsupportedError": 2,
+}
+
+
+def test_exit_code_table_names_every_error_type():
+    names = {"EngineError"} | {c.__name__ for c in errors.EngineError.__subclasses__()}
+    assert names == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_engine_errors_exit_with_their_code(write, capsys, monkeypatch, name):
+    error = getattr(errors, name)
+
+    def raising(spec):
+        raise error("raised for the test", where="support")
+
+    monkeypatch.setattr(cli, "support_lattice", raising)
+    code, doc = _run(capsys, ["support", write(SPEC_A, "a.json")])
+    assert code == EXIT_CODES[name]
+    assert doc["diagnostics"] == [
+        {"type": name, "message": "raised for the test", "data": {"where": "support"}}
+    ]
 
 
 def test_exit_code_malformed_input(tmp_path, capsys):

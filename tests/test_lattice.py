@@ -144,3 +144,20 @@ def test_sublattice_of():
     small = from_generators([(2, 0), (0, 2)])
     assert small.sublattice_of(big)
     assert not big.sublattice_of(small)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_iff_adding_the_vector_keeps_the_hermite_rows(data):
+    n = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    # Up to n + 1 generators, so rank-deficient lattices are common.
+    gens = data.draw(st.lists(vec, min_size=1, max_size=n + 1))
+    ordering = tuple(data.draw(st.permutations(range(n))))
+    lat = from_generators(gens, n=n, ordering=ordering)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(n))
+    for v in (member, data.draw(vec), tuple(a + b for a, b in zip(member, data.draw(vec)))):
+        extended = from_generators(list(gens) + [v], n=n, ordering=ordering)
+        assert lat.contains(v) == (extended.rows == lat.rows)
+    assert lat.contains(member)

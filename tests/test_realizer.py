@@ -444,7 +444,7 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     fin = fin_for_spec(s)
     fixed, _ = realizer._twisted_generators(fin)
     with pytest.raises(UnsupportedError):
-        realizer._closure(fin, Evaluator(s), [(fixed[0], [(1,)])], (0,), 1, _identity)
+        realizer._ClosureTables(fin, Evaluator(s), [(fixed[0], [(1,)])], _identity).close((0,), 1)
 
 
 def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):

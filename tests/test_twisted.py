@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     random_spec,
@@ -22,6 +24,7 @@ from loopmod.liealg import apply_aut, build_aut
 from loopmod.psi import PsiSpec, support_lattice, table_indices
 from loopmod.twisted import (
     TwistedSpec,
+    _axis1_candidates,
     check_complete_reducibility,
     classify_type,
     decide_twisted_iso,
@@ -289,6 +292,40 @@ def _first_type_transform(rng, t: TwistedSpec):
         evals=tuple(evals),
         rho=base.rho,
     )
+
+
+def _brute_axis1(k, a_values, b_values):
+    """Every (℘₁, τ₁, ε) with b_j = ε_j·℘₁·a_{τ₁(j)}, ε₁ = 1 and ε_j^k = 1,
+    over all permutations τ₁ in lexicographic order."""
+    out = []
+    for tau in itertools.permutations(range(len(a_values))):
+        wp = b_values[0] / a_values[tau[0]]
+        eps = tuple(b / (wp * a_values[j]) for b, j in zip(b_values, tau))
+        if all((e ** k).is_one for e in eps):
+            out.append((wp, tau, eps))
+    return out
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_axis1_candidates_match_brute_force(seed, k, related):
+    rng = random.Random(seed)
+    algebra, aut = (A2, A2_FLIP) if k == 2 else (D4, D4_TRIALITY)
+    t1 = random_twisted_spec(rng, algebra, aut)
+    t2 = random_twisted_spec(rng, algebra, aut)
+    while t2.base.dims[0] != t1.base.dims[0]:
+        t2 = random_twisted_spec(rng, algebra, aut)
+    a_values, b_values = t1.base.evals[0], t2.base.evals[0]
+    if related:
+        # b_j = ε_j·℘·a_{π(j)}, so at least one candidate exists.
+        order = t1.base.field_order
+        root = CycScalar.zeta(order, order // k)
+        wp = rng.choice(a_values) / rng.choice(a_values)
+        perm = rng.sample(range(len(a_values)), len(a_values))
+        b_values = tuple(root ** rng.randrange(k) * wp * a_values[j] for j in perm)
+    expected = _brute_axis1(k, a_values, b_values)
+    assert _axis1_candidates(t1, a_values, b_values) == expected
+    assert expected or not related
 
 
 def test_twisted_constructed_transformations_yield_witnesses():
