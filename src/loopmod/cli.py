@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     try:
         paths = [args.spec] if "spec" in args else [args.left, args.right]
         report["input_digest"] = _digest(paths)
+        radius = vars(args).get("box", vars(args).get("refute_box"))
+        if radius is not None and radius < 0:
+            raise InputError("degree box radius must be non-negative", radius=radius)
         spec = load_spec(paths[0])
 
         if args.command == "support":

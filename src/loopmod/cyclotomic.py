@@ -282,14 +282,10 @@ class CycVector:
         if not terms:
             return cls.zero(order)
         den = lcm(*(x.den * w.denominator for x, _, w in terms))
-        deg, _ = _phi_taps(order)
-        poly = [0] * (deg + max(e for _, e, _ in terms))
-        for x, e, w in terms:
-            f = den // (x.den * w.denominator) * w.numerator
-            for i, a in enumerate(x.num, e):
-                if a:
-                    poly[i] += f * a
-        return cls(order, _num=_reduce(order, poly), _den=den)
+        num = shift_sum(
+            order, [(x.num, e, den // (x.den * w.denominator) * w.numerator) for x, e, w in terms]
+        )
+        return cls(order, _num=num, _den=den)
 
     @classmethod
     def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
@@ -409,15 +405,59 @@ def _fold(order: int, terms) -> tuple[list[int], int]:
 
 
 def _product(a: CycVector, b: CycVector) -> CycVector:
-    bs = [(j, y) for j, y in enumerate(b.num) if y]
+    return CycVector(a.order, _num=mul_mod(a.order, a.num, b.num), _den=a.den * b.den)
+
+
+# Numerator arithmetic: an element of Z[ζ_L] is its power-basis numerators, a
+# sequence of φ(L) integers; the realizer's echelon rows are built from these.
+
+def mul_mod(order: int, a, b) -> list[int]:
+    """Numerators of the product of ``a`` and ``b`` modulo Φ_order."""
+    bs = [(j, y) for j, y in enumerate(b) if y]
     if not bs:
-        return CycVector.zero(a.order)
-    poly = [0] * (len(a.num) + bs[-1][0])
-    for i, x in enumerate(a.num):
+        return [0] * len(a)
+    poly = [0] * (len(a) + bs[-1][0])
+    for i, x in enumerate(a):
         if x:
             for j, y in bs:
                 poly[i + j] += x * y
-    return CycVector(a.order, _num=_reduce(a.order, poly), _den=a.den * b.den)
+    return _reduce(order, poly)
+
+
+def shift_sum(order: int, terms) -> list[int]:
+    """Numerators of ``Σ w·ζ^e·x`` over ``(x, e, w)`` triples: ``x``
+    numerators, ``0 ≤ e < order`` and ``w`` an integer; reduced once."""
+    top = max(e for _, e, _ in terms)
+    poly = [0] * (_phi_taps(order)[0] + top)
+    for x, e, w in terms:
+        for i, a in enumerate(x, e):
+            if a:
+                poly[i] += w * a
+    return _reduce(order, poly) if top else poly
+
+
+def to_numerators(vec) -> tuple[int, list[int]]:
+    """The lcm ``den`` of the denominators of the elements ``vec`` and
+    ``den·vec`` as one integer row: the numerators of each element in turn."""
+    den = lcm(*(x.den for x in vec))
+    return den, [a * (den // x.den) for x in vec for a in x.num]
+
+
+def from_numerators(order: int, row, den: int) -> list[CycVector]:
+    """The elements with numerators ``row`` (φ(order) per element) over ``den``."""
+    w = _phi_taps(order)[0]
+    return [CycVector(order, _num=row[k:k + w], _den=den) for k in range(0, len(row), w)]
+
+
+def pivot_multiplier(order: int, lead) -> list[int]:
+    """Numerators of an ``m`` with ``lead·m`` a positive rational integer, for
+    nonzero numerators ``lead``: ``±ζ^{−e}`` (a shift) when ``lead`` is
+    ``a·ζ^e``, the cleared numerators of ``lead⁻¹`` otherwise."""
+    live = [(e, a) for e, a in enumerate(lead) if a]
+    if len(live) > 1:
+        return list(CycVector(order, _num=lead).inverse().num)
+    (e, a), = live
+    return shift_sum(order, [((1,), -e % order, 1 if a > 0 else -1)])
 
 
 def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:

@@ -10,25 +10,24 @@ lowering matrices come out of the same Gram solves; everything is rational.
 ``generate_component`` closes the seeded vector ``v(m̃)`` under the degree
 ``{0, ±e₁, …, ±eₙ}`` generators inside a degree box.  Every generator moves
 a weight by one fixed shift, so each degree fiber splits into weight spaces:
-the closure keeps one echelon basis per degree and weight class over the
-cyclotomic field (row reduction with exact field-element pivots), with rows
-only as long as the class.  It skips an image whose target class is already
-full, since the image lies in its span, and a diagonal generator at step 0
-that acts on each class by a scalar.  The box is widened by one degree
-(``_MARGIN``) during the sweep and cropped on return, so reported fibers do
-not suffer boundary truncation.  Closure terminates because in-box fiber
-ranks grow monotonically.
+the closure keeps one ``FieldEchelon`` per degree and weight class, with rows
+only as long as the class.  A row matters only up to a nonzero scalar, so it
+is kept as integer power-basis numerators over Z[ζ_L] and eliminated
+fraction-free with a positive rational-integer pivot; images come from term
+plans scaled to integers once.  The closure skips an image whose target class
+is already full, since the image lies in its span, and a diagonal generator
+at step 0 that acts on each class by a scalar.  The box is widened by one
+degree (``_MARGIN``) during the sweep and cropped on return, so reported
+fibers do not suffer boundary truncation.  Closure terminates because in-box
+fiber ranks grow monotonically.
 
-The twisted closure is supported for the rank-2 A series with a twist of
-order 2: the fixed and anti-fixed parts of the algebra are spanned by
-``{e₁+e₂, f₁+f₂, h₁+h₂}`` and ``{h₁−h₂, e₁−e₂, f₁−f₂, [e₁,e₂], [f₁,f₂]}``,
-and each part only steps the first loop degree by its own parity.  Its weight
-classes are the values of the weight on the orbit sums of the diagram nodes
-(``h0_weight_map``), which every one of these generators shifts by one amount.
-Both closures, and ``loop_action``, take the per-slot ``e_i``, ``f_i`` and
-``h_i`` matrices from ``_slot_matrices`` and their degree steps from
-``_steps``, and run the same closure; they differ only in the generator
-list and the weight-class map.  What a closure needs besides its seed (the
+The twisted closure (rank-2 A series, twist order 2) uses the fixed part
+``{e₁+e₂, f₁+f₂, h₁+h₂}``, which keeps the first loop degree, and the
+anti-fixed part ``{h₁−h₂, e₁−e₂, f₁−f₂, [e₁,e₂], [f₁,f₂]}``, which steps it
+by ±1; its weight classes are the weight's values on the orbit sums of the
+diagram nodes (``h0_weight_map``).  Both closures, and ``loop_action``, take
+the per-slot ``e_i``, ``f_i`` and ``h_i`` matrices from ``_slot_matrices``
+and their steps from ``_steps``.  What a closure needs besides its seed (the
 grading, each generator's columns, class shift and coefficients, the moves
 between classes and the term plans) is a ``_ClosureTables``;
 ``component_decomposition`` builds it once and closes every coset
@@ -47,8 +46,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm, prod
 
-from .cyclotomic import CycVector
+from .cyclotomic import (
+    CycVector, cyclotomic_polynomial, from_numerators, mul_mod, pivot_multiplier, shift_sum,
+    to_numerators,
+)
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits
 from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
@@ -58,11 +61,6 @@ Matrix = list[list[Fraction]]
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _MARGIN = 1  # degrees the closure sweeps beyond the reported box
-
-
-@lru_cache(maxsize=None)
-def _constant(q: int, order: int) -> CycVector:
-    return CycVector.from_rational(q, order)
 
 
 # ---------------------------------------------------------------------------
@@ -255,28 +253,13 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
             raise CapExceededError(
                 "tensor dimension exceeds the cap", dimension=total, cap=cap
             )
-    strides = []
-    acc = 1
-    for s in reversed(slots):
-        strides.append(acc)
-        acc *= s.dim
-    strides = tuple(reversed(strides))
-    d = algebra.rank
-    basis_weights = []
-    for g in range(total):
-        wt = [0] * d
-        for k, s in enumerate(slots):
-            comp = (g // strides[k]) % s.dim
-            for j in range(d):
-                wt[j] += s.weights[comp][j]
-        basis_weights.append(tuple(wt))
-    return FinModule(
-        algebra=algebra,
-        slots=slots,
-        strides=strides,
-        total=total,
-        basis_weights=tuple(basis_weights),
+    strides = tuple(prod(s.dim for s in slots[k + 1:]) for k in range(len(slots)))
+    basis_weights = tuple(
+        tuple(sum(s.weights[(g // st) % s.dim][j] for s, st in zip(slots, strides))
+              for j in range(algebra.rank))
+        for g in range(total)
     )
+    return FinModule(algebra, slots, strides, total, basis_weights)
 
 
 def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
@@ -289,20 +272,7 @@ def _mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = [[_F0] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k]:
-                aik = a[i][k]
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] += aik * b[k][j]
-    return out
-
-
-def _commutator(a: Matrix, b: Matrix) -> Matrix:
-    return _mat_add(_mat_mul(a, b), _mat_mul(b, a), sign=-1)
+    return [[sum((x * y for x, y in zip(ra, cb) if x and y), _F0) for cb in zip(*b)] for ra in a]
 
 
 def _diag_matrix(values) -> Matrix:
@@ -315,51 +285,83 @@ def _diag_matrix(values) -> Matrix:
 # ---------------------------------------------------------------------------
 
 class FieldEchelon:
-    """Row space over Q(ζ_L) with normalized pivots, for rank and membership."""
+    """Row space over Q(ζ_L), for rank and membership, by fraction-free
+    elimination.  ``int_rows`` holds each row as one integer list, ``width`` =
+    φ(L) power-basis numerators per entry, with content 1 and a positive
+    rational-integer pivot entry ``d``: a nonzero multiple of the row with
+    pivot 1, which ``rows`` gives as ``CycVector`` lists.  A vector is reduced
+    by ``vec ← d·vec − vec[piv]·row`` for each row in pivot order."""
 
     def __init__(self, length: int, order: int):
         self.length = length
         self.order = order
-        self.rows: list[list[CycVector]] = []
+        self.width = len(cyclotomic_polynomial(order)) - 1
+        self.int_rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self._supports: list[tuple[int, ...]] = []  # nonzero positions per row
-        self._zero = _constant(0, order)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
-    def _reduce(self, vec: list[CycVector]) -> list[CycVector]:
-        vec = list(vec)
-        for piv, row, support in zip(self.pivots, self.rows, self._supports):
-            c = vec[piv]
-            if not c.is_zero():
-                for t in support[1:]:
-                    vec[t] = vec[t] - c * row[t]
-                vec[piv] = self._zero
+    @property
+    def rows(self) -> list[list[CycVector]]:
+        w = self.width
+        return [from_numerators(self.order, r, r[p * w]) for p, r in zip(self.pivots, self.int_rows)]
+
+    def _reduce(self, vec) -> list[int]:
+        if vec and isinstance(vec[0], CycVector):
+            vec = to_numerators(vec)[1]
+        w, order = self.width, self.order
+        for piv, row in zip(self.pivots, self.int_rows):
+            o = piv * w
+            c = vec[o:o + w]
+            if not any(c):
+                continue
+            d = row[o]
+            g = gcd(d, *c)
+            if g != 1:
+                d, c = d // g, [x // g for x in c]
+            if not any(c[1:]):  # a rational multiplier
+                c0 = c[0]
+                vec = [d * x - c0 * y for x, y in zip(vec, row)]
+                continue
+            vec = [d * x for x in vec]
+            for t in range(piv + 1, self.length):
+                for j, x in enumerate(mul_mod(order, c, row[t * w:t * w + w]), t * w):
+                    vec[j] -= x
+            vec[o:o + w] = [0] * w
         return vec
 
-    def add(self, vec) -> list[CycVector] | None:
-        """Insert if independent; returns the stored normalized row."""
+    def add(self, vec) -> list | None:
+        """Insert ``vec`` if independent; returns None, or the stored row as
+        the row with pivot 1 when ``vec`` is a list of ``CycVector`` entries,
+        as in ``int_rows`` when it is an integer row."""
+        public = bool(vec) and isinstance(vec[0], CycVector)
         vec = self._reduce(vec)
-        support = tuple(t for t, entry in enumerate(vec) if not entry.is_zero())
+        w, order = self.width, self.order
+        support = [t for t in range(self.length) if any(vec[t * w:t * w + w])]
         if not support:
             return None
         piv = support[0]
-        row = [self._zero] * self.length
-        row[piv] = _constant(1, self.order)
-        if len(support) > 1:
-            inv = vec[piv].inverse()
-            for t in support[1:]:
-                row[t] = inv * vec[t]
+        lead = vec[piv * w:piv * w + w]
+        if len(support) == 1:  # no inverse for a one-entry vector
+            row = [0] * len(vec)
+            row[piv * w] = 1
+        elif not any(lead[1:]):  # a rational pivot
+            row = vec if lead[0] > 0 else [-x for x in vec]
+        else:
+            m = pivot_multiplier(order, lead)
+            row = [x for k in range(0, len(vec), w) for x in mul_mod(order, m, vec[k:k + w])]
+        g = gcd(*row)
+        if g != 1:
+            row = [x // g for x in row]
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
-        self.rows.insert(at, row)
-        self._supports.insert(at, support)
-        return row
+        self.int_rows.insert(at, row)
+        return from_numerators(order, row, row[piv * w]) if public else row
 
     def contains(self, vec) -> bool:
-        return all(e.is_zero() for e in self._reduce(vec))
+        return not any(self._reduce(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +407,20 @@ class GradedFiber:
 
     @property
     def rows(self) -> list[list[CycVector]]:
-        zero = _constant(0, self.order)
-        out = []
+        zero, out = CycVector.zero(self.order), []
         for cls, ech in sorted(self.parts.items()):
-            members = self.grading.members[cls]
             for short in ech.rows:
                 row = [zero] * len(self.grading.local)
-                for g, x in zip(members, short):
+                for g, x in zip(self.grading.members[cls], short):
                     row[g] = x
                 out.append(row)
         return out
 
     def contains(self, vec) -> bool:
-        for cls, members in self.grading.members.items():
-            short = [vec[g] for g in members]
-            ech = self.parts.get(cls)
-            if ech is None:
-                if not all(x.is_zero() for x in short):
-                    return False
-            elif not ech.contains(short):
-                return False
-        return True
+        return all(
+            (self.parts.get(cls) or FieldEchelon(len(gs), self.order)).contains([vec[g] for g in gs])
+            for cls, gs in self.grading.members.items()
+        )
 
 
 @dataclass
@@ -449,8 +444,9 @@ class GradedBox:
 
 def _plan(fin: FinModule, cols_per_slot, coeffs_per_slot, members, local, size: int):
     """One generator at one step, from the basis vectors ``members`` into
-    ``size`` target positions: per target, the ``(source position, ζ-exponent,
-    rational weight)`` terms of its coordinate in the image."""
+    ``size`` target positions: a positive integer ``scale`` and, per target,
+    the ``(source position, ζ-exponent, integer weight)`` terms of its
+    coordinate in ``scale`` times the image."""
     plan: list[dict] = [{} for _ in range(size)]
     for i, g in enumerate(members):
         for k, cols in enumerate(cols_per_slot):
@@ -460,16 +456,20 @@ def _plan(fin: FinModule, cols_per_slot, coeffs_per_slot, members, local, size: 
             for r, x in cols[comp]:
                 terms = plan[local[g + (r - comp) * stride]]
                 terms[i, c.e] = terms.get((i, c.e), _F0) + c.q * x
-    return [[(i, e, w) for (i, e), w in terms.items() if w] for terms in plan]
+    scale = lcm(*(w.denominator for terms in plan for w in terms.values()))
+    return scale, [
+        [(i, e, w.numerator * (scale // w.denominator)) for (i, e), w in terms.items() if w]
+        for terms in plan
+    ]
 
 
-def _apply(plan, vec, order: int):
-    zero = _constant(0, order)
+def _image(plan, entries, order: int, width: int) -> list[int]:
+    """The integer row that a plan's terms map ``entries`` (numerators) to."""
+    zero = [0] * width
     out = []
     for terms in plan:
-        live = [(vec[i], e, w) for i, e, w in terms if not vec[i].is_zero()]
-        out.append(CycVector.combination(order, live) if live else zero)
-    return out if any(x is not zero for x in out) else None
+        out += shift_sum(order, [(entries[i], e, w) for i, e, w in terms]) if terms else zero
+    return out
 
 
 def _class_shift(fin: FinModule, mats, class_map):
@@ -493,10 +493,7 @@ def _class_shift(fin: FinModule, mats, class_map):
 def _scalar_on_classes(fin: FinModule, mats, grading: Grading) -> bool:
     # Whether the total diagonal Σ_k mats[k] is constant on every class.
     def diag(g):
-        return sum(
-            m[fin.slot_component(g, k)][fin.slot_component(g, k)]
-            for k, m in enumerate(mats)
-        )
+        return sum(m[fin.slot_component(g, k)][fin.slot_component(g, k)] for k, m in enumerate(mats))
 
     return all(len({diag(g) for g in gs}) == 1 for gs in grading.members.values())
 
@@ -542,12 +539,14 @@ class _ClosureTables:
         self.plans: dict = {}
 
     def plan(self, gid: int, cls, size: int):
+        """The terms of a plan and the source positions they read."""
         plan = self.plans.get((gid, cls))
         if plan is None:
             cols, _, coeffs, _ = self.gens[gid]
-            plan = self.plans[gid, cls] = _plan(
+            _, terms = _plan(
                 self.fin, cols, coeffs, self.grading.members[cls], self.grading.local, size
             )
+            plan = self.plans[gid, cls] = terms, {i for ts in terms for i, _, _ in ts}
         return plan
 
     def close(self, seed_degree, radius: int) -> GradedBox:
@@ -559,13 +558,16 @@ class _ClosureTables:
             raise InputError("seed degree outside the working box", seed=seed_degree)
         fibers: dict[tuple[int, ...], GradedFiber] = {}
         seed_cls = self.class_map(fin.basis_weights[fin.hw_index])
-        seed_vec = [_constant(0, order)] * len(grading.members[seed_cls])
-        seed_vec[grading.local[fin.hw_index]] = _constant(1, order)
+        w = len(cyclotomic_polynomial(order)) - 1
+        seed_vec = [0] * (len(grading.members[seed_cls]) * w)
+        seed_vec[grading.local[fin.hw_index] * w] = 1
         fibers[seed_degree] = GradedFiber(grading, order)
         stored = fibers[seed_degree].part(seed_cls).add(seed_vec)
         queue: deque = deque([(seed_degree, seed_cls, stored)])
         while queue:
             deg, cls, row = queue.popleft()
+            entries = [row[k:k + w] for k in range(0, len(row), w)]
+            live = {i for i, x in enumerate(entries) if any(x)}
             for gid, tcls, size, step in self.moves[cls]:
                 tgt = tuple(a + b for a, b in zip(deg, step))
                 if max(tgt) > work or min(tgt) < -work:
@@ -576,10 +578,10 @@ class _ClosureTables:
                 ech = fib.part(tcls)
                 if ech.rank == size:
                     continue  # the image lies in a full weight space
-                image = _apply(self.plan(gid, cls, size), row, order)
-                if image is None:
-                    continue
-                added = ech.add(image)
+                terms, sources = self.plan(gid, cls, size)
+                if live.isdisjoint(sources):
+                    continue  # every term reads a zero entry
+                added = ech.add(_image(terms, entries, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
         return GradedBox(
@@ -611,12 +613,7 @@ def _identity(wt):
 def _steps(n: int, axes, zero: bool = True):
     """The zero step when ``zero``, then ``+eᵢ`` and ``−eᵢ`` for each axis."""
     out = [(0,) * n] if zero else []
-    for i in axes:
-        for sgn in (1, -1):
-            s = [0] * n
-            s[i] = sgn
-            out.append(tuple(s))
-    return out
+    return out + [tuple(sgn if j == i else 0 for j in range(n)) for i in axes for sgn in (1, -1)]
 
 
 def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
@@ -660,10 +657,11 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
     cols = [_columns(m) for m in mats]
-    image = _apply(_plan(fin, cols, coeffs, everything, everything, fin.total), vec, order)
-    if image is None:
-        return [CycVector.zero(order)] * fin.total
-    return image
+    scale, terms = _plan(fin, cols, coeffs, everything, everything, fin.total)
+    den, row = to_numerators(vec)
+    w = len(cyclotomic_polynomial(order)) - 1
+    image = _image(terms, [row[k:k + w] for k in range(0, len(row), w)], order, w)
+    return from_numerators(order, image, den * scale)
 
 
 def component_decomposition(
@@ -714,7 +712,7 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
                 continue
             combined = FieldEchelon(len(gs), order)
             for ech in parts:
-                for row in ech.rows:
+                for row in ech.int_rows:
                     if combined.add(row) is None:
                         overlap = True
             combined_rank += combined.rank
@@ -763,10 +761,11 @@ def fiber_character(box: GradedBox, deg, weight_map):
             (wt,) = groups
             mult[wt] = mult.get(wt, 0) + ech.rank
             continue
+        w = ech.width
         for wt, cols in groups.items():
             sub = FieldEchelon(len(cols), fib.order)
-            for row in ech.rows:
-                if sub.add([row[c] for c in cols]) is not None:
+            for row in ech.int_rows:
+                if sub.add([x for c in cols for x in row[c * w:c * w + w]]) is not None:
                     mult[wt] = mult.get(wt, 0) + 1
     return tuple(sorted(mult.items()))
 
@@ -802,7 +801,7 @@ def _twisted_generators(fin: FinModule):
         return [_mat_add(x, y, sign) for x, y in zip(a, b)]
 
     def brkt(a, b):
-        return [_commutator(x, y) for x, y in zip(a, b)]
+        return [_mat_add(_mat_mul(x, y), _mat_mul(y, x), -1) for x, y in zip(a, b)]
 
     fixed = [comb(e[0], e[1], 1), comb(f[0], f[1], 1), comb(h[0], h[1], 1)]
     anti = [

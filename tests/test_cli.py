@@ -104,6 +104,28 @@ def test_iso_refutation_characters(write, capsys):
     assert doc["result"]["characters_differ"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "a", "--box", "-1"],  # index 1: used to pass vacuously
+        ["verify", "two", "--box", "-1"],  # index 2: used to blame the seed degree
+        ["iso", "a", "d", "--refute-box", "-1"],  # used to report equal characters
+    ],
+)
+def test_negative_box_radius_is_an_input_error(write, capsys, argv):
+    paths = {
+        "a": write(SPEC_A, "a.json"),
+        "two": write(SPEC_2Z, "two.json"),
+        "d": write(dict(SPEC_A, weights=[{"index": [1], "coords": [2]}], evals=[[3]]), "d.json"),
+    }
+    code, doc = _run(capsys, [paths.get(x, x) for x in argv])
+    assert code == 2 and "result" not in doc
+    (diag,) = doc["diagnostics"]
+    assert diag["type"] == "InputError"
+    assert diag["message"] == "degree box radius must be non-negative"
+    assert diag["data"] == {"radius": -1}
+
+
 def test_twisted_commands(write, capsys):
     t = write(TWISTED, "t.json")
     code, doc = _run(capsys, ["twisted-classify", t])

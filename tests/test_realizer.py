@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import A1, A2, A2_FLIP, sc, spec
 from loopmod import realizer
@@ -436,6 +437,80 @@ def test_echelon_stores_one_entry_vectors_as_unit_rows(monkeypatch):
     monkeypatch.setattr(CycVector, "inverse", no_inverse)
     assert ech.add([one, one + zeta, CycVector.from_rational(2, order)]) == [z, z, one]
     assert ech.rank == 3
+
+
+def _reference_echelon(vectors):
+    """Plain elimination in ``CycVector`` arithmetic (+, −, *, inverse): each
+    vector is reduced by the kept rows in pivot order, then divided by its
+    first nonzero entry.  Returns the accept flags and the rows by pivot."""
+    rows: dict = {}
+    accepted = []
+    for vec in vectors:
+        for piv in sorted(rows):
+            c = vec[piv]
+            vec = [x - c * y for x, y in zip(vec, rows[piv])]
+        live = [t for t, x in enumerate(vec) if not x.is_zero()]
+        accepted.append(bool(live))
+        if live:
+            inv = vec[live[0]].inverse()
+            rows[live[0]] = [inv * x for x in vec]
+    return accepted, [rows[p] for p in sorted(rows)]
+
+
+@st.composite
+def _echelon_inputs(draw):
+    order = draw(st.sampled_from((1, 2, 3, 4, 12, 60, 105)))
+    small = order <= 12  # φ(60) = 16 and φ(105) = 48: fewer, shorter vectors
+    length = draw(st.integers(1, 4 if small else 3))
+    zero = CycVector.zero(order)
+    pairs = st.tuples(st.integers(0, order - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    term_lists = {k: st.lists(pairs, max_size=k) for k in (1, 2)}
+
+    def element(terms, nonzero=False):
+        while True:
+            x = CycVector.from_terms(order, draw(term_lists[terms]))
+            if not (nonzero and x.is_zero()):
+                return x
+
+    vectors = []
+    for _ in range(draw(st.integers(1, 6 if small else 3))):
+        kind = draw(st.sampled_from(("general", "one-entry", "one-coordinate", "combination")))
+        if kind == "one-entry":
+            vec = [zero] * length
+            vec[draw(st.integers(0, length - 1))] = element(2, nonzero=True)
+        elif kind == "combination" and vectors:
+            vec = [zero] * length
+            for old in vectors:
+                c = element(1)
+                vec = [x + c * y for x, y in zip(vec, old)]
+        elif kind == "one-coordinate":  # a·ζ^e leads: a shift makes the pivot rational
+            at = draw(st.integers(0, length - 1))
+            e = draw(st.integers(0, len(zero.num) - 1))
+            vec = [zero] * at + [CycVector.from_terms(order, [(e, draw(pairs)[1])])]
+            vec += [element(2, nonzero=True) for _ in range(length - at - 1)]
+        else:
+            vec = [element(2) for _ in range(length)]
+        vectors.append(vec)
+    probes = [[element(2) for _ in range(length)]]
+    probes += [[x + y for x, y in zip(a, b)] for a, b in zip(vectors, vectors[1:])]
+    return order, length, vectors, probes
+
+
+@given(_echelon_inputs())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_plain_elimination(case):
+    order, length, vectors, probes = case
+    accepted, rows = _reference_echelon(vectors)
+    ech = FieldEchelon(length, order)
+    for vec, ok in zip(vectors, accepted):
+        stored = ech.add(vec)
+        assert (stored is not None) == ok
+        if ok:
+            assert stored in rows
+    assert ech.rank == len(rows)
+    assert ech.rows == rows
+    for vec in vectors + probes:
+        assert ech.contains(vec) == (not _reference_echelon(rows + [vec])[0][-1])
 
 
 def test_closure_rejects_a_generator_that_mixes_classes():
