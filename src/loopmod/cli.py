@@ -4,7 +4,8 @@ Exit codes: 0 success or witness; 1 criteria not satisfied or verification
 mismatch; otherwise the ``exit_code`` of the ``EngineError`` raised, which is
 2 for malformed input or a resource cap and 3 for the typed structure errors
 (trivial module, missing axis period, support closure failure, block or type
-violations, restricted-image mismatch).
+violations, restricted-image mismatch).  Any other exception is reported as
+an ``InternalError`` diagnostic (exit 4), never as a traceback.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
+import traceback
 
 from . import realizer
 from .classify import classify, decide_iso, detect_blocks
-from .errors import CapExceededError, EngineError, InputError
+from .errors import CapExceededError, EngineError, InputError, InternalError
 from .jsonio import (
     blocks_to_json,
     descriptor_to_json,
@@ -218,7 +221,12 @@ def main(argv=None) -> int:
             report["result"] = result
             if not ok:
                 exit_code = 1
-    except EngineError as exc:
+    except Exception as exc:
+        if not isinstance(exc, EngineError):
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+            name = type(exc).__name__
+            exc = InternalError(f"{name}: {exc}", exception=name, where=where)
         report["diagnostics"].append(_diag(exc))
         exit_code = exc.exit_code
 

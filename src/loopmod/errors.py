@@ -3,7 +3,8 @@
 Every error carries a structured ``data`` payload so the CLI can emit it as a
 machine-readable diagnostic, and the CLI exits with its ``exit_code``: 2 for
 malformed input, resource caps and unsupported requests, 3 for the typed
-structure errors.
+structure errors, 4 for ``InternalError``, which the CLI wraps around any
+other exception.
 """
 
 from __future__ import annotations
@@ -69,3 +70,9 @@ class RealizationMismatchError(EngineError):
 
 class UnsupportedError(EngineError):
     """Requested a combination outside the supported tables."""
+
+
+class InternalError(EngineError):
+    """An exception that is not an ``EngineError``: a fault of the engine."""
+
+    exit_code = 4

@@ -16,9 +16,12 @@ evaluated (``nonvanishing_support``): a slot only one index reaches
 (``single-entry``), the Lam–Leung theorem on vanishing sums of roots of unity
 (``lam-leung``), per-coset class sums of the functional on the cosets of
 ``D = ⊕ MᵢZ`` (``domain``), an n = 1 dominance window that lists every zero
-(``descartes``), and, for what is left, direct evaluation on the audit cube
-(``audit``).  The rung is reported as the support's ``certificate``.  The
-twisted support runs the same ladder on the restricted functional.
+(``descartes``), and, for the cosets left open, a check on the audit cube
+(``audit``).  The rung is reported as the support's ``certificate``.  Class
+sums are exact integer rows, and a degree in an open coset is decided from
+them: ``v(m) ≠ 0`` iff ``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an
+integer test.  The twisted support runs the same ladder on the restricted
+functional.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation on a cube of degrees, scanning in order of increasing
@@ -32,8 +35,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .cyclotomic import CycScalar, CycVector
+from .cyclotomic import CycScalar, CycVector, _reduce
 from .errors import (
     InputError,
     NoPeriodWithinBoundError,
@@ -227,18 +231,28 @@ class _CosetSums:
         v(r + d) = χ(d)·Σ_K ρ_K^{r+d}·u_K(r),   u_K(r) = Σ_{I∈K} φ_I^r·c_I(r),
 
     where ``c_I(r)`` is the index's entry in the term table of ``r``.
+
+    Everything here is in integers.  The term-table weights are scaled by
+    one positive common denominator, so ``sums`` gives that multiple of each
+    ``u_K(r)`` as power-basis numerators, and ``nonzero`` scales the
+    ``ρ_K^m`` by one positive factor.  A common positive factor changes
+    neither the sign of a coordinate, nor linear independence over Q, nor
+    whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
     """
 
     def __init__(self, ev):
-        self.ev = ev
+        self.order, self.k = ev.order, ev.k
         active = sorted({I for rows in ev.terms for I, _ in rows})
-        self.phases = {
-            I: [_phase(ev.evals[i][j - 1]) for i, j in enumerate(I)] for I in active
-        }
-        self.rho = {
-            I: tuple(abs(ev.evals[i][j - 1].q) for i, j in enumerate(I)) for I in active
-        }
-        self.classes = sorted(set(self.rho.values()))
+        rho = {I: tuple(abs(ev.evals[i][j - 1].q) for i, j in enumerate(I)) for I in active}
+        self.classes = sorted(set(rho.values()))
+        ids = {r: K for K, r in enumerate(self.classes)}
+        den = lcm(*(c.denominator for rows in ev.terms for _, cs in rows for t in cs for _, c in t))
+        # table[j]: (class, axis phases (s, e), slots of (exponent, integer)).
+        self.table = [[
+            (ids[rho[I]], [_phase(ev.evals[i][j - 1]) for i, j in enumerate(I)],
+             [[(f, int(c * den)) for f, c in t] for t in comps])
+            for I, comps in rows
+        ] for rows in ev.terms]
         moduli = []
         for i, axis in enumerate(ev.evals):
             js = sorted({I[i] for I in active})
@@ -251,26 +265,55 @@ class _CosetSums:
             moduli.append(mod)
         moduli[0] = lcm(moduli[0], ev.k)
         self.moduli = tuple(moduli)
+        # Integer bases per axis: ρ = up/D for m ≥ 0 and ρ⁻¹ = (N/up)/(N/D)
+        # for m < 0, with D the lcm of the denominators and N that of the up;
+        # D and N/D are shared by every class.
+        self._bases = []
+        for i in range(len(moduli)):
+            D = lcm(*(r[i].denominator for r in self.classes))
+            up = [int(r[i] * D) for r in self.classes]
+            N = lcm(*up)
+            self._bases.append((up, [N // u for u in up]))
+        self._pows: dict = {}
 
-    def sums(self, r) -> list[tuple[tuple[Fraction, ...], list[CycVector]]]:
-        """``(ρ_K, u_K(r))`` for every class with ``u_K(r) ≠ 0``, by ``ρ_K``."""
+    def sums(self, r) -> list[tuple[int, list[int]]]:
+        """``(K, u_K(r))`` for every class with ``u_K(r) ≠ 0``, by class:
+        the integer numerators of each slot in turn, φ(L) per slot."""
+        L = self.order
         acc: dict = {}
-        for I, comps in self.ev.terms[r[0] % self.ev.k]:
+        for K, phases, comps in self.table[r[0] % self.k]:
             e = sign = 0
-            for (s, f), x in zip(self.phases[I], r):
+            for (s, f), x in zip(phases, r):
                 e += f * x
                 sign += s * x
             q = -1 if sign % 2 else 1
-            slots = acc.setdefault(self.rho[I], [[] for _ in comps])
-            for out, terms in zip(slots, comps):
-                out.extend((e + f, q * c) for f, c in terms)
+            polys = acc.get(K)
+            if polys is None:
+                polys = acc[K] = [[0] * L for _ in comps]
+            for poly, terms in zip(polys, comps):
+                for f, c in terms:
+                    poly[(e + f) % L] += q * c
         out = []
-        for rho in self.classes:
-            if rho in acc:
-                u = [CycVector.from_terms(self.ev.order, t) for t in acc[rho]]
-                if any(not x.is_zero() for x in u):
-                    out.append((rho, u))
+        for K in sorted(acc):
+            row = [x for poly in acc[K] for x in _reduce(L, poly)]
+            if any(row):
+                out.append((K, row))
         return out
+
+    def nonzero(self, coset, m) -> bool:
+        """``v(m) ≠ 0`` for ``m`` in an open coset ``(classes, columns)``:
+        ``χ(d)`` is a root of unity, so this is whether ``Σ_K ρ_K^m·u_K(r)``
+        has a nonzero power-basis coordinate.  ``ρ_K^m`` comes from per-axis
+        power tables, times one integer ``c > 0``."""
+        ks, cols = coset
+        w = None
+        for i, x in enumerate(m):
+            p = self._pows.get((i, x))
+            if p is None:
+                p = self._pows[i, x] = [b ** abs(x) for b in self._bases[i][x < 0]]
+            w = p if w is None else list(map(mul, w, p))
+        ws = [w[K] for K in ks]
+        return any(sum(map(mul, ws, col)) for col in cols)
 
 
 def _single_entry(ev) -> bool:
@@ -342,18 +385,20 @@ def _independent(vectors) -> bool:
     return True
 
 
-def _coset_verdict(us) -> bool | None:
+def _coset_verdict(rows) -> bool | None:
     """Whether ``Σ_K c_K·u_K`` with every ``c_K > 0`` is nonzero (None: the
-    class sums alone do not decide)."""
-    if len(us) < 2:
-        return bool(us)
-    for t in range(len(us[0])):
-        for b in range(len(us[0][t].num)):
-            vals = [u[t].num[b] for u in us]
-            if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
-                return True  # one sign on a power-basis coordinate
-    flat = [{(t, b): x for t, y in enumerate(u) for b, x in enumerate(y.num) if x} for u in us]
-    return True if _independent(flat) else None
+    class sums alone do not decide).
+
+    ``rows`` are the class sums of one coset from ``_CosetSums.sums``: each
+    ``u_K`` times one positive integer shared by every class and slot, so a
+    coordinate's signs and the rows' independence over Q are those of the
+    ``u_K``."""
+    if len(rows) < 2:
+        return bool(rows)
+    for vals in zip(*rows):
+        if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
+            return True  # one sign on a power-basis coordinate
+    return True if _independent([{b: x for b, x in enumerate(u) if x} for u in rows]) else None
 
 
 def _dominance_steps(lead: Fraction, rest: Fraction, ratio: Fraction, limit: int) -> int | None:
@@ -367,39 +412,37 @@ def _dominance_steps(lead: Fraction, rest: Fraction, ratio: Fraction, limit: int
     return s
 
 
-def _window_zeros(ev, form: _CosetSums, r0: int, sums, limit: int):
-    """n = 1: the zeros of v on the coset ``r₀ + MZ``, or None past ``limit``.
+def _window_zeros(form: _CosetSums, r0: int, coset, limit: int):
+    """n = 1: the zeros of v on the open coset ``r₀ + MZ``, or None past
+    ``limit``.
 
     On a power-basis coordinate, ``v(r₀ + Mt)/χ = Σ_K w_K·β_K^t`` with
     ``β_K = ρ_K^M`` distinct and ``w_K`` rational: a real exponential sum.  Its
     term of largest base dominates once ``|w_top|·(β_top/β_next)^t`` exceeds
     the other ``|w_K|`` together (t ≥ 0), and likewise the smallest base for
-    t ≤ 0; every zero therefore lies in the window between, which is
-    evaluated.  Returns ``(window size, zeros)`` for the narrowest window."""
+    t ≤ 0; every zero therefore lies in the window between, which is tested
+    with ``form.nonzero``.  Returns ``(window size, zeros)`` for the narrowest
+    window."""
     M = form.moduli[0]
+    rho = [form.classes[K][0] for K in coset[0]]
     best = None
-    for t in range(len(sums[0][1])):
-        for b in range(len(sums[0][1][t].num)):
-            ws = sorted(
-                (rho[0] ** M, rho[0] ** r0 * Fraction(u[t].num[b], u[t].den))
-                for rho, u in sums
-                if u[t].num[b]
-            )
-            if len(ws) < 2:
-                continue
-            hi = _dominance_steps(
-                abs(ws[-1][1]), sum(abs(w) for _, w in ws[:-1]), ws[-1][0] / ws[-2][0], limit
-            )
-            lo = _dominance_steps(
-                abs(ws[0][1]), sum(abs(w) for _, w in ws[1:]), ws[1][0] / ws[0][0], limit
-            )
-            if hi is not None and lo is not None:
-                window = range(1 - lo, hi)
-                if best is None or len(window) < len(best):
-                    best = window
+    for col in coset[1]:
+        ws = sorted((p ** M, p ** r0 * x) for p, x in zip(rho, col) if x)
+        if len(ws) < 2:
+            continue
+        hi = _dominance_steps(
+            abs(ws[-1][1]), sum(abs(w) for _, w in ws[:-1]), ws[-1][0] / ws[-2][0], limit
+        )
+        lo = _dominance_steps(
+            abs(ws[0][1]), sum(abs(w) for _, w in ws[1:]), ws[1][0] / ws[0][0], limit
+        )
+        if hi is not None and lo is not None:
+            window = range(1 - lo, hi)
+            if best is None or len(window) < len(best):
+                best = window
     if best is None or len(best) > limit:
         return None
-    zeros = [(r0 + M * t,) for t in best if not ev.is_nonzero((r0 + M * t,))]
+    zeros = [(r0 + M * t,) for t in best if not form.nonzero(coset, (r0 + M * t,))]
     return len(best), zeros
 
 
@@ -408,22 +451,27 @@ class _Certificate:
     """Membership in the nonvanishing set by coset lookup.
 
     ``status`` maps each coset representative of ``D = ⊕ moduliᵢZ`` to True
-    (inside), False (outside) or None (uncertified: evaluate).  ``zeros`` are
-    the exact zeros found inside certified cosets.  When every coset is
-    certified, the set is a lattice iff it agrees with it on ``checks``: the
-    generators of D and the representatives."""
+    (inside), False (outside) or, for a coset the ladder left open, its
+    nonzero class sums as ``(classes, columns)`` for ``_CosetSums.nonzero``.
+    An empty ``status`` means no coset was scanned: ``ev`` is evaluated.
+    ``zeros`` are the exact zeros found inside certified cosets.  When every
+    coset is certified, the set is a lattice iff it agrees with it on
+    ``checks``: the generators of D and the representatives."""
 
     label: str
     ev: object
     moduli: tuple[int, ...]
     status: dict
     zeros: list = field(default_factory=list)
+    form: _CosetSums | None = None
 
     def member(self, m) -> bool:
         st = self.status.get(tuple(x % M for x, M in zip(m, self.moduli)))
         if st is None:
             return self.ev.is_nonzero(m)
-        return st and tuple(m) not in self.zeros
+        if isinstance(st, bool):
+            return st and tuple(m) not in self.zeros
+        return self.form.nonzero(st, m)
 
     @property
     def checks(self) -> list:
@@ -454,18 +502,20 @@ def _certify(ev, n: int, bounds) -> _Certificate:
     for r in itertools.product(*(range(M) for M in form.moduli)):
         sums = form.sums(r)
         verdict = _coset_verdict([u for _, u in sums])
-        if verdict is None and n == 1:
-            found = _window_zeros(ev, form, r[0], sums, budget - spent)
+        if verdict is None:
+            ks, rows = zip(*sums)
+            verdict = ks, [c for c in zip(*rows) if any(c)]
+            found = _window_zeros(form, r[0], verdict, budget - spent) if n == 1 else None
             if found is not None:
                 spent += found[0]
                 zeros += found[1]
                 verdict = True
                 label = "descartes"
         status[r] = verdict
-    if None in status.values():
+    if not all(isinstance(st, bool) for st in status.values()):
         label = "audit"
     zeros.sort(key=lambda m: (abs(m[0]), -m[0]))  # n = 1: the audit cube's order
-    return _Certificate(label, ev, form.moduli, status, zeros)
+    return _Certificate(label, ev, form.moduli, status, zeros, form)
 
 
 def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
@@ -473,9 +523,9 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
 
     ``ev`` is an evaluator with a term table (``Evaluator``,
     ``twisted.TwistedEvaluator``).  Γ is certified from the term table and
-    the class sums ``u_K(r)`` of ``_CosetSums`` before the functional is
-    evaluated; the rungs, in order, and the ``certificate`` they leave on the
-    result:
+    the integer class sums ``u_K(r)`` of ``_CosetSums``; ``ev.is_nonzero`` is
+    called only when no coset scan ran.  The rungs, in order, and the
+    ``certificate`` they leave on the result:
 
     * ``single-entry``: a slot that exactly one index reaches never vanishes,
       so Γ = Zⁿ.
@@ -488,9 +538,12 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
       coordinate (the ``ρ_K^{r+d}`` are positive).
     * ``descartes``: as ``domain``, with the remaining cosets of an n = 1
       functional settled by a dominance window that lists every zero.
-    * ``audit``: some coset is left (n ≥ 2), or the scan over the cosets or a
-      window would cost more than the audit cube it replaces; the uncertified
-      cosets are evaluated, on the cube of radii ``max(6, 2·max(rᵢ, boundsᵢ))``.
+    * ``audit``: some coset is left open (n ≥ 2, or an n = 1 window would
+      cost more than the cube), and membership is checked on the cube of
+      radii ``max(6, 2·max(rᵢ, boundsᵢ))``.  A degree ``m`` of an open coset
+      is decided from its class sums: ``Σ_K ρ_K^m·u_K(r) ≠ 0``, in integers.
+      When the coset scan itself would cost more than the cube, no coset is
+      scanned and every degree is evaluated with ``ev.is_nonzero``.
 
     Every rung yields exact membership by lookup.  From it the axis periods
     ``rᵢ`` (searched up to ``boundsᵢ``) and the members of the box

@@ -1,14 +1,19 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loopmod
 from loopmod import cli, errors, psi
 from loopmod.cli import main
+from loopmod.jsonio import parse_spec
 
 SPEC_2Z = {
     "schema": 1,
@@ -178,6 +183,7 @@ EXIT_CODES = {
     "CapExceededError": 2,
     "RealizationMismatchError": 2,
     "UnsupportedError": 2,
+    "InternalError": 4,
 }
 
 
@@ -199,6 +205,22 @@ def test_engine_errors_exit_with_their_code(write, capsys, monkeypatch, name):
     assert doc["diagnostics"] == [
         {"type": name, "message": "raised for the test", "data": {"where": "support"}}
     ]
+
+
+def test_other_exceptions_are_internal_errors(write, capsys, monkeypatch):
+    def raising(spec):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "support_lattice", raising)
+    code, doc = _run(capsys, ["support", write(SPEC_A, "a.json")])
+    assert code == 4
+    assert doc["command"] == "support" and "result" not in doc
+    (diag,) = doc["diagnostics"]
+    assert diag["type"] == "InternalError"
+    assert diag["message"] == "ZeroDivisionError: integer division or modulo by zero"
+    assert diag["data"]["exception"] == "ZeroDivisionError"
+    assert diag["data"]["where"].startswith("test_cli.py:")
+    assert diag["data"]["where"].endswith(" in raising")
 
 
 def test_exit_code_malformed_input(tmp_path, capsys):
@@ -366,3 +388,94 @@ def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["result"]["index"] == 1
+
+
+SPEC_ZETA = {
+    "schema": 1,
+    "algebra": {"series": "A", "rank": 2},
+    "n": 2,
+    "dims": [2, 1],
+    "weights": [
+        {"index": [1, 1], "coords": [1, 0]},
+        {"index": [2, 1], "coords": [1, 1]},
+    ],
+    "evals": [[2, {"num": -1, "den": 2, "zeta_pow": 5, "zeta_order": 12}], ["1/3"]],
+    "rho": [0, "1/2"],
+}
+
+_KEYS = (
+    "schema", "algebra", "series", "rank", "n", "dims", "weights", "index", "coords",
+    "evals", "num", "den", "zeta_pow", "zeta_order", "rho", "aut", "perm", "order",
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-3, 3),
+    st.sampled_from(("", "x", "A", "D", "E", "-1", "3", "1/2", "1/0")),
+)
+_JUNK = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mangled_specs(draw):
+    """A valid spec with one to three parts replaced by junk of any type (a
+    zeta_order by an integer up to 60), deleted, or wrapped in a list."""
+    doc = copy.deepcopy(draw(st.sampled_from((SPEC_2Z, SPEC_ZETA, TWISTED))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if path[-1:] == ("zeta_order",):
+            junk = st.one_of(_JUNK, st.integers(-1, 60))
+        else:
+            junk = _JUNK
+        if not path:
+            doc = draw(junk)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(("replace", "delete", "wrap")))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "wrap":
+            parent[path[-1]] = [parent[path[-1]]]
+        else:
+            parent[path[-1]] = draw(junk)
+    return doc
+
+
+@given(_mangled_specs())
+@settings(max_examples=200, deadline=None)
+def test_malformed_specs_never_escape(tmp_path_factory, doc):
+    # parse_spec raises only engine errors, and every command exits 0–3 with
+    # a JSON report.  ``verify`` is left out: a valid spec at a large
+    # zeta_order makes it slow, which is a budget question, not a crash.
+    try:
+        parse_spec(doc)
+    except errors.EngineError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    for command in ("support", "classify", "twisted-classify"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, str(path)])
+        report = json.loads(out.getvalue())
+        assert 0 <= code <= 3, (command, report["diagnostics"])
+        assert report["command"] == command

@@ -4,8 +4,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import A1, spec, random_spec
+from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_spec, random_twisted_spec, spec
 from loopmod import psi
 from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
@@ -20,6 +21,7 @@ from loopmod.psi import (
     support_lattice,
     verify_support,
 )
+from loopmod.twisted import TwistedEvaluator, TwistedSpec
 
 
 def _two_point(w1, w2, a1, a2):
@@ -273,3 +275,64 @@ def test_certified_support_agrees_with_the_oracle():
     assert set(rungs) == {
         "single-entry", "lam-leung", "domain", "descartes", "audit", "not-a-subgroup"
     }, rungs
+
+
+def test_open_cosets_are_decided_without_the_functional(counted):
+    # Version 1 of classify-corpus item 012: a = (−2ζ₁₂⁴ ; ½, −3) has torsion
+    # classes (2, ½) and (2, 3), and on the odd cosets of axis 2 their class
+    # sums have opposite signs and span one line, so the ladder leaves them
+    # open (n = 2).  Their degrees on the audit cube are decided from the
+    # class sums; evaluating the functional there took 79 calls.
+    s = spec(A1, (1, 2), {(1, 1): (1,), (1, 2): (1,)}, [((-2, 4, 12),), (Fraction(1, 2), -3)])
+    sup = support_lattice(s)
+    assert sup.certificate == "audit"
+    assert sup.lattice.rows == ((1, 0), (0, 1))
+    assert sup.periods == (1, 1) and sup.index == 1
+    assert counted["functional"] == 0
+    assert counted["sums"] == 2
+
+
+def _opposite_pair(rng):
+    # (x, −y) with |x| ≠ |y|: on the odd coset the two torsion classes have
+    # class sums of opposite signs on one line, which the ladder leaves open.
+    x, y = rng.sample((Fraction(1, 2), 1, 2, 3), 2)
+    return (x, -y)
+
+
+def _forced_spec(rng, n):
+    dims = (2,) + (1,) * (n - 1)
+    weights = {I: (rng.randint(1, 3),) for I in psi.table_indices(dims)}
+    others = [(rng.choice((1, -1, 2, Fraction(1, 2), (1, 4, 12))),) for _ in range(n - 1)]
+    return spec(A1, dims, weights, [_opposite_pair(rng)] + others)
+
+
+def _forced_twisted_spec(rng):
+    # Non-symmetric A₂ weights, so the m₁ odd term table is not empty.
+    s = spec(A2, (2,), {(1,): (1, 0), (2,): (rng.randint(1, 2), 0)}, [_opposite_pair(rng)])
+    return TwistedSpec(base=s, aut=A2_FLIP)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(("random", "forced", "twisted", "twisted-forced")))
+@settings(max_examples=150, deadline=None)
+def test_certificate_membership_matches_evaluation(seed, kind):
+    # Membership by coset lookup, the open cosets decided from their integer
+    # class sums, against direct evaluation of the functional on a cube.
+    rng = random.Random(seed)
+    if kind in ("random", "forced"):
+        s = random_spec(rng) if kind == "random" else _forced_spec(rng, rng.randint(1, 3))
+        ev, bounds = Evaluator(s), s.dims
+    else:
+        if kind == "twisted":
+            algebra, aut = rng.choice(((A2, A2_FLIP), (D4, D4_TRIALITY)))
+            t = random_twisted_spec(rng, algebra, aut)
+        else:
+            t = _forced_twisted_spec(rng)
+        s = t.base
+        ev, bounds = TwistedEvaluator(t), (t.order * s.dims[0],) + s.dims[1:]
+    cert = psi._certify(ev, s.n, bounds)
+    if kind == "forced":
+        assert cert.label == ("audit" if s.n > 1 else "descartes"), cert.label
+    if kind == "twisted-forced":
+        assert cert.label == "descartes", cert.label
+    for m in box_scan_order(s.n, 3 if s.n <= 2 else 2):
+        assert cert.member(m) == ev.is_nonzero(m), (cert.label, m)
