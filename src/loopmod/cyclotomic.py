@@ -15,8 +15,8 @@ is a scan for a nonzero numerator.  Every construction reduces once: a sum
 ``Σ qᵢ·ζ^{eᵢ}`` or a product is folded modulo ``x^L − 1`` (which ``Φ_L``
 divides), then divided by the monic ``Φ_L``; the division is skipped when the
 top exponent is already below ``φ(L)``.  An element takes O(φ(L)) memory and
-the only per-order table is ``Φ_L`` itself, computed by the recursive division
-``Φ_L = (x^L − 1) / ∏ Φ_d`` over the proper divisors ``d`` of ``L``.
+the only per-order table is ``Φ_L`` itself, built from the Möbius product
+``Φ_L = ∏_{d | L} (x^d − 1)^{μ(L/d)}`` (``cyclotomic_polynomial``).
 
 No floating point is used anywhere; ``complex(x)`` is provided only so tests
 can cross-check against numeric evaluation.
@@ -27,7 +27,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from .errors import InputError, OrderMismatchError
@@ -35,38 +36,40 @@ from .errors import InputError, OrderMismatchError
 _ZERO = Fraction(0)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials; den is monic.  Coefficients are
-    # stored low-to-high.
-    num = list(num)
-    deg_d = len(den) - 1
-    out = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing ``m``, increasing."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + ([m] if m > 1 else [])
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Integer coefficients of Φ_order, low degree first."""
+    """Integer coefficients of Φ_order, low degree first.
+
+    The Möbius product ``Φ_L = ∏_{d | L} (x^d − 1)^{μ(L/d)}``: multiply by each
+    ``x^d − 1`` with ``μ(L/d) = 1``, then divide exactly by each with
+    ``μ(L/d) = −1``.  Only squarefree ``L/d`` count, so there are ``2^ω(L)``
+    factors and each step is one pass over the coefficients."""
     if order < 1:
         raise InputError("cyclotomic order must be positive", order=order)
-    if order == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (order - 1) + [1]  # x^order − 1
-    for d in _divisors(order)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    ups, downs = [], []
+    primes = _prime_factors(order)
+    for k in range(len(primes) + 1):
+        for S in combinations(primes, k):
+            (downs if k % 2 else ups).append(order // prod(S))
+    poly = [1]
+    for d in sorted(ups):  # poly·x^d − poly; short factors first
+        poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    for d in sorted(downs, reverse=True):  # q·(x^d − 1) = poly: q_j = poly_{j+d} + q_{j+d}
+        poly = poly[d:]
+        for j in range(len(poly) - 1 - d, -1, -1):
+            poly[j] += poly[j + d]
     return tuple(poly)
 
 

@@ -11,8 +11,8 @@ The support ``Γ = {m : v(m) ≠ 0}`` of a nontrivial table with dominant weight
 is, when it is a subgroup, a full-rank subgroup of Z^n.  It is generated by
 the members of the box ``∏[0, rᵢ)`` and the ``rᵢeᵢ``, where
 ``rᵢ = min{t ≥ 1 : v(t·eᵢ) ≠ 0}`` are the axis periods.  Membership comes
-from a certificate ladder, cheapest rung first, before anything is
-evaluated (``nonvanishing_support``): a slot only one index reaches
+from a certificate ladder on the term table alone, cheapest rung first
+(``nonvanishing_support``): a slot only one index reaches
 (``single-entry``), the Lam–Leung theorem on vanishing sums of roots of unity
 (``lam-leung``), per-coset class sums of the functional on the cosets of
 ``D = ⊕ MᵢZ`` (``domain``), an n = 1 dominance window that lists every zero
@@ -20,8 +20,10 @@ evaluated (``nonvanishing_support``): a slot only one index reaches
 (``audit``).  The rung is reported as the support's ``certificate``.  Class
 sums are exact integer rows, and a degree in an open coset is decided from
 them: ``v(m) ≠ 0`` iff ``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an
-integer test.  The twisted support runs the same ladder on the restricted
-functional.
+integer test.  A coset the ladder did not scan, because the scan was over
+budget, is decided from its class sums when a lookup first reaches it, so
+the support never evaluates the functional.  The twisted support runs the
+same ladder on the restricted functional's term table.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation on a cube of degrees, scanning in order of increasing
@@ -37,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycScalar, CycVector, _reduce
+from .cyclotomic import CycScalar, CycVector, _prime_factors, _reduce
 from .errors import (
     InputError,
     NoPeriodWithinBoundError,
@@ -142,7 +144,9 @@ class Evaluator:
     vanish, with its contribution to each output slot as ``(ζ-exponent,
     rational)`` pairs.  Untwisted, ``k = 1`` and slot ``c`` of index ``I``
     holds ``λ_I[c]``, so each slot is a nonnegative integer combination of the
-    ``a_I^m`` and the Lam–Leung test applies (``lam_leung``).
+    ``a_I^m`` and the Lam–Leung test applies (``lam_leung``).  The support
+    reads only the term table; ``functional`` and ``is_nonzero`` are the
+    direct evaluation behind ``verify_support``.
     """
 
     k = 1
@@ -326,17 +330,6 @@ def _single_entry(ev) -> bool:
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return out + ([m] if m > 1 else [])
-
-
 def _lam_leung(ev, form: _CosetSums) -> bool:
     """Some slot never vanishes by Lam–Leung (J. Algebra 224, 2000).
 
@@ -362,43 +355,27 @@ def _in_semigroup(w: int, primes: list[int]) -> bool:
     return any(_in_semigroup(w - j * p, primes[:-1]) for j in range(w // p + 1))
 
 
-def _independent(vectors) -> bool:
-    """Linear independence over Q of sparse rational vectors (dicts)."""
-    basis: dict = {}
-    for v in vectors:
-        row = {k: Fraction(x) for k, x in v.items()}
-        while row:
-            p = min(row)
-            b = basis.get(p)
-            if b is None:
-                basis[p] = row
-                break
-            f = row[p] / b[p]
-            for k, x in b.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    row[k] = y
-                else:
-                    row.pop(k, None)
-        else:
-            return False
-    return True
+def _coset_status(form: _CosetSums, r):
+    """The coset ``r + D`` from its class sums: True (inside), False
+    (outside), or, left open, its nonzero class sums as ``(classes,
+    columns)`` for ``_CosetSums.nonzero``.
 
-
-def _coset_verdict(rows) -> bool | None:
-    """Whether ``Σ_K c_K·u_K`` with every ``c_K > 0`` is nonzero (None: the
-    class sums alone do not decide).
-
-    ``rows`` are the class sums of one coset from ``_CosetSums.sums``: each
-    ``u_K`` times one positive integer shared by every class and slot, so a
-    coordinate's signs and the rows' independence over Q are those of the
-    ``u_K``."""
+    Inside is ``Σ_K c_K·u_K ≠ 0`` for every choice of ``c_K > 0``.  The rows of
+    ``form.sums`` are each ``u_K`` times one positive integer shared by every
+    class and slot, so a coordinate's signs and the rows' independence over
+    Q (the rank of their Hermite form on the nonzero columns) are those of
+    the ``u_K``."""
+    sums = form.sums(r)
+    rows = [u for _, u in sums]
     if len(rows) < 2:
         return bool(rows)
-    for vals in zip(*rows):
+    cols = [c for c in zip(*rows) if any(c)]
+    for vals in cols:
         if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
             return True  # one sign on a power-basis coordinate
-    return True if _independent([{b: x for b, x in enumerate(u) if x} for u in rows]) else None
+    if Lattice.from_generators(zip(*cols)).rank == len(rows):
+        return True
+    return [K for K, _ in sums], cols
 
 
 def _dominance_steps(lead: Fraction, rest: Fraction, ratio: Fraction, limit: int) -> int | None:
@@ -450,25 +427,24 @@ def _window_zeros(form: _CosetSums, r0: int, coset, limit: int):
 class _Certificate:
     """Membership in the nonvanishing set by coset lookup.
 
-    ``status`` maps each coset representative of ``D = ⊕ moduliᵢZ`` to True
-    (inside), False (outside) or, for a coset the ladder left open, its
-    nonzero class sums as ``(classes, columns)`` for ``_CosetSums.nonzero``.
-    An empty ``status`` means no coset was scanned: ``ev`` is evaluated.
-    ``zeros`` are the exact zeros found inside certified cosets.  When every
-    coset is certified, the set is a lattice iff it agrees with it on
-    ``checks``: the generators of D and the representatives."""
+    ``status`` maps each coset representative of ``D = ⊕ moduliᵢZ`` to its
+    ``_coset_status``.  A coset the ladder did not scan (the scan was over
+    budget) gets its status from ``form`` on the first lookup.  ``zeros`` are
+    the exact zeros found inside certified cosets.  When every coset is
+    certified, the set is a lattice iff it agrees with it on ``checks``: the
+    generators of D and the representatives."""
 
     label: str
-    ev: object
     moduli: tuple[int, ...]
     status: dict
     zeros: list = field(default_factory=list)
     form: _CosetSums | None = None
 
     def member(self, m) -> bool:
-        st = self.status.get(tuple(x % M for x, M in zip(m, self.moduli)))
+        r = tuple(x % M for x, M in zip(m, self.moduli))
+        st = self.status.get(r)
         if st is None:
-            return self.ev.is_nonzero(m)
+            st = self.status[r] = _coset_status(self.form, r)
         if isinstance(st, bool):
             return st and tuple(m) not in self.zeros
         return self.form.nonzero(st, m)
@@ -484,10 +460,10 @@ def _certify(ev, n: int, bounds) -> _Certificate:
     """The certificate ladder, cheapest first (see ``nonvanishing_support``)."""
     everything = {(0,) * n: True}
     if _single_entry(ev):
-        return _Certificate("single-entry", ev, (1,) * n, everything)
+        return _Certificate("single-entry", (1,) * n, everything)
     form = _CosetSums(ev)
     if ev.lam_leung and len(form.classes) == 1 and _lam_leung(ev, form):
-        return _Certificate("lam-leung", ev, (1,) * n, everything)
+        return _Certificate("lam-leung", (1,) * n, everything)
     budget = 1
     for b in bounds:
         budget *= 2 * max(6, 2 * b) + 1  # the audit cube
@@ -495,16 +471,13 @@ def _certify(ev, n: int, bounds) -> _Certificate:
     for M in form.moduli:
         spent *= M
     if spent > budget:
-        return _Certificate("audit", ev, form.moduli, {})
+        return _Certificate("audit", form.moduli, {}, form=form)
     status: dict = {}
     zeros: list = []
     label = "domain"
     for r in itertools.product(*(range(M) for M in form.moduli)):
-        sums = form.sums(r)
-        verdict = _coset_verdict([u for _, u in sums])
-        if verdict is None:
-            ks, rows = zip(*sums)
-            verdict = ks, [c for c in zip(*rows) if any(c)]
+        verdict = _coset_status(form, r)
+        if not isinstance(verdict, bool):
             found = _window_zeros(form, r[0], verdict, budget - spent) if n == 1 else None
             if found is not None:
                 spent += found[0]
@@ -515,17 +488,17 @@ def _certify(ev, n: int, bounds) -> _Certificate:
     if not all(isinstance(st, bool) for st in status.values()):
         label = "audit"
     zeros.sort(key=lambda m: (abs(m[0]), -m[0]))  # n = 1: the audit cube's order
-    return _Certificate(label, ev, form.moduli, status, zeros, form)
+    return _Certificate(label, form.moduli, status, zeros, form)
 
 
 def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     """The set ``Γ = {m : ev.is_nonzero(m)}`` as a full-rank lattice.
 
     ``ev`` is an evaluator with a term table (``Evaluator``,
-    ``twisted.TwistedEvaluator``).  Γ is certified from the term table and
-    the integer class sums ``u_K(r)`` of ``_CosetSums``; ``ev.is_nonzero`` is
-    called only when no coset scan ran.  The rungs, in order, and the
-    ``certificate`` they leave on the result:
+    ``twisted.TwistedEvaluator``).  Γ is decided from the term table and the
+    integer class sums ``u_K(r)`` of ``_CosetSums`` alone; ``ev`` is never
+    evaluated.  The rungs, in order, and the ``certificate`` they leave on
+    the result:
 
     * ``single-entry``: a slot that exactly one index reaches never vanishes,
       so Γ = Zⁿ.
@@ -543,7 +516,8 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
       radii ``max(6, 2·max(rᵢ, boundsᵢ))``.  A degree ``m`` of an open coset
       is decided from its class sums: ``Σ_K ρ_K^m·u_K(r) ≠ 0``, in integers.
       When the coset scan itself would cost more than the cube, no coset is
-      scanned and every degree is evaluated with ``ev.is_nonzero``.
+      scanned ahead, and each coset the lookups reach is decided from its
+      class sums on first use.
 
     Every rung yields exact membership by lookup.  From it the axis periods
     ``rᵢ`` (searched up to ``boundsᵢ``) and the members of the box

@@ -115,7 +115,8 @@ class TwistedEvaluator:
 
     Its term table (see ``psi.Evaluator``) holds the restricted components,
     which are not sums of roots of unity with positive weights, so the
-    Lam–Leung rung is skipped."""
+    Lam–Leung rung is skipped.  The support reads only the term table;
+    ``restricted_values`` and ``is_nonzero`` evaluate directly, as an oracle."""
 
     lam_leung = False
 

@@ -139,6 +139,12 @@ def test_twisted_commands(write, capsys):
     assert doc["result"]["m_hat"] == 2
     code, doc = _run(capsys, ["twisted-iso", t, t])
     assert code == 0 and doc["result"]["isomorphic"]
+    # λ = (1, 0) is not fixed by the flip (first type), λ = (1, 1) is (second).
+    first = write(dict(TWISTED, weights=[{"index": [1], "coords": [1, 0]}]), "first.json")
+    code, doc = _run(capsys, ["twisted-iso", first, t])
+    assert code == 1
+    assert doc["result"]["isomorphic"] is False
+    assert doc["result"]["reason"] == "type-mismatch"
     code, doc = _run(capsys, ["reducibility", t])
     assert code == 0
     assert doc["result"] == {"completely_reducible": True, "reason": "image-equality"}
@@ -365,14 +371,14 @@ def test_verify_computes_the_support_once(write, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
-    # Elements take O(L) memory, so a two-entry table at L = 200003 fits in
-    # 1 GiB of address space.
+def _classify_two_entry(tmp_path, order, timeout):
+    # `classify` of λ = (1),(1), a = (1, ζ_order) in a fresh interpreter under
+    # a 1 GiB address-space cap; returns the result.
     spec = dict(
         SPEC_2Z,
-        evals=[[1, {"num": 1, "zeta_order": 200003, "zeta_pow": 1}]],
+        evals=[[1, {"num": 1, "zeta_order": order, "zeta_pow": 1}]],
     )
-    path = tmp_path / "prime.json"
+    path = tmp_path / "two_entry.json"
     path.write_text(json.dumps(spec))
     script = (
         "import resource, sys\n"
@@ -384,10 +390,23 @@ def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", script, str(path)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout)["result"]["index"] == 1
+    return json.loads(proc.stdout)["result"]
+
+
+def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
+    # Elements take O(L) memory, so a two-entry table at L = 200003 fits in
+    # 1 GiB of address space.
+    assert _classify_two_entry(tmp_path, 200003, 300)["index"] == 1
+
+
+def test_million_order_classifies_in_bounded_time(tmp_path):
+    # Φ_L for L = 10⁶ = 2⁶·5⁶ is a Möbius product of four factors x^d − 1,
+    # and the support decides the cosets the audit cube reaches from their
+    # class sums, so a two-entry table classifies well within the timeout.
+    assert _classify_two_entry(tmp_path, 10 ** 6, 30)["index"] == 1
 
 
 SPEC_ZETA = {

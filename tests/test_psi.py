@@ -21,7 +21,7 @@ from loopmod.psi import (
     support_lattice,
     verify_support,
 )
-from loopmod.twisted import TwistedEvaluator, TwistedSpec
+from loopmod.twisted import TwistedEvaluator, TwistedSpec, twisted_support
 
 
 def _two_point(w1, w2, a1, a2):
@@ -277,19 +277,64 @@ def test_certified_support_agrees_with_the_oracle():
     }, rungs
 
 
+# Version 1 of classify-corpus item 012: a = (−2ζ₁₂⁴ ; ½, −3) has torsion
+# classes (2, ½) and (2, 3), and on the odd cosets of axis 2 their class sums
+# have opposite signs and span one line, so the ladder leaves them open
+# (n = 2).  Evaluating the functional there took 79 calls.
+_OPEN_COSETS = spec(
+    A1, (1, 2), {(1, 1): (1,), (1, 2): (1,)}, [((-2, 4, 12),), (Fraction(1, 2), -3)]
+)
+# a = (2, 3ζ₂₀₀₃): two torsion classes whose phase ratio has order 2003, so
+# the coset scan is over the audit cube's budget and no coset is scanned
+# ahead.  Evaluating the functional there took 15 calls.
+_OVER_BUDGET = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(2, (3, 1, 2003))])
+
+
 def test_open_cosets_are_decided_without_the_functional(counted):
-    # Version 1 of classify-corpus item 012: a = (−2ζ₁₂⁴ ; ½, −3) has torsion
-    # classes (2, ½) and (2, 3), and on the odd cosets of axis 2 their class
-    # sums have opposite signs and span one line, so the ladder leaves them
-    # open (n = 2).  Their degrees on the audit cube are decided from the
-    # class sums; evaluating the functional there took 79 calls.
-    s = spec(A1, (1, 2), {(1, 1): (1,), (1, 2): (1,)}, [((-2, 4, 12),), (Fraction(1, 2), -3)])
-    sup = support_lattice(s)
-    assert sup.certificate == "audit"
-    assert sup.lattice.rows == ((1, 0), (0, 1))
-    assert sup.periods == (1, 1) and sup.index == 1
-    assert counted["functional"] == 0
-    assert counted["sums"] == 2
+    # The degrees the audit cube reaches in open or unscanned cosets are
+    # decided from the class sums, each coset's sums computed once.
+    for s, rows, sums in ((_OPEN_COSETS, ((1, 0), (0, 1)), 2), (_OVER_BUDGET, ((1,),), 13)):
+        counted.clear()
+        sup = support_lattice(s)
+        assert sup.certificate == "audit"
+        assert sup.lattice.rows == rows
+        assert sup.periods == (1,) * s.n and sup.index == 1
+        assert counted["functional"] == 0
+        assert counted["sums"] == sums
+        assert verify_support(s, sup, 8)
+
+
+def test_support_evaluates_nothing(monkeypatch):
+    # The support reads the term table alone: direct evaluation, untwisted or
+    # twisted, is left to the oracle.
+    def refuse(self, m):
+        raise AssertionError(f"evaluated at {m}")
+
+    for owner, name in (
+        (Evaluator, "functional"),
+        (Evaluator, "is_nonzero"),
+        (TwistedEvaluator, "restricted_values"),
+        (TwistedEvaluator, "is_nonzero"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert support_lattice(_OVER_BUDGET).index == 1
+    assert support_lattice(_OPEN_COSETS).index == 1
+    t = TwistedSpec(
+        base=spec(A2, (2,), {(1,): (1, 0), (2,): (2, 0)}, [(Fraction(1, 2), -3)]),
+        aut=A2_FLIP,
+    )
+    sup = twisted_support(t)
+    assert sup.certificate == "descartes" and sup.index == 1
+
+
+@pytest.mark.parametrize("primes", [[2, 3], [3, 5], [2, 3, 5], [3, 5, 7]])
+def test_in_semigroup_matches_brute_force(primes):
+    # w ∈ ℕp₁ + … + ℕp_r by dynamic programming over w < 80, which reaches
+    # below Sylvester's bound for every prime set here.
+    reach = [True] + [False] * 79
+    for w in range(1, 80):
+        reach[w] = any(w >= p and reach[w - p] for p in primes)
+    assert [psi._in_semigroup(w, primes) for w in range(80)] == reach
 
 
 def _opposite_pair(rng):
