@@ -7,31 +7,38 @@ independence through the contravariant form (⟨f_i x, y⟩ = ⟨x, e_i y⟩ wit
 candidate is dependent exactly when its Gram residual vanishes.  Raising and
 lowering matrices come out of the same Gram solves; everything is rational.
 
-``generate_component`` closes the seeded vector ``v(m̃)`` under the degree
-``{0, ±e₁, …, ±eₙ}`` generators inside a degree box.  Every generator moves
-a weight by one fixed shift, so each degree fiber splits into weight spaces:
+``generate_component`` closes the seeded vector ``v(m̃)`` inside a degree
+box under a generating set of the loop algebra: ``e_i`` and ``f_i`` at step
+0 for every i, and ``e₁`` alone at each step ``±e_j``.  That closure is
+also closed under every ``x⊗t^s``.  The x with ``(x⊗t^s)·W(m) ⊂ W(m+s)``
+for all in-box ``m, m+s`` form a subspace that ``ad(g)`` preserves, because
+each fiber ``W(m)`` is ``g⊗1``-stable; it contains ``e₁``, so it is a
+nonzero ideal of the simple g, hence all of g.  Every generator moves a
+weight by one fixed shift, so each degree fiber splits into weight spaces:
 the closure keeps one ``FieldEchelon`` per degree and weight class, with rows
 only as long as the class.  A row matters only up to a nonzero scalar, so it
 is kept as integer power-basis numerators over Z[ζ_L] and eliminated
 fraction-free with a positive rational-integer pivot; images come from term
 plans scaled to integers once.  The closure skips an image whose target class
-is already full, since the image lies in its span, and a diagonal generator
-at step 0 that acts on each class by a scalar.  The box is widened by one
+is already full, since the image lies in its span.  The box is widened by one
 degree (``_MARGIN``) during the sweep and cropped on return, so reported
 fibers do not suffer boundary truncation.  Closure terminates because in-box
 fiber ranks grow monotonically.
 
-The twisted closure (rank-2 A series, twist order 2) uses the fixed part
-``{e₁+e₂, f₁+f₂, h₁+h₂}``, which keeps the first loop degree, and the
-anti-fixed part ``{h₁−h₂, e₁−e₂, f₁−f₂, [e₁,e₂], [f₁,f₂]}``, which steps it
-by ±1; its weight classes are the weight's values on the orbit sums of the
-diagram nodes (``h0_weight_map``).  Both closures, and ``loop_action``, take
-the per-slot ``e_i``, ``f_i`` and ``h_i`` matrices from ``_slot_matrices``
-and their steps from ``_steps``.  What a closure needs besides its seed (the
-grading, each generator's columns, class shift and coefficients, the moves
-between classes and the term plans) is a ``_ClosureTables``;
-``component_decomposition`` builds it once and closes every coset
-representative of the support from it.
+The twisted closure (rank-2 A series, twist order 2) uses ``e₁+e₂`` and
+``f₁+f₂`` at step 0, ``e₁+e₂`` at ``±e_j`` for j ≥ 2 and ``e₁−e₂`` at
+``±e₁``.  The fixed part g₀ is simple (it is sl₂) and the anti-fixed part g₁
+is an irreducible g₀-module (Kac, *Infinite-dimensional Lie Algebras*, 3rd
+ed., Prop. 8.3), so the same argument, with g₀ in place of g, closes the
+fibers under all of g₀ at the steps that keep the first loop degree and all
+of g₁ at ``±e₁``.  Its weight classes are the weight's values on the orbit
+sums of the diagram nodes (``h0_weight_map``).  Both closures take their
+per-slot ``e_i`` and ``f_i`` matrices from ``_slot_matrices`` (as does
+``loop_action``, with ``h_i`` too) and their steps from ``_steps``.  What a
+closure needs besides its seed (the grading, each generator's columns, class
+shift and coefficients, the moves between classes and the term plans) is a
+``_ClosureTables``; ``component_decomposition`` builds it once and closes
+every coset representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -271,10 +278,6 @@ def _mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
     return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum((x * y for x, y in zip(ra, cb) if x and y), _F0) for cb in zip(*b)] for ra in a]
-
-
 def _diag_matrix(values) -> Matrix:
     n = len(values)
     return [[Fraction(values[i]) if i == j else _F0 for j in range(n)] for i in range(n)]
@@ -473,36 +476,37 @@ def _image(plan, entries, order: int, width: int) -> list[int]:
 
 
 def _class_shift(fin: FinModule, mats, class_map):
-    """``(shift, diagonal)`` of a generator: the one class shift of all its
-    nonzero slot entries (None when it acts as zero) and whether every slot
-    matrix is diagonal.  Raises if the generator is not homogeneous."""
+    """The one class shift of all the nonzero slot entries of a generator, or
+    None when it acts as zero.  Raises if the generator is not homogeneous.
+    The closure generators are root vectors, or sums of root vectors with one
+    class shift (see ``_ClosureTables``), so none of them is diagonal."""
     shifts = set()
-    diagonal = True
     for slot, mat in zip(fin.slots, mats):
         for r, row in enumerate(mat):
             for c, x in enumerate(row):
                 if x:
-                    diagonal = diagonal and r == c
                     a, b = class_map(slot.weights[r]), class_map(slot.weights[c])
                     shifts.add(tuple(p - q for p, q in zip(a, b)))
     if len(shifts) > 1:
         raise UnsupportedError("closure generator does not preserve the weight grading")
-    return (shifts.pop() if shifts else None), diagonal
-
-
-def _scalar_on_classes(fin: FinModule, mats, grading: Grading) -> bool:
-    # Whether the total diagonal Σ_k mats[k] is constant on every class.
-    def diag(g):
-        return sum(m[fin.slot_component(g, k)][fin.slot_component(g, k)] for k, m in enumerate(mats))
-
-    return all(len({diag(g) for g in gs}) == 1 for gs in grading.members.values())
+    return shifts.pop() if shifts else None
 
 
 class _ClosureTables:
     """The seed-independent part of a closure: the grading, each generator's
     columns, class shift and per-step coefficients, the moves between
     classes, and the term plans, built on first use and kept for every later
-    seed."""
+    seed.
+
+    ``generators`` need only generate the loop algebra, as a Lie algebra, on
+    the steps they are given: ``x⊗1`` for x in a generating set of g (or of
+    g₀ in the twisted case) and one nonzero ``x⊗t^s`` per step s ≠ 0.  Each
+    fiber is then stable under ``g⊗1``, and the x whose ``x⊗t^s`` keeps the
+    in-box fibers form a ``g``-stable subspace that contains the step
+    generator: the whole of the simple g, or of the irreducible g₀-module
+    g_{±1} (Kac, *Infinite-dimensional Lie Algebras*, 3rd ed., Prop. 8.3).
+    So the box-truncated closure equals the closure under every
+    ``x⊗t^s``."""
 
     def __init__(self, fin: FinModule, ev: Evaluator, generators, class_map):
         # generators: list of (per-slot matrices, list of step degrees)
@@ -514,17 +518,11 @@ class _ClosureTables:
         members = grading.members
         gens = []  # (per-slot columns, class shift, per-slot coefficients, step)
         for mats, steps in generators:
-            shift, diagonal = _class_shift(fin, mats, class_map)
+            shift = _class_shift(fin, mats, class_map)
             if shift is None:
                 continue
-            # At step 0 every coefficient is 1, so a diagonal generator whose
-            # total diagonal is constant on each class maps a row of that class
-            # to a multiple of itself.
-            skip_zero = diagonal and _scalar_on_classes(fin, mats, grading)
             cols = [_columns(m) for m in mats]
             for s in steps:
-                if skip_zero and not any(s):
-                    continue
                 coeffs = [ev.coefficient(I, s) for I in indices]
                 gens.append((cols, shift, coeffs, tuple(s)))
         self.gens = gens
@@ -600,12 +598,6 @@ def _slot_matrices(fin: FinModule, kind: str, i: int) -> list[Matrix]:
     raise InputError("unknown generator kind", kind=kind)
 
 
-def _untwisted_generators(fin: FinModule):
-    d = fin.algebra.rank
-    gens = [_slot_matrices(fin, kind, i) for i in range(d) for kind in "fe"]
-    return gens + [_slot_matrices(fin, "h", j) for j in range(d)]
-
-
 def _identity(wt):
     return wt
 
@@ -622,16 +614,20 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
 
 
 def _untwisted_tables(spec: PsiSpec, cap: int) -> _ClosureTables:
+    # g⊗1 from its Chevalley generators, and e₁ alone at each step ±e_j.
     fin = fin_for_spec(spec, cap=cap)
-    steps = _steps(spec.n, range(spec.n))
-    generators = [(mats, steps) for mats in _untwisted_generators(fin)]
+    zero = _steps(spec.n, ())
+    generators = [
+        (_slot_matrices(fin, kind, i), zero) for i in range(fin.algebra.rank) for kind in "fe"
+    ]
+    generators.append((_slot_matrices(fin, "e", 0), _steps(spec.n, range(spec.n), zero=False)))
     return _ClosureTables(fin, Evaluator(spec), generators, _identity)
 
 
 def generate_component(
     spec: PsiSpec, radius: int, cap: int = 64, seed_degree=None, tables=None
 ) -> GradedBox:
-    """Closure of v(m̃) under all simple-generator steps, fibers per degree.
+    """Closure of v(m̃) under the loop algebra, fibers per degree.
 
     ``tables`` are the seed-independent closure tables of ``spec`` at ``cap``
     when the caller closes several seeds of one spec (see
@@ -795,23 +791,14 @@ def graded_character(
 # ---------------------------------------------------------------------------
 
 def _twisted_generators(fin: FinModule):
-    e, f, h = ([_slot_matrices(fin, kind, i) for i in range(2)] for kind in "efh")
+    """``[e₁+e₂, f₁+f₂]``, which generate g₀, and ``[e₁−e₂]``, a nonzero
+    vector of the irreducible g₀-module g₁."""
+    e, f = ([_slot_matrices(fin, kind, i) for i in range(2)] for kind in "ef")
 
     def comb(a, b, sign):
         return [_mat_add(x, y, sign) for x, y in zip(a, b)]
 
-    def brkt(a, b):
-        return [_mat_add(_mat_mul(x, y), _mat_mul(y, x), -1) for x, y in zip(a, b)]
-
-    fixed = [comb(e[0], e[1], 1), comb(f[0], f[1], 1), comb(h[0], h[1], 1)]
-    anti = [
-        comb(h[0], h[1], -1),
-        comb(e[0], e[1], -1),
-        comb(f[0], f[1], -1),
-        brkt(e[0], e[1]),
-        brkt(f[0], f[1]),
-    ]
-    return fixed, anti
+    return [comb(e[0], e[1], 1), comb(f[0], f[1], 1)], [comb(e[0], e[1], -1)]
 
 
 def twisted_generate_component(
@@ -830,12 +817,13 @@ def twisted_generate_component(
         )
     fin = fin_for_spec(base, cap=cap)
     n = base.n
-    fixed, anti = _twisted_generators(fin)
-    # Fixed-part generators step by 0 and ±eᵢ for i ≥ 2, anti-fixed ones by ±e₁.
-    fixed_steps = _steps(n, range(1, n))
-    anti_steps = _steps(n, (0,), zero=False)
-    generators = [(mats, fixed_steps) for mats in fixed]
-    generators += [(mats, anti_steps) for mats in anti]
+    (e_fixed, f_fixed), (e_anti,) = _twisted_generators(fin)
+    # g₀ at step 0 from e₁+e₂ and f₁+f₂; e₁+e₂ at ±eᵢ for i ≥ 2, e₁−e₂ at ±e₁.
+    generators = [
+        (e_fixed, _steps(n, range(1, n))),
+        (f_fixed, _steps(n, ())),
+        (e_anti, _steps(n, (0,), zero=False)),
+    ]
     seed = seed_degree if seed_degree is not None else (0,) * n
     tables = _ClosureTables(fin, Evaluator(base), generators, h0_weight_map(node_orbits(tspec.aut)))
     return tables.close(seed, radius)

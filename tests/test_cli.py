@@ -371,9 +371,9 @@ def test_verify_computes_the_support_once(write, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def _classify_two_entry(tmp_path, order, timeout):
-    # `classify` of λ = (1),(1), a = (1, ζ_order) in a fresh interpreter under
-    # a 1 GiB address-space cap; returns the result.
+def _classify_two_entry(tmp_path, command, order, timeout):
+    # `command` (`classify` or `verify`) of λ = (1),(1), a = (1, ζ_order) in a
+    # fresh interpreter under a 1 GiB address-space cap; returns the result.
     spec = dict(
         SPEC_2Z,
         evals=[[1, {"num": 1, "zeta_order": order, "zeta_pow": 1}]],
@@ -384,12 +384,12 @@ def _classify_two_entry(tmp_path, order, timeout):
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from loopmod.cli import main\n"
-        "sys.exit(main(['classify', sys.argv[1]]))\n"
+        "sys.exit(main([sys.argv[1], sys.argv[2]]))\n"
     )
     src = os.path.dirname(os.path.dirname(loopmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
+        [sys.executable, "-c", script, command, str(path)],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -399,14 +399,22 @@ def _classify_two_entry(tmp_path, order, timeout):
 def test_large_prime_order_classifies_in_bounded_memory(tmp_path):
     # Elements take O(L) memory, so a two-entry table at L = 200003 fits in
     # 1 GiB of address space.
-    assert _classify_two_entry(tmp_path, 200003, 300)["index"] == 1
+    assert _classify_two_entry(tmp_path, "classify", 200003, 300)["index"] == 1
 
 
 def test_million_order_classifies_in_bounded_time(tmp_path):
     # Φ_L for L = 10⁶ = 2⁶·5⁶ is a Möbius product of four factors x^d − 1,
     # and the support decides the cosets the audit cube reaches from their
     # class sums, so a two-entry table classifies well within the timeout.
-    assert _classify_two_entry(tmp_path, 10 ** 6, 30)["index"] == 1
+    assert _classify_two_entry(tmp_path, "classify", 10 ** 6, 30)["index"] == 1
+
+
+def test_million_order_verifies_in_bounded_time(tmp_path):
+    # The closure's step generator is the root vector e₁, whose images at
+    # L = 10⁶ are reduced without a Euclid inverse over Q[x], so the
+    # realization check stays well within the timeout and the memory cap.
+    result = _classify_two_entry(tmp_path, "verify", 10 ** 6, 30)
+    assert result["ok"] and all(result["checks"].values())
 
 
 SPEC_ZETA = {

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import A1, A2, A2_FLIP, sc, spec
+from helpers import A1, A2, A2_FLIP, random_twisted_spec, sc, spec
 from loopmod import realizer
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import CapExceededError, UnsupportedError
@@ -520,6 +521,108 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     fixed, _ = realizer._twisted_generators(fin)
     with pytest.raises(UnsupportedError):
         realizer._ClosureTables(fin, Evaluator(s), [(fixed[0], [(1,)])], _identity).close((0,), 1)
+
+
+_CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
+
+
+def _bracket(a, b):
+    # Per-slot commutators [x, y] of two generators' slot matrices.
+    def mul(x, y):
+        out = [[0] * len(x) for _ in x]
+        for r, row in enumerate(x):
+            for k, p in enumerate(row):
+                for c, q in enumerate(y[k] if p else ()):
+                    out[r][c] += p * q
+        return out
+
+    return [
+        [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(mul(x, y), mul(y, x))]
+        for x, y in zip(a, b)
+    ]
+
+
+def _comb(a, b, sign):
+    return [[[p + sign * q for p, q in zip(r1, r2)] for r1, r2 in zip(x, y)] for x, y in zip(a, b)]
+
+
+def _assert_same_closure(new, old, n, radius):
+    # Equal ranks and new rows inside the old fiber: the spans are equal.
+    work = radius + realizer._MARGIN
+    for deg in itertools.product(range(-work, work + 1), repeat=n):
+        nf, of = new.fiber(deg), old.fiber(deg)
+        assert (nf.rank if nf else 0) == (of.rank if of else 0), deg
+        for row in nf.rows if nf else ():
+            assert of.contains(row), deg
+
+
+def _capped_weights(rng, algebra, indices, cap=64):
+    # Dominant slot weights whose tensor dimension stays within ``cap``; at
+    # least one is nonzero.
+    while True:
+        total, weights = 1, {}
+        for I in indices:
+            lam = tuple(rng.randint(0, 2) for _ in range(algebra.rank))
+            if total * weyl_dim(algebra, lam) > cap:
+                lam = (0,) * algebra.rank
+            total *= weyl_dim(algebra, lam)
+            weights[I] = lam
+        if any(any(w) for w in weights.values()):
+            return weights
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_generating_set_closure_equals_full_set_closure(seed):
+    # The closure on g⊗1 plus e₁ at each step ±e_j spans what the closure on
+    # every e_i, f_i, h_i at every step spans, at every degree of the box.
+    rng = random.Random(seed)
+    algebra = rng.choice(_CLOSURE_ALGEBRAS)
+    n = rng.choice((1, 2))
+    dims = tuple(rng.randint(1, 3 if n == 1 else 2) for _ in range(n))
+    indices = list(itertools.product(*(range(1, d + 1) for d in dims)))
+    pool = [sc(1), sc(-1), sc(2), sc(-2), sc(3), sc(1, 4, 12), sc(2, 4, 12), sc(1, 3, 12)]
+    evals = [tuple(rng.sample(pool, d)) for d in dims]
+    s = spec(algebra, dims, _capped_weights(rng, algebra, indices), evals)
+    radius = 1
+    seed_degree = tuple(rng.randint(-1, 1) for _ in range(n))
+    fin = fin_for_spec(s)
+    steps = realizer._steps(n, range(n))
+    full = [
+        (realizer._slot_matrices(fin, kind, i), steps)
+        for i in range(algebra.rank) for kind in "efh"
+    ]
+    tables = realizer._ClosureTables(fin, Evaluator(s), full, _identity)
+    old = tables.close(seed_degree, radius)
+    new = generate_component(s, radius, seed_degree=seed_degree)
+    _assert_same_closure(new, old, n, radius)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_twisted_generating_set_closure_equals_full_set_closure(seed):
+    # A₂ flip: e₁+e₂, f₁+f₂ at step 0, e₁+e₂ at ±e_j (j ≥ 2) and e₁−e₂ at ±e₁
+    # span what every fixed and anti-fixed basis element spans.
+    rng = random.Random(seed)
+    while True:
+        t = random_twisted_spec(rng, A2, A2_FLIP)
+        if prod(weyl_dim(A2, w) for w in t.base.weights.values()) <= 64:
+            break
+    s, n = t.base, t.base.n
+    fin = fin_for_spec(s)
+    e, f, h = ([realizer._slot_matrices(fin, kind, i) for i in range(2)] for kind in "efh")
+    fixed = [_comb(e[0], e[1], 1), _comb(f[0], f[1], 1), _comb(h[0], h[1], 1)]
+    anti = [
+        _comb(h[0], h[1], -1), _comb(e[0], e[1], -1), _comb(f[0], f[1], -1),
+        _bracket(e[0], e[1]), _bracket(f[0], f[1]),
+    ]
+    full = [(m, realizer._steps(n, range(1, n))) for m in fixed]
+    full += [(m, realizer._steps(n, (0,), zero=False)) for m in anti]
+    radius = 1
+    class_map = h0_weight_map(node_orbits(A2_FLIP))
+    old = realizer._ClosureTables(fin, Evaluator(s), full, class_map).close((0,) * n, radius)
+    new = twisted_generate_component(t, radius)
+    _assert_same_closure(new, old, n, radius)
 
 
 def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
