@@ -165,8 +165,14 @@ class CycScalar:
     # -- structure -----------------------------------------------------
 
     def _key(self):
-        # Order-independent invariant: (q, rotation e/order in [0,1)).
-        return (self.q, Fraction(self.e, self.order))
+        # Order-independent invariant: the argument in turns, folded into
+        # [0, 1/2) by the sign of q as the even-order canonical form is, as a
+        # fraction in lowest terms.  Odd orders have e/order ≥ 1/2 to fold.
+        q, turns, full = self.q, 2 * self.e, 2 * self.order
+        if turns >= self.order:
+            q, turns = -q, turns - self.order
+        g = gcd(turns, full)
+        return (q, turns // g, full // g)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycScalar):
@@ -362,7 +368,8 @@ class CycVector:
         return _product(self, other)
 
     def inverse(self) -> "CycVector":
-        """Field inverse modulo Φ_order (extended Euclid over Q[x])."""
+        """Field inverse modulo Φ_order (extended Euclid over Q[x]).  No engine
+        path needs it; it is the tests' oracle, and the benchmark tracer wraps it."""
         if self.is_zero():
             raise ZeroDivisionError("zero element of the cyclotomic field")
         L = self.order
@@ -450,17 +457,6 @@ def from_numerators(order: int, row, den: int) -> list[CycVector]:
     """The elements with numerators ``row`` (φ(order) per element) over ``den``."""
     w = _phi_taps(order)[0]
     return [CycVector(order, _num=row[k:k + w], _den=den) for k in range(0, len(row), w)]
-
-
-def pivot_multiplier(order: int, lead) -> list[int]:
-    """Numerators of an ``m`` with ``lead·m`` a positive rational integer, for
-    nonzero numerators ``lead``: ``±ζ^{−e}`` (a shift) when ``lead`` is
-    ``a·ζ^e``, the cleared numerators of ``lead⁻¹`` otherwise."""
-    live = [(e, a) for e, a in enumerate(lead) if a]
-    if len(live) > 1:
-        return list(CycVector(order, _num=lead).inverse().num)
-    (e, a), = live
-    return shift_sum(order, [((1,), -e % order, 1 if a > 0 else -1)])
 
 
 def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:

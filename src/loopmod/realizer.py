@@ -17,13 +17,13 @@ nonzero ideal of the simple g, hence all of g.  Every generator moves a
 weight by one fixed shift, so each degree fiber splits into weight spaces:
 the closure keeps one ``FieldEchelon`` per degree and weight class, with rows
 only as long as the class.  A row matters only up to a nonzero scalar, so it
-is kept as integer power-basis numerators over Z[ζ_L] and eliminated
-fraction-free with a positive rational-integer pivot; images come from term
-plans scaled to integers once.  The closure skips an image whose target class
-is already full, since the image lies in its span.  The box is widened by one
-degree (``_MARGIN``) during the sweep and cropped on return, so reported
-fibers do not suffer boundary truncation.  Closure terminates because in-box
-fiber ranks grow monotonically.
+is kept as integer power-basis numerators over Z[ζ_L], with whatever pivot
+it came with, and eliminated fraction-free, with no pivot inverse; images
+come from term plans scaled to integers once.  The closure skips an image
+whose target class is already full, since the image lies in its span.  The
+box is widened by one degree (``_MARGIN``) during the sweep and cropped on
+return, so reported fibers do not suffer boundary truncation.  Closure
+terminates because in-box fiber ranks grow monotonically.
 
 The twisted closure (rank-2 A series, twist order 2) uses ``e₁+e₂`` and
 ``f₁+f₂`` at step 0, ``e₁+e₂`` at ``±e_j`` for j ≥ 2 and ``e₁−e₂`` at
@@ -56,8 +56,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .cyclotomic import (
-    CycVector, cyclotomic_polynomial, from_numerators, mul_mod, pivot_multiplier, shift_sum,
-    to_numerators,
+    CycVector, cyclotomic_polynomial, from_numerators, mul_mod, shift_sum, to_numerators,
 )
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits
@@ -287,13 +286,22 @@ def _diag_matrix(values) -> Matrix:
 # echelon bases over the cyclotomic field
 # ---------------------------------------------------------------------------
 
+def _times(order: int, m, x) -> list[int]:
+    """Numerators of ``m·x`` for numerators ``m`` and ``x`` of Z[ζ_L]."""
+    if not any(m[1:]):
+        return [m[0] * y for y in x]
+    return mul_mod(order, x, m) if any(x) else x
+
+
 class FieldEchelon:
     """Row space over Q(ζ_L), for rank and membership, by fraction-free
-    elimination.  ``int_rows`` holds each row as one integer list, ``width`` =
-    φ(L) power-basis numerators per entry, with content 1 and a positive
-    rational-integer pivot entry ``d``: a nonzero multiple of the row with
-    pivot 1, which ``rows`` gives as ``CycVector`` lists.  A vector is reduced
-    by ``vec ← d·vec − vec[piv]·row`` for each row in pivot order."""
+    elimination over Z[ζ_L].  ``int_rows`` holds each row as one integer list,
+    ``width`` = φ(L) power-basis numerators per entry, with its integer
+    content divided out and whatever pivot entry α ∈ Z[ζ_L] it has; ``rows``
+    gives the same rows as ``CycVector`` lists.  A vector is reduced by
+    ``vec ← α·vec − vec[piv]·row`` for each row in pivot order.  Z[ζ_L] is an
+    integral domain, so that clears entry ``piv`` for any nonzero α and no
+    pivot is ever inverted (Bareiss, *Math. Comp.* 22, 1968)."""
 
     def __init__(self, length: int, order: int):
         self.length = length
@@ -308,8 +316,7 @@ class FieldEchelon:
 
     @property
     def rows(self) -> list[list[CycVector]]:
-        w = self.width
-        return [from_numerators(self.order, r, r[p * w]) for p, r in zip(self.pivots, self.int_rows)]
+        return [from_numerators(self.order, r, 1) for r in self.int_rows]
 
     def _reduce(self, vec) -> list[int]:
         if vec and isinstance(vec[0], CycVector):
@@ -320,48 +327,38 @@ class FieldEchelon:
             c = vec[o:o + w]
             if not any(c):
                 continue
-            d = row[o]
-            g = gcd(d, *c)
+            a = row[o:o + w]
+            g = gcd(*a, *c)
             if g != 1:
-                d, c = d // g, [x // g for x in c]
-            if not any(c[1:]):  # a rational multiplier
-                c0 = c[0]
-                vec = [d * x - c0 * y for x, y in zip(vec, row)]
-                continue
-            vec = [d * x for x in vec]
-            for t in range(piv + 1, self.length):
-                for j, x in enumerate(mul_mod(order, c, row[t * w:t * w + w]), t * w):
-                    vec[j] -= x
-            vec[o:o + w] = [0] * w
+                a, c = [x // g for x in a], [x // g for x in c]
+            if any(a[1:]) or any(c[1:]):
+                vec = [
+                    x - y
+                    for k in range(0, len(vec), w)
+                    for x, y in zip(_times(order, a, vec[k:k + w]), _times(order, c, row[k:k + w]))
+                ]
+            else:  # rational α and multiplier
+                a0, c0 = a[0], c[0]
+                vec = [a0 * x - c0 * y for x, y in zip(vec, row)]
         return vec
 
     def add(self, vec) -> list | None:
         """Insert ``vec`` if independent; returns None, or the stored row as
-        the row with pivot 1 when ``vec`` is a list of ``CycVector`` entries,
-        as in ``int_rows`` when it is an integer row."""
+        ``CycVector`` entries when ``vec`` is a list of them, as in
+        ``int_rows`` when it is an integer row."""
         public = bool(vec) and isinstance(vec[0], CycVector)
-        vec = self._reduce(vec)
-        w, order = self.width, self.order
-        support = [t for t in range(self.length) if any(vec[t * w:t * w + w])]
-        if not support:
+        row = self._reduce(vec)
+        w = self.width
+        piv = next((t for t in range(self.length) if any(row[t * w:t * w + w])), None)
+        if piv is None:
             return None
-        piv = support[0]
-        lead = vec[piv * w:piv * w + w]
-        if len(support) == 1:  # no inverse for a one-entry vector
-            row = [0] * len(vec)
-            row[piv * w] = 1
-        elif not any(lead[1:]):  # a rational pivot
-            row = vec if lead[0] > 0 else [-x for x in vec]
-        else:
-            m = pivot_multiplier(order, lead)
-            row = [x for k in range(0, len(vec), w) for x in mul_mod(order, m, vec[k:k + w])]
         g = gcd(*row)
         if g != 1:
             row = [x // g for x in row]
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.int_rows.insert(at, row)
-        return from_numerators(order, row, row[piv * w]) if public else row
+        return from_numerators(self.order, row, 1) if public else row
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))

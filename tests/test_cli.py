@@ -410,9 +410,10 @@ def test_million_order_classifies_in_bounded_time(tmp_path):
 
 
 def test_million_order_verifies_in_bounded_time(tmp_path):
-    # The closure's step generator is the root vector e₁, whose images at
-    # L = 10⁶ are reduced without a Euclid inverse over Q[x], so the
-    # realization check stays well within the timeout and the memory cap.
+    # The echelon keeps each row's pivot in Z[ζ_L] and reduces by
+    # multiplying through, so no pivot at L = 10⁶ needs a Euclid inverse over
+    # Q[x] and the realization check stays well within the timeout and the
+    # memory cap.
     result = _classify_two_entry(tmp_path, "verify", 10 ** 6, 30)
     assert result["ok"] and all(result["checks"].values())
 
@@ -491,18 +492,21 @@ def _mangled_specs(draw):
 @settings(max_examples=200, deadline=None)
 def test_malformed_specs_never_escape(tmp_path_factory, doc):
     # parse_spec raises only engine errors, and every command exits 0–3 with
-    # a JSON report.  ``verify`` is left out: a valid spec at a large
-    # zeta_order makes it slow, which is a budget question, not a crash.
+    # a JSON report.  ``verify`` runs on a box of radius 1: with zeta_order at
+    # most 60 and the default cap, its closure stays small, and no pivot is
+    # ever inverted.
     try:
         parse_spec(doc)
     except errors.EngineError:
         pass
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(doc))
-    for command in ("support", "classify", "twisted-classify"):
+    for command, *opts in (
+        ("support",), ("classify",), ("twisted-classify",), ("verify", "--box", "1"),
+    ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([command, str(path)])
+            code = main([command, *opts, str(path)])
         report = json.loads(out.getvalue())
         assert 0 <= code <= 3, (command, report["diagnostics"])
         assert report["command"] == command

@@ -63,6 +63,9 @@ def test_equality_across_orders():
     assert CycScalar(2, 1, 4) == CycScalar(2, 3, 12)
     assert hash(CycScalar(2, 1, 4)) == hash(CycScalar(2, 3, 12))
     assert CycScalar(-1, 0, 2) == CycScalar(1, 3, 6)
+    # An odd order's exponents past a half turn equal a sign-folded pair.
+    assert CycScalar(1, 4, 5) == CycScalar(-1, 3, 10)
+    assert hash(CycScalar(1, 4, 5)) == hash(CycScalar(-1, 3, 10))
 
 
 @st.composite

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -7,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import A1, A2, A2_FLIP, random_twisted_spec, sc, spec
+import loopmod
 from loopmod import realizer
+from loopmod.cli import main
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import CapExceededError, UnsupportedError
 from loopmod.liealg import build_algebra, build_aut, node_orbits, weyl_dim
@@ -421,23 +427,83 @@ def test_fiber_character_matches_a_rebuild_from_rows(graded_boxes):
                     assert sum(m for _, m in char) == fib.rank
 
 
-def test_echelon_stores_one_entry_vectors_as_unit_rows(monkeypatch):
-    def no_inverse(self):
-        raise AssertionError("inverse() called for a one-entry vector")
+_SPEC_ZETA12 = {
+    "schema": 1,
+    "algebra": {"series": "A", "rank": 1},
+    "n": 1,
+    "dims": [2],
+    "weights": [{"index": [1], "coords": [1]}, {"index": [2], "coords": [2]}],
+    "evals": [[1, {"num": 1, "zeta_order": 12, "zeta_pow": 1}]],
+    "rho": [0],
+}
 
+
+def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
+    # Rows keep their pivots in Z[ζ_L], so no insert, membership test or
+    # realization check calls the field inverse, whatever the pivots are.
+    def no_inverse(self):
+        raise AssertionError("inverse() called")
+
+    monkeypatch.setattr(CycVector, "inverse", no_inverse)
     order = 3
     z = CycVector.zero(order)
     zeta = CycVector(order, [0, 5, 0])
     one = CycVector.from_rational(1, order)
     ech = FieldEchelon(3, order)
-    monkeypatch.setattr(CycVector, "inverse", no_inverse)
-    assert ech.add([z, zeta, z]) == [z, one, z]
-    monkeypatch.undo()
-    ech.add([one, one, one])
+    assert ech.add([z, zeta, z]) is not None
+    assert ech.add([one, one, one]) is not None
     # Reduces to one entry against the stored rows.
-    monkeypatch.setattr(CycVector, "inverse", no_inverse)
-    assert ech.add([one, one + zeta, CycVector.from_rational(2, order)]) == [z, z, one]
+    assert ech.add([one, one + zeta, CycVector.from_rational(2, order)]) is not None
     assert ech.rank == 3
+
+    def el(*terms):
+        return CycVector.from_terms(12, terms)
+
+    a, b = el((0, 1), (1, 2), (3, -1)), el((0, 1), (1, 1))  # 1 + 2ζ − ζ³, 1 + ζ
+    r1, r2 = [a, b, el((2, 1))], [b, a, el((0, 3))]
+    ech = FieldEchelon(3, 12)
+    assert ech.add(r1) is not None and ech.add(r2) is not None
+    combo = [b * x - a * y for x, y in zip(r1, r2)]
+    assert ech.contains(combo) and ech.add(combo) is None
+    assert not ech.contains([el((0, 1)), el(), el()])
+    assert ech.rank == 2
+
+    # A₁, λ = (1),(2), a = (1, ζ₁₂): its closure meets pivots that are not a
+    # single power of ζ.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_SPEC_ZETA12))
+    assert main(["verify", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["ok"] and all(result["checks"].values())
+
+
+def test_echelon_at_large_order_is_bounded():
+    # A two-entry row whose lead 1 + 2ζ − ζ³ is not a power of ζ, at
+    # L = 10⁵ (φ(L) = 40,000): inserting it and testing membership cost a
+    # few multiplications by the lead, in a fresh interpreter under a 1 GiB
+    # address-space cap.
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from loopmod.cyclotomic import CycVector\n"
+        "from loopmod.realizer import FieldEchelon\n"
+        "L = 10 ** 5\n"
+        "lead = CycVector.from_terms(L, [(0, 1), (1, 2), (3, -1)])\n"
+        "tail = CycVector.from_terms(L, [(7, 1), (50001, -4)])\n"
+        "shift = CycVector.from_terms(L, [(5, 3)])\n"
+        "ech = FieldEchelon(2, L)\n"
+        "assert ech.add([lead, tail]) is not None\n"
+        "assert ech.contains([lead * shift, tail * shift])\n"
+        "assert not ech.contains([lead, tail + shift])\n"
+        "print(ech.rank)\n"
+    )
+    src = os.path.dirname(os.path.dirname(loopmod.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1"]
 
 
 def _reference_echelon(vectors):
@@ -484,7 +550,7 @@ def _echelon_inputs(draw):
             for old in vectors:
                 c = element(1)
                 vec = [x + c * y for x, y in zip(vec, old)]
-        elif kind == "one-coordinate":  # a·ζ^e leads: a shift makes the pivot rational
+        elif kind == "one-coordinate":  # a·ζ^e leads
             at = draw(st.integers(0, length - 1))
             e = draw(st.integers(0, len(zero.num) - 1))
             vec = [zero] * at + [CycVector.from_terms(order, [(e, draw(pairs)[1])])]
@@ -507,9 +573,14 @@ def test_echelon_matches_plain_elimination(case):
         stored = ech.add(vec)
         assert (stored is not None) == ok
         if ok:
-            assert stored in rows
+            assert stored in ech.rows
     assert ech.rank == len(rows)
-    assert ech.rows == rows
+    # Each stored row is its reference row times the stored pivot entry.
+    for stored, ref in zip(ech.rows, rows):
+        piv = next(t for t, x in enumerate(ref) if not x.is_zero())
+        assert all(x.is_zero() for x in stored[:piv])
+        inv = stored[piv].inverse()
+        assert [inv * x for x in stored] == ref
     for vec in vectors + probes:
         assert ech.contains(vec) == (not _reference_echelon(rows + [vec])[0][-1])
 
