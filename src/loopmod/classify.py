@@ -95,7 +95,9 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
             eps = min(primitive, key=scalar_sort_key)
         assignment: list[tuple[int, int]] = [(-1, -1)] * n_i
         for ell, g in enumerate(ordered):
-            table = {eps ** p * bases[ell]: p for p in range(r)}
+            table, x = {}, bases[ell]
+            for p in range(r):
+                table[x], x = p, eps * x
             for j in g:
                 assignment[j] = (ell, table[values[j]])
         axes.append(

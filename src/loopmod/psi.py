@@ -16,13 +16,13 @@ from a certificate ladder on the term table alone, cheapest rung first
 (``single-entry``), the Lam–Leung theorem on vanishing sums of roots of unity
 (``lam-leung``), per-coset class sums of the functional on the cosets of
 ``D = ⊕ MᵢZ`` (``domain``), an n = 1 dominance window that lists every zero
-(``descartes``), and, for the cosets left open, a check on the audit cube
-(``audit``).  The rung is reported as the support's ``certificate``.  Class
-sums are exact integer rows, and a degree in an open coset is decided from
-them: ``v(m) ≠ 0`` iff ``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an
-integer test.  A coset the ladder did not scan, because the scan was over
-budget, is decided from its class sums when a lookup first reaches it, so
-the support never evaluates the functional.  The twisted support runs the
+(``descartes``), and, for the cosets left open, a check on the audit cube,
+one coset at a time (``audit``).  The rung is reported as the support's
+``certificate``.  Class sums are exact integer rows, and a degree in an open
+coset is decided from them: ``v(m) ≠ 0`` iff ``Σ_K ρ_K^m·u_K(r)`` has a
+nonzero coordinate, an integer test.  A coset the ladder did not scan,
+because the scan was over budget, is decided from its class sums when a
+lookup first reaches it, so the support never evaluates the functional.  The twisted support runs the
 same ladder on the restricted functional's term table.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
@@ -34,6 +34,7 @@ mismatch.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -440,20 +441,28 @@ class _Certificate:
     zeros: list = field(default_factory=list)
     form: _CosetSums | None = None
 
-    def member(self, m) -> bool:
-        r = tuple(x % M for x, M in zip(m, self.moduli))
+    def coset(self, r):
+        """The status of the coset ``r + D``, for a representative ``r``."""
         st = self.status.get(r)
         if st is None:
             st = self.status[r] = _coset_status(self.form, r)
+        return st
+
+    def member(self, m) -> bool:
+        st = self.coset(tuple(x % M for x, M in zip(m, self.moduli)))
         if isinstance(st, bool):
             return st and tuple(m) not in self.zeros
         return self.form.nonzero(st, m)
 
     @property
-    def checks(self) -> list:
+    def gens(self) -> list:
+        """The generators ``Mᵢ·eᵢ`` of D."""
         n = len(self.moduli)
-        gens = [tuple(M if i == j else 0 for j in range(n)) for i, M in enumerate(self.moduli)]
-        return gens + list(self.status)
+        return [tuple(M if i == j else 0 for j in range(n)) for i, M in enumerate(self.moduli)]
+
+    @property
+    def checks(self) -> list:
+        return self.gens + list(self.status)
 
 
 def _certify(ev, n: int, bounds) -> _Certificate:
@@ -491,6 +500,58 @@ def _certify(ev, n: int, bounds) -> _Certificate:
     return _Certificate(label, form.moduli, status, zeros, form)
 
 
+def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
+    """The first degree of the cube ``∏[−aᵢ, aᵢ]``, in ``itertools.product``
+    order, where ``lat`` and ``cert.member`` disagree, or None.
+
+    Membership in Γ is constant on a settled coset ``r + D`` that holds no
+    exact zero, and so is membership in ``lat`` once ``D ⊂ lat``: one test at
+    the coset's first cube degree decides all of it.  An open coset needs one
+    ``lat`` test and ``form.nonzero`` per degree; a coset with an exact zero,
+    or every coset when ``D ⊄ lat``, is tested per degree on both sides.
+    Cosets are visited in the order of their first cube degree and the
+    per-degree ones merged, so degrees are tested in cube order and the
+    search stops at the first mismatch, as a scan of the cube would."""
+    periodic = all(map(lat.contains, cert.gens))
+    holes = {tuple(x % M for x, M in zip(m, cert.moduli)) for m in cert.zeros}
+    # Per axis, the cube degrees of each residue class as a range, by least
+    # degree; the product of these lists is in the order of the first degrees.
+    axes = [
+        [range(x, a + 1, M) for x in range(-a, min(a + 1, M - a))]
+        for a, M in zip(radii, cert.moduli)
+    ]
+    pending: list = []  # (next degree, the coset's later degrees, test), sorted
+
+    def drain(limit):
+        while pending and (limit is None or pending[0][0] < limit):
+            m, rest, test = pending.pop(0)
+            if test(m):
+                return m
+            m = next(rest, None)
+            if m is not None:
+                insort(pending, (m, rest, test))
+        return None
+
+    for ranges in itertools.product(*axes):
+        first = tuple(p.start for p in ranges)
+        witness = drain(first)
+        if witness is not None:
+            return witness
+        r = tuple(x % M for x, M in zip(first, cert.moduli))
+        if periodic and r not in holes:
+            st, inside = cert.coset(r), lat.contains(first)
+            if isinstance(st, bool):
+                if st != inside:
+                    return first
+                continue
+            test = lambda m, st=st, inside=inside: cert.form.nonzero(st, m) != inside
+        else:
+            test = lambda m: lat.contains(m) != cert.member(m)
+        rest = itertools.product(*ranges)
+        insort(pending, (next(rest), rest, test))
+    return drain(None)
+
+
 def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     """The set ``Γ = {m : ev.is_nonzero(m)}`` as a full-rank lattice.
 
@@ -512,12 +573,13 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     * ``descartes``: as ``domain``, with the remaining cosets of an n = 1
       functional settled by a dominance window that lists every zero.
     * ``audit``: some coset is left open (n ≥ 2, or an n = 1 window would
-      cost more than the cube), and membership is checked on the cube of
-      radii ``max(6, 2·max(rᵢ, boundsᵢ))``.  A degree ``m`` of an open coset
-      is decided from its class sums: ``Σ_K ρ_K^m·u_K(r) ≠ 0``, in integers.
-      When the coset scan itself would cost more than the cube, no coset is
-      scanned ahead, and each coset the lookups reach is decided from its
-      class sums on first use.
+      cost more than the cube), and closure is checked on the cube of radii
+      ``max(6, 2·max(rᵢ, boundsᵢ))`` per D-coset (``_first_mismatch``): one
+      lattice test for a settled coset, and per degree only in open ones.
+      A degree ``m`` of an open coset is decided from its class sums:
+      ``Σ_K ρ_K^m·u_K(r) ≠ 0``, in integers.  When the coset scan itself
+      would cost more than the cube, no coset is scanned ahead, and each
+      coset the cube reaches is decided from its class sums on first use.
 
     Every rung yields exact membership by lookup.  From it the axis periods
     ``rᵢ`` (searched up to ``boundsᵢ``) and the members of the box
@@ -525,9 +587,9 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     ``ordering``, see ``Lattice.from_generators``).  Below ``audit``, closure
     is decided exactly: with no exact zero, Γ is a union of D-cosets, so it
     is this lattice iff both contain D and agree on the representatives.  A
-    failure reports the first mismatch on the audit cube in its usual order,
-    and otherwise an exact zero (which lies in the group Γ generates) or the
-    mismatching check.
+    failure reports the first mismatch on the audit cube in lexicographic
+    order, and otherwise an exact zero (which lies in the group Γ generates)
+    or the mismatching check.
     """
     cert = _certify(ev, n, bounds)
     member = cert.member
@@ -552,7 +614,6 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
         gens.append(tuple(e))
     lat = Lattice.from_generators(gens, n=n, ordering=ordering)
     radii = [max(6, 2 * max(r, b)) for r, b in zip(periods, bounds)]
-    cube = itertools.product(*(range(-a, a + 1) for a in radii))
 
     def mismatch(m) -> bool:
         return lat.contains(m) != member(m)
@@ -560,7 +621,7 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     failed = bool(cert.zeros) or (cert.label != "audit" and any(map(mismatch, cert.checks)))
     witness = None
     if failed or cert.label == "audit":
-        witness = next(filter(mismatch, cube), None)
+        witness = _first_mismatch(lat, cert, radii)
     if witness is None and failed:
         witness = cert.zeros[0] if cert.zeros else next(filter(mismatch, cert.checks))
     if witness is not None:

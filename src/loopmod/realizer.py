@@ -17,13 +17,14 @@ nonzero ideal of the simple g, hence all of g.  Every generator moves a
 weight by one fixed shift, so each degree fiber splits into weight spaces:
 the closure keeps one ``FieldEchelon`` per degree and weight class, with rows
 only as long as the class.  A row matters only up to a nonzero scalar, so it
-is kept as integer power-basis numerators over Z[ζ_L], with whatever pivot
-it came with, and eliminated fraction-free, with no pivot inverse; images
-come from term plans scaled to integers once.  The closure skips an image
-whose target class is already full, since the image lies in its span.  The
-box is widened by one degree (``_MARGIN``) during the sweep and cropped on
-return, so reported fibers do not suffer boundary truncation.  Closure
-terminates because in-box fiber ranks grow monotonically.
+is kept as integer power-basis numerators over Z[ζ_L], with the pivot it
+came with (times a unit when that is a·ζ^e, so that a is the pivot), and
+eliminated fraction-free, with no pivot inverse; images come from term
+plans scaled to integers once.  The closure skips an image whose target
+class is already full, since the image lies in its span.  The box is widened
+by one degree (``_MARGIN``) during the sweep and cropped on return, so
+reported fibers do not suffer boundary truncation.  Closure terminates
+because in-box fiber ranks grow monotonically.
 
 The twisted closure (rank-2 A series, twist order 2) uses ``e₁+e₂`` and
 ``f₁+f₂`` at step 0, ``e₁+e₂`` at ``±e_j`` for j ≥ 2 and ``e₁−e₂`` at
@@ -297,11 +298,13 @@ class FieldEchelon:
     """Row space over Q(ζ_L), for rank and membership, by fraction-free
     elimination over Z[ζ_L].  ``int_rows`` holds each row as one integer list,
     ``width`` = φ(L) power-basis numerators per entry, with its integer
-    content divided out and whatever pivot entry α ∈ Z[ζ_L] it has; ``rows``
+    content divided out and whatever pivot entry α ∈ Z[ζ_L] it has, except
+    that a pivot a·ζ^e is made the rational a by the unit ζ^{L−e}; ``rows``
     gives the same rows as ``CycVector`` lists.  A vector is reduced by
-    ``vec ← α·vec − vec[piv]·row`` for each row in pivot order.  Z[ζ_L] is an
-    integral domain, so that clears entry ``piv`` for any nonzero α and no
-    pivot is ever inverted (Bareiss, *Math. Comp.* 22, 1968)."""
+    ``vec ← α·vec − vec[piv]·row`` for each row in pivot order, which is one
+    integer pass when α and ``vec[piv]`` are rational.  Z[ζ_L] is an integral
+    domain, so that clears entry ``piv`` for any nonzero α and no pivot is
+    ever inverted (Bareiss, *Math. Comp.* 22, 1968)."""
 
     def __init__(self, length: int, order: int):
         self.length = length
@@ -332,9 +335,11 @@ class FieldEchelon:
             if g != 1:
                 a, c = [x // g for x in a], [x // g for x in c]
             if any(a[1:]) or any(c[1:]):
-                vec = [
+                # Entry piv cancels, and the row is zero before it.
+                head = [x for k in range(0, o, w) for x in _times(order, a, vec[k:k + w])]
+                vec = head + [0] * w + [
                     x - y
-                    for k in range(0, len(vec), w)
+                    for k in range(o + w, len(vec), w)
                     for x, y in zip(_times(order, a, vec[k:k + w]), _times(order, c, row[k:k + w]))
                 ]
             else:  # rational α and multiplier
@@ -352,6 +357,11 @@ class FieldEchelon:
         piv = next((t for t in range(self.length) if any(row[t * w:t * w + w])), None)
         if piv is None:
             return None
+        lead = row[piv * w:piv * w + w]
+        if not lead[0] and lead.count(0) == w - 1:  # a·ζ^e, e > 0: times the unit ζ^{L−e}
+            e = lead.index(max(lead) or min(lead))  # a is the max or the min
+            m = shift_sum(self.order, [((1,), self.order - e, 1)])
+            row = [x for k in range(0, len(row), w) for x in _times(self.order, m, row[k:k + w])]
         g = gcd(*row)
         if g != 1:
             row = [x // g for x in row]

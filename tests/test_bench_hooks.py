@@ -1,18 +1,25 @@
 """The benchmark's traced run wraps ``loopmod`` functions and methods by name
-(``bench/spans.py``); renaming one of them would break ``--trace 1``."""
+(``bench/spans.py``); renaming one of them would break ``--trace 1``.  The
+metrics ``BENCHMARK.json`` declares and the frozen answers of each workload
+must also match what the harness reports and reads."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _bench("spans")
 
 
 def test_every_traced_function_exists():
@@ -67,3 +74,20 @@ def test_tracer_counts_the_twisted_axis1_candidates_too():
         tracer.uninstall()
     assert twisted.axis_candidates is candidates
     assert classify.axis_candidates is candidates
+
+
+def test_declared_layer_metrics_are_the_ones_the_trace_reports():
+    # ``BENCHMARK.json`` names the per-layer metrics; the traced run reports
+    # ``layer_metrics`` plus the tracing overhead it measures itself.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spans = _spans()
+    reported = set(spans.layer_metrics(spans.Tracer())) | {"trace.overhead"}
+    assert {m["name"] for m in declared["per_layer"]} == reported
+
+
+def test_every_workload_has_current_frozen_answers():
+    # ``load_expected`` refuses answers frozen from another corpus.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ops = _bench("ops")
+    for workload in declared["workloads"]:
+        assert ops.load_expected(workload["name"]), workload["name"]

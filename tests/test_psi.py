@@ -1,17 +1,18 @@
+import itertools
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_spec, random_twisted_spec, spec
 from loopmod import psi
 from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import InputError, SupportNotSubgroupError, TrivialModuleError
-from loopmod.lattice import from_generators
+from loopmod.lattice import Lattice, from_generators
 from loopmod.psi import (
     Evaluator,
     PsiSpec,
@@ -357,23 +358,26 @@ def _forced_twisted_spec(rng):
     return TwistedSpec(base=s, aut=A2_FLIP)
 
 
+def _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP), (D4, D4_TRIALITY))):
+    # (spec, evaluator, period bounds) of one draw of the given kind.
+    if kind in ("random", "forced"):
+        s = random_spec(rng) if kind == "random" else _forced_spec(rng, rng.randint(1, 3))
+        return s, Evaluator(s), s.dims
+    if kind == "twisted":
+        algebra, aut = rng.choice(twisted_algebras)
+        t = random_twisted_spec(rng, algebra, aut)
+    else:
+        t = _forced_twisted_spec(rng)
+    s = t.base
+    return s, TwistedEvaluator(t), (t.order * s.dims[0],) + s.dims[1:]
+
+
 @given(st.integers(0, 2 ** 32), st.sampled_from(("random", "forced", "twisted", "twisted-forced")))
 @settings(max_examples=150, deadline=None)
 def test_certificate_membership_matches_evaluation(seed, kind):
     # Membership by coset lookup, the open cosets decided from their integer
     # class sums, against direct evaluation of the functional on a cube.
-    rng = random.Random(seed)
-    if kind in ("random", "forced"):
-        s = random_spec(rng) if kind == "random" else _forced_spec(rng, rng.randint(1, 3))
-        ev, bounds = Evaluator(s), s.dims
-    else:
-        if kind == "twisted":
-            algebra, aut = rng.choice(((A2, A2_FLIP), (D4, D4_TRIALITY)))
-            t = random_twisted_spec(rng, algebra, aut)
-        else:
-            t = _forced_twisted_spec(rng)
-        s = t.base
-        ev, bounds = TwistedEvaluator(t), (t.order * s.dims[0],) + s.dims[1:]
+    s, ev, bounds = _ladder_input(random.Random(seed), kind)
     cert = psi._certify(ev, s.n, bounds)
     if kind == "forced":
         assert cert.label == ("audit" if s.n > 1 else "descartes"), cert.label
@@ -381,3 +385,80 @@ def test_certificate_membership_matches_evaluation(seed, kind):
         assert cert.label == "descartes", cert.label
     for m in box_scan_order(s.n, 3 if s.n <= 2 else 2):
         assert cert.member(m) == ev.is_nonzero(m), (cert.label, m)
+
+
+def _generated(cert, n, bounds):
+    # The lattice ``nonvanishing_support`` builds from the certificate, with
+    # its cube radii, or None when an axis has no period within its bound.
+    periods = []
+    for i, b in enumerate(bounds):
+        axis = [tuple(t if j == i else 0 for j in range(n)) for t in range(1, b + 1)]
+        m = next(filter(cert.member, axis), None)
+        if m is None:
+            return None
+        periods.append(m[i])
+    gens = [m for m in itertools.product(*(range(r) for r in periods)) if cert.member(m)]
+    gens += [tuple(r if j == i else 0 for j in range(n)) for i, r in enumerate(periods)]
+    radii = [max(6, 2 * max(r, b)) for r, b in zip(periods, bounds)]
+    return from_generators(gens, n=n), radii
+
+
+def _perturbed(lat, cert, how, rng):
+    # A super-lattice (one extra short generator), a sub-lattice (one row
+    # scaled, so D may leave it), or a sub-lattice kept over D.
+    rows = [list(r) for r in lat.rows]
+    n = len(rows[0])
+    if how == "super":
+        return from_generators(rows + [[rng.randint(-2, 2) for _ in range(n)]], n=n)
+    drop = rng.randrange(len(rows))
+    if how == "sub":
+        rows[drop] = [rng.choice((2, 3)) * x for x in rows[drop]]
+        return from_generators(rows, n=n)
+    return from_generators(cert.gens + rows[:drop] + rows[drop + 1:], n=n)
+
+
+@given(
+    st.integers(0, 2 ** 32),
+    st.sampled_from(("random", "forced", "twisted", "twisted-forced")),
+    st.sampled_from(("true", "super", "sub", "sub-over-D")),
+)
+@example(6, "random", "sub-over-D")
+@example(27, "random", "sub")
+@settings(max_examples=200, deadline=None)
+def test_coset_search_finds_the_cube_scans_witness(seed, kind, how):
+    # The coset-wise search against a plain scan of the cube in product order,
+    # for the generated lattice and for lattices around it, so that
+    # mismatches fall in settled and in open cosets, and D ⊄ lat occurs.  In
+    # the two examples an open coset mismatches before a settled one does.
+    rng = random.Random(seed)
+    s, ev, bounds = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
+    cert = psi._certify(ev, s.n, bounds)
+    generated = _generated(cert, s.n, bounds)
+    assume(generated is not None)
+    lat, radii = generated
+    if how != "true":
+        lat = _perturbed(lat, cert, how, rng)
+    cube = itertools.product(*(range(-a, a + 1) for a in radii))
+    expected = next((m for m in cube if lat.contains(m) != cert.member(m)), None)
+    assert psi._first_mismatch(lat, cert, radii) == expected, (cert.label, how)
+
+
+def test_audit_tests_the_lattice_once_per_coset(monkeypatch):
+    # n = 3 on the audit rung: the cube has 13³ degrees, but ``Lattice.contains``
+    # is called once per generator of D and once per coset.
+    calls = Counter()
+    contains = Lattice.contains
+
+    def counting(self, m):
+        calls["contains"] += 1
+        return contains(self, m)
+
+    monkeypatch.setattr(Lattice, "contains", counting)
+    rng = random.Random(5)
+    s = _forced_spec(rng, 3)
+    cert = psi._certify(Evaluator(s), s.n, s.dims)
+    assert cert.label == "audit"
+    calls.clear()
+    sup = support_lattice(s)
+    assert sup.certificate == "audit"
+    assert 0 < calls["contains"] <= len(cert.checks) < 13 ** 3 // 10, calls

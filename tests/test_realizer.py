@@ -477,6 +477,22 @@ def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
     assert result["ok"] and all(result["checks"].values())
 
 
+def test_echelon_stores_a_power_of_zeta_lead_with_a_rational_pivot():
+    # A lead a·ζ^e is multiplied by the unit ζ^{L−e}, so the stored pivot is
+    # the rational a and reductions against the row stay integer passes.
+    def el(*terms):
+        return CycVector.from_terms(12, terms)
+
+    lead, rest = el((3, -2)), el((0, 1), (1, 1))  # −2ζ³, 1 + ζ
+    ech = FieldEchelon(2, 12)
+    row = ech.add([lead, rest])
+    assert row == [el((0, -2)), rest * el((9, 1))]
+    pivot = ech.int_rows[0][:ech.width]
+    assert pivot[0] == -2 and not any(pivot[1:])
+    assert ech.contains([lead * el((5, 3)), rest * el((5, 3))])
+    assert not ech.contains([lead, el((0, 1))])
+
+
 def test_echelon_at_large_order_is_bounded():
     # A two-entry row whose lead 1 + 2ζ − ζ³ is not a power of ζ, at
     # L = 10⁵ (φ(L) = 40,000): inserting it and testing membership cost a
