@@ -98,7 +98,7 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         alg_doc = doc["algebra"]
         algebra = build_algebra(str(alg_doc["series"]), _int(alg_doc["rank"], "rank"))
         n = _int(doc["n"], "n")
-        dims = tuple(_int(x, "dims") for x in doc["dims"])
+        dims = tuple(_int(x, "dims") for x in _list(doc["dims"], "dims"))
         raw_weights = _list(doc["weights"], "weights")
         raw_evals = [_list(axis, "evals") for axis in _list(doc["evals"], "evals")]
     except KeyError as exc:
@@ -117,8 +117,8 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     weights = {}
     for entry in raw_weights:
         try:
-            idx = tuple(_int(x, "index") for x in entry["index"])
-            coords = tuple(_int(x, "coords") for x in entry["coords"])
+            idx = tuple(_int(x, "index") for x in _list(entry["index"], "index"))
+            coords = tuple(_int(x, "coords") for x in _list(entry["coords"], "coords"))
         except (KeyError, TypeError) as exc:
             raise InputError("weight entries need 'index' and 'coords'") from exc
         if idx in weights:

@@ -8,38 +8,37 @@ candidate is dependent exactly when its Gram residual vanishes.  Raising and
 lowering matrices come out of the same Gram solves; everything is rational.
 
 ``generate_component`` closes the seeded vector ``v(m̃)`` inside a degree
-box under a generating set of the loop algebra: ``e_i`` and ``f_i`` at step
-0 for every i, and ``e₁`` alone at each step ``±e_j``.  That closure is
-also closed under every ``x⊗t^s``.  The x with ``(x⊗t^s)·W(m) ⊂ W(m+s)``
-for all in-box ``m, m+s`` form a subspace that ``ad(g)`` preserves, because
-each fiber ``W(m)`` is ``g⊗1``-stable; it contains ``e₁``, so it is a
-nonzero ideal of the simple g, hence all of g.  Every generator moves a
-weight by one fixed shift, so each degree fiber splits into weight spaces:
-the closure keeps one ``FieldEchelon`` per degree and weight class, with rows
-only as long as the class.  A row matters only up to a nonzero scalar, so it
-is kept as integer power-basis numerators over Z[ζ_L], with the pivot it
-came with (times a unit when that is a·ζ^e, so that a is the pivot), and
-eliminated fraction-free, with no pivot inverse; images come from term
-plans scaled to integers once.  The closure skips an image whose target
-class is already full, since the image lies in its span.  The box is widened
-by one degree (``_MARGIN``) during the sweep and cropped on return, so
-reported fibers do not suffer boundary truncation.  Closure terminates
-because in-box fiber ranks grow monotonically.
-
-The twisted closure (rank-2 A series, twist order 2) uses ``e₁+e₂`` and
-``f₁+f₂`` at step 0, ``e₁+e₂`` at ``±e_j`` for j ≥ 2 and ``e₁−e₂`` at
-``±e₁``.  The fixed part g₀ is simple (it is sl₂) and the anti-fixed part g₁
-is an irreducible g₀-module (Kac, *Infinite-dimensional Lie Algebras*, 3rd
-ed., Prop. 8.3), so the same argument, with g₀ in place of g, closes the
-fibers under all of g₀ at the steps that keep the first loop degree and all
-of g₁ at ``±e₁``.  Its weight classes are the weight's values on the orbit
-sums of the diagram nodes (``h0_weight_map``).  Both closures take their
-per-slot ``e_i`` and ``f_i`` matrices from ``_slot_matrices`` (as does
-``loop_action``, with ``h_i`` too) and their steps from ``_steps``.  What a
-closure needs besides its seed (the grading, each generator's columns, class
-shift and coefficients, the moves between classes and the term plans) is a
-``_ClosureTables``; ``component_decomposition`` builds it once and closes
-every coset representative of the support from it.
+box under a generating set of the loop algebra, which ``_closure_tables``
+builds from the node orbits of a diagram automorphism σ of order k
+(singleton orbits and k = 1 when untwisted): the orbit sums ``f_O`` and
+``e_O`` at step 0, the vector ``Σ_u ω^{∓u}·e_{σ^u i}`` of ``g_{±1}`` over
+one orbit of size k at ``±e₁`` (ω = ζ_L^{L/k}), and ``e_{O₀}`` at each step
+``±e_j``, j ≥ 2.  Untwisted, that is ``e_i`` and ``f_i`` at step 0 and
+``e₁`` alone at each step ``±e_j``.  That closure is also closed under
+every ``x⊗t^s``.  The x with ``(x⊗t^s)·W(m) ⊂ W(m+s)`` for all in-box
+``m, m+s`` form a subspace that ``ad(g₀)`` preserves, because each fiber
+``W(m)`` is ``g₀⊗1``-stable; it contains the step generator, so it is all
+of the eigenspace ``g_j`` that the step serves, because g₀ is simple and
+each ``g_j`` is an irreducible g₀-module (Kac, *Infinite-dimensional Lie
+Algebras*, 3rd ed., Prop. 7.9 and 8.3; untwisted, g₀ = g).  A generator is
+a sum of ``(per-slot matrices, ζ-exponent)`` terms, so no matrix has
+cyclotomic entries.  Every generator moves a weight by one fixed shift, so
+each degree fiber splits into weight classes, the weight's values on the
+orbit sums of the nodes (``h0_weight_map``; the weight itself when
+untwisted): the closure keeps one ``FieldEchelon`` per degree and weight
+class, with rows only as long as the class.  A row matters only up to a
+nonzero scalar, so it is kept as integer power-basis numerators over
+Z[ζ_L], with the pivot it came with (times a unit when that is a·ζ^e, so
+that a is the pivot), and eliminated fraction-free, with no pivot inverse;
+images come from term plans scaled to integers once.  The closure skips an
+image whose target class is already full, since the image lies in its
+span.  The box is widened by one degree (``_MARGIN``) during the sweep and
+cropped on return, so reported fibers do not suffer boundary truncation.
+Closure terminates because in-box fiber ranks grow monotonically.  What a
+closure needs besides its seed (the grading, each generator's columns,
+class shift and coefficients, the moves between classes and the term plans)
+is a ``_ClosureTables``; ``component_decomposition`` builds it once and
+closes every coset representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -247,9 +246,6 @@ class FinModule:
     basis_weights: tuple[Weight, ...]
     hw_index: int = 0
 
-    def slot_component(self, g: int, k: int) -> int:
-        return (g // self.strides[k]) % self.slots[k].dim
-
 
 def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
     slots = tuple(irreducible_module(algebra, tuple(t)) for t in tops)
@@ -272,10 +268,6 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
 def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
     dim = len(mat)
     return [[(r, mat[r][c]) for r in range(dim) if mat[r][c]] for c in range(dim)]
-
-
-def _mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _diag_matrix(values) -> Matrix:
@@ -452,24 +444,28 @@ class GradedBox:
         return self.fibers.get(tuple(degree))
 
 
-def _plan(fin: FinModule, cols_per_slot, coeffs_per_slot, members, local, size: int):
+def _plan(fin: FinModule, terms, coeffs_per_slot, members, local, size: int):
     """One generator at one step, from the basis vectors ``members`` into
     ``size`` target positions: a positive integer ``scale`` and, per target,
     the ``(source position, ζ-exponent, integer weight)`` terms of its
-    coordinate in ``scale`` times the image."""
+    coordinate in ``scale`` times the image.  The generator is a sum of
+    ``(per-slot columns, ζ-exponent)`` terms; a term's exponent adds to the
+    exponent of each slot's coefficient."""
     plan: list[dict] = [{} for _ in range(size)]
-    for i, g in enumerate(members):
-        for k, cols in enumerate(cols_per_slot):
-            stride = fin.strides[k]
-            comp = (g // stride) % fin.slots[k].dim
-            c = coeffs_per_slot[k]
-            for r, x in cols[comp]:
-                terms = plan[local[g + (r - comp) * stride]]
-                terms[i, c.e] = terms.get((i, c.e), _F0) + c.q * x
-    scale = lcm(*(w.denominator for terms in plan for w in terms.values()))
+    for cols_per_slot, e in terms:
+        exps = [(c.e + e) % c.order for c in coeffs_per_slot]
+        for i, g in enumerate(members):
+            for k, cols in enumerate(cols_per_slot):
+                stride = fin.strides[k]
+                comp = (g // stride) % fin.slots[k].dim
+                q, ce = coeffs_per_slot[k].q, exps[k]
+                for r, x in cols[comp]:
+                    out = plan[local[g + (r - comp) * stride]]
+                    out[i, ce] = out.get((i, ce), _F0) + q * x
+    scale = lcm(*(w.denominator for out in plan for w in out.values()))
     return scale, [
-        [(i, e, w.numerator * (scale // w.denominator)) for (i, e), w in terms.items() if w]
-        for terms in plan
+        [(i, e, w.numerator * (scale // w.denominator)) for (i, e), w in out.items() if w]
+        for out in plan
     ]
 
 
@@ -482,18 +478,19 @@ def _image(plan, entries, order: int, width: int) -> list[int]:
     return out
 
 
-def _class_shift(fin: FinModule, mats, class_map):
-    """The one class shift of all the nonzero slot entries of a generator, or
-    None when it acts as zero.  Raises if the generator is not homogeneous.
-    The closure generators are root vectors, or sums of root vectors with one
-    class shift (see ``_ClosureTables``), so none of them is diagonal."""
+def _class_shift(slot_classes, terms):
+    """The one class shift of all the nonzero slot entries of a generator's
+    ``(per-slot columns, ζ-exponent)`` terms, or None when it acts as zero;
+    ``slot_classes`` gives each slot basis vector's class.  Raises if the
+    generator is not homogeneous.  The closure generators are root vectors,
+    or sums of root vectors with one class shift (see ``_closure_tables``),
+    so none of them is diagonal."""
     shifts = set()
-    for slot, mat in zip(fin.slots, mats):
-        for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x:
-                    a, b = class_map(slot.weights[r]), class_map(slot.weights[c])
-                    shifts.add(tuple(p - q for p, q in zip(a, b)))
+    for classes, *per_term in zip(slot_classes, *(cols for cols, _ in terms)):
+        for cols in per_term:
+            for c, col in enumerate(cols):
+                for r, _ in col:
+                    shifts.add(tuple(p - q for p, q in zip(classes[r], classes[c])))
     if len(shifts) > 1:
         raise UnsupportedError("closure generator does not preserve the weight grading")
     return shifts.pop() if shifts else None
@@ -506,29 +503,32 @@ class _ClosureTables:
     seed.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
-    the steps they are given: ``x⊗1`` for x in a generating set of g (or of
-    g₀ in the twisted case) and one nonzero ``x⊗t^s`` per step s ≠ 0.  Each
-    fiber is then stable under ``g⊗1``, and the x whose ``x⊗t^s`` keeps the
-    in-box fibers form a ``g``-stable subspace that contains the step
-    generator: the whole of the simple g, or of the irreducible g₀-module
-    g_{±1} (Kac, *Infinite-dimensional Lie Algebras*, 3rd ed., Prop. 8.3).
-    So the box-truncated closure equals the closure under every
+    the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
+    g when untwisted) and one nonzero ``x⊗t^s`` per step s ≠ 0, with x in the
+    eigenspace g_j of the twist that serves the degrees with ``s₁ ≡ j``.
+    Each fiber is then stable under ``g₀⊗1``, and the x whose ``x⊗t^s`` keeps
+    the in-box fibers form a g₀-stable subspace of g_j that contains the step
+    generator: all of g_j, because g₀ is simple and each g_j is an irreducible
+    g₀-module (Kac, *Infinite-dimensional Lie Algebras*, 3rd ed., Prop. 7.9
+    and 8.3).  So the box-truncated closure equals the closure under every
     ``x⊗t^s``."""
 
     def __init__(self, fin: FinModule, ev: Evaluator, generators, class_map):
-        # generators: list of (per-slot matrices, list of step degrees)
+        # generators: list of (terms, list of step degrees), where the terms
+        # are (per-slot matrices, ζ-exponent) pairs that the generator sums.
         self.fin = fin
         self.order = ev.order
         self.class_map = class_map
         indices = table_indices(ev.spec.dims)
         self.grading = grading = Grading(fin, class_map)
         members = grading.members
-        gens = []  # (per-slot columns, class shift, per-slot coefficients, step)
-        for mats, steps in generators:
-            shift = _class_shift(fin, mats, class_map)
+        slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
+        gens = []  # (terms as per-slot columns, class shift, per-slot coefficients, step)
+        for terms, steps in generators:
+            cols = [([_columns(m) for m in mats], e) for mats, e in terms]
+            shift = _class_shift(slot_classes, cols)
             if shift is None:
                 continue
-            cols = [_columns(m) for m in mats]
             for s in steps:
                 coeffs = [ev.coefficient(I, s) for I in indices]
                 gens.append((cols, shift, coeffs, tuple(s)))
@@ -620,15 +620,32 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
     return build_tensor(spec.algebra, tops, cap=cap)
 
 
-def _untwisted_tables(spec: PsiSpec, cap: int) -> _ClosureTables:
-    # g⊗1 from its Chevalley generators, and e₁ alone at each step ±e_j.
+def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
+    """The closure tables of ``spec`` under a twist of order ``k`` whose node
+    orbits are ``orbits``; untwisted, they are singletons and k = 1.  The
+    generators are the orbit sums f_O and e_O at step 0, which generate g₀;
+    at ±e₁, over the first orbit of size k, the vector Σ_u ω^{∓u}·e_{σ^u i} of
+    g_{±1}, with ω = ζ_L^{L/k} (``liealg.restrict_weight`` pairs the degrees
+    with m₁ ≡ j against Σ_t ω^{−jt}·h_{σ^t b}, the same eigenspace); and
+    e_{O₀} at ±e_j for j ≥ 2.  For k = 1 that is f_i and e_i at step 0 and
+    e₁ at every step ±e_j."""
     fin = fin_for_spec(spec, cap=cap)
-    zero = _steps(spec.n, ())
-    generators = [
-        (_slot_matrices(fin, kind, i), zero) for i in range(fin.algebra.rank) for kind in "fe"
+    n, order = spec.n, spec.field_order
+
+    def orbit_sum(kind, orbit, sign=0):
+        # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot matrices, ζ-exponent) terms.
+        return [(_slot_matrices(fin, kind, i), sign * u * (order // k) % order)
+                for u, i in enumerate(orbit)]
+
+    zero = _steps(n, ())
+    generators = [(orbit_sum(kind, o), zero) for o in orbits for kind in "fe"]
+    full = next(o for o in orbits if len(o) == k)
+    generators += [
+        (orbit_sum("e", full, -sgn), [step])
+        for sgn, step in zip((1, -1), _steps(n, (0,), zero=False))
     ]
-    generators.append((_slot_matrices(fin, "e", 0), _steps(spec.n, range(spec.n), zero=False)))
-    return _ClosureTables(fin, Evaluator(spec), generators, _identity)
+    generators.append((orbit_sum("e", orbits[0]), _steps(n, range(1, n), zero=False)))
+    return _ClosureTables(fin, Evaluator(spec), generators, h0_weight_map(orbits))
 
 
 def generate_component(
@@ -640,7 +657,7 @@ def generate_component(
     when the caller closes several seeds of one spec (see
     ``component_decomposition``); they are built here otherwise."""
     if tables is None:
-        tables = _untwisted_tables(spec, cap)
+        tables = _closure_tables(spec, [(i,) for i in range(spec.algebra.rank)], 1, cap)
     seed = seed_degree if seed_degree is not None else (0,) * spec.n
     return tables.close(seed, radius)
 
@@ -660,7 +677,7 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
     cols = [_columns(m) for m in mats]
-    scale, terms = _plan(fin, cols, coeffs, everything, everything, fin.total)
+    scale, terms = _plan(fin, [(cols, 0)], coeffs, everything, everything, fin.total)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
     image = _image(terms, [row[k:k + w] for k in range(0, len(row), w)], order, w)
@@ -672,7 +689,7 @@ def component_decomposition(
 ) -> list[GradedBox]:
     """One closure per coset representative of ``support``, the support of
     ``spec``, all sharing one set of closure tables."""
-    tables = _untwisted_tables(spec, cap)
+    tables = _closure_tables(spec, [(i,) for i in range(spec.algebra.rank)], 1, cap)
     return [
         generate_component(spec, radius, cap=cap, seed_degree=rep, tables=tables)
         for rep in support.coset_reps()
@@ -794,45 +811,16 @@ def graded_character(
 
 
 # ---------------------------------------------------------------------------
-# twisted closure (rank-2 A series, twist order 2)
+# twisted closure
 # ---------------------------------------------------------------------------
-
-def _twisted_generators(fin: FinModule):
-    """``[e₁+e₂, f₁+f₂]``, which generate g₀, and ``[e₁−e₂]``, a nonzero
-    vector of the irreducible g₀-module g₁."""
-    e, f = ([_slot_matrices(fin, kind, i) for i in range(2)] for kind in "ef")
-
-    def comb(a, b, sign):
-        return [_mat_add(x, y, sign) for x, y in zip(a, b)]
-
-    return [comb(e[0], e[1], 1), comb(f[0], f[1], 1)], [comb(e[0], e[1], -1)]
-
 
 def twisted_generate_component(
     tspec: TwistedSpec, radius: int, cap: int = 64, seed_degree=None
 ) -> GradedBox:
-    """Closure under the twist-compatible generators only."""
-    base = tspec.base
-    if tspec.order == 1:
-        return generate_component(base, radius, cap=cap, seed_degree=seed_degree)
-    if not (base.algebra.series == "A" and base.algebra.rank == 2 and tspec.order == 2):
-        raise UnsupportedError(
-            "twisted realization is supported for the rank-2 A series, twist order 2",
-            series=base.algebra.series,
-            rank=base.algebra.rank,
-            k=tspec.order,
-        )
-    fin = fin_for_spec(base, cap=cap)
-    n = base.n
-    (e_fixed, f_fixed), (e_anti,) = _twisted_generators(fin)
-    # g₀ at step 0 from e₁+e₂ and f₁+f₂; e₁+e₂ at ±eᵢ for i ≥ 2, e₁−e₂ at ±e₁.
-    generators = [
-        (e_fixed, _steps(n, range(1, n))),
-        (f_fixed, _steps(n, ())),
-        (e_anti, _steps(n, (0,), zero=False)),
-    ]
-    seed = seed_degree if seed_degree is not None else (0,) * n
-    tables = _ClosureTables(fin, Evaluator(base), generators, h0_weight_map(node_orbits(tspec.aut)))
+    """Closure under the twist-compatible generators only (see
+    ``_closure_tables``), from the node orbits of the automorphism."""
+    tables = _closure_tables(tspec.base, node_orbits(tspec.aut), tspec.order, cap)
+    seed = seed_degree if seed_degree is not None else (0,) * tspec.base.n
     return tables.close(seed, radius)
 
 

@@ -58,6 +58,7 @@ from loopmod.errors import (
     SupportNotSubgroupError,
     TrivialModuleError,
 )
+from loopmod.liealg import build_algebra, build_aut, weyl_dim
 from loopmod.psi import support_lattice, verify_support
 from loopmod.realizer import (
     component_decomposition,
@@ -463,33 +464,43 @@ def test_acceptance_7_complete_reducibility_and_decomposition():
     )
     assert check_complete_reducibility(neg) == (False, None)
 
-    # Γ = Z instance: the twisted closures indexed by the restricted-support
-    # cosets decompose the untwisted component.
-    s = spec(A2, (1,), {(1,): (1, 1)}, [(1,)])
-    t = TwistedSpec(base=s, aut=A2_FLIP)
-    base = t.base
-    assert support_lattice(base).index == 1
-    d = twisted_classify(t)
-    reps = d.gamma_mu.coset_reps()
-    assert len(reps) == 2
+    # Γ = Z instances: the twisted closures indexed by the restricted-support
+    # cosets decompose the untwisted component.  Second type (σ-fixed λ) has
+    # one coset per residue mod k; E₆'s V(ω₁) is first type, with one coset.
     from loopmod.realizer import FieldEchelon, generate_component
 
-    untwisted = generate_component(base, 2)
-    boxes = [
-        twisted_generate_component(t, 2, seed_degree=rep) for rep in reps
+    A3, A4, E6 = (build_algebra(*x) for x in (("A", 3), ("A", 4), ("E", 6)))
+    cases = [
+        (A2, A2_FLIP, (1, 1), 2),
+        (A3, build_aut(A3, (2, 1, 0)), (0, 1, 0), 2),
+        (A4, build_aut(A4, (3, 2, 1, 0)), (1, 0, 0, 1), 2),
+        (D4, build_aut(D4, (0, 1, 3, 2)), (1, 0, 0, 0), 2),
+        (E6, build_aut(E6, (5, 1, 4, 3, 2, 0)), (1, 0, 0, 0, 0, 0), 1),
+        (D4, D4_TRIALITY, (0, 1, 0, 0), 3),
     ]
-    for deg in ((m,) for m in range(-2, 3)):
-        combined = FieldEchelon(untwisted.fin.total, base.field_order)
-        total = 0
-        for b in boxes:
-            ech = b.fibers.get(deg)
-            if ech is None:
-                continue
-            total += ech.rank
-            for row in ech.rows:
-                assert untwisted.fiber(deg).contains(row)
-                assert combined.add(row) is not None
-        assert total == untwisted.fiber(deg).rank == 8
+    for algebra, aut, lam, cosets in cases:
+        t = TwistedSpec(base=spec(algebra, (1,), {(1,): lam}, [(1,)]), aut=aut)
+        base = t.base
+        assert support_lattice(base).index == 1
+        d = twisted_classify(t)
+        reps = d.gamma_mu.coset_reps()
+        assert len(reps) == cosets
+        untwisted = generate_component(base, 2)
+        boxes = [
+            twisted_generate_component(t, 2, seed_degree=rep) for rep in reps
+        ]
+        for deg in ((m,) for m in range(-2, 3)):
+            combined = FieldEchelon(untwisted.fin.total, base.field_order)
+            total = 0
+            for b in boxes:
+                ech = b.fibers.get(deg)
+                if ech is None:
+                    continue
+                total += ech.rank
+                for row in ech.rows:
+                    assert untwisted.fiber(deg).contains(row)
+                    assert combined.add(row) is not None
+            assert total == untwisted.fiber(deg).rank == weyl_dim(algebra, lam)
     _report("7 complete-reducibility-and-decomposition", True)
 
 

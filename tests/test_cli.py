@@ -320,13 +320,16 @@ def test_wrong_declared_aut_order(write, capsys):
         {"weights": [{"index": [1], "coords": [True]}]},
         {"evals": [[{"num": 1, "den": True}]]},
         {"dims": [1.0]},
+        {"dims": "1"},
+        {"weights": [{"index": "1", "coords": [1]}]},
+        {"weights": [{"index": [1], "coords": "1"}]},
     ],
     ids=[
         "den-zero", "order-zero", "order-negative", "num-text", "den-text",
         "pow-text", "order-text", "dims-text", "n-text", "evals-scalar",
         "evals-axis-scalar", "weights-scalar", "rho-scalar", "aut-scalar",
         "perm-scalar", "coords-float", "num-float", "coords-bool", "den-bool",
-        "dims-float",
+        "dims-float", "dims-string", "index-string", "coords-string",
     ],
 )
 def test_bad_scalar_is_input_error(write, capsys, fields):

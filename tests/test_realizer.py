@@ -10,13 +10,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import A1, A2, A2_FLIP, random_twisted_spec, sc, spec
+from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_twisted_spec, sc, spec
 import loopmod
 from loopmod import realizer
 from loopmod.cli import main
 from loopmod.cyclotomic import CycVector
-from loopmod.errors import CapExceededError, UnsupportedError
-from loopmod.liealg import build_algebra, build_aut, node_orbits, weyl_dim
+from loopmod.errors import CapExceededError, InputError, UnsupportedError
+from loopmod.liealg import build_algebra, build_aut, node_orbits, restrict_weight, weyl_dim
 from loopmod.psi import Evaluator, support_lattice
 from loopmod.realizer import (
     FieldEchelon,
@@ -314,12 +314,78 @@ def test_twisted_identity_aut_equals_untwisted():
     assert twisted_generate_component(t, 2).dims() == generate_component(s, 2).dims()
 
 
-def test_twisted_unsupported_combination():
-    D4 = build_algebra("D", 4)
-    tri = build_aut(D4, (2, 1, 3, 0))
-    s = spec(D4, (1,), {(1,): (1, 0, 1, 1)}, [(1,)])
-    with pytest.raises(UnsupportedError):
-        twisted_generate_component(TwistedSpec(base=s, aut=tri), 2)
+def test_twisted_triality_first_type_fills_all_degrees():
+    # V(ω₁) of D₄ is not fixed by triality: one component, the whole module
+    # at every degree.
+    s = spec(D4, (1,), {(1,): (1, 0, 0, 0)}, [(1,)])
+    t = TwistedSpec(base=s, aut=D4_TRIALITY)
+    assert twisted_generate_component(t, 2).dims() == {(m,): 8 for m in range(-2, 3)}
+
+
+@pytest.mark.parametrize(
+    "series, rank, sigma, lam, ranks",
+    [
+        ("A", 3, (2, 1, 0), (0, 1, 0), (5, 1)),
+        ("A", 3, (2, 1, 0), (1, 0, 1), (10, 5)),
+        ("D", 4, (0, 1, 3, 2), (1, 0, 0, 0), (7, 1)),
+        ("D", 4, (2, 1, 3, 0), (0, 1, 0, 0), (14, 7, 7)),
+    ],
+    ids=["A3-flip-w2", "A3-flip-adjoint", "D4-flip-w1", "D4-triality-adjoint"],
+)
+def test_twisted_fiber_ranks_are_the_twist_eigenspaces(series, rank, sigma, lam, ranks):
+    # For σ-fixed λ at a = (1), the fiber at degree m is the eigenspace of μ
+    # on V(λ) for the residue of m mod k: the triality adjoint is G₂ plus its
+    # two 7-dimensional modules.
+    algebra = build_algebra(series, rank)
+    aut = build_aut(algebra, sigma)
+    t = TwistedSpec(base=spec(algebra, (1,), {(1,): lam}, [(1,)]), aut=aut)
+    assert sum(ranks) == weyl_dim(algebra, lam)
+    box = twisted_generate_component(t, 2)
+    assert box.dims() == {(m,): ranks[m % aut.order] for m in range(-2, 3)}
+
+
+def test_twisted_step_generator_matches_restrict_weight():
+    # At +e₁ the generator is Σ_u ω^{−u}·e_{σ^u b}; restrict_weight pairs the
+    # degrees with m₁ ≡ 1 against v₁ = Σ_u ω^{−u}·h_{σ^u b}.  So the
+    # coefficient of e_{σ^u b} is the value of ω_{σ^u b} on v₁.
+    s = spec(D4, (1,), {(1,): (1, 0, 0, 0)}, [(1,)])
+    t = TwistedSpec(base=s, aut=D4_TRIALITY)
+    order = t.base.field_order
+    (orbit,) = [o for o in node_orbits(D4_TRIALITY) if len(o) == 3]
+    tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
+    (cols,) = [cols for cols, _, _, step in tables.gens if step == (1,)]
+    assert len(cols) == 3
+    for (mat_cols, e), node in zip(cols, orbit):
+        e_node = [realizer._columns(m) for m in realizer._slot_matrices(tables.fin, "e", node)]
+        assert mat_cols == e_node
+        fundamental = tuple(int(i == node) for i in range(4))
+        (value,) = restrict_weight(D4_TRIALITY, fundamental, order).higher[0]
+        assert value == CycVector.from_terms(order, [(e, 1)])
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E", 6)])
+def test_realizer_accepts_every_automorphism_that_build_aut_accepts(series, rank):
+    # The classifier and the realizer accept the same automorphisms: each
+    # builds its closure tables on a small σ-fixed spec, the orbit sum of
+    # fundamental weights with the smallest module.
+    algebra = build_algebra(series, rank)
+    accepted = 0
+    for sigma in itertools.permutations(range(rank)):
+        try:
+            aut = build_aut(algebra, sigma)
+        except (InputError, UnsupportedError):
+            continue
+        orbits = node_orbits(aut)
+        lam = min(
+            (tuple(int(i in o) for i in range(rank)) for o in orbits),
+            key=lambda w: weyl_dim(algebra, w),
+        )
+        t = TwistedSpec(base=spec(algebra, (1,), {(1,): lam}, [(1,)]), aut=aut)
+        cap = weyl_dim(algebra, lam)
+        tables = realizer._closure_tables(t.base, orbits, aut.order, cap)
+        assert tables.gens and tables.fin.total == cap
+        accepted += 1
+    assert accepted == {"A": 2, "D": 6, "E": 2}[series]
 
 
 def test_twisted_h0_character():
@@ -605,9 +671,9 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     # e₁ + e₂ moves weights by α₁ or α₂, which the identity grading separates.
     s = spec(A2, (1,), {(1,): (1, 1)}, [(1,)])
     fin = fin_for_spec(s)
-    fixed, _ = realizer._twisted_generators(fin)
+    e_sum = [(realizer._slot_matrices(fin, "e", i), 0) for i in range(2)]
     with pytest.raises(UnsupportedError):
-        realizer._ClosureTables(fin, Evaluator(s), [(fixed[0], [(1,)])], _identity).close((0,), 1)
+        realizer._ClosureTables(fin, Evaluator(s), [(e_sum, [(1,)])], _identity).close((0,), 1)
 
 
 _CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
@@ -676,7 +742,7 @@ def test_generating_set_closure_equals_full_set_closure(seed):
     fin = fin_for_spec(s)
     steps = realizer._steps(n, range(n))
     full = [
-        (realizer._slot_matrices(fin, kind, i), steps)
+        ([(realizer._slot_matrices(fin, kind, i), 0)], steps)
         for i in range(algebra.rank) for kind in "efh"
     ]
     tables = realizer._ClosureTables(fin, Evaluator(s), full, _identity)
@@ -703,8 +769,8 @@ def test_twisted_generating_set_closure_equals_full_set_closure(seed):
         _comb(h[0], h[1], -1), _comb(e[0], e[1], -1), _comb(f[0], f[1], -1),
         _bracket(e[0], e[1]), _bracket(f[0], f[1]),
     ]
-    full = [(m, realizer._steps(n, range(1, n))) for m in fixed]
-    full += [(m, realizer._steps(n, (0,), zero=False)) for m in anti]
+    full = [([(m, 0)], realizer._steps(n, range(1, n))) for m in fixed]
+    full += [([(m, 0)], realizer._steps(n, (0,), zero=False)) for m in anti]
     radius = 1
     class_map = h0_weight_map(node_orbits(A2_FLIP))
     old = realizer._ClosureTables(fin, Evaluator(s), full, class_map).close((0,) * n, radius)
