@@ -1,11 +1,11 @@
 """Brute-force oracle: explicit tensor modules with the graded loop action.
 
-Each factor V(λ) is built exactly from its highest-weight vector: candidate
-vectors are lowering words ``f_{i₁}…f_{iₖ}·v``, filtered for linear
-independence through the contravariant form (⟨f_i x, y⟩ = ⟨x, e_i y⟩ with
-⟨v, v⟩ = 1), which is positive definite on the irreducible quotient, so a
-candidate is dependent exactly when its Gram residual vanishes.  Raising and
-lowering matrices come out of the same Gram solves; everything is rational.
+Each factor V(λ) is built exactly, one weight space at a time going down
+from its highest-weight vector: the candidates at a weight are ``f_i·b`` for
+the basis vectors b one level up, and each is known by its images under every
+``e_j``, which come from matrices already built.  In V(λ) only the
+highest-weight line is killed by every ``e_j``, so one rational echelon of the
+images per weight gives the basis, the ``f_i`` and the ``e_j`` matrices.
 
 ``generate_component`` closes the seeded vector ``v(m̃)`` inside a degree
 box under a generating set of the loop algebra, which ``_closure_tables``
@@ -70,81 +70,8 @@ _MARGIN = 1  # degrees the closure sweeps beyond the reported box
 
 
 # ---------------------------------------------------------------------------
-# rational linear algebra helpers
-# ---------------------------------------------------------------------------
-
-def _solve(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Solve G·x = rhs for an invertible (Gram) matrix, exact elimination.
-    k = len(gram)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col] / pval
-                for c in range(col, k + 1):
-                    aug[r][c] -= f * aug[col][c]
-    return [aug[i][k] / aug[i][i] for i in range(k)]
-
-
-# ---------------------------------------------------------------------------
 # irreducible highest-weight factors
 # ---------------------------------------------------------------------------
-
-class _WordSpace:
-    """Lowering-word calculus for one V(λ): weights, raising, inner products."""
-
-    def __init__(self, algebra: SimpleLieAlgebra, top: Weight):
-        self.cartan = algebra.cartan
-        self.rank = algebra.rank
-        self.top = top
-        self._raise_memo: dict[tuple[int, tuple[int, ...]], dict] = {}
-        self._ip_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-    def weight(self, word: tuple[int, ...]) -> Weight:
-        out = list(self.top)
-        for i in word:
-            for j in range(self.rank):
-                out[j] -= self.cartan[j][i]
-        return tuple(out)
-
-    def raise_word(self, j: int, word: tuple[int, ...]) -> dict:
-        """e_j applied to f_word·v, as a combination of shorter words."""
-        key = (j, word)
-        hit = self._raise_memo.get(key)
-        if hit is not None:
-            return hit
-        if not word:
-            out: dict = {}
-        else:
-            head, i = word[:-1], word[-1]
-            out = {u + (i,): c for u, c in self.raise_word(j, head).items()}
-            if i == j:
-                hval = Fraction(self.weight(head)[j])
-                if hval:
-                    out[head] = out.get(head, _F0) + hval
-            out = {u: c for u, c in out.items() if c}
-        self._raise_memo[key] = out
-        return out
-
-    def ip(self, w1: tuple[int, ...], w2: tuple[int, ...]) -> Fraction:
-        if len(w1) != len(w2) or self.weight(w1) != self.weight(w2):
-            return _F0
-        if not w1:
-            return _F1
-        key = (w1, w2)
-        hit = self._ip_memo.get(key)
-        if hit is not None:
-            return hit
-        head, i = w1[:-1], w1[-1]
-        total = _F0
-        for u, c in self.raise_word(i, w2).items():
-            total += c * self.ip(head, u)
-        self._ip_memo[key] = total
-        return total
-
 
 @dataclass(frozen=True)
 class SlotModule:
@@ -157,73 +84,73 @@ class SlotModule:
 
 @lru_cache(maxsize=None)
 def _irrep_cached(series: str, rank: int, top: Weight) -> SlotModule:
-    algebra = build_algebra(series, rank)
-    ws = _WordSpace(algebra, top)
-    d = algebra.rank
+    """V(λ), one depth below λ at a time.  The candidates at depth k+1 are
+    ``f_i·b`` for the basis vectors b at depth k, in the order (b, i).  Their
+    images ``e_j f_i b = f_i(e_j b) + δ_ij·⟨wt b, α_i^∨⟩·b`` come from columns
+    already built.  In V(λ) a vector of weight ν ≠ λ that every e_j kills is
+    zero, so the candidates of one weight satisfy exactly the linear relations
+    of their images.  One greedy echelon of the images per weight therefore
+    picks the basis, numbered in candidate order; a dependent candidate's
+    expression in the chosen ones is its ``f_i`` column, and the images are
+    the ``e_j`` columns (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, §20–21)."""
+    cartan = build_algebra(series, rank).cartan
+    weights = [top]
+    lower: list[list[dict]] = [[] for _ in range(rank)]    # f_i columns {row: entry}
+    raiser: list[list[dict]] = [[{}] for _ in range(rank)]  # e_j columns
+    level = range(1)  # the highest-weight vector
+    while level:
+        # Per weight, echelon rows (pivot, row, row as a combination of basis vectors).
+        echelons: dict[Weight, list] = {}
+        for b in level:
+            for i in range(rank):
+                image: dict = {}
+                for j in range(rank):
+                    for r, c in raiser[j][b].items():
+                        for s, x in lower[i][r].items():
+                            image[j, s] = image.get((j, s), _F0) + c * x
+                if weights[b][i]:
+                    image[i, b] = image.get((i, b), _F0) + weights[b][i]
+                wt = tuple(x - cartan[j][i] for j, x in enumerate(weights[b]))
+                rows = echelons.setdefault(wt, [])
+                rest, expr = dict(image), {}
+                for piv, row, comb in rows:
+                    c = rest.get(piv)
+                    if c:
+                        for key, x in row.items():
+                            rest[key] = rest.get(key, _F0) - c * x
+                        for s, x in comb.items():
+                            expr[s] = expr.get(s, _F0) + c * x
+                piv = next((key for key, x in rest.items() if x), None)
+                if piv is None:
+                    lower[i].append({s: x for s, x in expr.items() if x})
+                    continue
+                new = len(weights)
+                weights.append(wt)
+                for j in range(rank):
+                    raiser[j].append({s: x for (jj, s), x in image.items() if jj == j and x})
+                lower[i].append({new: _F1})
+                p = rest[piv]
+                comb = {s: -x / p for s, x in expr.items() if x}
+                comb[new] = 1 / p
+                rows.append((piv, {key: x / p for key, x in rest.items() if x}, comb))
+        level = range(level.stop, len(weights))
 
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    # Per weight, the selected words and the (PD) Gram matrix of them.
-    groups: dict[Weight, tuple[list[tuple[int, ...]], list[list[Fraction]]]] = {
-        top: ([()], [[_F1]])
-    }
-    while levels[-1]:
-        nxt: list[tuple[int, ...]] = []
-        for b in levels[-1]:
-            for i in range(d):
-                cand = b + (i,)
-                wt = ws.weight(cand)
-                sel, gram = groups.setdefault(wt, ([], []))
-                cross = [ws.ip(cand, s) for s in sel]
-                resid = ws.ip(cand, cand)
-                if sel:
-                    x = _solve(gram, cross)
-                    resid -= sum(c * xi for c, xi in zip(cross, x))
-                if resid != 0:
-                    for row, c in zip(gram, cross):
-                        row.append(c)
-                    gram.append(cross + [ws.ip(cand, cand)])
-                    sel.append(cand)
-                    nxt.append(cand)
-        levels.append(nxt)
+    dim = len(weights)
 
-    basis: list[tuple[int, ...]] = [w for level in levels for w in level]
-    position = {w: k for k, w in enumerate(basis)}
-    weights = tuple(ws.weight(w) for w in basis)
-    dim = len(basis)
-
-    def coords(combo: dict) -> dict[int, Fraction]:
-        # Express a word combination in the selected basis via Gram solves.
-        out: dict[int, Fraction] = {}
-        by_wt: dict[Weight, dict] = {}
-        for word, c in combo.items():
-            by_wt.setdefault(ws.weight(word), {})[word] = c
-        for wt, part in by_wt.items():
-            sel, gram = groups.get(wt, ([], []))
-            if not sel:
-                continue
-            cross = [
-                sum(c * ws.ip(word, s) for word, c in part.items()) for s in sel
-            ]
-            for s, xi in zip(sel, _solve(gram, cross)):
-                if xi:
-                    out[position[s]] = out.get(position[s], _F0) + xi
-        return out
-
-    lower = [[[_F0] * dim for _ in range(dim)] for _ in range(d)]
-    raiser = [[[_F0] * dim for _ in range(dim)] for _ in range(d)]
-    for c, word in enumerate(basis):
-        for i in range(d):
-            for r, val in coords({word + (i,): _F1}).items():
-                lower[i][r][c] = val
-            for r, val in coords(ws.raise_word(i, word)).items():
-                raiser[i][r][c] = val
+    def dense(columns: list[dict]) -> Matrix:
+        mat = [[_F0] * dim for _ in range(dim)]
+        for col, entries in enumerate(columns):
+            for row, x in entries.items():
+                mat[row][col] = x
+        return mat
 
     return SlotModule(
         top=top,
         dim=dim,
-        weights=weights,
-        lower=tuple(lower),
-        raiser=tuple(raiser),
+        weights=tuple(weights),
+        lower=tuple(dense(cols) for cols in lower),
+        raiser=tuple(dense(cols) for cols in raiser),
     )
 
 
@@ -268,11 +195,6 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
 def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
     dim = len(mat)
     return [[(r, mat[r][c]) for r in range(dim) if mat[r][c]] for c in range(dim)]
-
-
-def _diag_matrix(values) -> Matrix:
-    n = len(values)
-    return [[Fraction(values[i]) if i == j else _F0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +437,7 @@ class _ClosureTables:
 
     def __init__(self, fin: FinModule, ev: Evaluator, generators, class_map):
         # generators: list of (terms, list of step degrees), where the terms
-        # are (per-slot matrices, ζ-exponent) pairs that the generator sums.
+        # are (per-slot columns, ζ-exponent) pairs that the generator sums.
         self.fin = fin
         self.order = ev.order
         self.class_map = class_map
@@ -525,13 +447,12 @@ class _ClosureTables:
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
         gens = []  # (terms as per-slot columns, class shift, per-slot coefficients, step)
         for terms, steps in generators:
-            cols = [([_columns(m) for m in mats], e) for mats, e in terms]
-            shift = _class_shift(slot_classes, cols)
+            shift = _class_shift(slot_classes, terms)
             if shift is None:
                 continue
             for s in steps:
                 coeffs = [ev.coefficient(I, s) for I in indices]
-                gens.append((cols, shift, coeffs, tuple(s)))
+                gens.append((terms, shift, coeffs, tuple(s)))
         self.gens = gens
         # Per source class, the moves into classes that have basis vectors:
         # (generator id, target class, its size, step).
@@ -594,14 +515,15 @@ class _ClosureTables:
         )
 
 
-def _slot_matrices(fin: FinModule, kind: str, i: int) -> list[Matrix]:
-    """Per-slot matrices of ``e_i``, ``f_i`` or ``h_i`` (``kind`` 'e', 'f', 'h')."""
+def _slot_columns(fin: FinModule, kind: str, i: int) -> list:
+    """Per-slot columns of ``e_i``, ``f_i`` or ``h_i`` (``kind`` 'e', 'f', 'h')."""
     if kind == "e":
-        return [slot.raiser[i] for slot in fin.slots]
+        return [_columns(slot.raiser[i]) for slot in fin.slots]
     if kind == "f":
-        return [slot.lower[i] for slot in fin.slots]
+        return [_columns(slot.lower[i]) for slot in fin.slots]
     if kind == "h":
-        return [_diag_matrix([w[i] for w in slot.weights]) for slot in fin.slots]
+        return [[[(c, Fraction(w[i]))] if w[i] else [] for c, w in enumerate(slot.weights)]
+                for slot in fin.slots]
     raise InputError("unknown generator kind", kind=kind)
 
 
@@ -631,10 +553,12 @@ def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
     e₁ at every step ±e_j."""
     fin = fin_for_spec(spec, cap=cap)
     n, order = spec.n, spec.field_order
+    columns = {(kind, i): _slot_columns(fin, kind, i)
+               for kind in "ef" for i in range(spec.algebra.rank)}
 
     def orbit_sum(kind, orbit, sign=0):
-        # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot matrices, ζ-exponent) terms.
-        return [(_slot_matrices(fin, kind, i), sign * u * (order // k) % order)
+        # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot columns, ζ-exponent) terms.
+        return [(columns[kind, i], sign * u * (order // k) % order)
                 for u, i in enumerate(orbit)]
 
     zero = _steps(n, ())
@@ -673,10 +597,9 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
             raise InputError("the derivation action needs the vector's degree")
         factor = Fraction(degree[idx]) + spec.rho[idx]
         return [v.scale_rational(factor) for v in vec]
-    mats = _slot_matrices(fin, kind, idx)
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
-    cols = [_columns(m) for m in mats]
+    cols = _slot_columns(fin, kind, idx)
     scale, terms = _plan(fin, [(cols, 0)], coeffs, everything, everything, fin.total)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import os
@@ -45,29 +47,118 @@ def test_irreducible_module_sl2():
     assert m0.dim == 1
 
 
+_SMALL_ALGEBRAS = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3),
+    ("D", 4), ("F", 4), ("E", 6),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_irreps(bound=80):
+    # Every (algebra, λ) of _SMALL_ALGEBRAS with dim V(λ) <= bound: the E₆
+    # adjoint, F₄ V(ω₄) and the G₂, B₃ and D₄ adjoints among them.  The
+    # dimension grows with each fundamental weight added to λ, so the search
+    # stops at the first weight over the bound.
+    out = []
+    for series, rank in _SMALL_ALGEBRAS:
+        algebra = build_algebra(series, rank)
+        found, todo = {(0,) * rank}, [(0,) * rank]
+        while todo:
+            lam = todo.pop()
+            for i in range(rank):
+                mu = tuple(x + (j == i) for j, x in enumerate(lam))
+                if mu not in found and weyl_dim(algebra, mu) <= bound:
+                    found.add(mu)
+                    todo.append(mu)
+        out += [(algebra, lam) for lam in sorted(found)]
+    return out
+
+
+def _sparse(mat):
+    return {(r, c): x for r, row in enumerate(mat) for c, x in enumerate(row) if x}
+
+
+def _sparse_commutator(a, b):
+    def mul(x, y):
+        rows = {}
+        for (k, c), v in y.items():
+            rows.setdefault(k, []).append((c, v))
+        out = {}
+        for (r, k), u in x.items():
+            for c, v in rows.get(k, ()):
+                out[r, c] = out.get((r, c), 0) + u * v
+        return out
+
+    out = mul(a, b)
+    for key, x in mul(b, a).items():
+        out[key] = out.get(key, 0) - x
+    return {key: x for key, x in out.items() if x}
+
+
 def test_irreducible_module_dims_match_weyl():
-    for algebra, coords in ((A1, [(m,) for m in range(4)]),
-                            (A2, list(itertools.product(range(4), repeat=2)))):
-        for lam in coords:
-            assert irreducible_module(algebra, lam).dim == weyl_dim(algebra, lam)
+    assert {(a.series, a.rank) for a, _ in _small_irreps()} == set(_SMALL_ALGEBRAS)
+    for algebra, lam in _small_irreps():
+        m = irreducible_module(algebra, lam)
+        assert m.dim == weyl_dim(algebra, lam) == len(m.weights)
+        assert m.weights[0] == lam
 
 
 def test_irreducible_module_bracket_identity():
-    m = irreducible_module(A2, (1, 1))
-    for i in range(2):
-        for j in range(2):
-            lhs = [
-                [
-                    sum(m.raiser[i][r][k] * m.lower[j][k][c] for k in range(m.dim))
-                    - sum(m.lower[j][r][k] * m.raiser[i][k][c] for k in range(m.dim))
-                    for c in range(m.dim)
-                ]
-                for r in range(m.dim)
-            ]
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    expect = Fraction(m.weights[r][i]) if (i == j and r == c) else Fraction(0)
-                    assert lhs[r][c] == expect
+    # [e_i, f_j] = δ_ij·h_i and the Serre relations (ad x_i)^{1−C_ij}(x_j) = 0
+    # for x = e and x = f, on every module of _small_irreps.
+    for algebra, lam in _small_irreps():
+        m = irreducible_module(algebra, lam)
+        e, f = [_sparse(x) for x in m.raiser], [_sparse(x) for x in m.lower]
+        for i in range(algebra.rank):
+            h = {(r, r): Fraction(w[i]) for r, w in enumerate(m.weights) if w[i]}
+            for j in range(algebra.rank):
+                assert _sparse_commutator(e[i], f[j]) == (h if i == j else {})
+                if i == j:
+                    continue
+                for x in (e, f):
+                    y = x[j]
+                    for _ in range(1 - algebra.cartan[i][j]):
+                        y = _sparse_commutator(x[i], y)
+                    assert y == {}, (algebra.series, lam, i, j)
+
+
+@pytest.mark.parametrize("series, rank, lam, digest", [
+    ("A", 2, (2, 1), "eb720faaa85e8312c776aec11e51fe3226af48223940f7605352a2722e7bc19a"),
+    ("G", 2, (1, 1), "5b379f9c26dcb16465acfeb3d58ed0903350124315997d2b2e82fc11f65d3a59"),
+    ("E", 6, (0, 1, 0, 0, 0, 0),
+     "0a28389bb8445d492c1c732eda4b7ce3154bdd89e361e669c5fc829820515529"),
+], ids=["A2", "G2", "E6-adjoint"])
+def test_irreducible_module_basis_is_pinned(series, rank, lam, digest):
+    # The basis (which f_word·v, in which order) fixes every closure row, so
+    # it is pinned: the digests were recorded from the lowering-word search
+    # through the contravariant form, which built the same vectors.
+    module = irreducible_module(build_algebra(series, rank), lam)
+    assert hashlib.sha256(repr(module).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("series, rank, lam, dim", [
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1), 56),
+    ("F", 4, (0, 0, 0, 1), 26),
+], ids=["E7", "F4"])
+def test_verify_realizes_exceptional_fundamental_modules(tmp_path, capsys, series, rank, lam, dim):
+    # One evaluation point, so one component; the tensor is V(λ) itself,
+    # within the default --cap 64.
+    doc = {
+        "schema": 1,
+        "algebra": {"series": series, "rank": rank},
+        "n": 1,
+        "dims": [1],
+        "weights": [{"index": [1], "coords": list(lam)}],
+        "evals": [[2]],
+        "rho": [0],
+    }
+    assert weyl_dim(build_algebra(series, rank), lam) == dim
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--box", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["ok"] and all(result["checks"].values())
+    assert result["components"] == 1
 
 
 def test_build_tensor_dims_and_cap():
@@ -356,8 +447,7 @@ def test_twisted_step_generator_matches_restrict_weight():
     (cols,) = [cols for cols, _, _, step in tables.gens if step == (1,)]
     assert len(cols) == 3
     for (mat_cols, e), node in zip(cols, orbit):
-        e_node = [realizer._columns(m) for m in realizer._slot_matrices(tables.fin, "e", node)]
-        assert mat_cols == e_node
+        assert mat_cols == realizer._slot_columns(tables.fin, "e", node)
         fundamental = tuple(int(i == node) for i in range(4))
         (value,) = restrict_weight(D4_TRIALITY, fundamental, order).higher[0]
         assert value == CycVector.from_terms(order, [(e, 1)])
@@ -671,12 +761,24 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     # e₁ + e₂ moves weights by α₁ or α₂, which the identity grading separates.
     s = spec(A2, (1,), {(1,): (1, 1)}, [(1,)])
     fin = fin_for_spec(s)
-    e_sum = [(realizer._slot_matrices(fin, "e", i), 0) for i in range(2)]
+    e_sum = [(realizer._slot_columns(fin, "e", i), 0) for i in range(2)]
     with pytest.raises(UnsupportedError):
         realizer._ClosureTables(fin, Evaluator(s), [(e_sum, [(1,)])], _identity).close((0,), 1)
 
 
 _CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
+
+
+def _slot_matrices(fin, kind, i):
+    # Per-slot dense matrices of e_i, f_i or h_i, from their columns.
+    mats = []
+    for cols in realizer._slot_columns(fin, kind, i):
+        mat = [[0] * len(cols) for _ in cols]
+        for c, col in enumerate(cols):
+            for r, x in col:
+                mat[r][c] = x
+        mats.append(mat)
+    return mats
 
 
 def _bracket(a, b):
@@ -693,6 +795,10 @@ def _bracket(a, b):
         [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(mul(x, y), mul(y, x))]
         for x, y in zip(a, b)
     ]
+
+
+def _columns(mats):
+    return [realizer._columns(m) for m in mats]
 
 
 def _comb(a, b, sign):
@@ -742,7 +848,7 @@ def test_generating_set_closure_equals_full_set_closure(seed):
     fin = fin_for_spec(s)
     steps = realizer._steps(n, range(n))
     full = [
-        ([(realizer._slot_matrices(fin, kind, i), 0)], steps)
+        ([(realizer._slot_columns(fin, kind, i), 0)], steps)
         for i in range(algebra.rank) for kind in "efh"
     ]
     tables = realizer._ClosureTables(fin, Evaluator(s), full, _identity)
@@ -763,14 +869,14 @@ def test_twisted_generating_set_closure_equals_full_set_closure(seed):
             break
     s, n = t.base, t.base.n
     fin = fin_for_spec(s)
-    e, f, h = ([realizer._slot_matrices(fin, kind, i) for i in range(2)] for kind in "efh")
+    e, f, h = ([_slot_matrices(fin, kind, i) for i in range(2)] for kind in "efh")
     fixed = [_comb(e[0], e[1], 1), _comb(f[0], f[1], 1), _comb(h[0], h[1], 1)]
     anti = [
         _comb(h[0], h[1], -1), _comb(e[0], e[1], -1), _comb(f[0], f[1], -1),
         _bracket(e[0], e[1]), _bracket(f[0], f[1]),
     ]
-    full = [([(m, 0)], realizer._steps(n, range(1, n))) for m in fixed]
-    full += [([(m, 0)], realizer._steps(n, (0,), zero=False)) for m in anti]
+    full = [([(_columns(m), 0)], realizer._steps(n, range(1, n))) for m in fixed]
+    full += [([(_columns(m), 0)], realizer._steps(n, (0,), zero=False)) for m in anti]
     radius = 1
     class_map = h0_weight_map(node_orbits(A2_FLIP))
     old = realizer._ClosureTables(fin, Evaluator(s), full, class_map).close((0,) * n, radius)

@@ -434,20 +434,37 @@ def test_twisted_iso_is_equivalence_on_witnessed_pool():
 
 def test_twisted_witness_pairs_share_h0_characters():
     # Realizer cross-check: a twisted witness implies equal per-degree
-    # multisets of orbit-sum weights of the twisted components.
-    from loopmod.liealg import node_orbits
+    # multisets of orbit-sum weights of the twisted components.  On the A₂,
+    # A₃, A₄ and D₄ flips and D₄ triality, the pairs are λ against σ(λ) at
+    # one point, and λ at 1 against σ(λ) at ω = ζ_k beside a shared λ at 3;
+    # every tensor stays within the default cap of 64.
+    from loopmod.liealg import build_algebra, node_orbits
     from loopmod.realizer import graded_character, h0_weight_map, twisted_generate_component
 
-    t1 = tsp({(1,): (1, 0)}, [(1,)])
-    t2 = tsp({(1,): (0, 1)}, [(1,)])
-    d1, d2 = twisted_classify(t1), twisted_classify(t2)
-    assert decide_twisted_iso(d1, d2)
-    proj = h0_weight_map(node_orbits(A2_FLIP))
-    chars = []
-    for t in (t1, t2):
-        box = twisted_generate_component(t, 2)
-        chars.append(graded_character(t.base, 2, weight_map=proj, box=box))
-    assert chars[0] == chars[1]
+    a3, a4 = build_algebra("A", 3), build_algebra("A", 4)
+    twists = [
+        (A2, A2_FLIP, (1, 0)),
+        (a3, build_aut(a3, (2, 1, 0)), (1, 0, 0)),
+        (a4, build_aut(a4, (3, 2, 1, 0)), (1, 0, 0, 0)),
+        (D4, build_aut(D4, (0, 1, 3, 2)), (0, 0, 1, 0)),
+        (D4, D4_TRIALITY, (1, 0, 0, 0)),
+    ]
+    for algebra, aut, lam in twists:
+        mu, omega = apply_aut(aut, lam), sc(1, 1, aut.order)
+        assert mu != lam
+        pairs = [
+            (({(1,): lam}, [(1,)]), ({(1,): mu}, [(1,)])),
+            (({(1,): lam, (2,): lam}, [(1, 3)]), ({(1,): mu, (2,): lam}, [(omega, 3)])),
+        ]
+        proj = h0_weight_map(node_orbits(aut))
+        for pair in pairs:
+            t1, t2 = (tsp(w, ev, aut=aut, algebra=algebra) for w, ev in pair)
+            assert decide_twisted_iso(twisted_classify(t1), twisted_classify(t2))
+            chars = []
+            for t in (t1, t2):
+                box = twisted_generate_component(t, 2)
+                chars.append(graded_character(t.base, 2, weight_map=proj, box=box))
+            assert chars[0] == chars[1]
 
 
 def test_twisted_classify_coarse_second_type():
