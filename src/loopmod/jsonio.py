@@ -127,7 +127,7 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     evals = tuple(
         tuple(_scalar_from(raw, order) for raw in axis) for axis in raw_evals
     )
-    rho = tuple(_fraction_from(x) for x in _list(doc.get("rho", [0] * n), "rho"))
+    rho = tuple(_fraction_from(x) for x in _list(doc.get("rho", []), "rho"))
     spec = PsiSpec(
         algebra=algebra, n=n, dims=dims, weights=weights, evals=evals, rho=rho
     )
@@ -152,7 +152,9 @@ def load_spec(path: str) -> PsiSpec | TwistedSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal too long to convert, bytes
+        # that are not UTF-8, or nesting too deep for the parser.
         raise InputError(f"spec file is not valid JSON: {exc}") from exc
     return parse_spec(doc)
 

@@ -90,11 +90,12 @@ class PsiSpec:
                 raise InputError(
                     "evaluation scalars must be distinct on each axis", axis=i + 1
                 )
-        expected = table_indices(self.dims)
-        missing = [I for I in expected if I not in self.weights]
+        # The first five missing indices, found without listing the table.
+        indices = itertools.product(*(range(1, d + 1) for d in self.dims))
+        missing = list(itertools.islice((I for I in indices if I not in self.weights), 5))
         if missing:
-            raise InputError("weight table is incomplete", missing=missing[:5])
-        if len(self.weights) != len(expected):
+            raise InputError("weight table is incomplete", missing=missing)
+        if len(self.weights) != self.table_size:
             raise InputError("weight table has extraneous entries")
         d = self.algebra.rank
         for I, w in self.weights.items():

@@ -3,9 +3,9 @@
 Each factor V(λ) is built exactly, one weight space at a time going down
 from its highest-weight vector: the candidates at a weight are ``f_i·b`` for
 the basis vectors b one level up, and each is known by its images under every
-``e_j``, which come from matrices already built.  In V(λ) only the
+``e_j``, which come from columns already built.  In V(λ) only the
 highest-weight line is killed by every ``e_j``, so one rational echelon of the
-images per weight gives the basis, the ``f_i`` and the ``e_j`` matrices.
+images per weight gives the basis, the ``f_i`` and the ``e_j`` columns.
 
 ``generate_component`` closes the seeded vector ``v(m̃)`` inside a degree
 box under a generating set of the loop algebra, which ``_closure_tables``
@@ -21,7 +21,7 @@ every ``x⊗t^s``.  The x with ``(x⊗t^s)·W(m) ⊂ W(m+s)`` for all in-box
 of the eigenspace ``g_j`` that the step serves, because g₀ is simple and
 each ``g_j`` is an irreducible g₀-module (Kac, *Infinite-dimensional Lie
 Algebras*, 3rd ed., Prop. 7.9 and 8.3; untwisted, g₀ = g).  A generator is
-a sum of ``(per-slot matrices, ζ-exponent)`` terms, so no matrix has
+a sum of ``(per-slot columns, ζ-exponent)`` terms, so no column has
 cyclotomic entries.  Every generator moves a weight by one fixed shift, so
 each degree fiber splits into weight classes, the weight's values on the
 orbit sums of the nodes (``h0_weight_map``; the weight itself when
@@ -63,7 +63,6 @@ from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_o
 from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
 from .twisted import TwistedSpec
 
-Matrix = list[list[Fraction]]
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _MARGIN = 1  # degrees the closure sweeps beyond the reported box
@@ -78,8 +77,10 @@ class SlotModule:
     top: Weight
     dim: int
     weights: tuple[Weight, ...]                 # per basis vector
-    lower: tuple[Matrix, ...]                   # f_i, one per simple root
-    raiser: tuple[Matrix, ...]                  # e_i
+    # Columns of f_i and e_i, one tuple per simple root: per column, its
+    # nonzero (row, entry) pairs in row order.
+    lower: tuple
+    raiser: tuple
 
 
 @lru_cache(maxsize=None)
@@ -136,21 +137,12 @@ def _irrep_cached(series: str, rank: int, top: Weight) -> SlotModule:
                 rows.append((piv, {key: x / p for key, x in rest.items() if x}, comb))
         level = range(level.stop, len(weights))
 
-    dim = len(weights)
-
-    def dense(columns: list[dict]) -> Matrix:
-        mat = [[_F0] * dim for _ in range(dim)]
-        for col, entries in enumerate(columns):
-            for row, x in entries.items():
-                mat[row][col] = x
-        return mat
-
     return SlotModule(
         top=top,
-        dim=dim,
+        dim=len(weights),
         weights=tuple(weights),
-        lower=tuple(dense(cols) for cols in lower),
-        raiser=tuple(dense(cols) for cols in raiser),
+        lower=tuple(tuple(tuple(sorted(col.items())) for col in cols) for cols in lower),
+        raiser=tuple(tuple(tuple(sorted(col.items())) for col in cols) for cols in raiser),
     )
 
 
@@ -190,11 +182,6 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
         for g in range(total)
     )
     return FinModule(algebra, slots, strides, total, basis_weights)
-
-
-def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
-    dim = len(mat)
-    return [[(r, mat[r][c]) for r in range(dim) if mat[r][c]] for c in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +505,9 @@ class _ClosureTables:
 def _slot_columns(fin: FinModule, kind: str, i: int) -> list:
     """Per-slot columns of ``e_i``, ``f_i`` or ``h_i`` (``kind`` 'e', 'f', 'h')."""
     if kind == "e":
-        return [_columns(slot.raiser[i]) for slot in fin.slots]
+        return [slot.raiser[i] for slot in fin.slots]
     if kind == "f":
-        return [_columns(slot.lower[i]) for slot in fin.slots]
+        return [slot.lower[i] for slot in fin.slots]
     if kind == "h":
         return [[[(c, Fraction(w[i]))] if w[i] else [] for c, w in enumerate(slot.weights)]
                 for slot in fin.slots]
@@ -553,12 +540,10 @@ def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
     e₁ at every step ±e_j."""
     fin = fin_for_spec(spec, cap=cap)
     n, order = spec.n, spec.field_order
-    columns = {(kind, i): _slot_columns(fin, kind, i)
-               for kind in "ef" for i in range(spec.algebra.rank)}
 
     def orbit_sum(kind, orbit, sign=0):
         # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot columns, ζ-exponent) terms.
-        return [(columns[kind, i], sign * u * (order // k) % order)
+        return [(_slot_columns(fin, kind, i), sign * u * (order // k) % order)
                 for u, i in enumerate(orbit)]
 
     zero = _steps(n, ())

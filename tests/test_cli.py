@@ -323,18 +323,40 @@ def test_wrong_declared_aut_order(write, capsys):
         {"dims": "1"},
         {"weights": [{"index": "1", "coords": [1]}]},
         {"weights": [{"index": [1], "coords": "1"}]},
+        {"n": 10 ** 19},
     ],
     ids=[
         "den-zero", "order-zero", "order-negative", "num-text", "den-text",
         "pow-text", "order-text", "dims-text", "n-text", "evals-scalar",
         "evals-axis-scalar", "weights-scalar", "rho-scalar", "aut-scalar",
         "perm-scalar", "coords-float", "num-float", "coords-bool", "den-bool",
-        "dims-float", "dims-string", "index-string", "coords-string",
+        "dims-float", "dims-string", "index-string", "coords-string", "n-huge",
     ],
 )
 def test_bad_scalar_is_input_error(write, capsys, fields):
     path = write(dict(SPEC_A, **fields), "bad_scalar.json")
     code, doc = _run(capsys, ["classify", path])
+    assert code == 2
+    assert doc["diagnostics"][0]["type"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        json.dumps(dict(SPEC_A, evals=0)).replace('"evals": 0', '"evals": [[' + "1" * 5000 + "]]")
+        .encode(),
+        b'{"n": "\xff\xfe"}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["long-integer", "not-utf8", "deep-nesting"],
+)
+def test_undecodable_spec_is_input_error(tmp_path, capsys, raw):
+    # json raises ValueError (not JSONDecodeError) for an integer literal over
+    # its digit limit, UnicodeDecodeError for bytes that are not UTF-8, and
+    # RecursionError for deep nesting.
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    code, doc = _run(capsys, ["classify", str(path)])
     assert code == 2
     assert doc["diagnostics"][0]["type"] == "InputError"
 
@@ -374,14 +396,10 @@ def test_verify_computes_the_support_once(write, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def _classify_two_entry(tmp_path, command, order, timeout):
-    # `command` (`classify` or `verify`) of λ = (1),(1), a = (1, ζ_order) in a
-    # fresh interpreter under a 1 GiB address-space cap; returns the result.
-    spec = dict(
-        SPEC_2Z,
-        evals=[[1, {"num": 1, "zeta_order": order, "zeta_pow": 1}]],
-    )
-    path = tmp_path / "two_entry.json"
+def _run_capped(tmp_path, command, spec, timeout):
+    # `command` on `spec` in a fresh interpreter under a 1 GiB address-space
+    # cap; returns the finished process.
+    path = tmp_path / "capped.json"
     path.write_text(json.dumps(spec))
     script = (
         "import resource, sys\n"
@@ -391,12 +409,41 @@ def _classify_two_entry(tmp_path, command, order, timeout):
     )
     src = os.path.dirname(os.path.dirname(loopmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, command, str(path)],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def _classify_two_entry(tmp_path, command, order, timeout):
+    # `command` (`classify` or `verify`) of λ = (1),(1), a = (1, ζ_order)
+    # under the 1 GiB cap; returns the result.
+    spec = dict(
+        SPEC_2Z,
+        evals=[[1, {"num": 1, "zeta_order": order, "zeta_pow": 1}]],
+    )
+    proc = _run_capped(tmp_path, command, spec, timeout)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)["result"]
+
+
+def test_incomplete_huge_table_is_input_error_in_bounded_memory(tmp_path):
+    # A 10⁴ × 10⁴ table with one weight: the missing indices are found without
+    # listing the 10⁸ indices, so the spec is refused within 1 GiB.
+    spec = dict(
+        SPEC_A,
+        n=2,
+        dims=[10_000, 10_000],
+        weights=[{"index": [1, 1], "coords": [1]}],
+        evals=[list(range(1, 10_001))] * 2,
+        rho=[0, 0],
+    )
+    proc = _run_capped(tmp_path, "classify", spec, 60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    (diag,) = json.loads(proc.stdout)["diagnostics"]
+    assert diag["type"] == "InputError"
+    assert diag["message"] == "weight table is incomplete"
+    assert diag["data"]["missing"] == [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6]]
 
 
 def test_large_prime_order_classifies_in_bounded_memory(tmp_path):

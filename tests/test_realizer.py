@@ -74,8 +74,16 @@ def _small_irreps(bound=80):
     return out
 
 
-def _sparse(mat):
-    return {(r, c): x for r, row in enumerate(mat) for c, x in enumerate(row) if x}
+def _sparse(cols):
+    return {(r, c): x for c, col in enumerate(cols) for r, x in col}
+
+
+def _dense(cols, dim):
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            mat[r][c] = x
+    return mat
 
 
 def _sparse_commutator(a, b):
@@ -108,6 +116,11 @@ def test_irreducible_module_bracket_identity():
     # for x = e and x = f, on every module of _small_irreps.
     for algebra, lam in _small_irreps():
         m = irreducible_module(algebra, lam)
+        for cols in m.raiser + m.lower:
+            assert len(cols) == m.dim
+            for col in cols:
+                assert all(x for _, x in col)
+                assert all(p[0] < q[0] for p, q in zip(col, col[1:]))
         e, f = [_sparse(x) for x in m.raiser], [_sparse(x) for x in m.lower]
         for i in range(algebra.rank):
             h = {(r, r): Fraction(w[i]) for r, w in enumerate(m.weights) if w[i]}
@@ -131,9 +144,15 @@ def test_irreducible_module_bracket_identity():
 def test_irreducible_module_basis_is_pinned(series, rank, lam, digest):
     # The basis (which f_word·v, in which order) fixes every closure row, so
     # it is pinned: the digests were recorded from the lowering-word search
-    # through the contravariant form, which built the same vectors.
-    module = irreducible_module(build_algebra(series, rank), lam)
-    assert hashlib.sha256(repr(module).encode()).hexdigest() == digest
+    # through the contravariant form, which built the same vectors.  They
+    # hash the text of the module with dense f_i and e_i matrices.
+    m = irreducible_module(build_algebra(series, rank), lam)
+    text = (
+        f"SlotModule(top={m.top!r}, dim={m.dim!r}, weights={m.weights!r}, "
+        f"lower={tuple(_dense(c, m.dim) for c in m.lower)!r}, "
+        f"raiser={tuple(_dense(c, m.dim) for c in m.raiser)!r})"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("series, rank, lam, dim", [
@@ -291,9 +310,8 @@ def _involution_on(module):
     rows = []
     rhs = []
     for i, j in ((0, 1), (1, 0)):
-        for mats in (("raiser",), ("lower",)):
-            a = getattr(module, mats[0])[i]
-            b = getattr(module, mats[0])[j]
+        for cols in (module.raiser, module.lower):
+            a, b = _dense(cols[i], dim), _dense(cols[j], dim)
             # T·a − b·T = 0  (entries of T are the unknowns, row per (r, c))
             for r in range(dim):
                 for c in range(dim):
@@ -771,14 +789,7 @@ _CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
 
 def _slot_matrices(fin, kind, i):
     # Per-slot dense matrices of e_i, f_i or h_i, from their columns.
-    mats = []
-    for cols in realizer._slot_columns(fin, kind, i):
-        mat = [[0] * len(cols) for _ in cols]
-        for c, col in enumerate(cols):
-            for r, x in col:
-                mat[r][c] = x
-        mats.append(mat)
-    return mats
+    return [_dense(cols, len(cols)) for cols in realizer._slot_columns(fin, kind, i)]
 
 
 def _bracket(a, b):
@@ -798,7 +809,10 @@ def _bracket(a, b):
 
 
 def _columns(mats):
-    return [realizer._columns(m) for m in mats]
+    # Per-slot columns of dense matrices: each column's nonzero (row, entry)
+    # pairs in row order.
+    return [[[(r, m[r][c]) for r in range(len(m)) if m[r][c]] for c in range(len(m))]
+            for m in mats]
 
 
 def _comb(a, b, sign):
