@@ -81,18 +81,10 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
     ]
 
     lat = support.lattice
-    reps = support.coset_reps()
-
-    def coset_key(deg):
-        for rep in reps:
-            if lat.contains([a - b for a, b in zip(deg, rep)]):
-                return rep
-        return None
-
     per_coset: dict = {}
     periodic_ok = True
     for deg, ranks in audit.fiber_dims:
-        key = coset_key(deg)
+        key = lat.residue(deg)
         if key in per_coset and per_coset[key] != ranks[0]:
             periodic_ok = False
         per_coset.setdefault(key, ranks[0])

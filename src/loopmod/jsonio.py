@@ -37,13 +37,11 @@ def _fraction_from(value) -> Fraction:
 
 
 def _int(value, field: str) -> int:
-    # int() would truncate a float and read a boolean as 0 or 1.
-    if isinstance(value, (bool, float)):
+    # Exactly int: int() would truncate a float, read a boolean as 0 or 1 and
+    # parse a string such as "0_1".
+    if type(value) is not int:
         raise InputError(f"'{field}' must be an integer", value=value)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"'{field}' must be an integer", value=value) from exc
+    return value
 
 
 def _list(value, field: str) -> list:

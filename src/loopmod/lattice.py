@@ -9,6 +9,12 @@ An ``ordering`` permutes the coordinate axes before triangularization: the
 stored matrix is the Hermite form in the permuted coordinates.  Queries
 (membership, axis periods) always take vectors in the original coordinates.
 
+``residue(v)`` is the canonical representative of the coset ``v + Γ``, in
+permuted coordinates: ``v`` reduced by the rows from the last up, each row
+bringing its pivot entry into ``[0, pivot)``.  Two vectors share a coset iff
+their residues are equal, so membership (residue zero), the coset
+representatives and per-coset bookkeeping all go through it.
+
 Rank-deficient generating sets are representable (the echelon rows are kept)
 but flagged: they have no finite index and no coset enumeration.
 """
@@ -35,61 +41,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _upper_echelon(rows: list[list[int]], n: int) -> list[list[int]]:
-    # Integer row echelon with pivots at strictly increasing columns,
-    # positive pivots, and entries above each pivot reduced into [0, pivot).
-    basis: list[list[int]] = []  # kept sorted by pivot column
-
-    def pivot_col(row):
-        for j, v in enumerate(row):
-            if v:
-                return j
-        return None
-
-    for vec in rows:
-        vec = list(vec)
-        while True:
-            j = pivot_col(vec)
-            if j is None:
-                break
-            hit = None
-            for row in basis:
-                if pivot_col(row) == j:
-                    hit = row
+def _hnf(gens, n: int) -> tuple[Vec, ...]:
+    """Hermite rows of the span of ``gens``, ordered by pivot, the last
+    nonzero column of a row.  Each generator is cleared from its last column
+    down, one extended-gcd step against the row holding that pivot; then, from
+    the largest pivot down, each pivot is made positive and its column reduced
+    into ``[0, pivot)`` in every row with a larger pivot."""
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    for gen in gens:
+        vec = list(gen)
+        j = n - 1
+        while j >= 0:
+            if vec[j]:
+                row = rows.get(j)
+                if row is None:
+                    rows[j] = vec
                     break
-            if hit is None:
-                basis.append(vec)
-                basis.sort(key=pivot_col)
-                break
-            a, b = hit[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for t in range(j, n):
-                    vec[t] -= q * hit[t]
-            else:
+                a, b = row[j], vec[j]
                 x, y, g = _xgcd(a, b)
-                new_hit = [x * hit[t] + y * vec[t] for t in range(n)]
-                new_vec = [(a // g) * vec[t] - (b // g) * hit[t] for t in range(n)]
-                hit[:] = new_hit
-                vec = new_vec
-    for row in basis:
-        j = pivot_col(row)
+                rows[j] = [x * r + y * v for r, v in zip(row, vec)]
+                vec = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
+            j -= 1
+    pivots = sorted(rows, reverse=True)
+    for k, j in enumerate(pivots):
+        row = rows[j]
         if row[j] < 0:
             row[:] = [-v for v in row]
-    # Reduce entries above pivots.
-    for k, row in enumerate(basis):
-        j = pivot_col(row)
-        for i in range(k):
-            q = basis[i][j] // row[j]
+        for i in pivots[:k]:
+            q = rows[i][j] // row[j]
             if q:
-                basis[i] = [basis[i][t] - q * row[t] for t in range(n)]
-    return basis
-
-
-def _lower_hnf(rows: list[Vec], n: int) -> tuple[Vec, ...]:
-    flipped = [list(reversed(r)) for r in rows]
-    ech = _upper_echelon(flipped, n)
-    return tuple(tuple(reversed(r)) for r in reversed(ech))
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
+    return tuple(tuple(rows[j]) for j in reversed(pivots))
 
 
 @dataclass(frozen=True)
@@ -116,8 +98,7 @@ class Lattice:
         if sorted(ordering) != list(range(n)):
             raise InputError("ordering must be a permutation of the axes")
         permuted = [tuple(g[ordering[p]] for p in range(n)) for g in gens]
-        rows = _lower_hnf(permuted, n)
-        return Lattice(n=n, rows=rows, ordering=ordering)
+        return Lattice(n=n, rows=_hnf(permuted, n), ordering=ordering)
 
     # -- structure ------------------------------------------------------
 
@@ -142,24 +123,28 @@ class Lattice:
     def _permute(self, vec) -> list[int]:
         return [int(vec[self.ordering[p]]) for p in range(self.n)]
 
-    def contains(self, vec) -> bool:
-        """Membership of an original-coordinate integer vector."""
+    def residue(self, vec) -> Vec:
+        """The canonical representative of ``vec + Γ``, in permuted
+        coordinates, for an original-coordinate integer vector: two vectors
+        share a coset iff their residues are equal."""
         if len(vec) != self.n:
             raise InputError("vector has wrong length", expected=self.n)
         v = self._permute(vec)
         # The rows' last nonzero columns increase strictly, so from the last
-        # row up each row clears its own column and touches none to its right.
+        # row up each row reduces its own column and touches none to its right.
         for row in reversed(self.rows):
             j = self.n - 1
             while not row[j]:
                 j -= 1
-            c, r = divmod(v[j], row[j])
-            if r:
-                return False
+            c = v[j] // row[j]
             if c:
                 for t in range(j + 1):
                     v[t] -= c * row[t]
-        return not any(v)
+        return tuple(v)
+
+    def contains(self, vec) -> bool:
+        """Membership of an original-coordinate integer vector."""
+        return not any(self.residue(vec))
 
     def axis_period(self, axis: int, bound: int) -> int:
         """Minimal t in [1, bound] with t·e_axis in the lattice."""
@@ -178,15 +163,12 @@ class Lattice:
         if p is None:
             raise InfiniteIndexError("coset enumeration needs a full-rank lattice")
         periods = [self.axis_period(i, p) for i in range(self.n)]
-        reps: list[Vec] = []
+        reps: dict[Vec, Vec] = {}  # residue -> first box point with it
         for point in itertools.product(*(range(r) for r in periods)):
-            if not any(
-                self.contains([a - b for a, b in zip(point, rep)]) for rep in reps
-            ):
-                reps.append(point)
+            reps.setdefault(self.residue(point), point)
         if len(reps) != p:
             raise ArithmeticError("coset enumeration inconsistent with index")
-        return reps
+        return list(reps.values())
 
     def generators_original(self) -> list[Vec]:
         """Basis rows mapped back to the original coordinates."""
@@ -203,11 +185,7 @@ class Lattice:
 
     def same_subgroup(self, other: "Lattice") -> bool:
         """Equality as subgroups of Z^n, independent of axis ordering."""
-        if self.n != other.n:
-            return False
-        a = Lattice.from_generators(self.generators_original(), n=self.n)
-        b = Lattice.from_generators(other.generators_original(), n=other.n)
-        return a.rows == b.rows
+        return self.n == other.n and self.sublattice_of(other) and other.sublattice_of(self)
 
 
 def from_generators(gens, n=None, ordering=None) -> Lattice:

@@ -19,6 +19,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import CycScalar, CycVector
@@ -136,24 +137,26 @@ class SimpleLieAlgebra:
     series: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    symmetrizers: tuple[Fraction, ...]
 
     def __repr__(self) -> str:
         return f"SimpleLieAlgebra({self.series}{self.rank})"
+
+    # Only Weyl dimensions read these; A_n has n(n+1)/2 positive roots, so
+    # they are built on first use, not with every spec.
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return _positive_roots(self.cartan)
+
+    @cached_property
+    def symmetrizers(self) -> tuple[Fraction, ...]:
+        return _symmetrizers(self.cartan)
 
 
 def build_algebra(series: str, rank: int) -> SimpleLieAlgebra:
     if series not in _SERIES:
         raise UnsupportedError("unknown series", series=series)
     cartan = _cartan_matrix(series, rank)
-    return SimpleLieAlgebra(
-        series=series,
-        rank=rank,
-        cartan=cartan,
-        positive_roots=_positive_roots(cartan),
-        symmetrizers=_symmetrizers(cartan),
-    )
+    return SimpleLieAlgebra(series=series, rank=rank, cartan=cartan)
 
 
 def is_dominant(weight: Weight) -> bool:

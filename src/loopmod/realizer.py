@@ -59,7 +59,7 @@ from .cyclotomic import (
     CycVector, cyclotomic_polynomial, from_numerators, mul_mod, shift_sum, to_numerators,
 )
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
-from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits
+from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
 from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
 from .twisted import TwistedSpec
 
@@ -167,14 +167,19 @@ class FinModule:
 
 
 def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
-    slots = tuple(irreducible_module(algebra, tuple(t)) for t in tops)
+    tops = [tuple(t) for t in tops]
+    for top in tops:
+        if not is_dominant(top):
+            raise InputError("highest weight must be dominant", weight=top)
+    # The cap is checked on Weyl dimensions, before any V(λ) is built.
     total = 1
-    for s in slots:
-        total *= s.dim
+    for top in tops:
+        total *= weyl_dim(algebra, top)
         if total > cap:
             raise CapExceededError(
                 "tensor dimension exceeds the cap", dimension=total, cap=cap
             )
+    slots = tuple(irreducible_module(algebra, top) for top in tops)
     strides = tuple(prod(s.dim for s in slots[k + 1:]) for k in range(len(slots)))
     basis_weights = tuple(
         tuple(sum(s.weights[(g // st) % s.dim][j] for s, st in zip(slots, strides))

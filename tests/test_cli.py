@@ -324,6 +324,11 @@ def test_wrong_declared_aut_order(write, capsys):
         {"weights": [{"index": "1", "coords": [1]}]},
         {"weights": [{"index": [1], "coords": "1"}]},
         {"n": 10 ** 19},
+        {"algebra": {"series": "A", "rank": "1"}},
+        {"n": "1"},
+        {"dims": ["1"]},
+        {"evals": [[{"num": "2"}]]},
+        {"weights": [{"index": [1], "coords": ["0_1"]}]},
     ],
     ids=[
         "den-zero", "order-zero", "order-negative", "num-text", "den-text",
@@ -331,6 +336,8 @@ def test_wrong_declared_aut_order(write, capsys):
         "evals-axis-scalar", "weights-scalar", "rho-scalar", "aut-scalar",
         "perm-scalar", "coords-float", "num-float", "coords-bool", "den-bool",
         "dims-float", "dims-string", "index-string", "coords-string", "n-huge",
+        "rank-numeric-string", "n-numeric-string", "dims-numeric-string",
+        "num-numeric-string", "coords-numeric-string",
     ],
 )
 def test_bad_scalar_is_input_error(write, capsys, fields):
@@ -444,6 +451,19 @@ def test_incomplete_huge_table_is_input_error_in_bounded_memory(tmp_path):
     assert diag["type"] == "InputError"
     assert diag["message"] == "weight table is incomplete"
     assert diag["data"]["missing"] == [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6]]
+
+
+def test_high_rank_one_slot_classifies_quickly(tmp_path):
+    # A₄₀₀ has 80,200 positive roots; classify never reads them, so it does
+    # not build them.
+    spec = dict(
+        SPEC_A,
+        algebra={"series": "A", "rank": 400},
+        weights=[{"index": [1], "coords": [1] + [0] * 399}],
+    )
+    proc = _run_capped(tmp_path, "classify", spec, 30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["result"]["support"]["certificate"] == "single-entry"
 
 
 def test_large_prime_order_classifies_in_bounded_memory(tmp_path):

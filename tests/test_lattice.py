@@ -99,6 +99,7 @@ def test_index_matches_brute_force_coset_count():
             ):
                 reps.append(point)
         assert len(reps) == lat.index
+        assert lat.coset_reps() == reps
         assert prod % lat.index == 0
 
 
@@ -161,3 +162,51 @@ def test_contains_iff_adding_the_vector_keeps_the_hermite_rows(data):
         extended = from_generators(list(gens) + [v], n=n, ordering=ordering)
         assert lat.contains(v) == (extended.rows == lat.rows)
     assert lat.contains(member)
+
+
+def _draw_lattice_data(data, max_n=4):
+    n = data.draw(st.integers(1, max_n))
+    vec = st.tuples(*[st.integers(-9, 9)] * n)
+    gens = data.draw(st.lists(vec, min_size=1, max_size=n + 2))
+    return n, vec, gens
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hermite_rows_depend_only_on_the_subgroup(data):
+    n, _, gens = _draw_lattice_data(data)
+    shuffled = data.draw(st.permutations(gens))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    extra = [
+        tuple(sum(c * g[t] for c, g in zip(cs, gens)) for t in range(n))
+        for cs in data.draw(st.lists(coeffs, max_size=3))
+    ]
+    for ordering in itertools.permutations(range(n)):
+        lat = from_generators(gens, n=n, ordering=ordering)
+        again = from_generators(list(shuffled) + extra, n=n, ordering=ordering)
+        assert again.rows == lat.rows
+        # Hermite shape: pivots (last nonzero columns) increase strictly, are
+        # positive, and reduce their column in every later row.
+        pivots = [max(t for t in range(n) if row[t]) for row in lat.rows]
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(lat.rows, pivots)):
+            assert row[p] > 0
+            assert all(0 <= later[p] < row[p] for later in lat.rows[i + 1:])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_residue_names_the_coset(data):
+    n, vec, gens = _draw_lattice_data(data)
+    ordering = tuple(data.draw(st.permutations(range(n))))
+    lat = from_generators(gens, n=n, ordering=ordering)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(n))
+    v = data.draw(vec)
+    for w in (data.draw(vec), tuple(a + b for a, b in zip(v, member))):
+        diff = tuple(a - b for a, b in zip(v, w))
+        assert (lat.residue(v) == lat.residue(w)) == lat.contains(diff)
+    assert lat.residue(member) == (0,) * n
+    if lat.full_rank:
+        r = lat.residue(v)
+        assert all(0 <= r[i] < lat.rows[i][i] for i in range(n))

@@ -184,8 +184,20 @@ def test_build_tensor_dims_and_cap():
     fin = build_tensor(A1, [(1,), (1,)])
     assert fin.total == 4
     assert fin.basis_weights[fin.hw_index] == (2,)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as info:
         build_tensor(A1, [(3,)] * 4, cap=64)
+    assert info.value.data["dimension"] == 256
+
+
+def test_build_tensor_checks_the_cap_before_building_a_module(monkeypatch):
+    # V(6,6,6) of A₃ has dimension 117,649; building it takes minutes.
+    def refuse(*args):
+        raise AssertionError("irreducible_module called over the cap")
+
+    monkeypatch.setattr(realizer, "irreducible_module", refuse)
+    with pytest.raises(CapExceededError) as info:
+        build_tensor(build_algebra("A", 3), [(6, 6, 6)])
+    assert info.value.data["dimension"] == 117_649
 
 
 def test_loop_action_antisymmetric_image():
