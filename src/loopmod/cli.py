@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from . import realizer
 from .classify import classify, decide_iso, detect_blocks
@@ -55,16 +56,42 @@ def _need_twisted(spec, command: str) -> TwistedSpec:
     return spec
 
 
+def _indented_json(x, level: int = 0) -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, nested ``level`` deep.
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this walks
+    non-empty lists and string-keyed dicts itself, quotes strings with the C
+    ``encode_basestring_ascii``, writes ints with ``repr`` as ``json`` does, and
+    hands every other value to ``json.dumps``, so floats, other keys and
+    errors are exactly as there."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return repr(x)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(x, (list, tuple)) and x:
+        return "[" + inner + ("," + inner).join(
+            _indented_json(v, level + 1) for v in x
+        ) + inner[:-2] + "]"
+    if isinstance(x, dict) and x:
+        if not all(isinstance(k, str) for k in x):
+            return json.dumps(x, sort_keys=True, indent=2).replace("\n", inner[:-2])
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _indented_json(v, level + 1)
+            for k, v in sorted(x.items())
+        ) + inner[:-2] + "}"
+    return json.dumps(x)
+
+
 def _emit(report: dict, output: str) -> None:
     if output == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_indented_json(report) + "\n")
         return
     sys.stdout.write(f"command: {report['command']}\n")
     for diag in report.get("diagnostics", []):
         sys.stdout.write(f"error[{diag['type']}]: {diag['message']}\n")
     result = report.get("result")
     if result is not None:
-        sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_indented_json(result) + "\n")
 
 
 def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:

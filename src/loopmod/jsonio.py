@@ -94,7 +94,7 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         raise InputError("spec document must be an object")
     try:
         alg_doc = doc["algebra"]
-        algebra = build_algebra(str(alg_doc["series"]), _int(alg_doc["rank"], "rank"))
+        series, rank = str(alg_doc["series"]), _int(alg_doc["rank"], "rank")
         n = _int(doc["n"], "n")
         dims = tuple(_int(x, "dims") for x in _list(doc["dims"], "dims"))
         raw_weights = _list(doc["weights"], "weights")
@@ -122,6 +122,12 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
         if idx in weights:
             raise InputError("duplicate weight table entry", index=idx)
         weights[idx] = coords
+    # Every weight is checked against the rank before the rank × rank Cartan
+    # matrix is built, so a huge rank with short weights costs nothing.
+    for idx, coords in weights.items():
+        if len(coords) != rank:
+            raise InputError("weight has wrong length", index=idx, expected=rank)
+    algebra = build_algebra(series, rank)
     evals = tuple(
         tuple(_scalar_from(raw, order) for raw in axis) for axis in raw_evals
     )

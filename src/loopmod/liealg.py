@@ -19,7 +19,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .cyclotomic import CycScalar, CycVector
@@ -152,6 +152,10 @@ class SimpleLieAlgebra:
         return _symmetrizers(self.cartan)
 
 
+# One instance per (series, rank), so its roots and symmetrizers are built once
+# for every spec that names it; bounded, so a batch over many ranks does not
+# keep every Cartan matrix.
+@lru_cache(maxsize=16)
 def build_algebra(series: str, rank: int) -> SimpleLieAlgebra:
     if series not in _SERIES:
         raise UnsupportedError("unknown series", series=series)

@@ -29,9 +29,13 @@ untwisted): the closure keeps one ``FieldEchelon`` per degree and weight
 class, with rows only as long as the class.  A row matters only up to a
 nonzero scalar, so it is kept as integer power-basis numerators over
 Z[ζ_L], with the pivot it came with (times a unit when that is a·ζ^e, so
-that a is the pivot), and eliminated fraction-free, with no pivot inverse;
-images come from term plans scaled to integers once.  The closure skips an
-image whose target class is already full, since the image lies in its
+that a is the pivot), and eliminated fraction-free, with no pivot inverse.
+A term plan is a generator's action from one class at one step as integer
+data: each slot's coefficient q·ζ^e is folded into that slot's columns over
+one positive denominator, and a plan keeps, per source numerator it has
+read, the (target numerator, integer) pairs that numerator adds to, so an
+image is a scatter-add over the row's nonzero numerators.  The closure skips
+an image whose target class is already full, since the image lies in its
 span.  The box is widened by one degree (``_MARGIN``) during the sweep and
 cropped on return, so reported fibers do not suffer boundary truncation.
 Closure terminates because in-box fiber ranks grow monotonically.  What a
@@ -53,10 +57,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, lcm, prod
+from operator import add
 
 from .cyclotomic import (
-    CycVector, cyclotomic_polynomial, from_numerators, mul_mod, shift_sum, to_numerators,
+    CycVector, _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators,
 )
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
@@ -193,6 +199,13 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
 # echelon bases over the cyclotomic field
 # ---------------------------------------------------------------------------
 
+def _zeta_power(order: int, m: int, w: int) -> list[int]:
+    """The ``w`` = φ(L) power-basis numerators of ζ^m, ``0 ≤ m < order``."""
+    poly = [0] * max(w, m + 1)
+    poly[m] = 1
+    return _reduce(order, poly)
+
+
 def _times(order: int, m, x) -> list[int]:
     """Numerators of ``m·x`` for numerators ``m`` and ``x`` of Z[ζ_L]."""
     if not any(m[1:]):
@@ -258,23 +271,27 @@ class FieldEchelon:
         ``CycVector`` entries when ``vec`` is a list of them, as in
         ``int_rows`` when it is an integer row."""
         public = bool(vec) and isinstance(vec[0], CycVector)
-        row = self._reduce(vec)
-        w = self.width
-        piv = next((t for t in range(self.length) if any(row[t * w:t * w + w])), None)
-        if piv is None:
+        if self.int_rows:
+            row = self._reduce(vec)
+        else:
+            row = to_numerators(vec)[1] if public else vec
+        first = next(compress(count(), row), None)
+        if first is None:
             return None
+        w, order = self.width, self.order
+        piv = first // w
         lead = row[piv * w:piv * w + w]
         if not lead[0] and lead.count(0) == w - 1:  # a·ζ^e, e > 0: times the unit ζ^{L−e}
             e = lead.index(max(lead) or min(lead))  # a is the max or the min
-            m = shift_sum(self.order, [((1,), self.order - e, 1)])
-            row = [x for k in range(0, len(row), w) for x in _times(self.order, m, row[k:k + w])]
+            m = _zeta_power(order, order - e, w)
+            row = [x for k in range(0, len(row), w) for x in _times(order, m, row[k:k + w])]
         g = gcd(*row)
         if g != 1:
             row = [x // g for x in row]
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.int_rows.insert(at, row)
-        return from_numerators(self.order, row, 1) if public else row
+        return from_numerators(order, row, 1) if public else row
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
@@ -358,38 +375,81 @@ class GradedBox:
         return self.fibers.get(tuple(degree))
 
 
-def _plan(fin: FinModule, terms, coeffs_per_slot, members, local, size: int):
-    """One generator at one step, from the basis vectors ``members`` into
-    ``size`` target positions: a positive integer ``scale`` and, per target,
-    the ``(source position, ζ-exponent, integer weight)`` terms of its
-    coordinate in ``scale`` times the image.  The generator is a sum of
-    ``(per-slot columns, ζ-exponent)`` terms; a term's exponent adds to the
-    exponent of each slot's coefficient."""
-    plan: list[dict] = [{} for _ in range(size)]
+class _Plan:
+    """One generator at one step from one weight class, as integer data.
+    ``terms`` maps each source position the generator reads to its
+    ``(target position, ζ-exponent e, weight)`` triples.  ``columns`` maps
+    each source numerator ``s = i·φ(L) + j`` read so far to the ``(target
+    numerator, integer)`` pairs it adds to, built on first use from the
+    numerators of ``ζ^{(j+e) mod L}``; those come from ``powers``, a dict by
+    exponent that the caller owns."""
+
+    __slots__ = ("terms", "columns")
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+        self.columns: dict = {}
+
+    def _column(self, s: int, powers: dict, order: int, w: int) -> list:
+        i, j = divmod(s, w)
+        out: dict = {}
+        for t, e, v in self.terms.get(i, ()):
+            m = (j + e) % order
+            power = powers.get(m)
+            if power is None:
+                num = _zeta_power(order, m, w)
+                power = powers[m] = [(k, num[k]) for k in compress(count(), num)]
+            base = t * w
+            for k, c in power:
+                out[base + k] = out.get(base + k, 0) + v * c
+        return [(k, c) for k, c in out.items() if c]
+
+    def image(self, row, nonzero, length: int, powers: dict, order: int, w: int) -> list[int]:
+        """The integer row of length ``length`` that the plan maps ``row`` to;
+        ``nonzero`` lists the positions of the nonzero numerators of ``row``."""
+        out = [0] * length
+        columns = self.columns
+        for s in nonzero:
+            col = columns.get(s)
+            if col is None:
+                col = columns[s] = self._column(s, powers, order, w)
+            x = row[s]
+            for k, c in col:
+                out[k] += x * c
+        return out
+
+
+def _plan(fin: FinModule, terms, coeffs_per_slot, members, local) -> tuple[int, _Plan]:
+    """One generator at one step, from the basis vectors ``members``: a
+    positive integer ``den`` and the ``_Plan`` of ``den`` times the generator.
+    The generator is a sum of ``(per-slot columns, ζ-exponent)`` terms; a
+    term's exponent adds to the exponent of each slot's coefficient q·ζ^e,
+    and q is folded into the slot's columns once, as integers over ``den``,
+    the lcm of ``q.denominator · x.denominator`` over the column entries x."""
+    den = lcm(*(
+        c.q.denominator * x.denominator
+        for cols_per_slot, _ in terms
+        for c, cols in zip(coeffs_per_slot, cols_per_slot)
+        for col in cols
+        for _, x in col
+    ))
+    acc: list[dict] = [{} for _ in members]  # per source: {(target, ζ-exponent): weight}
     for cols_per_slot, e in terms:
-        exps = [(c.e + e) % c.order for c in coeffs_per_slot]
-        for i, g in enumerate(members):
-            for k, cols in enumerate(cols_per_slot):
-                stride = fin.strides[k]
-                comp = (g // stride) % fin.slots[k].dim
-                q, ce = coeffs_per_slot[k].q, exps[k]
-                for r, x in cols[comp]:
-                    out = plan[local[g + (r - comp) * stride]]
-                    out[i, ce] = out.get((i, ce), _F0) + q * x
-    scale = lcm(*(w.denominator for out in plan for w in out.values()))
-    return scale, [
-        [(i, e, w.numerator * (scale // w.denominator)) for (i, e), w in out.items() if w]
-        for out in plan
-    ]
-
-
-def _image(plan, entries, order: int, width: int) -> list[int]:
-    """The integer row that a plan's terms map ``entries`` (numerators) to."""
-    zero = [0] * width
-    out = []
-    for terms in plan:
-        out += shift_sum(order, [(entries[i], e, w) for i, e, w in terms]) if terms else zero
-    return out
+        for k, (cols, c) in enumerate(zip(cols_per_slot, coeffs_per_slot)):
+            stride, dim = fin.strides[k], fin.slots[k].dim
+            ce = (c.e + e) % c.order
+            qn, qd = c.q.numerator, c.q.denominator
+            scaled = [
+                [(r, qn * x.numerator * (den // (qd * x.denominator))) for r, x in col]
+                for col in cols
+            ]
+            for out, g in zip(acc, members):
+                comp = (g // stride) % dim
+                for r, v in scaled[comp]:
+                    key = local[g + (r - comp) * stride], ce
+                    out[key] = out.get(key, 0) + v
+    plan = {i: [(t, e, v) for (t, e), v in out.items() if v] for i, out in enumerate(acc)}
+    return den, _Plan({i: triples for i, triples in plan.items() if triples})
 
 
 def _class_shift(slot_classes, terms):
@@ -413,8 +473,8 @@ def _class_shift(slot_classes, terms):
 class _ClosureTables:
     """The seed-independent part of a closure: the grading, each generator's
     columns, class shift and per-step coefficients, the moves between
-    classes, and the term plans, built on first use and kept for every later
-    seed.
+    classes, the term plans and the reduced powers of ζ they read, built on
+    first use and kept for every later seed.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -432,6 +492,7 @@ class _ClosureTables:
         # are (per-slot columns, ζ-exponent) pairs that the generator sums.
         self.fin = fin
         self.order = ev.order
+        self.width = len(cyclotomic_polynomial(ev.order)) - 1
         self.class_map = class_map
         indices = table_indices(ev.spec.dims)
         self.grading = grading = Grading(fin, class_map)
@@ -446,60 +507,64 @@ class _ClosureTables:
                 coeffs = [ev.coefficient(I, s) for I in indices]
                 gens.append((terms, shift, coeffs, tuple(s)))
         self.gens = gens
+        self.steps = list(dict.fromkeys(step for *_, step in gens))
         # Per source class, the moves into classes that have basis vectors:
-        # (generator id, target class, its size, step).
+        # (generator id, target class, its size, index of the step in steps).
         self.moves: dict = {cls: [] for cls in members}
         for gid, (_, shift, _, step) in enumerate(gens):
+            sid = self.steps.index(step)
             for cls, out in self.moves.items():
                 tcls = tuple(a + b for a, b in zip(cls, shift))
                 if tcls in members:
-                    out.append((gid, tcls, len(members[tcls]), step))
-        self.plans: dict = {}
-
-    def plan(self, gid: int, cls, size: int):
-        """The terms of a plan and the source positions they read."""
-        plan = self.plans.get((gid, cls))
-        if plan is None:
-            cols, _, coeffs, _ = self.gens[gid]
-            _, terms = _plan(
-                self.fin, cols, coeffs, self.grading.members[cls], self.grading.local, size
-            )
-            plan = self.plans[gid, cls] = terms, {i for ts in terms for i, _, _ in ts}
-        return plan
+                    out.append((gid, tcls, len(members[tcls]), sid))
+        self.plans: dict = {}  # (generator id, source class) -> _Plan, on first use
+        self.powers: dict = {}  # m -> the nonzero (numerator, integer) pairs of ζ^m
 
     def close(self, seed_degree, radius: int) -> GradedBox:
         """Closure of the highest-weight vector placed at ``seed_degree``."""
-        fin, grading, order = self.fin, self.grading, self.order
+        fin, grading, order, w = self.fin, self.grading, self.order, self.width
+        powers, plans, steps = self.powers, self.plans, self.steps
         work = radius + _MARGIN
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
             raise InputError("seed degree outside the working box", seed=seed_degree)
         fibers: dict[tuple[int, ...], GradedFiber] = {}
+        echelons: dict = {}  # (degree, class) -> that fiber's FieldEchelon
         seed_cls = self.class_map(fin.basis_weights[fin.hw_index])
-        w = len(cyclotomic_polynomial(order)) - 1
         seed_vec = [0] * (len(grading.members[seed_cls]) * w)
         seed_vec[grading.local[fin.hw_index] * w] = 1
         fibers[seed_degree] = GradedFiber(grading, order)
-        stored = fibers[seed_degree].part(seed_cls).add(seed_vec)
-        queue: deque = deque([(seed_degree, seed_cls, stored)])
+        ech = echelons[seed_degree, seed_cls] = fibers[seed_degree].part(seed_cls)
+        queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec))])
         while queue:
             deg, cls, row = queue.popleft()
-            entries = [row[k:k + w] for k in range(0, len(row), w)]
-            live = {i for i, x in enumerate(entries) if any(x)}
-            for gid, tcls, size, step in self.moves[cls]:
-                tgt = tuple(a + b for a, b in zip(deg, step))
-                if max(tgt) > work or min(tgt) < -work:
+            nonzero = list(compress(count(), row))
+            live = {s // w for s in nonzero}
+            targets = []  # per step, the target degree, or None outside the box
+            for step in steps:
+                tgt = tuple(map(add, deg, step))
+                targets.append(None if max(tgt) > work or min(tgt) < -work else tgt)
+            for gid, tcls, size, sid in self.moves[cls]:
+                tgt = targets[sid]
+                if tgt is None:
                     continue
-                fib = fibers.get(tgt)
-                if fib is None:
-                    fib = fibers[tgt] = GradedFiber(grading, order)
-                ech = fib.part(tcls)
-                if ech.rank == size:
+                key = tgt, tcls
+                ech = echelons.get(key)
+                if ech is None:
+                    fib = fibers.get(tgt)
+                    if fib is None:
+                        fib = fibers[tgt] = GradedFiber(grading, order)
+                    ech = echelons[key] = fib.part(tcls)
+                if len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
-                terms, sources = self.plan(gid, cls, size)
-                if live.isdisjoint(sources):
+                plan = plans.get((gid, cls))
+                if plan is None:
+                    cols, _, coeffs, _ = self.gens[gid]
+                    _, plan = _plan(fin, cols, coeffs, grading.members[cls], grading.local)
+                    plans[gid, cls] = plan
+                if live.isdisjoint(plan.terms):
                     continue  # every term reads a zero entry
-                added = ech.add(_image(terms, entries, order, w))
+                added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
         return GradedBox(
@@ -590,10 +655,10 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
     cols = _slot_columns(fin, kind, idx)
-    scale, terms = _plan(fin, [(cols, 0)], coeffs, everything, everything, fin.total)
+    scale, plan = _plan(fin, [(cols, 0)], coeffs, everything, everything)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
-    image = _image(terms, [row[k:k + w] for k in range(0, len(row), w)], order, w)
+    image = plan.image(row, list(compress(count(), row)), len(row), {}, order, w)
     return from_numerators(order, image, den * scale)
 
 

@@ -272,6 +272,24 @@ def test_text_output(write, capsys):
     assert out.startswith("command: support")
 
 
+_JSON_LEAVES = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(_JSON_TREES)
+@settings(max_examples=300, deadline=None)
+def test_report_emitter_matches_indented_json_dumps(doc):
+    # Strings cover non-ASCII and control characters; floats cover NaN and
+    # the infinities; empty lists and dicts come from max_size.
+    assert cli._indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
 def test_scalar_json_round_trip(write, capsys):
     doc_in = dict(
         SPEC_A,
@@ -403,14 +421,14 @@ def test_verify_computes_the_support_once(write, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def _run_capped(tmp_path, command, spec, timeout):
-    # `command` on `spec` in a fresh interpreter under a 1 GiB address-space
-    # cap; returns the finished process.
+def _run_capped(tmp_path, command, spec, timeout, cap=1 << 30):
+    # `command` on `spec` in a fresh interpreter under an address-space cap
+    # of `cap` bytes (1 GiB by default); returns the finished process.
     path = tmp_path / "capped.json"
     path.write_text(json.dumps(spec))
     script = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         "from loopmod.cli import main\n"
         "sys.exit(main([sys.argv[1], sys.argv[2]]))\n"
     )
@@ -451,6 +469,18 @@ def test_incomplete_huge_table_is_input_error_in_bounded_memory(tmp_path):
     assert diag["type"] == "InputError"
     assert diag["message"] == "weight table is incomplete"
     assert diag["data"]["missing"] == [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6]]
+
+
+def test_huge_rank_with_short_weights_is_input_error_in_bounded_memory(tmp_path):
+    # The weights' lengths are checked before the rank × rank Cartan matrix
+    # is built, which at rank 10⁵ would take tens of GB.
+    spec = dict(SPEC_A, algebra={"series": "A", "rank": 100_000})
+    proc = _run_capped(tmp_path, "classify", spec, 30, cap=256 << 20)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    (diag,) = json.loads(proc.stdout)["diagnostics"]
+    assert diag["type"] == "InputError"
+    assert diag["message"] == "weight has wrong length"
+    assert diag["data"] == {"index": [1], "expected": 100_000}
 
 
 def test_high_rank_one_slot_classifies_quickly(tmp_path):

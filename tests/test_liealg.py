@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from loopmod import liealg
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import InputError, UnsupportedError
+from loopmod.jsonio import load_spec
 from loopmod.liealg import (
     apply_aut,
     build_algebra,
@@ -53,6 +56,26 @@ def test_unsupported_pairs():
         build_algebra("G", 3)
     with pytest.raises(UnsupportedError):
         build_algebra("X", 2)
+
+
+def test_specs_of_one_algebra_share_its_root_system(tmp_path, monkeypatch):
+    # build_algebra keeps one instance per (series, rank), so the Weyl
+    # dimensions of two A₂ specs build the positive roots once.
+    calls = []
+    original = liealg._positive_roots
+    monkeypatch.setattr(liealg, "_positive_roots", lambda cartan: calls.append(1) or original(cartan))
+    build_algebra.cache_clear()
+    specs = []
+    for k, coords in enumerate(([1, 0], [1, 1])):
+        path = tmp_path / f"a2_{k}.json"
+        path.write_text(json.dumps({
+            "algebra": {"series": "A", "rank": 2}, "n": 1, "dims": [1],
+            "weights": [{"index": [1], "coords": coords}], "evals": [[1]],
+        }))
+        specs.append(load_spec(str(path)))
+    assert [weyl_dim(s.algebra, s.weights[(1,)]) for s in specs] == [3, 8]
+    assert specs[0].algebra is specs[1].algebra
+    assert len(calls) == 1
 
 
 def test_weyl_dim_sl2_string():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_twisted_spec, sc, spec
 import loopmod
-from loopmod import realizer
+from loopmod import psi, realizer
 from loopmod.cli import main
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import CapExceededError, InputError, UnsupportedError
@@ -232,6 +232,51 @@ def test_loop_action_bracket_on_vectors():
             )
             for a, b, c in zip(ef, fe, hsum):
                 assert (a - b) == c
+
+
+def _reference_action(fin, s, kind, idx, step, vec):
+    # Each slot's e_i or f_i columns applied with CycVector arithmetic: the
+    # entry x at row r of column c sends basis vector g (slot component c)
+    # to g + (r − c)·stride, times the slot's coefficient at ``step``.
+    ev = Evaluator(s)
+    out = [CycVector.zero(s.field_order)] * fin.total
+    for k, (slot, I) in enumerate(zip(fin.slots, psi.table_indices(s.dims))):
+        cols = (slot.raiser if kind == "e" else slot.lower)[idx]
+        coeff = ev.coefficient(I, step)
+        stride = fin.strides[k]
+        for g in range(fin.total):
+            c = (g // stride) % slot.dim
+            for r, x in cols[c]:
+                t = g + (r - c) * stride
+                out[t] = out[t] + vec[g].scale(coeff, x)
+    return out
+
+
+@pytest.mark.parametrize("order", [5, 12, 60, 105])
+def test_loop_action_bracket_on_vectors_at_wrapping_orders(order):
+    # Evaluation points ζ^{L−1} and (2/3)·ζ^{L−2}: their powers' exponents
+    # plus a random entry's power-basis exponents pass φ(L) and L, so every
+    # image needs reduced powers of ζ.  loop_action matches the reference,
+    # and [e(s), f(t)] acts like h(s+t).
+    s = spec(A2, (2,), {(1,): (1, 0), (2,): (1, 1)},
+             [((1, order - 1, order), (Fraction(2, 3), order - 2, order))])
+    fin = fin_for_spec(s)
+    rng = random.Random(order)
+    for _ in range(2):
+        vec = [
+            CycVector(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
+            for _ in range(fin.total)
+        ]
+        for kind, idx in (("e", 0), ("f", 1)):
+            for st_ in ((1,), (-1,), (2,), (0,)):
+                assert loop_action(fin, s, (kind, idx), st_, vec) == _reference_action(
+                    fin, s, kind, idx, st_, vec
+                )
+        for st_, tt in (((1,), (0,)), ((1,), (-1,)), ((2,), (1,))):
+            ef = loop_action(fin, s, ("e", 0), st_, loop_action(fin, s, ("f", 0), tt, vec))
+            fe = loop_action(fin, s, ("f", 0), tt, loop_action(fin, s, ("e", 0), st_, vec))
+            hsum = loop_action(fin, s, ("h", 0), tuple(a + b for a, b in zip(st_, tt)), vec)
+            assert [a - b for a, b in zip(ef, fe)] == hsum
 
 
 def test_loop_action_derivation():
