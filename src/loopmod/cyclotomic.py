@@ -284,19 +284,6 @@ class CycVector:
         return cls(order, _num=num, _den=den)
 
     @classmethod
-    def combination(cls, order: int, terms) -> "CycVector":
-        """``Σ w·ζ^e·x`` over ``(x, e, w)`` triples with ``x`` a vector of this
-        order, ``0 ≤ e < order`` and ``w`` a ``Fraction``; reduced once."""
-        terms = list(terms)
-        if not terms:
-            return cls.zero(order)
-        den = lcm(*(x.den * w.denominator for x, _, w in terms))
-        num = shift_sum(
-            order, [(x.num, e, den // (x.den * w.denominator) * w.numerator) for x, e, w in terms]
-        )
-        return cls(order, _num=num, _den=den)
-
-    @classmethod
     def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
         return cls.from_terms(s.order, [(s.e, s.q * Fraction(weight))])
 
@@ -356,7 +343,8 @@ class CycVector:
             raise OrderMismatchError(
                 "scalar and vector orders differ", scalar=s.order, vector=self.order
             )
-        return CycVector.combination(self.order, [(self, s.e, s.q * Fraction(weight))])
+        num, den = _fold(self.order, [(s.e, s.q * Fraction(weight))])
+        return CycVector(self.order, _num=mul_mod(self.order, self.num, num), _den=self.den * den)
 
     def scale_rational(self, w) -> "CycVector":
         w = Fraction(w)
@@ -432,18 +420,6 @@ def mul_mod(order: int, a, b) -> list[int]:
             for j, y in bs:
                 poly[i + j] += x * y
     return _reduce(order, poly)
-
-
-def shift_sum(order: int, terms) -> list[int]:
-    """Numerators of ``Σ w·ζ^e·x`` over ``(x, e, w)`` triples: ``x``
-    numerators, ``0 ≤ e < order`` and ``w`` an integer; reduced once."""
-    top = max(e for _, e, _ in terms)
-    poly = [0] * (_phi_taps(order)[0] + top)
-    for x, e, w in terms:
-        for i, a in enumerate(x, e):
-            if a:
-                poly[i] += w * a
-    return _reduce(order, poly) if top else poly
 
 
 def to_numerators(vec) -> tuple[int, list[int]]:

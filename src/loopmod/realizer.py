@@ -25,24 +25,26 @@ a sum of ``(per-slot columns, ζ-exponent)`` terms, so no column has
 cyclotomic entries.  Every generator moves a weight by one fixed shift, so
 each degree fiber splits into weight classes, the weight's values on the
 orbit sums of the nodes (``h0_weight_map``; the weight itself when
-untwisted): the closure keeps one ``FieldEchelon`` per degree and weight
-class, with rows only as long as the class.  A row matters only up to a
-nonzero scalar, so it is kept as integer power-basis numerators over
-Z[ζ_L], with the pivot it came with (times a unit when that is a·ζ^e, so
-that a is the pivot), and eliminated fraction-free, with no pivot inverse.
-A term plan is a generator's action from one class at one step as integer
-data: each slot's coefficient q·ζ^e is folded into that slot's columns over
-one positive denominator, and a plan keeps, per source numerator it has
-read, the (target numerator, integer) pairs that numerator adds to, so an
-image is a scatter-add over the row's nonzero numerators.  The closure skips
-an image whose target class is already full, since the image lies in its
-span.  The box is widened by one degree (``_MARGIN``) during the sweep and
-cropped on return, so reported fibers do not suffer boundary truncation.
-Closure terminates because in-box fiber ranks grow monotonically.  What a
-closure needs besides its seed (the grading, each generator's columns,
-class shift and coefficients, the moves between classes and the term plans)
-is a ``_ClosureTables``; ``component_decomposition`` builds it once and
-closes every coset representative of the support from it.
+untwisted).  The closure, a ``GradedBox``, maps each (degree, weight class)
+it reaches to one ``FieldEchelon``, with rows only as long as the class.  A row
+matters only up to a nonzero scalar, so it is an integer list, the
+power-basis numerators over Z[ζ_L] of its entries, kept with the pivot it
+came with (times a unit when that is a·ζ^e, so that a is the pivot) and
+eliminated fraction-free, with no pivot inverse.  Each generator at each
+step is made integer once, when the tables are built: per term and slot,
+the coefficient q·ζ^e is folded into the slot's columns over one positive
+denominator (``_integer_terms``).  A term plan re-indexes those columns to
+the members of one class, and keeps, per source numerator it has read, the
+(target numerator, integer) pairs that numerator adds to, so an image is a
+scatter-add over the row's nonzero numerators.  The closure skips an image
+whose target class is already full, since the image lies in its span.  The
+box is widened by one degree (``_MARGIN``) during the sweep and cropped on
+return, so reported fibers do not suffer boundary truncation.  Closure
+terminates because in-box fiber ranks grow monotonically.  What a closure
+needs besides its seed (the grading, each generator's integer columns and
+class shift, the moves between classes and the term plans) is a
+``_ClosureTables``; ``component_decomposition`` builds it once and closes
+every coset representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -61,9 +63,7 @@ from itertools import compress, count
 from math import gcd, lcm, prod
 from operator import add
 
-from .cyclotomic import (
-    CycVector, _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators,
-)
+from .cyclotomic import _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
 from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
@@ -215,15 +215,15 @@ def _times(order: int, m, x) -> list[int]:
 
 class FieldEchelon:
     """Row space over Q(ζ_L), for rank and membership, by fraction-free
-    elimination over Z[ζ_L].  ``int_rows`` holds each row as one integer list,
-    ``width`` = φ(L) power-basis numerators per entry, with its integer
-    content divided out and whatever pivot entry α ∈ Z[ζ_L] it has, except
-    that a pivot a·ζ^e is made the rational a by the unit ζ^{L−e}; ``rows``
-    gives the same rows as ``CycVector`` lists.  A vector is reduced by
-    ``vec ← α·vec − vec[piv]·row`` for each row in pivot order, which is one
-    integer pass when α and ``vec[piv]`` are rational.  Z[ζ_L] is an integral
-    domain, so that clears entry ``piv`` for any nonzero α and no pivot is
-    ever inverted (Bareiss, *Math. Comp.* 22, 1968)."""
+    elimination over Z[ζ_L].  A row is one integer list, ``width`` = φ(L)
+    power-basis numerators per entry; ``int_rows`` holds each stored row with
+    its integer content divided out and whatever pivot entry α ∈ Z[ζ_L] it
+    has, except that a pivot a·ζ^e is made the rational a by the unit
+    ζ^{L−e}.  A vector is reduced by ``vec ← α·vec − vec[piv]·row`` for each
+    row in pivot order, which is one integer pass when α and ``vec[piv]`` are
+    rational.  Z[ζ_L] is an integral domain, so that clears entry ``piv`` for
+    any nonzero α and no pivot is ever inverted (Bareiss, *Math. Comp.* 22,
+    1968)."""
 
     def __init__(self, length: int, order: int):
         self.length = length
@@ -236,13 +236,7 @@ class FieldEchelon:
     def rank(self) -> int:
         return len(self.int_rows)
 
-    @property
-    def rows(self) -> list[list[CycVector]]:
-        return [from_numerators(self.order, r, 1) for r in self.int_rows]
-
-    def _reduce(self, vec) -> list[int]:
-        if vec and isinstance(vec[0], CycVector):
-            vec = to_numerators(vec)[1]
+    def _reduce(self, vec: list[int]) -> list[int]:
         w, order = self.width, self.order
         for piv, row in zip(self.pivots, self.int_rows):
             o = piv * w
@@ -266,15 +260,10 @@ class FieldEchelon:
                 vec = [a0 * x - c0 * y for x, y in zip(vec, row)]
         return vec
 
-    def add(self, vec) -> list | None:
-        """Insert ``vec`` if independent; returns None, or the stored row as
-        ``CycVector`` entries when ``vec`` is a list of them, as in
-        ``int_rows`` when it is an integer row."""
-        public = bool(vec) and isinstance(vec[0], CycVector)
-        if self.int_rows:
-            row = self._reduce(vec)
-        else:
-            row = to_numerators(vec)[1] if public else vec
+    def add(self, vec: list[int]) -> list[int] | None:
+        """Insert the integer row ``vec`` if independent; returns None, or the
+        row as stored."""
+        row = self._reduce(vec) if self.int_rows else vec
         first = next(compress(count(), row), None)
         if first is None:
             return None
@@ -291,7 +280,7 @@ class FieldEchelon:
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.int_rows.insert(at, row)
-        return from_numerators(order, row, 1) if public else row
+        return row
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
@@ -317,62 +306,29 @@ class Grading:
                 self.local[g] = i
 
 
-class GradedFiber:
-    """One degree of a closure: a ``FieldEchelon`` per weight class, whose rows
-    are as long as the class.  ``rank``, ``rows`` and ``contains`` see the
-    fiber as full-length vectors."""
-
-    def __init__(self, grading: Grading, order: int):
-        self.grading = grading
-        self.order = order
-        self.parts: dict = {}
-
-    def part(self, cls) -> FieldEchelon:
-        ech = self.parts.get(cls)
-        if ech is None:
-            ech = FieldEchelon(len(self.grading.members[cls]), self.order)
-            self.parts[cls] = ech
-        return ech
-
-    @property
-    def rank(self) -> int:
-        return sum(ech.rank for ech in self.parts.values())
-
-    @property
-    def rows(self) -> list[list[CycVector]]:
-        zero, out = CycVector.zero(self.order), []
-        for cls, ech in sorted(self.parts.items()):
-            for short in ech.rows:
-                row = [zero] * len(self.grading.local)
-                for g, x in zip(self.grading.members[cls], short):
-                    row[g] = x
-                out.append(row)
-        return out
-
-    def contains(self, vec) -> bool:
-        return all(
-            (self.parts.get(cls) or FieldEchelon(len(gs), self.order)).contains([vec[g] for g in gs])
-            for cls, gs in self.grading.members.items()
-        )
-
-
 @dataclass
 class GradedBox:
-    radius: int
-    fibers: dict[tuple[int, ...], GradedFiber]
+    """A closure on its box ``[-radius, radius]ⁿ``: ``parts`` maps each
+    (degree, weight class) it reached to that class's ``FieldEchelon``, over
+    the class's members in ``grading``.  The sweep's ``_MARGIN`` degrees stay
+    in ``parts``; ``dims`` crops them."""
+
+    parts: dict
     fin: FinModule
-    seed: tuple[int, ...]
     grading: Grading
+    radius: int
+    seed: tuple[int, ...]
+    order: int
 
     def dims(self) -> dict[tuple[int, ...], int]:
+        ranks: dict = {}
+        for (deg, _), ech in self.parts.items():
+            ranks[deg] = ranks.get(deg, 0) + ech.rank
         return {
-            deg: fib.rank
-            for deg, fib in sorted(self.fibers.items())
-            if fib.rank and max(abs(x) for x in deg) <= self.radius
+            deg: rank
+            for deg, rank in sorted(ranks.items())
+            if rank and max(abs(x) for x in deg) <= self.radius
         }
-
-    def fiber(self, degree) -> GradedFiber | None:
-        return self.fibers.get(tuple(degree))
 
 
 class _Plan:
@@ -419,13 +375,13 @@ class _Plan:
         return out
 
 
-def _plan(fin: FinModule, terms, coeffs_per_slot, members, local) -> tuple[int, _Plan]:
-    """One generator at one step, from the basis vectors ``members``: a
-    positive integer ``den`` and the ``_Plan`` of ``den`` times the generator.
-    The generator is a sum of ``(per-slot columns, ζ-exponent)`` terms; a
-    term's exponent adds to the exponent of each slot's coefficient q·ζ^e,
-    and q is folded into the slot's columns once, as integers over ``den``,
-    the lcm of ``q.denominator · x.denominator`` over the column entries x."""
+def _integer_terms(terms, coeffs_per_slot) -> tuple[int, list]:
+    """One generator at one step as integer data: a positive integer ``den``
+    and, per ``(per-slot columns, ζ-exponent)`` term of the generator, per
+    slot the pair (ζ-exponent, columns of ``den`` times the slot's part).  A
+    term's exponent adds to the exponent of the slot's coefficient q·ζ^e, and
+    q is folded into the slot's columns, as integers over ``den``, the lcm of
+    ``q.denominator · x.denominator`` over the column entries x."""
     den = lcm(*(
         c.q.denominator * x.denominator
         for cols_per_slot, _ in terms
@@ -433,23 +389,33 @@ def _plan(fin: FinModule, terms, coeffs_per_slot, members, local) -> tuple[int, 
         for col in cols
         for _, x in col
     ))
-    acc: list[dict] = [{} for _ in members]  # per source: {(target, ζ-exponent): weight}
+    out = []
     for cols_per_slot, e in terms:
-        for k, (cols, c) in enumerate(zip(cols_per_slot, coeffs_per_slot)):
-            stride, dim = fin.strides[k], fin.slots[k].dim
-            ce = (c.e + e) % c.order
+        slots = []
+        for cols, c in zip(cols_per_slot, coeffs_per_slot):
             qn, qd = c.q.numerator, c.q.denominator
-            scaled = [
+            slots.append(((c.e + e) % c.order, [
                 [(r, qn * x.numerator * (den // (qd * x.denominator))) for r, x in col]
                 for col in cols
-            ]
+            ]))
+        out.append(slots)
+    return den, out
+
+
+def _plan(fin: FinModule, int_terms, members, local) -> _Plan:
+    """The ``_Plan`` from the basis vectors ``members`` of ``den`` times one
+    generator at one step, given as its ``_integer_terms``."""
+    acc: list[dict] = [{} for _ in members]  # per source: {(target, ζ-exponent): weight}
+    for slots in int_terms:
+        for k, (ce, cols) in enumerate(slots):
+            stride, dim = fin.strides[k], fin.slots[k].dim
             for out, g in zip(acc, members):
                 comp = (g // stride) % dim
-                for r, v in scaled[comp]:
+                for r, v in cols[comp]:
                     key = local[g + (r - comp) * stride], ce
                     out[key] = out.get(key, 0) + v
     plan = {i: [(t, e, v) for (t, e), v in out.items() if v] for i, out in enumerate(acc)}
-    return den, _Plan({i: triples for i, triples in plan.items() if triples})
+    return _Plan({i: triples for i, triples in plan.items() if triples})
 
 
 def _class_shift(slot_classes, terms):
@@ -472,9 +438,9 @@ def _class_shift(slot_classes, terms):
 
 class _ClosureTables:
     """The seed-independent part of a closure: the grading, each generator's
-    columns, class shift and per-step coefficients, the moves between
-    classes, the term plans and the reduced powers of ζ they read, built on
-    first use and kept for every later seed.
+    integer columns and class shift at each step, the moves between classes,
+    and the term plans and the reduced powers of ζ they read, built on first
+    use and kept for every later seed.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -498,20 +464,20 @@ class _ClosureTables:
         self.grading = grading = Grading(fin, class_map)
         members = grading.members
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
-        gens = []  # (terms as per-slot columns, class shift, per-slot coefficients, step)
+        gens = []  # (_integer_terms at the step, class shift, step)
         for terms, steps in generators:
             shift = _class_shift(slot_classes, terms)
             if shift is None:
                 continue
             for s in steps:
-                coeffs = [ev.coefficient(I, s) for I in indices]
-                gens.append((terms, shift, coeffs, tuple(s)))
+                _, int_terms = _integer_terms(terms, [ev.coefficient(I, s) for I in indices])
+                gens.append((int_terms, shift, tuple(s)))
         self.gens = gens
         self.steps = list(dict.fromkeys(step for *_, step in gens))
         # Per source class, the moves into classes that have basis vectors:
         # (generator id, target class, its size, index of the step in steps).
         self.moves: dict = {cls: [] for cls in members}
-        for gid, (_, shift, _, step) in enumerate(gens):
+        for gid, (_, shift, step) in enumerate(gens):
             sid = self.steps.index(step)
             for cls, out in self.moves.items():
                 tcls = tuple(a + b for a, b in zip(cls, shift))
@@ -528,13 +494,12 @@ class _ClosureTables:
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
             raise InputError("seed degree outside the working box", seed=seed_degree)
-        fibers: dict[tuple[int, ...], GradedFiber] = {}
-        echelons: dict = {}  # (degree, class) -> that fiber's FieldEchelon
+        parts: dict = {}  # (degree, class) -> FieldEchelon
+        members = grading.members
         seed_cls = self.class_map(fin.basis_weights[fin.hw_index])
-        seed_vec = [0] * (len(grading.members[seed_cls]) * w)
+        seed_vec = [0] * (len(members[seed_cls]) * w)
         seed_vec[grading.local[fin.hw_index] * w] = 1
-        fibers[seed_degree] = GradedFiber(grading, order)
-        ech = echelons[seed_degree, seed_cls] = fibers[seed_degree].part(seed_cls)
+        ech = parts[seed_degree, seed_cls] = FieldEchelon(len(members[seed_cls]), order)
         queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec))])
         while queue:
             deg, cls, row = queue.popleft()
@@ -549,26 +514,23 @@ class _ClosureTables:
                 if tgt is None:
                     continue
                 key = tgt, tcls
-                ech = echelons.get(key)
+                ech = parts.get(key)
                 if ech is None:
-                    fib = fibers.get(tgt)
-                    if fib is None:
-                        fib = fibers[tgt] = GradedFiber(grading, order)
-                    ech = echelons[key] = fib.part(tcls)
+                    ech = parts[key] = FieldEchelon(size, order)
                 if len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
                 plan = plans.get((gid, cls))
                 if plan is None:
-                    cols, _, coeffs, _ = self.gens[gid]
-                    _, plan = _plan(fin, cols, coeffs, grading.members[cls], grading.local)
-                    plans[gid, cls] = plan
+                    plan = plans[gid, cls] = _plan(
+                        fin, self.gens[gid][0], members[cls], grading.local
+                    )
                 if live.isdisjoint(plan.terms):
                     continue  # every term reads a zero entry
                 added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
         return GradedBox(
-            radius=radius, fibers=fibers, fin=fin, seed=seed_degree, grading=grading
+            parts=parts, fin=fin, grading=grading, radius=radius, seed=seed_degree, order=order
         )
 
 
@@ -654,8 +616,8 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
         return [v.scale_rational(factor) for v in vec]
     everything = range(fin.total)
     coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
-    cols = _slot_columns(fin, kind, idx)
-    scale, plan = _plan(fin, [(cols, 0)], coeffs, everything, everything)
+    scale, int_terms = _integer_terms([(_slot_columns(fin, kind, idx), 0)], coeffs)
+    plan = _plan(fin, int_terms, everything, everything)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
     image = plan.image(row, list(compress(count(), row)), len(row), {}, order, w)
@@ -688,23 +650,17 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     box, with one combined echelon per (degree, weight class).  A class that
     only one component reaches needs no echelon: the rows of one echelon are
     independent."""
-    fin = boxes[0].fin
-    radius = boxes[0].radius
-    members = boxes[0].grading.members
-    order = boxes[0].fibers[boxes[0].seed].order
-    n = len(boxes[0].seed)
+    box0 = boxes[0]
+    members, order = box0.grading.members, box0.order
+    dims = [box.dims() for box in boxes]
     audit = DecompositionAudit([], [], {})
-    for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(n))):
-        fibs = [box.fibers.get(deg) for box in boxes]
-        ranks = tuple(f.rank if f is not None else 0 for f in fibs)
+    for deg in itertools.product(*(range(-box0.radius, box0.radius + 1) for _ in box0.seed)):
+        ranks = tuple(d.get(deg, 0) for d in dims)
         audit.fiber_dims.append((deg, ranks))
         combined_rank = 0
         overlap = False
         for cls, gs in members.items():
-            parts = [
-                f.parts[cls] for f in fibs
-                if f is not None and cls in f.parts and f.parts[cls].rank
-            ]
+            parts = [ech for box in boxes if (ech := box.parts.get((deg, cls))) and ech.rank]
             if len(parts) == 1:
                 combined_rank += parts[0].rank
                 continue
@@ -716,7 +672,7 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
             combined_rank += combined.rank
         if overlap:
             audit.overlaps.append(deg)
-        if combined_rank != fin.total or combined_rank != sum(ranks):
+        if combined_rank != box0.fin.total or combined_rank != sum(ranks):
             audit.shortfalls[deg] = combined_rank
     return audit
 
@@ -744,16 +700,15 @@ def fiber_character(box: GradedBox, deg, weight_map):
     Where ``weight_map`` is constant on a weight class of the closure, that
     class adds its rank; otherwise the class's rows are projected onto each
     value's coordinates and ranked."""
-    fib = box.fibers.get(tuple(deg))
-    if fib is None or fib.rank == 0:
-        return ()
+    deg = tuple(deg)
     weights = box.fin.basis_weights
     mult: dict = {}
-    for cls, ech in fib.parts.items():
-        if not ech.rank:
+    for cls, gs in box.grading.members.items():
+        ech = box.parts.get((deg, cls))
+        if ech is None or not ech.rank:
             continue
         groups: dict = {}
-        for i, g in enumerate(box.grading.members[cls]):
+        for i, g in enumerate(gs):
             groups.setdefault(weight_map(weights[g]), []).append(i)
         if len(groups) == 1:
             (wt,) = groups
@@ -761,7 +716,7 @@ def fiber_character(box: GradedBox, deg, weight_map):
             continue
         w = ech.width
         for wt, cols in groups.items():
-            sub = FieldEchelon(len(cols), fib.order)
+            sub = FieldEchelon(len(cols), ech.order)
             for row in ech.int_rows:
                 if sub.add([x for c in cols for x in row[c * w:c * w + w]]) is not None:
                     mult[wt] = mult.get(wt, 0) + 1

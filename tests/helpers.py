@@ -1,5 +1,6 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
-and canonical block-form constructions with a prescribed support."""
+canonical block-form constructions with a prescribed support, and full-length
+views of a realizer closure's fibers."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from loopmod.cyclotomic import CycScalar
+from loopmod.cyclotomic import CycScalar, cyclotomic_polynomial
 from loopmod.lattice import Lattice
 from loopmod.liealg import build_algebra, build_aut, node_orbits
 from loopmod.psi import PsiSpec, table_indices
+from loopmod.realizer import FieldEchelon
 from loopmod.twisted import TwistedSpec
 
 A1 = build_algebra("A", 1)
@@ -286,3 +288,30 @@ def random_twisted_spec(rng: random.Random, algebra, aut) -> TwistedSpec:
         rho=(Fraction(0),) * n,
     )
     return TwistedSpec(base=base, aut=aut)
+
+
+def fiber_rows(box, deg) -> list[list[int]]:
+    """The rows of ``box``'s fiber at ``deg`` as full-length integer rows
+    (φ(L) numerators per basis vector), weight class by weight class: each
+    class's echelon rows, zero outside the class.  ``len`` is the fiber's
+    rank."""
+    total = box.fin.total
+    w = len(cyclotomic_polynomial(box.order)) - 1
+    out = []
+    for cls, gs in box.grading.members.items():
+        ech = box.parts.get((tuple(deg), cls))
+        for short in ech.int_rows if ech else ():
+            row = [0] * (total * w)
+            for i, g in enumerate(gs):
+                row[g * w:g * w + w] = short[i * w:i * w + w]
+            out.append(row)
+    return out
+
+
+def fiber_span(box, deg) -> FieldEchelon:
+    """One full-length ``FieldEchelon`` holding ``fiber_rows(box, deg)``,
+    for membership tests."""
+    ech = FieldEchelon(box.fin.total, box.order)
+    for row in fiber_rows(box, deg):
+        ech.add(row)
+    return ech

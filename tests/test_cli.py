@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopmod
-from loopmod import cli, errors, psi
+from loopmod import cli, errors, psi, realizer
 from loopmod.cli import main
 from loopmod.jsonio import parse_spec
 
@@ -164,6 +165,45 @@ def test_verify_passes(write, capsys):
     assert doc["result"]["ok"]
     assert doc["result"]["components"] == 2
     assert all(doc["result"]["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        ("closures-reversed", {"top_weight_support"}),
+        ("first-closure-twice", {"fibers_disjoint", "degree_sums"}),
+        ("one-closure", {"component_count", "degree_sums"}),
+        ("support-is-Z", {"support_periodicity", "degree_sums", "top_weight_support"}),
+    ],
+)
+def test_verify_exits_1_on_the_checks_a_wrong_decomposition_breaks(
+    write, capsys, monkeypatch, fault, failing
+):
+    # λ = (1),(1), a = (1, −1): Γ = 2Z and p = 2, so two closures.  Each fault
+    # hands verify a decomposition or a classification that is wrong in one
+    # way, and exactly the checks that see that way fail.
+    decompose, classify = realizer.component_decomposition, cli.classify
+
+    def decomposition(*args, **kwargs):
+        boxes = decompose(*args, **kwargs)
+        return {
+            "closures-reversed": boxes[::-1],
+            "first-closure-twice": boxes[:1] * 2,
+            "one-closure": boxes[:1],
+        }.get(fault, boxes)
+
+    whole = psi.support_lattice(parse_spec(dict(SPEC_2Z, evals=[[1, 2]])))
+    assert whole.index == 1
+
+    def index_one(spec):  # Γ = Z and p = 1, as for a = (1, 2)
+        return dataclasses.replace(classify(spec), support=whole, p=1)
+
+    monkeypatch.setattr(realizer, "component_decomposition", decomposition)
+    if fault == "support-is-Z":
+        monkeypatch.setattr(cli, "classify", index_one)
+    code, doc = _run(capsys, ["verify", write(SPEC_2Z, "s.json"), "--box", "2"])
+    assert code == 1 and not doc["result"]["ok"]
+    assert {k for k, v in doc["result"]["checks"].items() if not v} == failing
 
 
 def test_exit_code_structure_errors(write, capsys):

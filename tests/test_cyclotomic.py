@@ -248,9 +248,7 @@ def test_vector_arithmetic_vs_complex(data, e, wn, wd):
     assert _close(complex(a.scale(s, wd)), za * complex(s) * wd)
     w = Fraction(wn, wd)
     assert _close(complex(a.scale_rational(w)), za * float(w))
-    if w:
-        combo = CycVector.combination(order, [(a, e % order, w), (b, 0, Fraction(1))])
-        assert combo == a.scale(CycScalar(w, e, order)) + b
+    assert a.scale(s, wd) == a * CycVector.from_scalar(s, wd)
     assert (a == b) == _close(za, zb)
     if not a.is_zero():
         inv = a.inverse()

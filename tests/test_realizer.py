@@ -12,11 +12,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_twisted_spec, sc, spec
+from helpers import (
+    A1, A2, A2_FLIP, D4, D4_TRIALITY, fiber_rows, fiber_span, random_twisted_spec, sc, spec,
+)
 import loopmod
 from loopmod import psi, realizer
 from loopmod.cli import main
-from loopmod.cyclotomic import CycVector
+from loopmod.cyclotomic import CycVector, from_numerators, to_numerators
 from loopmod.errors import CapExceededError, InputError, UnsupportedError
 from loopmod.liealg import build_algebra, build_aut, node_orbits, restrict_weight, weyl_dim
 from loopmod.psi import Evaluator, support_lattice
@@ -321,11 +323,11 @@ def test_generate_component_splits_by_parity():
     sym, anti = _sym_antisym_expected(order)
     assert box.dims() == {(m,): (3 if m % 2 == 0 else 1) for m in range(-3, 4)}
     for m in range(-3, 4):
-        ech = box.fiber((m,))
+        span = fiber_span(box, (m,))
         expected = sym if m % 2 == 0 else anti
         for v in expected:
-            assert ech.contains(v)
-        assert ech.rank == len(expected)
+            assert span.contains(to_numerators(v)[1])
+        assert len(fiber_rows(box, (m,))) == len(expected)
 
 
 def test_count_components_examples():
@@ -449,11 +451,11 @@ def test_twisted_component_matches_involution_eigenspaces():
             eig[sign].append(v)
     assert len(eig[1]) == 5 and len(eig[-1]) == 3
     for m in range(-2, 3):
-        ech = box.fiber((m,))
+        span = fiber_span(box, (m,))
         expect = eig[1] if m % 2 == 0 else eig[-1]
-        assert ech.rank == len(expect)
+        assert len(fiber_rows(box, (m,))) == len(expect)
         for v in expect:
-            assert ech.contains([CycVector.from_rational(x, order) for x in v])
+            assert span.contains(to_numerators([CycVector.from_rational(x, order) for x in v])[1])
 
 
 def test_twisted_component_contained_in_untwisted():
@@ -461,10 +463,11 @@ def test_twisted_component_contained_in_untwisted():
     t = TwistedSpec(base=s, aut=A2_FLIP)
     tb = twisted_generate_component(t, 2)
     ub = generate_component(t.base, 2)
-    for deg, ech in tb.fibers.items():
-        if max(abs(x) for x in deg) <= 2 and ech.rank:
-            for row in ech.rows:
-                assert ub.fiber(deg).contains(row)
+    for deg in {deg for deg, _ in tb.parts}:
+        if max(abs(x) for x in deg) <= 2:
+            span = fiber_span(ub, deg)
+            for row in fiber_rows(tb, deg):
+                assert span.contains(row)
 
 
 def test_twisted_first_type_fills_all_degrees():
@@ -519,10 +522,13 @@ def test_twisted_step_generator_matches_restrict_weight():
     order = t.base.field_order
     (orbit,) = [o for o in node_orbits(D4_TRIALITY) if len(o) == 3]
     tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
-    (cols,) = [cols for cols, _, _, step in tables.gens if step == (1,)]
-    assert len(cols) == 3
-    for (mat_cols, e), node in zip(cols, orbit):
-        assert mat_cols == realizer._slot_columns(tables.fin, "e", node)
+    (terms,) = [terms for terms, _, step in tables.gens if step == (1,)]
+    assert len(terms) == 3
+    # One slot, whose coefficient at a = (1) is 1: each term holds e_{σ^u b}'s
+    # columns as they are, since they are integers.
+    for ((e, int_cols),), node in zip(terms, orbit):
+        (mat_cols,) = realizer._slot_columns(tables.fin, "e", node)
+        assert int_cols == [list(col) for col in mat_cols]
         fundamental = tuple(int(i == node) for i in range(4))
         (value,) = restrict_weight(D4_TRIALITY, fundamental, order).higher[0]
         assert value == CycVector.from_terms(order, [(e, 1)])
@@ -599,8 +605,8 @@ def graded_boxes():
 def test_graded_rows_vanish_outside_their_class(graded_boxes):
     for box, class_map in graded_boxes:
         weights = box.fin.basis_weights
-        for fib in box.fibers.values():
-            for row in fib.rows:
+        for deg in {deg for deg, _ in box.parts}:
+            for row in (from_numerators(box.order, r, 1) for r in fiber_rows(box, deg)):
                 assert len(row) == box.fin.total
                 classes = {class_map(weights[g]) for g, x in enumerate(row) if not x.is_zero()}
                 assert len(classes) == 1
@@ -608,36 +614,39 @@ def test_graded_rows_vanish_outside_their_class(graded_boxes):
 
 def test_graded_rows_reinsert_to_the_fiber_rank(graded_boxes):
     for box, _ in graded_boxes:
-        for deg, fib in box.fibers.items():
-            full = FieldEchelon(box.fin.total, fib.order)
-            for row in fib.rows:
+        for deg in {deg for deg, _ in box.parts}:
+            full = FieldEchelon(box.fin.total, box.order)
+            span = fiber_span(box, deg)
+            for row in fiber_rows(box, deg):
                 assert full.add(row) is not None, deg
-                assert fib.contains(row)
-            assert full.rank == fib.rank
+                assert span.contains(row)
+            assert full.rank == sum(ech.rank for (d, _), ech in box.parts.items() if d == deg)
 
 
 def test_graded_fiber_rejects_vectors_outside_it():
     # V(1)⊗V(1) at (1, −1): odd fibers are the alternating line only.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    fib = generate_component(s, 2).fiber((1,))
+    span = fiber_span(generate_component(s, 2), (1,))
     order = s.field_order
     one, zero = CycVector.from_rational(1, order), CycVector.zero(order)
-    assert fib.contains([zero, one, -one, zero])
-    assert not fib.contains([zero, one, one, zero])
-    assert not fib.contains([one, zero, zero, zero])
+    assert span.contains(to_numerators([zero, one, -one, zero])[1])
+    assert not span.contains(to_numerators([zero, one, one, zero])[1])
+    assert not span.contains(to_numerators([one, zero, zero, zero])[1])
 
 
 def _character_from_rows(box, deg, weight_map):
     # Independent rebuild: rank of the fiber's full rows projected onto the
     # coordinates of each weight_map value.
-    fib = box.fibers.get(deg)
+    rows = [from_numerators(box.order, r, 1) for r in fiber_rows(box, deg)]
     groups = {}
     for g, wt in enumerate(box.fin.basis_weights):
         groups.setdefault(weight_map(wt), []).append(g)
     out = []
     for wt, cols in sorted(groups.items()):
-        sub = FieldEchelon(len(cols), fib.order)
-        mult = sum(1 for row in fib.rows if sub.add([row[c] for c in cols]) is not None)
+        sub = FieldEchelon(len(cols), box.order)
+        mult = sum(
+            1 for row in rows if sub.add(to_numerators([row[c] for c in cols])[1]) is not None
+        )
         if mult:
             out.append((wt, mult))
     return tuple(out)
@@ -646,8 +655,9 @@ def _character_from_rows(box, deg, weight_map):
 def test_fiber_character_matches_a_rebuild_from_rows(graded_boxes):
     for box, class_map in graded_boxes:
         maps = (_identity, _H0) if box.fin.algebra.rank == 2 else (_identity,)
-        for deg, fib in box.fibers.items():
-            if not fib.rank:
+        for deg in {deg for deg, _ in box.parts}:
+            rank = len(fiber_rows(box, deg))
+            if not rank:
                 continue
             for weight_map in maps:
                 char = fiber_character(box, deg, weight_map)
@@ -655,7 +665,7 @@ def test_fiber_character_matches_a_rebuild_from_rows(graded_boxes):
                 if weight_map is _H0 or class_map is _identity:
                     # weight_map is a function of the closure's class: the
                     # fiber splits along it.
-                    assert sum(m for _, m in char) == fib.rank
+                    assert sum(m for _, m in char) == rank
 
 
 _SPEC_ZETA12 = {
@@ -667,6 +677,12 @@ _SPEC_ZETA12 = {
     "evals": [[1, {"num": 1, "zeta_order": 12, "zeta_pow": 1}]],
     "rho": [0],
 }
+
+
+def _ints(vec):
+    # A CycVector row as the integer row FieldEchelon takes: a nonzero
+    # rational multiple of it.
+    return to_numerators(vec)[1]
 
 
 def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
@@ -681,10 +697,10 @@ def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
     zeta = CycVector(order, [0, 5, 0])
     one = CycVector.from_rational(1, order)
     ech = FieldEchelon(3, order)
-    assert ech.add([z, zeta, z]) is not None
-    assert ech.add([one, one, one]) is not None
+    assert ech.add(_ints([z, zeta, z])) is not None
+    assert ech.add(_ints([one, one, one])) is not None
     # Reduces to one entry against the stored rows.
-    assert ech.add([one, one + zeta, CycVector.from_rational(2, order)]) is not None
+    assert ech.add(_ints([one, one + zeta, CycVector.from_rational(2, order)])) is not None
     assert ech.rank == 3
 
     def el(*terms):
@@ -693,10 +709,10 @@ def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
     a, b = el((0, 1), (1, 2), (3, -1)), el((0, 1), (1, 1))  # 1 + 2ζ − ζ³, 1 + ζ
     r1, r2 = [a, b, el((2, 1))], [b, a, el((0, 3))]
     ech = FieldEchelon(3, 12)
-    assert ech.add(r1) is not None and ech.add(r2) is not None
-    combo = [b * x - a * y for x, y in zip(r1, r2)]
+    assert ech.add(_ints(r1)) is not None and ech.add(_ints(r2)) is not None
+    combo = _ints([b * x - a * y for x, y in zip(r1, r2)])
     assert ech.contains(combo) and ech.add(combo) is None
-    assert not ech.contains([el((0, 1)), el(), el()])
+    assert not ech.contains(_ints([el((0, 1)), el(), el()]))
     assert ech.rank == 2
 
     # A₁, λ = (1),(2), a = (1, ζ₁₂): its closure meets pivots that are not a
@@ -716,12 +732,12 @@ def test_echelon_stores_a_power_of_zeta_lead_with_a_rational_pivot():
 
     lead, rest = el((3, -2)), el((0, 1), (1, 1))  # −2ζ³, 1 + ζ
     ech = FieldEchelon(2, 12)
-    row = ech.add([lead, rest])
-    assert row == [el((0, -2)), rest * el((9, 1))]
+    row = ech.add(_ints([lead, rest]))
+    assert from_numerators(12, row, 1) == [el((0, -2)), rest * el((9, 1))]
     pivot = ech.int_rows[0][:ech.width]
     assert pivot[0] == -2 and not any(pivot[1:])
-    assert ech.contains([lead * el((5, 3)), rest * el((5, 3))])
-    assert not ech.contains([lead, el((0, 1))])
+    assert ech.contains(_ints([lead * el((5, 3)), rest * el((5, 3))]))
+    assert not ech.contains(_ints([lead, el((0, 1))]))
 
 
 def test_echelon_at_large_order_is_bounded():
@@ -732,16 +748,16 @@ def test_echelon_at_large_order_is_bounded():
     script = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from loopmod.cyclotomic import CycVector\n"
+        "from loopmod.cyclotomic import CycVector, to_numerators\n"
         "from loopmod.realizer import FieldEchelon\n"
         "L = 10 ** 5\n"
         "lead = CycVector.from_terms(L, [(0, 1), (1, 2), (3, -1)])\n"
         "tail = CycVector.from_terms(L, [(7, 1), (50001, -4)])\n"
         "shift = CycVector.from_terms(L, [(5, 3)])\n"
         "ech = FieldEchelon(2, L)\n"
-        "assert ech.add([lead, tail]) is not None\n"
-        "assert ech.contains([lead * shift, tail * shift])\n"
-        "assert not ech.contains([lead, tail + shift])\n"
+        "assert ech.add(to_numerators([lead, tail])[1]) is not None\n"
+        "assert ech.contains(to_numerators([lead * shift, tail * shift])[1])\n"
+        "assert not ech.contains(to_numerators([lead, tail + shift])[1])\n"
         "print(ech.rank)\n"
     )
     src = os.path.dirname(os.path.dirname(loopmod.__file__))
@@ -817,19 +833,19 @@ def test_echelon_matches_plain_elimination(case):
     accepted, rows = _reference_echelon(vectors)
     ech = FieldEchelon(length, order)
     for vec, ok in zip(vectors, accepted):
-        stored = ech.add(vec)
+        stored = ech.add(_ints(vec))
         assert (stored is not None) == ok
         if ok:
-            assert stored in ech.rows
+            assert stored in ech.int_rows
     assert ech.rank == len(rows)
     # Each stored row is its reference row times the stored pivot entry.
-    for stored, ref in zip(ech.rows, rows):
+    for stored, ref in zip((from_numerators(order, r, 1) for r in ech.int_rows), rows):
         piv = next(t for t, x in enumerate(ref) if not x.is_zero())
         assert all(x.is_zero() for x in stored[:piv])
         inv = stored[piv].inverse()
         assert [inv * x for x in stored] == ref
     for vec in vectors + probes:
-        assert ech.contains(vec) == (not _reference_echelon(rows + [vec])[0][-1])
+        assert ech.contains(_ints(vec)) == (not _reference_echelon(rows + [vec])[0][-1])
 
 
 def test_closure_rejects_a_generator_that_mixes_classes():
@@ -880,10 +896,11 @@ def _assert_same_closure(new, old, n, radius):
     # Equal ranks and new rows inside the old fiber: the spans are equal.
     work = radius + realizer._MARGIN
     for deg in itertools.product(range(-work, work + 1), repeat=n):
-        nf, of = new.fiber(deg), old.fiber(deg)
-        assert (nf.rank if nf else 0) == (of.rank if of else 0), deg
-        for row in nf.rows if nf else ():
-            assert of.contains(row), deg
+        rows = fiber_rows(new, deg)
+        assert len(rows) == len(fiber_rows(old, deg)), deg
+        span = fiber_span(old, deg)
+        for row in rows:
+            assert span.contains(row), deg
 
 
 def _capped_weights(rng, algebra, indices, cap=64):
@@ -979,10 +996,12 @@ def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
 
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     # Γ = 2Z, so two closures; they share the module, the generators and the
-    # term plans, and give the fibers that separate closures give.
+    # term plans, and give the fibers that separate closures give.  Each
+    # generator is made integer once per step, and each plan re-indexes it
+    # once per (generator, class) the closures reach.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
     sup = support_lattice(s)
-    built = {"fin_for_spec": 0, "_plan": 0}
+    built = {"fin_for_spec": 0, "_plan": 0, "_integer_terms": 0}
     for name in built:
         original = getattr(realizer, name)
 
@@ -991,8 +1010,18 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(realizer, name, counting)
+    tables = []
+
+    def keeping(*args, _original=realizer._closure_tables, **kwargs):
+        tables.append(_original(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(realizer, "_closure_tables", keeping)
     boxes = realizer.component_decomposition(s, sup, 2)
     assert len(boxes) == 2 and built["fin_for_spec"] == 1
+    (shared_tables,) = tables
+    assert built["_integer_terms"] == len(shared_tables.gens) > 0
+    assert built["_plan"] == len(shared_tables.plans) > 0
     shared = built["_plan"]
     separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
     assert built["_plan"] - shared > shared
