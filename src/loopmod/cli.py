@@ -41,8 +41,11 @@ from .twisted import (
 def _digest(paths) -> str:
     h = hashlib.sha256()
     for p in paths:
-        with open(p, "rb") as fh:
-            h.update(fh.read())
+        try:
+            with open(p, "rb") as fh:
+                h.update(fh.read())
+        except OSError as exc:
+            raise InputError(f"cannot read spec file: {exc}") from exc
     return h.hexdigest()
 
 

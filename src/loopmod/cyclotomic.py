@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import gcd, lcm, prod
 from typing import Iterable
 
@@ -411,14 +411,14 @@ def _product(a: CycVector, b: CycVector) -> CycVector:
 
 def mul_mod(order: int, a, b) -> list[int]:
     """Numerators of the product of ``a`` and ``b`` modulo Φ_order."""
-    bs = [(j, y) for j, y in enumerate(b) if y]
+    bs = [(j, b[j]) for j in compress(count(), b)]
     if not bs:
         return [0] * len(a)
     poly = [0] * (len(a) + bs[-1][0])
-    for i, x in enumerate(a):
-        if x:
-            for j, y in bs:
-                poly[i + j] += x * y
+    for i in compress(count(), a):
+        x = a[i]
+        for j, y in bs:
+            poly[i + j] += x * y
     return _reduce(order, poly)
 
 

@@ -31,20 +31,28 @@ matters only up to a nonzero scalar, so it is an integer list, the
 power-basis numerators over Z[ζ_L] of its entries, kept with the pivot it
 came with (times a unit when that is a·ζ^e, so that a is the pivot) and
 eliminated fraction-free, with no pivot inverse.  Each generator at each
-step is made integer once, when the tables are built: per term and slot,
-the coefficient q·ζ^e is folded into the slot's columns over one positive
-denominator (``_integer_terms``).  A term plan re-indexes those columns to
-the members of one class, and keeps, per source numerator it has read, the
-(target numerator, integer) pairs that numerator adds to, so an image is a
-scatter-add over the row's nonzero numerators.  The closure skips an image
+step is made integer once, for the first plan that needs it: per term and
+slot, the coefficient q·ζ^e is folded into the slot's columns over one
+positive denominator (``_integer_terms``).  A term plan re-indexes those
+columns to the members of one class, and keeps, per source numerator it has
+read, the (target numerator, integer) pairs that numerator adds to, so an
+image is a scatter-add over the row's nonzero numerators.  The closure skips an image
 whose target class is already full, since the image lies in its span.  The
 box is widened by one degree (``_MARGIN``) during the sweep and cropped on
 return, so reported fibers do not suffer boundary truncation.  Closure
 terminates because in-box fiber ranks grow monotonically.  What a closure
-needs besides its seed (the grading, each generator's integer columns and
-class shift, the moves between classes and the term plans) is a
-``_ClosureTables``; ``component_decomposition`` builds it once and closes
-every coset representative of the support from it.
+needs besides its seed comes in two parts.  The module part,
+``_ModuleTables``, holds the tensor, the grading, each generator's class
+shift, the moves between classes, the reduced powers of ζ, and the integer
+terms and plans of the step-0 generators, whose slot coefficients a_I^0 are
+all 1.  It reads the algebra, the ordered tensor factors, n, the twist's
+node orbits and order, L and the cap, and nothing of the evaluation points
+or ϱ, so ``_module_tables`` keeps it in a bounded cache keyed on exactly
+those, and the specs of one module share it.  The per-spec part,
+``_ClosureTables``, holds the integer terms and plans of the generators at
+the steps s ≠ 0, whose coefficients a_I^s read the evaluation points;
+``component_decomposition`` builds it once and closes every coset
+representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -63,7 +71,9 @@ from itertools import compress, count
 from math import gcd, lcm, prod
 from operator import add
 
-from .cyclotomic import _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators
+from .cyclotomic import (
+    CycScalar, _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators,
+)
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
 from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
@@ -436,11 +446,13 @@ def _class_shift(slot_classes, terms):
     return shifts.pop() if shifts else None
 
 
-class _ClosureTables:
-    """The seed-independent part of a closure: the grading, each generator's
-    integer columns and class shift at each step, the moves between classes,
-    and the term plans and the reduced powers of ζ they read, built on first
-    use and kept for every later seed.
+class _ModuleTables:
+    """The part of the closure tables that depends on the module alone: the
+    grading, each generator's class shift at each step, the moves between
+    classes, the reduced powers of ζ, and the integer terms and term plans of
+    the step-0 generators, whose slot coefficients a_I^0 are all 1.  The term
+    plans and powers are built on first use and kept for every later spec of
+    the module.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -453,25 +465,22 @@ class _ClosureTables:
     and 8.3).  So the box-truncated closure equals the closure under every
     ``x⊗t^s``."""
 
-    def __init__(self, fin: FinModule, ev: Evaluator, generators, class_map):
+    def __init__(self, fin: FinModule, order: int, generators, class_map):
         # generators: list of (terms, list of step degrees), where the terms
         # are (per-slot columns, ζ-exponent) pairs that the generator sums.
         self.fin = fin
-        self.order = ev.order
-        self.width = len(cyclotomic_polynomial(ev.order)) - 1
+        self.order = order
+        self.width = len(cyclotomic_polynomial(order)) - 1
         self.class_map = class_map
-        indices = table_indices(ev.spec.dims)
         self.grading = grading = Grading(fin, class_map)
         members = grading.members
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
-        gens = []  # (_integer_terms at the step, class shift, step)
+        gens = []  # (terms, class shift, step)
         for terms, steps in generators:
             shift = _class_shift(slot_classes, terms)
             if shift is None:
                 continue
-            for s in steps:
-                _, int_terms = _integer_terms(terms, [ev.coefficient(I, s) for I in indices])
-                gens.append((int_terms, shift, tuple(s)))
+            gens.extend((terms, shift, tuple(s)) for s in steps)
         self.gens = gens
         self.steps = list(dict.fromkeys(step for *_, step in gens))
         # Per source class, the moves into classes that have basis vectors:
@@ -483,20 +492,62 @@ class _ClosureTables:
                 tcls = tuple(a + b for a, b in zip(cls, shift))
                 if tcls in members:
                     out.append((gid, tcls, len(members[tcls]), sid))
-        self.plans: dict = {}  # (generator id, source class) -> _Plan, on first use
+        self.int_terms: dict = {}  # step-0 generator id -> _integer_terms, on first use
+        self.plans: dict = {}  # (step-0 generator id, source class) -> _Plan, on first use
         self.powers: dict = {}  # m -> the nonzero (numerator, integer) pairs of ζ^m
+
+
+class _ClosureTables:
+    """The seed-independent part of one spec's closure: its module's
+    ``_ModuleTables``, and the integer terms and term plans of the generators
+    at steps s ≠ 0, whose slot coefficients a_I^s come from the spec's
+    evaluation points, built on first use and kept for every later seed."""
+
+    def __init__(self, module: _ModuleTables, ev: Evaluator):
+        self.module = module
+        self.ev = ev
+        self.int_terms: dict = {}  # generator id at s ≠ 0 -> _integer_terms
+        self.plans: dict = {}  # (generator id, source class) -> _Plan, every step
+
+    def terms(self, gid: int) -> list:
+        """The ``_integer_terms`` of generator ``gid`` at its step, kept by the
+        module at step 0 and by this spec otherwise."""
+        module = self.module
+        terms, _, step = module.gens[gid]
+        owner = self if any(step) else module
+        int_terms = owner.int_terms.get(gid)
+        if int_terms is None:
+            if owner is module:
+                coeffs = [CycScalar.one(module.order)] * len(module.fin.slots)
+            else:
+                coeffs = [self.ev.coefficient(I, step) for I in table_indices(self.ev.spec.dims)]
+            int_terms = owner.int_terms[gid] = _integer_terms(terms, coeffs)[1]
+        return int_terms
+
+    def _plan_for(self, gid: int, cls) -> _Plan:
+        module = self.module
+        owner = self if any(module.gens[gid][2]) else module
+        plan = owner.plans.get((gid, cls))
+        if plan is None:
+            grading = module.grading
+            plan = owner.plans[gid, cls] = _plan(
+                module.fin, self.terms(gid), grading.members[cls], grading.local
+            )
+        self.plans[gid, cls] = plan
+        return plan
 
     def close(self, seed_degree, radius: int) -> GradedBox:
         """Closure of the highest-weight vector placed at ``seed_degree``."""
-        fin, grading, order, w = self.fin, self.grading, self.order, self.width
-        powers, plans, steps = self.powers, self.plans, self.steps
+        module, plans = self.module, self.plans
+        fin, grading, order, w = module.fin, module.grading, module.order, module.width
+        powers, steps, moves = module.powers, module.steps, module.moves
         work = radius + _MARGIN
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
             raise InputError("seed degree outside the working box", seed=seed_degree)
         parts: dict = {}  # (degree, class) -> FieldEchelon
         members = grading.members
-        seed_cls = self.class_map(fin.basis_weights[fin.hw_index])
+        seed_cls = module.class_map(fin.basis_weights[fin.hw_index])
         seed_vec = [0] * (len(members[seed_cls]) * w)
         seed_vec[grading.local[fin.hw_index] * w] = 1
         ech = parts[seed_degree, seed_cls] = FieldEchelon(len(members[seed_cls]), order)
@@ -509,7 +560,7 @@ class _ClosureTables:
             for step in steps:
                 tgt = tuple(map(add, deg, step))
                 targets.append(None if max(tgt) > work or min(tgt) < -work else tgt)
-            for gid, tcls, size, sid in self.moves[cls]:
+            for gid, tcls, size, sid in moves[cls]:
                 tgt = targets[sid]
                 if tgt is None:
                     continue
@@ -521,9 +572,7 @@ class _ClosureTables:
                     continue  # the image lies in a full weight space
                 plan = plans.get((gid, cls))
                 if plan is None:
-                    plan = plans[gid, cls] = _plan(
-                        fin, self.gens[gid][0], members[cls], grading.local
-                    )
+                    plan = self._plan_for(gid, cls)
                 if live.isdisjoint(plan.terms):
                     continue  # every term reads a zero entry
                 added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
@@ -561,17 +610,22 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
     return build_tensor(spec.algebra, tops, cap=cap)
 
 
-def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
-    """The closure tables of ``spec`` under a twist of order ``k`` whose node
-    orbits are ``orbits``; untwisted, they are singletons and k = 1.  The
+@lru_cache(maxsize=64)
+def _module_tables(
+    series: str, rank: int, tops, dims, orbits, k: int, order: int, cap: int
+) -> _ModuleTables:
+    """The ``_ModuleTables`` of the tensor of the ``tops`` (in table order)
+    under a twist of order ``k`` whose node orbits are ``orbits``, with ``n =
+    len(dims)`` loop variables, over Q(ζ_order), built once per key.  The
     generators are the orbit sums f_O and e_O at step 0, which generate g₀;
-    at ±e₁, over the first orbit of size k, the vector Σ_u ω^{∓u}·e_{σ^u i} of
-    g_{±1}, with ω = ζ_L^{L/k} (``liealg.restrict_weight`` pairs the degrees
-    with m₁ ≡ j against Σ_t ω^{−jt}·h_{σ^t b}, the same eigenspace); and
-    e_{O₀} at ±e_j for j ≥ 2.  For k = 1 that is f_i and e_i at step 0 and
-    e₁ at every step ±e_j."""
-    fin = fin_for_spec(spec, cap=cap)
-    n, order = spec.n, spec.field_order
+    at ±e₁, over the first orbit of size k, the vector Σ_u ω^{∓u}·e_{σ^u i}
+    of g_{±1}, with ω = ζ_L^{L/k} (``liealg.restrict_weight`` pairs the
+    degrees with m₁ ≡ j against Σ_t ω^{−jt}·h_{σ^t b}, the same eigenspace);
+    and e_{O₀} at ±e_j for j ≥ 2.  For k = 1 that is f_i and e_i at step 0
+    and e₁ at every step ±e_j.  A key whose module fails the dominance or cap
+    check, or whose generators mix classes, raises, and nothing is kept."""
+    fin = build_tensor(build_algebra(series, rank), tops, cap=cap)
+    n = len(dims)
 
     def orbit_sum(kind, orbit, sign=0):
         # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot columns, ζ-exponent) terms.
@@ -586,7 +640,20 @@ def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
         for sgn, step in zip((1, -1), _steps(n, (0,), zero=False))
     ]
     generators.append((orbit_sum("e", orbits[0]), _steps(n, range(1, n), zero=False)))
-    return _ClosureTables(fin, Evaluator(spec), generators, h0_weight_map(orbits))
+    return _ModuleTables(fin, order, generators, h0_weight_map(orbits))
+
+
+def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
+    """The closure tables of ``spec`` under a twist of order ``k`` whose node
+    orbits are ``orbits``; untwisted, they are singletons and k = 1.  The
+    module part comes from ``_module_tables``, keyed by everything it reads
+    and nothing of the evaluation points."""
+    tops = tuple(tuple(spec.weights[I]) for I in table_indices(spec.dims))
+    module = _module_tables(
+        spec.algebra.series, spec.algebra.rank, tops, tuple(spec.dims),
+        tuple(map(tuple, orbits)), k, spec.field_order, cap,
+    )
+    return _ClosureTables(module, Evaluator(spec))
 
 
 def generate_component(

@@ -426,6 +426,21 @@ def test_undecodable_spec_is_input_error(tmp_path, capsys, raw):
     assert doc["diagnostics"][0]["type"] == "InputError"
 
 
+@pytest.mark.parametrize("command", ["classify", "iso"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_spec_is_input_error(write, tmp_path, capsys, command, target):
+    # The input digest reads every spec file before load_spec does, so it
+    # reports a file it cannot read as load_spec would.
+    bad = str(tmp_path / "absent.json") if target == "missing" else str(tmp_path)
+    argv = [command, bad] if command == "classify" else [command, write(SPEC_A, "a.json"), bad]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.err
+    (diag,) = json.loads(captured.out)["diagnostics"]
+    assert diag["type"] == "InputError"
+    assert diag["message"].startswith("cannot read spec file: ")
+
+
 def test_main_builds_the_parser_once(write, capsys, monkeypatch):
     path = write(SPEC_A, "a.json")
     main(["classify", path])

@@ -522,12 +522,13 @@ def test_twisted_step_generator_matches_restrict_weight():
     order = t.base.field_order
     (orbit,) = [o for o in node_orbits(D4_TRIALITY) if len(o) == 3]
     tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
-    (terms,) = [terms for terms, _, step in tables.gens if step == (1,)]
+    (gid,) = [gid for gid, (*_, step) in enumerate(tables.module.gens) if step == (1,)]
+    terms = tables.terms(gid)
     assert len(terms) == 3
     # One slot, whose coefficient at a = (1) is 1: each term holds e_{σ^u b}'s
     # columns as they are, since they are integers.
     for ((e, int_cols),), node in zip(terms, orbit):
-        (mat_cols,) = realizer._slot_columns(tables.fin, "e", node)
+        (mat_cols,) = realizer._slot_columns(tables.module.fin, "e", node)
         assert int_cols == [list(col) for col in mat_cols]
         fundamental = tuple(int(i == node) for i in range(4))
         (value,) = restrict_weight(D4_TRIALITY, fundamental, order).higher[0]
@@ -554,7 +555,7 @@ def test_realizer_accepts_every_automorphism_that_build_aut_accepts(series, rank
         t = TwistedSpec(base=spec(algebra, (1,), {(1,): lam}, [(1,)]), aut=aut)
         cap = weyl_dim(algebra, lam)
         tables = realizer._closure_tables(t.base, orbits, aut.order, cap)
-        assert tables.gens and tables.fin.total == cap
+        assert tables.module.gens and tables.module.fin.total == cap
         accepted += 1
     assert accepted == {"A": 2, "D": 6, "E": 2}[series]
 
@@ -854,7 +855,8 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     fin = fin_for_spec(s)
     e_sum = [(realizer._slot_columns(fin, "e", i), 0) for i in range(2)]
     with pytest.raises(UnsupportedError):
-        realizer._ClosureTables(fin, Evaluator(s), [(e_sum, [(1,)])], _identity).close((0,), 1)
+        module = realizer._ModuleTables(fin, s.field_order, [(e_sum, [(1,)])], _identity)
+        realizer._ClosureTables(module, Evaluator(s)).close((0,), 1)
 
 
 _CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
@@ -939,7 +941,8 @@ def test_generating_set_closure_equals_full_set_closure(seed):
         ([(realizer._slot_columns(fin, kind, i), 0)], steps)
         for i in range(algebra.rank) for kind in "efh"
     ]
-    tables = realizer._ClosureTables(fin, Evaluator(s), full, _identity)
+    module = realizer._ModuleTables(fin, s.field_order, full, _identity)
+    tables = realizer._ClosureTables(module, Evaluator(s))
     old = tables.close(seed_degree, radius)
     new = generate_component(s, radius, seed_degree=seed_degree)
     _assert_same_closure(new, old, n, radius)
@@ -967,7 +970,8 @@ def test_twisted_generating_set_closure_equals_full_set_closure(seed):
     full += [([(_columns(m), 0)], realizer._steps(n, (0,), zero=False)) for m in anti]
     radius = 1
     class_map = h0_weight_map(node_orbits(A2_FLIP))
-    old = realizer._ClosureTables(fin, Evaluator(s), full, class_map).close((0,) * n, radius)
+    module = realizer._ModuleTables(fin, s.field_order, full, class_map)
+    old = realizer._ClosureTables(module, Evaluator(s)).close((0,) * n, radius)
     new = twisted_generate_component(t, radius)
     _assert_same_closure(new, old, n, radius)
 
@@ -996,12 +1000,15 @@ def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
 
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     # Γ = 2Z, so two closures; they share the module, the generators and the
-    # term plans, and give the fibers that separate closures give.  Each
-    # generator is made integer once per step, and each plan re-indexes it
-    # once per (generator, class) the closures reach.
+    # term plans, and give the fibers that separate closures give.  The
+    # tensor is built once per module, each generator a spec applies is made
+    # integer once, and each plan re-indexes it once per (generator, class)
+    # the closures reach.  A second spec on the same module builds plans for
+    # its steps s ≠ 0 only: the step-0 plans are the module's.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
     sup = support_lattice(s)
-    built = {"fin_for_spec": 0, "_plan": 0, "_integer_terms": 0}
+    realizer._module_tables.cache_clear()
+    built = {"build_tensor": 0, "_plan": 0, "_integer_terms": 0}
     for name in built:
         original = getattr(realizer, name)
 
@@ -1018,11 +1025,67 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
 
     monkeypatch.setattr(realizer, "_closure_tables", keeping)
     boxes = realizer.component_decomposition(s, sup, 2)
-    assert len(boxes) == 2 and built["fin_for_spec"] == 1
+    assert len(boxes) == 2 and built["build_tensor"] == 1
     (shared_tables,) = tables
-    assert built["_integer_terms"] == len(shared_tables.gens) > 0
+    module = shared_tables.module
+    used = {gid for gid, _ in shared_tables.plans}
+    assert shared_tables.int_terms and module.int_terms
+    assert built["_integer_terms"] == len(used)
+    assert len(used) == len(shared_tables.int_terms) + len(module.int_terms)
     assert built["_plan"] == len(shared_tables.plans) > 0
-    shared = built["_plan"]
     separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
-    assert built["_plan"] - shared > shared
+    assert built["build_tensor"] == 1
     assert [b.dims() for b in boxes] == [b.dims() for b in separate]
+
+    other = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, 2)])
+    before = dict(built)
+    realizer.component_decomposition(other, support_lattice(other), 2)
+    second = tables[-1]
+    assert second.module is module and built["build_tensor"] == 1
+    at_zero = [key for key in second.plans if not any(module.gens[key[0]][2])]
+    assert at_zero and all(second.plans[key] is module.plans[key] for key in at_zero)
+    assert built["_plan"] - before["_plan"] == len(second.plans) - len(at_zero) > 0
+    assert built["_integer_terms"] - before["_integer_terms"] == len(second.int_terms) > 0
+
+
+def _rows(boxes):
+    return [
+        (box.dims(), {key: (ech.pivots, ech.int_rows) for key, ech in box.parts.items()})
+        for box in boxes
+    ]
+
+
+def _two_seeds(s):
+    return [generate_component(s, 2, seed_degree=(m,)) for m in (0, 1)]
+
+
+def test_module_table_cache_keeps_specs_apart():
+    # Specs on one tensor module that differ in their evaluation points or in
+    # the twist, closed in interleaved order through the module-table cache,
+    # give the rows and ranks that tables built on an empty cache give.
+    weights = {(1,): (1,), (2,): (1,)}
+    untwisted = [
+        spec(A1, (2,), weights, [(1, a)]) for a in (-1, 2, sc(1, 1, 4), sc(-1, 0, 4))
+    ]
+    t = TwistedSpec(
+        base=spec(A2, (2,), {(1,): (1, 1), (2,): (1, 1)}, [(1, -1)]), aut=A2_FLIP
+    )
+    cases = [functools.partial(_two_seeds, s) for s in untwisted]
+    cases += [lambda: [twisted_generate_component(t, 1)], lambda: [generate_component(t.base, 1)]]
+    shared = [_rows(close()) for _ in range(2) for close in cases]
+    fresh = []
+    for close in cases:
+        realizer._module_tables.cache_clear()
+        fresh.append(_rows(close()))
+    assert shared == fresh + fresh
+    assert realizer._module_tables.cache_info().maxsize is not None
+    assert len({repr(rows) for rows in fresh}) == len(fresh)
+
+
+def test_over_cap_module_raises_on_every_call():
+    # The cache keeps no failed entry: the cap check runs on every call.
+    s = spec(A1, (4,), {(i,): (3,) for i in range(1, 5)}, [(1, -1, 2, -2)])
+    for _ in range(3):
+        with pytest.raises(CapExceededError) as info:
+            generate_component(s, 1)
+        assert (info.value.data["dimension"], info.value.data["cap"]) == (256, 64)
