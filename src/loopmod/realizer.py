@@ -31,28 +31,29 @@ matters only up to a nonzero scalar, so it is an integer list, the
 power-basis numerators over Z[ζ_L] of its entries, kept with the pivot it
 came with (times a unit when that is a·ζ^e, so that a is the pivot) and
 eliminated fraction-free, with no pivot inverse.  Each generator at each
-step is made integer once, for the first plan that needs it: per term and
-slot, the coefficient q·ζ^e is folded into the slot's columns over one
-positive denominator (``_integer_terms``).  A term plan re-indexes those
-columns to the members of one class, and keeps, per source numerator it has
-read, the (target numerator, integer) pairs that numerator adds to, so an
-image is a scatter-add over the row's nonzero numerators.  The closure skips an image
-whose target class is already full, since the image lies in its span.  The
-box is widened by one degree (``_MARGIN``) during the sweep and cropped on
-return, so reported fibers do not suffer boundary truncation.  Closure
-terminates because in-box fiber ranks grow monotonically.  What a closure
-needs besides its seed comes in two parts.  The module part,
-``_ModuleTables``, holds the tensor, the grading, each generator's class
-shift, the moves between classes, the reduced powers of ζ, and the integer
-terms and plans of the step-0 generators, whose slot coefficients a_I^0 are
-all 1.  It reads the algebra, the ordered tensor factors, n, the twist's
-node orbits and order, L and the cap, and nothing of the evaluation points
-or ϱ, so ``_module_tables`` keeps it in a bounded cache keyed on exactly
-those, and the specs of one module share it.  The per-spec part,
-``_ClosureTables``, holds the integer terms and plans of the generators at
-the steps s ≠ 0, whose coefficients a_I^s read the evaluation points;
-``component_decomposition`` builds it once and closes every coset
-representative of the support from it.
+step is made integer once, when its tables are built: per term and slot,
+the coefficient q·ζ^e is folded into the slot's columns over one positive
+denominator (``_integer_terms``).  A term plan re-indexes those columns to
+the members of one class, one plan per move from a source class to a target
+class, and keeps, per source numerator it has read, the (target numerator,
+integer) pairs that numerator adds to, so an image is a scatter-add over the
+row's nonzero numerators.  The closure skips an image whose target class is
+already full, since the image lies in its span.  The box is widened by one
+degree (``_MARGIN``) during the sweep and cropped on return, so reported
+fibers do not suffer boundary truncation.  Closure terminates because in-box
+fiber ranks grow monotonically.  What a closure needs besides its seed comes
+in two parts, each built whole, so a closure reads its plans and builds
+none.  The module part, ``_ModuleTables``, holds the tensor, the grading,
+each generator's class shift, the moves between classes with the plans of
+the step-0 generators, whose slot coefficients a_I^0 are all 1, and the
+reduced powers of ζ.  It reads the algebra, the ordered tensor factors, n,
+the twist's node orbits and order, L and the cap, and nothing of the
+evaluation points or ϱ, so ``_module_tables`` keeps it in a bounded cache
+keyed on exactly those, and the specs of one module share it.  The per-spec
+part, ``_ClosureTables``, holds every move with its plan: the module's at
+step 0, and its own at the steps s ≠ 0, whose coefficients a_I^s read the
+evaluation points; ``component_decomposition`` builds it once and closes
+every coset representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -449,10 +450,10 @@ def _class_shift(slot_classes, terms):
 class _ModuleTables:
     """The part of the closure tables that depends on the module alone: the
     grading, each generator's class shift at each step, the moves between
-    classes, the reduced powers of ζ, and the integer terms and term plans of
-    the step-0 generators, whose slot coefficients a_I^0 are all 1.  The term
-    plans and powers are built on first use and kept for every later spec of
-    the module.
+    classes, the reduced powers of ζ, and the term plans of the step-0
+    generators, whose slot coefficients a_I^0 are all 1.  Each step-0
+    generator is made integer once and planned for every move it makes, when
+    the tables are built; the powers are filled as images read them.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -473,8 +474,9 @@ class _ModuleTables:
         self.width = len(cyclotomic_polynomial(order)) - 1
         self.class_map = class_map
         self.grading = grading = Grading(fin, class_map)
-        members = grading.members
+        members, local = grading.members, grading.local
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
+        ones = [CycScalar.one(order)] * len(fin.slots)
         gens = []  # (terms, class shift, step)
         for terms, steps in generators:
             shift = _class_shift(slot_classes, terms)
@@ -484,63 +486,50 @@ class _ModuleTables:
         self.gens = gens
         self.steps = list(dict.fromkeys(step for *_, step in gens))
         # Per source class, the moves into classes that have basis vectors:
-        # (generator id, target class, its size, index of the step in steps).
+        # (generator id, target class, its size, index of the step in steps,
+        # and the term plan at step 0, None at s ≠ 0).
         self.moves: dict = {cls: [] for cls in members}
-        for gid, (_, shift, step) in enumerate(gens):
+        for gid, (terms, shift, step) in enumerate(gens):
             sid = self.steps.index(step)
+            at_zero = not any(step)
+            int_terms = _integer_terms(terms, ones)[1] if at_zero else None
             for cls, out in self.moves.items():
                 tcls = tuple(a + b for a, b in zip(cls, shift))
                 if tcls in members:
-                    out.append((gid, tcls, len(members[tcls]), sid))
-        self.int_terms: dict = {}  # step-0 generator id -> _integer_terms, on first use
-        self.plans: dict = {}  # (step-0 generator id, source class) -> _Plan, on first use
+                    plan = _plan(fin, int_terms, members[cls], local) if at_zero else None
+                    out.append((gid, tcls, len(members[tcls]), sid, plan))
         self.powers: dict = {}  # m -> the nonzero (numerator, integer) pairs of ζ^m
 
 
 class _ClosureTables:
-    """The seed-independent part of one spec's closure: its module's
-    ``_ModuleTables``, and the integer terms and term plans of the generators
-    at steps s ≠ 0, whose slot coefficients a_I^s come from the spec's
-    evaluation points, built on first use and kept for every later seed."""
+    """The seed-independent part of one spec's closure, built whole: its
+    module's ``_ModuleTables``, and ``moves``, per source class, the ``(term
+    plan, target class, its size, index of the step)`` of each of the module's
+    moves.  A move at step 0 carries the module's plan; one at s ≠ 0 carries
+    a plan of this spec, whose generator is made integer once with the slot
+    coefficients a_I^s that the spec's evaluation points give."""
 
     def __init__(self, module: _ModuleTables, ev: Evaluator):
         self.module = module
-        self.ev = ev
-        self.int_terms: dict = {}  # generator id at s ≠ 0 -> _integer_terms
-        self.plans: dict = {}  # (generator id, source class) -> _Plan, every step
-
-    def terms(self, gid: int) -> list:
-        """The ``_integer_terms`` of generator ``gid`` at its step, kept by the
-        module at step 0 and by this spec otherwise."""
-        module = self.module
-        terms, _, step = module.gens[gid]
-        owner = self if any(step) else module
-        int_terms = owner.int_terms.get(gid)
-        if int_terms is None:
-            if owner is module:
-                coeffs = [CycScalar.one(module.order)] * len(module.fin.slots)
-            else:
-                coeffs = [self.ev.coefficient(I, step) for I in table_indices(self.ev.spec.dims)]
-            int_terms = owner.int_terms[gid] = _integer_terms(terms, coeffs)[1]
-        return int_terms
-
-    def _plan_for(self, gid: int, cls) -> _Plan:
-        module = self.module
-        owner = self if any(module.gens[gid][2]) else module
-        plan = owner.plans.get((gid, cls))
-        if plan is None:
-            grading = module.grading
-            plan = owner.plans[gid, cls] = _plan(
-                module.fin, self.terms(gid), grading.members[cls], grading.local
-            )
-        self.plans[gid, cls] = plan
-        return plan
+        fin, members, local = module.fin, module.grading.members, module.grading.local
+        indices = table_indices(ev.spec.dims)
+        int_terms = {
+            gid: _integer_terms(terms, [ev.coefficient(I, step) for I in indices])[1]
+            for gid, (terms, _, step) in enumerate(module.gens) if any(step)
+        }
+        self.moves = {  # plan: the module's at step 0, None at s ≠ 0
+            cls: [
+                (plan or _plan(fin, int_terms[gid], members[cls], local), tcls, size, sid)
+                for gid, tcls, size, sid, plan in out
+            ]
+            for cls, out in module.moves.items()
+        }
 
     def close(self, seed_degree, radius: int) -> GradedBox:
         """Closure of the highest-weight vector placed at ``seed_degree``."""
-        module, plans = self.module, self.plans
+        module, moves = self.module, self.moves
         fin, grading, order, w = module.fin, module.grading, module.order, module.width
-        powers, steps, moves = module.powers, module.steps, module.moves
+        powers, steps = module.powers, module.steps
         work = radius + _MARGIN
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
@@ -560,7 +549,7 @@ class _ClosureTables:
             for step in steps:
                 tgt = tuple(map(add, deg, step))
                 targets.append(None if max(tgt) > work or min(tgt) < -work else tgt)
-            for gid, tcls, size, sid in moves[cls]:
+            for plan, tcls, size, sid in moves[cls]:
                 tgt = targets[sid]
                 if tgt is None:
                     continue
@@ -570,9 +559,6 @@ class _ClosureTables:
                     ech = parts[key] = FieldEchelon(size, order)
                 if len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
-                plan = plans.get((gid, cls))
-                if plan is None:
-                    plan = self._plan_for(gid, cls)
                 if live.isdisjoint(plan.terms):
                     continue  # every term reads a zero entry
                 added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
@@ -612,11 +598,11 @@ def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
 
 @lru_cache(maxsize=64)
 def _module_tables(
-    series: str, rank: int, tops, dims, orbits, k: int, order: int, cap: int
+    series: str, rank: int, tops, n: int, orbits, k: int, order: int, cap: int
 ) -> _ModuleTables:
     """The ``_ModuleTables`` of the tensor of the ``tops`` (in table order)
-    under a twist of order ``k`` whose node orbits are ``orbits``, with ``n =
-    len(dims)`` loop variables, over Q(ζ_order), built once per key.  The
+    under a twist of order ``k`` whose node orbits are ``orbits``, with ``n``
+    loop variables, over Q(ζ_order), built once per key.  The
     generators are the orbit sums f_O and e_O at step 0, which generate g₀;
     at ±e₁, over the first orbit of size k, the vector Σ_u ω^{∓u}·e_{σ^u i}
     of g_{±1}, with ω = ζ_L^{L/k} (``liealg.restrict_weight`` pairs the
@@ -625,7 +611,6 @@ def _module_tables(
     and e₁ at every step ±e_j.  A key whose module fails the dominance or cap
     check, or whose generators mix classes, raises, and nothing is kept."""
     fin = build_tensor(build_algebra(series, rank), tops, cap=cap)
-    n = len(dims)
 
     def orbit_sum(kind, orbit, sign=0):
         # Σ_u ω^{sign·u}·x_{σ^u i} as (per-slot columns, ζ-exponent) terms.
@@ -650,7 +635,7 @@ def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
     and nothing of the evaluation points."""
     tops = tuple(tuple(spec.weights[I]) for I in table_indices(spec.dims))
     module = _module_tables(
-        spec.algebra.series, spec.algebra.rank, tops, tuple(spec.dims),
+        spec.algebra.series, spec.algebra.rank, tops, spec.n,
         tuple(map(tuple, orbits)), k, spec.field_order, cap,
     )
     return _ClosureTables(module, Evaluator(spec))

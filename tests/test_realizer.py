@@ -523,8 +523,9 @@ def test_twisted_step_generator_matches_restrict_weight():
     (orbit,) = [o for o in node_orbits(D4_TRIALITY) if len(o) == 3]
     tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
     (gid,) = [gid for gid, (*_, step) in enumerate(tables.module.gens) if step == (1,)]
-    terms = tables.terms(gid)
-    assert len(terms) == 3
+    gen_terms, _, step = tables.module.gens[gid]
+    den, terms = realizer._integer_terms(gen_terms, [Evaluator(t.base).coefficient((1,), step)])
+    assert den == 1 and len(terms) == 3
     # One slot, whose coefficient at a = (1) is 1: each term holds e_{σ^u b}'s
     # columns as they are, since they are integers.
     for ((e, int_cols),), node in zip(terms, orbit):
@@ -1001,10 +1002,11 @@ def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     # Γ = 2Z, so two closures; they share the module, the generators and the
     # term plans, and give the fibers that separate closures give.  The
-    # tensor is built once per module, each generator a spec applies is made
-    # integer once, and each plan re-indexes it once per (generator, class)
-    # the closures reach.  A second spec on the same module builds plans for
-    # its steps s ≠ 0 only: the step-0 plans are the module's.
+    # tensor is built once per module.  The module makes each step-0
+    # generator integer once and plans it once per move; a spec's tables do
+    # the same for each generator at a step s ≠ 0, and closing a seed builds
+    # nothing.  A second spec on the same module builds its steps s ≠ 0 only,
+    # and its step-0 moves carry the module's plans.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
     sup = support_lattice(s)
     realizer._module_tables.cache_clear()
@@ -1017,22 +1019,31 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(realizer, name, counting)
-    tables = []
+    tables, at_close = [], []
 
     def keeping(*args, _original=realizer._closure_tables, **kwargs):
         tables.append(_original(*args, **kwargs))
         return tables[-1]
 
+    def closing(*args, _original=realizer.generate_component, **kwargs):
+        at_close.append(dict(built))
+        return _original(*args, **kwargs)
+
     monkeypatch.setattr(realizer, "_closure_tables", keeping)
+    monkeypatch.setattr(realizer, "generate_component", closing)
     boxes = realizer.component_decomposition(s, sup, 2)
     assert len(boxes) == 2 and built["build_tensor"] == 1
+    assert at_close == [built, built]
     (shared_tables,) = tables
     module = shared_tables.module
-    used = {gid for gid, _ in shared_tables.plans}
-    assert shared_tables.int_terms and module.int_terms
-    assert built["_integer_terms"] == len(used)
-    assert len(used) == len(shared_tables.int_terms) + len(module.int_terms)
-    assert built["_plan"] == len(shared_tables.plans) > 0
+    moves = [move for out in module.moves.values() for move in out]
+    stepped = [gid for gid, (*_, step) in enumerate(module.gens) if any(step)]
+    at_zero = [move for move in moves if move[4] is not None]
+    assert stepped and at_zero and len(at_zero) < len(moves)
+    assert built["_integer_terms"] == len(module.gens)
+    assert built["_plan"] == len(moves)
+    plans = {id(plan) for out in shared_tables.moves.values() for plan, *_ in out}
+    assert len(plans) == len(moves)
     separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
     assert built["build_tensor"] == 1
     assert [b.dims() for b in boxes] == [b.dims() for b in separate]
@@ -1042,10 +1053,15 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     realizer.component_decomposition(other, support_lattice(other), 2)
     second = tables[-1]
     assert second.module is module and built["build_tensor"] == 1
-    at_zero = [key for key in second.plans if not any(module.gens[key[0]][2])]
-    assert at_zero and all(second.plans[key] is module.plans[key] for key in at_zero)
-    assert built["_plan"] - before["_plan"] == len(second.plans) - len(at_zero) > 0
-    assert built["_integer_terms"] - before["_integer_terms"] == len(second.int_terms) > 0
+    assert built["_integer_terms"] - before["_integer_terms"] == len(stepped)
+    assert built["_plan"] - before["_plan"] == len(moves) - len(at_zero)
+    for cls, out in module.moves.items():
+        pairs = zip(out, second.moves[cls], shared_tables.moves[cls])
+        for (*_, plan), (own, *_), (first, *_) in pairs:
+            if plan is None:
+                assert own is not first
+            else:
+                assert own is plan
 
 
 def _rows(boxes):
@@ -1072,6 +1088,13 @@ def test_module_table_cache_keeps_specs_apart():
     )
     cases = [functools.partial(_two_seeds, s) for s in untwisted]
     cases += [lambda: [twisted_generate_component(t, 1)], lambda: [generate_component(t.base, 1)]]
+    # Two n = 2 specs whose tops agree in table order, with dims [2, 1] and
+    # [1, 2]: the module reads n and not the dims, so they share one entry.
+    stacked = [
+        spec(A1, (2, 1), {(1, 1): (1,), (2, 1): (2,)}, [(1, -1), (1,)]),
+        spec(A1, (1, 2), {(1, 1): (1,), (1, 2): (2,)}, [(1,), (1, 2)]),
+    ]
+    cases += [lambda s=s: [generate_component(s, 1)] for s in stacked]
     shared = [_rows(close()) for _ in range(2) for close in cases]
     fresh = []
     for close in cases:
@@ -1080,6 +1103,37 @@ def test_module_table_cache_keeps_specs_apart():
     assert shared == fresh + fresh
     assert realizer._module_tables.cache_info().maxsize is not None
     assert len({repr(rows) for rows in fresh}) == len(fresh)
+    realizer._module_tables.cache_clear()
+    for close in cases[-2:]:
+        close()
+    info = realizer._module_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "A2-flip"])
+def test_closing_a_seed_builds_no_table(monkeypatch, twisted):
+    # The closure tables are built whole: once _closure_tables returns, no
+    # close makes a generator integer or builds a plan, and each gives the
+    # rows and ranks that fresh tables give.
+    if twisted:
+        s = spec(A2, (2,), {(1,): (1, 1), (2,): (1, 1)}, [(1, -1)])
+        orbits, k = node_orbits(A2_FLIP), A2_FLIP.order
+    else:
+        s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, 2)])
+        orbits, k = [(0,)], 1
+    closes = [(seed, radius) for seed in ((0,), (1,)) for radius in (1, 2)]
+    fresh = []
+    for seed, radius in closes:
+        realizer._module_tables.cache_clear()
+        fresh.append(_rows([realizer._closure_tables(s, orbits, k, 64).close(seed, radius)]))
+    tables = realizer._closure_tables(s, orbits, k, 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a close built a table")
+
+    monkeypatch.setattr(realizer, "_integer_terms", refuse)
+    monkeypatch.setattr(realizer, "_plan", refuse)
+    assert [_rows([tables.close(seed, radius)]) for seed, radius in closes] == fresh
 
 
 def test_over_cap_module_raises_on_every_call():

@@ -11,12 +11,19 @@ end-to-end metric of ``BENCHMARK.json`` it prints both trees' median and
 quartiles and the change's wins (pairs where the change is strictly better;
 ties count for neither).  The summary is one ``rounds[]`` entry of the
 ``BENCH_<n>.json`` files, written to ``--out`` when given.
+
+Both trees must be free of ``__pycache__`` directories, and every run has
+``PYTHONDONTWRITEBYTECODE=1`` in its environment: a tree that loads bytecode
+against one that compiles every module in each worker skews ``setup_s`` and
+``peak_rss_mb``.  The tool names the first such directory and stops before
+any run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -31,6 +38,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "10", "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     if proc.returncode or not proc.stdout.strip():
         raise SystemExit(f"{tree} {workload} seed {seed}: exit {proc.returncode}\n"
@@ -77,6 +85,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    for tree in (args.parent, args.change):
+        cache = next(tree.rglob("__pycache__"), None)
+        if cache is not None:
+            parser.error(f"{cache} holds bytecode; compare trees free of __pycache__")
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
 
