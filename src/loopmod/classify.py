@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cyclotomic import CycScalar, multiplicative_order
 from .errors import StructureViolationError
@@ -38,8 +39,10 @@ Index = tuple[int, ...]
 
 
 def scalar_sort_key(a: CycScalar):
-    """Deterministic total order on canonical scalars, positives first."""
-    return (a.e, abs(a.q), 0 if a.q > 0 else 1)
+    """Deterministic total order on canonical scalars: by exponent, then
+    ``|q|``, positives first.  ``|q|`` is an ``int`` unless ``den > 1``."""
+    size = abs(a.num) if a.den == 1 else Fraction(abs(a.num), a.den)
+    return (a.e, size, a.num < 0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
         groups: dict[CycScalar, list[int]] = {}
         for j, a in enumerate(values):
             groups.setdefault(a ** r, []).append(j)
-        for power, members in groups.items():
+        for members in groups.values():
             if len(members) != r:
                 raise StructureViolationError(
                     "scalars sharing an r-th power do not form a complete orbit",
@@ -83,10 +86,11 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
                     period=r,
                     group=[j + 1 for j in members],
                 )
-        ordered = sorted(
-            groups.values(), key=lambda g: scalar_sort_key(min((values[j] for j in g), key=scalar_sort_key))
-        )
-        bases = tuple(min((values[j] for j in g), key=scalar_sort_key) for g in ordered)
+        # Each group by its least member, as (key, j): keys are distinct.
+        keys = [scalar_sort_key(a) for a in values]
+        least = sorted((min((keys[j], j) for j in g), g) for g in groups.values())
+        ordered = [g for _, g in least]
+        bases = tuple(values[j] for (_, j), _ in least)
         if r == 1:
             eps = one
         else:

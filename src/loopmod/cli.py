@@ -27,6 +27,7 @@ from .jsonio import (
     descriptor_to_json,
     iso_result_to_json,
     load_spec,
+    read_spec,
     support_to_json,
     twisted_descriptor_to_json,
 )
@@ -37,17 +38,6 @@ from .twisted import (
     decide_twisted_iso,
     twisted_classify,
 )
-
-def _digest(paths) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        try:
-            with open(p, "rb") as fh:
-                h.update(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read spec file: {exc}") from exc
-    return h.hexdigest()
-
 
 def _base(spec) -> PsiSpec:
     return spec.base if isinstance(spec, TwistedSpec) else spec
@@ -192,11 +182,12 @@ def main(argv=None) -> int:
     exit_code = 0
     try:
         paths = [args.spec] if "spec" in args else [args.left, args.right]
-        report["input_digest"] = _digest(paths)
+        raws = [read_spec(p) for p in paths]
+        report["input_digest"] = hashlib.sha256(b"".join(raws)).hexdigest()
         radius = vars(args).get("box", vars(args).get("refute_box"))
         if radius is not None and radius < 0:
             raise InputError("degree box radius must be non-negative", radius=radius)
-        spec = load_spec(paths[0])
+        spec = load_spec(paths[0], raws[0])
 
         if args.command == "support":
             support = support_lattice(_base(spec))
@@ -211,7 +202,7 @@ def main(argv=None) -> int:
                 "blocks": blocks_to_json(detect_blocks(base, support)),
             }
         elif args.command == "iso":
-            other = load_spec(paths[1])
+            other = load_spec(paths[1], raws[1])
             d1 = classify(_base(spec))
             d2 = classify(_base(other))
             res = decide_iso(d1, d2)
@@ -227,7 +218,7 @@ def main(argv=None) -> int:
             tspec = _need_twisted(spec, args.command)
             report["result"] = twisted_descriptor_to_json(twisted_classify(tspec))
         elif args.command == "twisted-iso":
-            other = load_spec(paths[1])
+            other = load_spec(paths[1], raws[1])
             t1 = _need_twisted(spec, args.command)
             t2 = _need_twisted(other, args.command)
             res = decide_twisted_iso(twisted_classify(t1), twisted_classify(t2))

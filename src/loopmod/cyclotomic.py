@@ -1,11 +1,13 @@
 """Exact scalars q·ζ^e in a fixed cyclotomic field, and elements of that field.
 
-A :class:`CycScalar` is a nonzero rational ``q`` times a power of
-``ζ = exp(2πi/L)``; the order ``L`` is fixed once per problem instance.  The
-canonical form keeps the exponent in ``[0, L)`` and, when ``L`` is even, folds
-exponents ``e ≥ L/2`` into the sign of ``q`` via ``ζ^{L/2} = −1``.  After
-folding, two scalars are equal as complex numbers exactly when their folded
-``(q, e)`` pairs agree, so equality and hashing are structural.
+A :class:`CycScalar` is a nonzero rational ``q = num/den`` times a power of
+``ζ = exp(2πi/L)``; the order ``L`` is fixed once per problem instance.  It
+holds plain integers: ``num`` and ``den`` in lowest terms with ``den > 0``,
+and the exponent ``e``.  The canonical form keeps the exponent in ``[0, L)``
+and, when ``L`` is even, folds exponents ``e ≥ L/2`` into the sign of ``num``
+via ``ζ^{L/2} = −1``.  After folding, two scalars of one order are equal as
+complex numbers exactly when their ``(num, den, e)`` agree, so equality and
+hashing are structural; products, quotients and powers take one ``gcd``.
 
 A general element of ``Q(ζ_L)`` is a :class:`CycVector`: integer numerators
 over the power basis ``1, ζ, …, ζ^{φ(L)−1}`` modulo the L-th cyclotomic
@@ -99,28 +101,43 @@ def _reduce(order: int, poly: list[int]) -> list[int]:
 
 
 class CycScalar:
-    """Nonzero ``q · ζ_order^e`` in canonical (sign-folded) form."""
+    """Nonzero ``(num/den) · ζ_order^e`` in canonical (sign-folded) form.
 
-    __slots__ = ("q", "e", "order")
+    ``num`` and ``den`` are integers in lowest terms with ``den > 0``, and
+    ``e`` lies in ``[0, order)``, below ``order/2`` when ``order`` is even.
+    The hash is computed once, from the order-independent key of ``_key``.
+    ``q`` is the rational part as a ``Fraction``, for the direct evaluation
+    oracles and the tests; arithmetic stays in integers."""
+
+    __slots__ = ("num", "den", "e", "order", "_hash")
 
     def __init__(self, q, e: int, order: int):
-        q = Fraction(q)
-        if q == 0:
+        if type(q) is int:
+            num, den = q, 1
+        else:
+            q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        if not num:
             raise InputError("scalar part must be nonzero")
         if order < 1:
             raise InputError("cyclotomic order must be positive", order=order)
-        e = e % order
-        if order % 2 == 0 and e >= order // 2:
-            q = -q
-            e -= order // 2
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "order", order)
+        _fill(self, num, den, e, order)
 
     def __setattr__(self, *_):
         raise AttributeError("CycScalar is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def ratio(cls, num: int, den: int, e: int, order: int) -> "CycScalar":
+        """``(num/den)·ζ_order^e`` from integers, brought to lowest terms."""
+        if not den:
+            raise InputError("scalar denominator must be nonzero")
+        if not num:
+            raise InputError("scalar part must be nonzero")
+        if order < 1:
+            raise InputError("cyclotomic order must be positive", order=order)
+        return _reduced(num, den, e, order)
 
     @classmethod
     def one(cls, order: int) -> "CycScalar":
@@ -133,6 +150,10 @@ class CycScalar:
     @classmethod
     def zeta(cls, order: int, e: int = 1) -> "CycScalar":
         return cls(1, e, order)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -148,19 +169,21 @@ class CycScalar:
         if not isinstance(other, CycScalar):
             return NotImplemented
         self._check(other)
-        return CycScalar(self.q * other.q, self.e + other.e, self.order)
+        return _reduced(self.num * other.num, self.den * other.den, self.e + other.e, self.order)
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         if not isinstance(other, CycScalar):
             return NotImplemented
         self._check(other)
-        return CycScalar(self.q / other.q, self.e - other.e, self.order)
+        return _reduced(self.num * other.den, self.den * other.num, self.e - other.e, self.order)
 
     def __pow__(self, m: int) -> "CycScalar":
-        return CycScalar(self.q ** m, self.e * m, self.order)
+        if m < 0:
+            return _reduced(self.den ** -m, self.num ** -m, self.e * m, self.order)
+        return _reduced(self.num ** m, self.den ** m, self.e * m, self.order)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(-self.q, self.e, self.order)
+        return _reduced(-self.num, self.den, self.e, self.order)
 
     # -- structure -----------------------------------------------------
 
@@ -168,23 +191,25 @@ class CycScalar:
         # Order-independent invariant: the argument in turns, folded into
         # [0, 1/2) by the sign of q as the even-order canonical form is, as a
         # fraction in lowest terms.  Odd orders have e/order ≥ 1/2 to fold.
-        q, turns, full = self.q, 2 * self.e, 2 * self.order
+        num, turns, full = self.num, 2 * self.e, 2 * self.order
         if turns >= self.order:
-            q, turns = -q, turns - self.order
+            num, turns = -num, turns - self.order
         g = gcd(turns, full)
-        return (q, turns // g, full // g)
+        return (num, self.den, turns // g, full // g)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycScalar):
             return NotImplemented
+        if self.order == other.order:
+            return self.e == other.e and self.num == other.num and self.den == other.den
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     @property
     def is_one(self) -> bool:
-        return self.q == 1 and self.e == 0
+        return self.e == 0 and self.num == 1 and self.den == 1
 
     def with_order(self, order: int) -> "CycScalar":
         """Re-express in a field of larger compatible order."""
@@ -194,15 +219,50 @@ class CycScalar:
                 current=self.order,
                 target=order,
             )
-        return CycScalar(self.q, self.e * (order // self.order), order)
+        return _reduced(self.num, self.den, self.e * (order // self.order), order)
 
     def __complex__(self) -> complex:
-        return float(self.q) * cmath.exp(2j * cmath.pi * self.e / self.order)
+        return self.num / self.den * cmath.exp(2j * cmath.pi * self.e / self.order)
 
     def __repr__(self) -> str:
+        q = self.num if self.den == 1 else f"{self.num}/{self.den}"
         if self.e == 0:
-            return f"CycScalar({self.q})"
-        return f"CycScalar({self.q}*z{self.order}^{self.e})"
+            return f"CycScalar({q})"
+        return f"CycScalar({q}*z{self.order}^{self.e})"
+
+
+# The slots' own setters: ``__setattr__`` refuses every write, and these are
+# cheaper than ``object.__setattr__`` by name.
+_SET_SLOTS = tuple(getattr(CycScalar, name).__set__ for name in CycScalar.__slots__)
+
+
+def _fill(out: CycScalar, num: int, den: int, e: int, order: int) -> None:
+    # Fold e into [0, order), and past a half turn into the sign at even
+    # order; then set the slots and the hash of ``_key``.
+    e %= order
+    if order % 2 == 0 and e >= order // 2:
+        num = -num
+        e -= order // 2
+    set_num, set_den, set_e, set_order, set_hash = _SET_SLOTS
+    set_num(out, num)
+    set_den(out, den)
+    set_e(out, e)
+    set_order(out, order)
+    set_hash(out, hash(out._key()))
+
+
+def _reduced(num: int, den: int, e: int, order: int) -> CycScalar:
+    # The scalar (num/den)·ζ^e for num, den ≠ 0: the integer path of every
+    # operation, brought to lowest terms by one gcd.
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num //= g
+        den //= g
+    out = object.__new__(CycScalar)
+    _fill(out, num, den, e, order)
+    return out
 
 
 def root_of_unity_order_divides(a: CycScalar, k: int) -> bool:
@@ -285,7 +345,7 @@ class CycVector:
 
     @classmethod
     def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
-        return cls.from_terms(s.order, [(s.e, s.q * Fraction(weight))])
+        return cls.from_terms(s.order, [(s.e, Fraction(weight) * s.num / s.den)])
 
     @classmethod
     def from_rational(cls, q, order: int) -> "CycVector":
@@ -343,7 +403,7 @@ class CycVector:
             raise OrderMismatchError(
                 "scalar and vector orders differ", scalar=s.order, vector=self.order
             )
-        num, den = _fold(self.order, [(s.e, s.q * Fraction(weight))])
+        num, den = _fold(self.order, [(s.e, Fraction(weight) * s.num / s.den)])
         return CycVector(self.order, _num=mul_mod(self.order, self.num, num), _den=self.den * den)
 
     def scale_rational(self, w) -> "CycVector":
@@ -449,4 +509,5 @@ def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:
             raise OrderMismatchError(
                 "terms have different cyclotomic orders", left=order, right=s.order
             )
-    return CycVector.from_terms(order, [(s.e, s.q * Fraction(w)) for s, w in terms]).is_zero()
+    terms = [(s.e, Fraction(w) * s.num / s.den) for s, w in terms]
+    return CycVector.from_terms(order, terms).is_zero()

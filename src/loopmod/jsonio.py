@@ -61,8 +61,7 @@ def _scalar_orders(raw) -> int:
 
 def _scalar_from(raw, order: int) -> CycScalar:
     if isinstance(raw, (int, str)):
-        q = _fraction_from(raw)
-        return CycScalar(q, 0, order)
+        return CycScalar(raw if type(raw) is int else _fraction_from(raw), 0, order)
     if isinstance(raw, dict):
         num = raw.get("num")
         if num is None:
@@ -70,19 +69,19 @@ def _scalar_from(raw, order: int) -> CycScalar:
         den = _int(raw.get("den", 1), "den")
         if den == 0:
             raise InputError("scalar denominator must be nonzero", value=raw)
-        q = Fraction(_int(num, "num"), den)
+        num = _int(num, "num")
         own = _scalar_orders(raw)
         e = _int(raw.get("zeta_pow", 0), "zeta_pow")
         if order % own:
             raise InputError("scalar order does not divide the global order")
-        return CycScalar(q, e * (order // own), order)
+        return CycScalar.ratio(num, den, e * (order // own), order)
     raise InputError("bad scalar literal", value=raw)
 
 
 def scalar_to_json(a: CycScalar) -> dict:
     return {
-        "num": a.q.numerator,
-        "den": a.q.denominator,
+        "num": a.num,
+        "den": a.den,
         "zeta_pow": a.e,
         "zeta_order": a.order,
     }
@@ -150,12 +149,22 @@ def parse_spec(doc: dict) -> PsiSpec | TwistedSpec:
     return TwistedSpec(base=spec, aut=aut)
 
 
-def load_spec(path: str) -> PsiSpec | TwistedSpec:
+def read_spec(path: str) -> bytes:
+    """The bytes of the spec file at ``path``."""
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read spec file: {exc}") from exc
+
+
+def load_spec(path: str, raw: bytes | None = None) -> PsiSpec | TwistedSpec:
+    """The spec in the file at ``path``, parsed from ``raw`` when the caller
+    has already read the file's bytes."""
+    if raw is None:
+        raw = read_spec(path)
+    try:
+        doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer literal too long to convert, bytes
         # that are not UTF-8, or nesting too deep for the parser.

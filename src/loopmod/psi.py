@@ -214,7 +214,7 @@ class SupportLattice:
 
 def _phase(a: CycScalar) -> tuple[int, int]:
     # a/|a| = (−1)^s·ζ^e as (s, e).
-    return (1 if a.q < 0 else 0), a.e
+    return (1 if a.num < 0 else 0), a.e
 
 
 def _phase_order(s: int, e: int, order: int) -> int:
@@ -238,46 +238,54 @@ class _CosetSums:
 
     where ``c_I(r)`` is the index's entry in the term table of ``r``.
 
-    Everything here is in integers.  The term-table weights are scaled by
-    one positive common denominator, so ``sums`` gives that multiple of each
-    ``u_K(r)`` as power-basis numerators, and ``nonzero`` scales the
-    ``ρ_K^m`` by one positive factor.  A common positive factor changes
-    neither the sign of a coordinate, nor linear independence over Q, nor
-    whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
+    Everything here is in integers.  A class ``classes[K]`` is ``ρ_K`` with
+    each axis scaled by the lcm of that axis's active denominators.  The
+    term-table weights are scaled by one positive common denominator, so
+    ``sums`` gives that multiple of each ``u_K(r)`` as power-basis
+    numerators, and ``nonzero`` scales the ``ρ_K^m`` by one positive factor.
+    A common positive factor changes neither the sign of a coordinate, nor
+    linear independence over Q, nor whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
     """
 
     def __init__(self, ev):
         self.order, self.k = ev.order, ev.k
         active = sorted({I for rows in ev.terms for I, _ in rows})
-        rho = {I: tuple(abs(ev.evals[i][j - 1].q) for i, j in enumerate(I)) for I in active}
+        # Per axis and active j: |q| times the lcm of the axis's active
+        # denominators (one positive factor per axis, so the classes compare
+        # and group as the ρ_I do) and the phase; and the order of the phase
+        # ratios.
+        scaled, phases, moduli = [], [], []
+        for i, axis in enumerate(ev.evals):
+            js = sorted({I[i] for I in active})
+            D = lcm(*(axis[j - 1].den for j in js))
+            scaled.append({j: abs(axis[j - 1].num) * (D // axis[j - 1].den) for j in js})
+            phase = {j: _phase(axis[j - 1]) for j in js}
+            phases.append(phase)
+            mod = 1
+            if js:
+                s0, e0 = phase[js[0]]
+                for j in js[1:]:
+                    s, e = phase[j]
+                    mod = lcm(mod, _phase_order(s ^ s0, e - e0, ev.order))
+            moduli.append(mod)
+        moduli[0] = lcm(moduli[0], ev.k)
+        self.moduli = tuple(moduli)
+        rho = {I: tuple(up[j] for up, j in zip(scaled, I)) for I in active}
         self.classes = sorted(set(rho.values()))
         ids = {r: K for K, r in enumerate(self.classes)}
         den = lcm(*(c.denominator for rows in ev.terms for _, cs in rows for t in cs for _, c in t))
         # table[j]: (class, axis phases (s, e), slots of (exponent, integer)).
         self.table = [[
-            (ids[rho[I]], [_phase(ev.evals[i][j - 1]) for i, j in enumerate(I)],
+            (ids[rho[I]], [phase[j] for phase, j in zip(phases, I)],
              [[(f, int(c * den)) for f, c in t] for t in comps])
             for I, comps in rows
         ] for rows in ev.terms]
-        moduli = []
-        for i, axis in enumerate(ev.evals):
-            js = sorted({I[i] for I in active})
-            mod = 1
-            if js:
-                s0, e0 = _phase(axis[js[0] - 1])
-                for j in js[1:]:
-                    s, e = _phase(axis[j - 1])
-                    mod = lcm(mod, _phase_order(s ^ s0, e - e0, ev.order))
-            moduli.append(mod)
-        moduli[0] = lcm(moduli[0], ev.k)
-        self.moduli = tuple(moduli)
         # Integer bases per axis: ρ = up/D for m ≥ 0 and ρ⁻¹ = (N/up)/(N/D)
-        # for m < 0, with D the lcm of the denominators and N that of the up;
-        # D and N/D are shared by every class.
+        # for m < 0, with up the class's entry and N the lcm of the up; D and
+        # N/D are shared by every class.
         self._bases = []
         for i in range(len(moduli)):
-            D = lcm(*(r[i].denominator for r in self.classes))
-            up = [int(r[i] * D) for r in self.classes]
+            up = [r[i] for r in self.classes]
             N = lcm(*up)
             self._bases.append((up, [N // u for u in up]))
         self._pows: dict = {}
@@ -380,7 +388,7 @@ def _coset_status(form: _CosetSums, r):
     return [K for K, _ in sums], cols
 
 
-def _dominance_steps(lead: Fraction, rest: Fraction, ratio: Fraction, limit: int) -> int | None:
+def _dominance_steps(lead: int, rest: int, ratio: Fraction, limit: int) -> int | None:
     # Least s ≥ 0 with lead·ratio^s > rest, or None past ``limit``.
     s = 0
     while lead <= rest:
@@ -400,8 +408,9 @@ def _window_zeros(form: _CosetSums, r0: int, coset, limit: int):
     term of largest base dominates once ``|w_top|·(β_top/β_next)^t`` exceeds
     the other ``|w_K|`` together (t ≥ 0), and likewise the smallest base for
     t ≤ 0; every zero therefore lies in the window between, which is tested
-    with ``form.nonzero``.  Returns ``(window size, zeros)`` for the narrowest
-    window."""
+    with ``form.nonzero``.  The scaled classes of ``form`` change every
+    ``w_K`` by one positive factor and no ratio ``β_K/β_J``, so the window is
+    the same.  Returns ``(window size, zeros)`` for the narrowest window."""
     M = form.moduli[0]
     rho = [form.classes[K][0] for K in coset[0]]
     best = None
@@ -410,10 +419,10 @@ def _window_zeros(form: _CosetSums, r0: int, coset, limit: int):
         if len(ws) < 2:
             continue
         hi = _dominance_steps(
-            abs(ws[-1][1]), sum(abs(w) for _, w in ws[:-1]), ws[-1][0] / ws[-2][0], limit
+            abs(ws[-1][1]), sum(abs(w) for _, w in ws[:-1]), Fraction(ws[-1][0], ws[-2][0]), limit
         )
         lo = _dominance_steps(
-            abs(ws[0][1]), sum(abs(w) for _, w in ws[1:]), ws[1][0] / ws[0][0], limit
+            abs(ws[0][1]), sum(abs(w) for _, w in ws[1:]), Fraction(ws[1][0], ws[0][0]), limit
         )
         if hi is not None and lo is not None:
             window = range(1 - lo, hi)

@@ -392,9 +392,10 @@ def _integer_terms(terms, coeffs_per_slot) -> tuple[int, list]:
     slot the pair (ζ-exponent, columns of ``den`` times the slot's part).  A
     term's exponent adds to the exponent of the slot's coefficient q·ζ^e, and
     q is folded into the slot's columns, as integers over ``den``, the lcm of
-    ``q.denominator · x.denominator`` over the column entries x."""
+    ``c.den · x.denominator`` over the slot coefficients c and the column
+    entries x."""
     den = lcm(*(
-        c.q.denominator * x.denominator
+        c.den * x.denominator
         for cols_per_slot, _ in terms
         for c, cols in zip(coeffs_per_slot, cols_per_slot)
         for col in cols
@@ -404,9 +405,8 @@ def _integer_terms(terms, coeffs_per_slot) -> tuple[int, list]:
     for cols_per_slot, e in terms:
         slots = []
         for cols, c in zip(cols_per_slot, coeffs_per_slot):
-            qn, qd = c.q.numerator, c.q.denominator
             slots.append(((c.e + e) % c.order, [
-                [(r, qn * x.numerator * (den // (qd * x.denominator))) for r, x in col]
+                [(r, c.num * x.numerator * (den // (c.den * x.denominator))) for r, x in col]
                 for col in cols
             ]))
         out.append(slots)

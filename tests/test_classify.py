@@ -23,8 +23,9 @@ from loopmod.errors import (
     StructureViolationError,
     TrivialModuleError,
 )
+from loopmod.jsonio import parse_spec
 from loopmod.lattice import from_generators
-from loopmod.psi import SupportLattice
+from loopmod.psi import SupportLattice, support_lattice
 
 
 def test_detect_blocks_two_orbits():
@@ -44,6 +45,39 @@ def test_detect_blocks_two_orbits():
     assert ab.assignment == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert d.p == 2
     assert d.classes == (((1,), 2), ((2,), 2))
+
+
+def _blocks_of(evals):
+    doc = {
+        "algebra": {"series": "A", "rank": 1},
+        "n": 1,
+        "dims": [len(evals)],
+        "weights": [{"index": [j + 1], "coords": [1]} for j in range(len(evals))],
+        "evals": [evals],
+    }
+    s = parse_spec(doc)
+    (ab,) = detect_blocks(s, support_lattice(s)).axes
+    return ab
+
+
+def test_detect_blocks_rationals_with_different_denominators():
+    # ±2/3 and ±5/8: 5/8 < 2/3 although 5 > 2, so 5/8 leads the blocks.
+    ab = _blocks_of(["2/3", {"num": -5, "den": 8}, "-2/3", {"num": 10, "den": 16}])
+    assert ab.period == 2 and ab.block_count == 2
+    assert [(b.num, b.den, b.e) for b in ab.bases] == [(5, 8, 0), (2, 3, 0)]
+    assert (ab.epsilon.num, ab.epsilon.den, ab.epsilon.e) == (-1, 1, 0)
+    assert ab.assignment == ((1, 0), (0, 1), (1, 1), (0, 0))
+
+
+def test_detect_blocks_sign_folded_scalars_at_even_order():
+    # At L = 4, ζ³ = −ζ and ζ² = −1 fold into the sign: the axis is
+    # (−ζ, ζ, −3, 3), and the exponent sorts before |q|.
+    zeta = lambda num, e: {"num": num, "zeta_pow": e, "zeta_order": 4}
+    ab = _blocks_of([zeta(1, 3), zeta(1, 1), zeta(3, 2), zeta(3, 0)])
+    assert ab.period == 2 and ab.block_count == 2
+    assert [(b.num, b.den, b.e, b.order) for b in ab.bases] == [(3, 1, 0, 4), (1, 1, 1, 4)]
+    assert (ab.epsilon.num, ab.epsilon.e, ab.epsilon.order) == (-1, 0, 4)
+    assert ab.assignment == ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 def test_detect_blocks_single_orbit():

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -424,13 +425,14 @@ def test_undecodable_spec_is_input_error(tmp_path, capsys, raw):
     code, doc = _run(capsys, ["classify", str(path)])
     assert code == 2
     assert doc["diagnostics"][0]["type"] == "InputError"
+    assert doc["diagnostics"][0]["message"].startswith("spec file is not valid JSON: ")
 
 
 @pytest.mark.parametrize("command", ["classify", "iso"])
 @pytest.mark.parametrize("target", ["missing", "directory"])
 def test_unreadable_spec_is_input_error(write, tmp_path, capsys, command, target):
-    # The input digest reads every spec file before load_spec does, so it
-    # reports a file it cannot read as load_spec would.
+    # main reads every spec file, for the input digest, before it parses
+    # any, and reports a file it cannot read as load_spec would.
     bad = str(tmp_path / "absent.json") if target == "missing" else str(tmp_path)
     argv = [command, bad] if command == "classify" else [command, write(SPEC_A, "a.json"), bad]
     code = main(argv)
@@ -439,6 +441,46 @@ def test_unreadable_spec_is_input_error(write, tmp_path, capsys, command, target
     (diag,) = json.loads(captured.out)["diagnostics"]
     assert diag["type"] == "InputError"
     assert diag["message"].startswith("cannot read spec file: ")
+
+
+@pytest.mark.parametrize("command", ["iso", "twisted-iso"])
+def test_undecodable_right_spec_is_input_error(write, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"{not json")
+    code, doc = _run(capsys, [command, write(TWISTED, "t.json"), str(bad)])
+    (diag,) = doc["diagnostics"]
+    assert code == 2 and diag["type"] == "InputError"
+    assert diag["message"].startswith("spec file is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["iso", "twisted-iso"])
+def test_unreadable_right_spec_is_reported_before_the_left_is_parsed(tmp_path, capsys, command):
+    left = tmp_path / "left.json"
+    left.write_bytes(b"{not json")
+    code, doc = _run(capsys, [command, str(left), str(tmp_path / "absent.json")])
+    (diag,) = doc["diagnostics"]
+    assert code == 2 and "input_digest" not in doc
+    assert diag["message"].startswith("cannot read spec file: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "iso", "twisted-iso"])
+def test_main_reads_each_spec_file_once(write, capsys, monkeypatch, command):
+    paths = [write(TWISTED, "t.json")] if command == "classify" else [
+        write(TWISTED, "t.json"), write(TWISTED, "u.json")]
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, doc = _run(capsys, [command, *paths])
+    monkeypatch.undo()
+    assert code == 0 and not doc["diagnostics"]
+    assert sorted(p for p in opened if p in paths) == sorted(paths)
+    digest = hashlib.sha256(b"".join(open(p, "rb").read() for p in paths)).hexdigest()
+    assert doc["input_digest"] == digest
 
 
 def test_main_builds_the_parser_once(write, capsys, monkeypatch):

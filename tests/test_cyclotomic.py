@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,65 @@ def test_canonical_uniqueness_vs_complex(a, b):
 @settings(max_examples=200, deadline=None)
 def test_pow_multiplicative(a, m1, m2):
     assert a ** (m1 + m2) == (a ** m1) * (a ** m2)
+
+
+def _reference(q: Fraction, e: int, order: int) -> tuple[Fraction, int]:
+    # The canonical (q, e) of q·ζ^e, folded directly from the definition.
+    e %= order
+    if order % 2 == 0 and e >= order // 2:
+        q, e = -q, e - order // 2
+    return q, e
+
+
+def _assert_canonical(a: CycScalar, q: Fraction, e: int, order: int) -> None:
+    assert isinstance(a.num, int) and isinstance(a.den, int)
+    assert a.den > 0 and gcd(a.num, a.den) == 1 and a.num != 0
+    assert (Fraction(a.num, a.den), a.e, a.order) == (*_reference(q, e, order), order)
+    assert a.q == Fraction(a.num, a.den)
+    assert 0 <= a.e < (order // 2 if order % 2 == 0 else order)
+    assert abs(complex(a) - complex(q) * cmath.exp(2j * cmath.pi * e / order)) <= 1e-9 * (
+        1 + abs(complex(q)))
+
+
+@st.composite
+def same_order_parts(draw, max_order=30):
+    order = draw(st.integers(1, max_order))
+    rationals = st.builds(
+        Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 40)
+    )
+    return order, [(draw(rationals), draw(st.integers(-3 * order, 3 * order))) for _ in range(2)]
+
+
+@given(same_order_parts(), st.integers(-6, 6), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_integer_arithmetic_against_fraction_reference(parts, m, k):
+    order, [(qa, ea), (qb, eb)] = parts
+    a, b = CycScalar(qa, ea, order), CycScalar(qb, eb, order)
+    _assert_canonical(a, qa, ea, order)
+    _assert_canonical(a * b, qa * qb, ea + eb, order)
+    _assert_canonical(a / b, qa / qb, ea - eb, order)
+    _assert_canonical(a ** m, qa ** m, ea * m, order)
+    _assert_canonical(-a, -qa, ea, order)
+    lifted = a.with_order(order * k)
+    _assert_canonical(lifted, qa, ea * k, order * k)
+    # Equal scalars of different orders are equal and hash alike.
+    assert lifted == a and hash(lifted) == hash(a)
+    assert (lifted == b) == (a == b)
+    # The integer path and the Fraction path give the same scalar.
+    assert CycScalar.ratio(qa.numerator * 3, qa.denominator * 3, ea, order) == a
+    assert CycScalar.ratio(-qa.numerator, -qa.denominator, ea, order) == a
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), "0", "0/5"])
+def test_zero_part_is_input_error(zero):
+    with pytest.raises(InputError):
+        CycScalar(zero, 1, 6)
+
+
+@pytest.mark.parametrize("num, den", [(0, 5), (1, 0)])
+def test_zero_ratio_part_is_input_error(num, den):
+    with pytest.raises(InputError):
+        CycScalar.ratio(num, den, 1, 6)
 
 
 def test_root_of_unity_order_divides():

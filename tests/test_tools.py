@@ -3,6 +3,7 @@ equal terms."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -45,3 +46,20 @@ def test_bench_pairs_runs_without_writing_bytecode(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     bench_pairs.run_once(tmp_path, "realize", 1)
     assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]
+
+
+def test_compare_outputs_leaves_no_bytecode(tmp_path, monkeypatch, capsys):
+    # Two trees whose bench modules import the engine but list no workloads:
+    # every digest run imports them, and none may write bytecode.
+    compare_outputs = _tool("compare_outputs")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        shutil.copytree(ROOT / "src" / "loopmod", tree / "src" / "loopmod",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tree / "bench").mkdir()
+        (tree / "bench" / "corpus.py").write_text("import loopmod.cli\nWORKLOADS = ()\n")
+        (tree / "bench" / "ops.py").write_text("import loopmod.realizer\n")
+    assert compare_outputs.main([str(tree) for tree in trees]) == 0
+    assert "0 of 0 operations differ" in capsys.readouterr().out
+    assert not [p for tree in trees for p in tree.rglob("__pycache__")]

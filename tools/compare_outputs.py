@@ -11,12 +11,14 @@ workloads and the operations within each), so that an answer that depends
 on what ran before it, through a cache for instance, shows.  Prints the
 operations whose exit code or digest differ between the trees, and those
 whose reversed run differs from the change's forward run, and exits 0 only
-if there are none.
+if there are none.  No run writes bytecode, so both trees stay fit for
+``tools/bench_pairs.py``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -52,6 +54,7 @@ def digests(tree: str, backward: bool = False) -> dict[str, list]:
     proc = subprocess.run(
         [sys.executable, "-c", _DIGESTS, tree, "1" if backward else "0"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     if proc.returncode:
         raise SystemExit(f"{tree}: digest run failed\n{proc.stderr[-4000:]}")
