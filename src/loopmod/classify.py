@@ -21,6 +21,16 @@ lexicographic order of the ``j₀`` choices and the first full witness wins.
 A witness relates the tables by ``ξ_I = λ_{τ(I)}`` and the scalars by
 ``b_{i,j} = 𝔰ᵢ · a_{i,τᵢ(j)}`` (indices of the second spec map through τ to
 the first), and requires ``ς − ϱ ∈ Γ``.
+
+A witness also fixes the second module's classification, so the search needs
+only the first support.  From ``b_{i,j} = 𝔰ᵢ · a_{i,τᵢ(j)}`` and
+``ξ_I = λ_{τ(I)}``, ``v_B(m) = ∏ᵢ 𝔰ᵢ^{mᵢ} · v_A(m)`` with every 𝔰ᵢ nonzero:
+the two functionals vanish at the same degrees, so they have the same Γ and
+the same axis periods; r-th powers scale by 𝔰ᵢ^r, so the blocks agree; and
+τ carries each weight class onto one of the same size.  The second spec
+therefore classifies exactly when the first does, with the same Γ, and
+``loopmod iso`` classifies it only when no witness is found (for its errors,
+which come before a refutation).
 """
 
 from __future__ import annotations
@@ -225,8 +235,7 @@ def _same_weights(s1: PsiSpec, s2: PsiSpec):
 def find_witness(
     s1: PsiSpec,
     s2: PsiSpec,
-    gamma1: Lattice,
-    gamma2: Lattice,
+    gamma: Lattice,
     same_algebra: bool = True,
     axis1=None,
     weight_test=None,
@@ -241,9 +250,12 @@ def find_witness(
     ``weight_test(s1, s2)`` gives the test of one (equal weight tables unless
     given): called with the taus and the axis-1 candidate, it returns the
     candidate to record, possibly re-gauged, or None.  The first hit must
-    also see equal supports ``gamma1``, ``gamma2`` and an integral grading
-    shift in ``gamma1``; the witness is ``witness(taus, scalings, shift,
-    *extra)``.
+    also see an integral grading shift in ``gamma``, the support of ``s1``;
+    the witness is ``witness(taus, scalings, shift, *extra)``.
+
+    ``s2`` needs no support of its own: a hit gives
+    ``v_B(m) = ∏ᵢ 𝔰ᵢ^{mᵢ}·v_A(m)``, so ``s2`` classifies exactly when ``s1``
+    does, with the same Γ (module docstring; for Γ^μ, ``twisted``).
     """
     if s1.n != s2.n or s1.dims != s2.dims:
         return IsoResult(False, reason="dimension-mismatch")
@@ -268,17 +280,18 @@ def find_witness(
         return IsoResult(False, reason="weight-mismatch")
     scalings = (hit[0],) + tuple(s for s, _ in combo[1:])
 
-    if not gamma1.same_subgroup(gamma2):
-        return IsoResult(False, reason="support-mismatch")
     delta = [b - a for a, b in zip(s1.rho, s2.rho)]
     if any(x.denominator != 1 for x in delta):
         return IsoResult(False, reason="grading-shift")
     shift = tuple(int(x) for x in delta)
-    if not gamma1.contains(shift):
+    if not gamma.contains(shift):
         return IsoResult(False, reason="grading-shift")
     return IsoResult(True, witness=witness(taus, scalings, shift, *hit[2:]))
 
 
-def decide_iso(d1: ModuleDescriptor, d2: ModuleDescriptor) -> IsoResult:
-    """Witness search over the classified descriptors, or the first failure."""
-    return find_witness(d1.spec, d2.spec, d1.support.lattice, d2.support.lattice)
+def decide_iso(d1: ModuleDescriptor, d2: ModuleDescriptor | PsiSpec) -> IsoResult:
+    """Witness search of ``d2`` against ``d1``, or the first failure.  ``d2``
+    is the second descriptor or only its spec: a witness fixes the second
+    support (``find_witness``), so the spec need not be classified first."""
+    s2 = d2.spec if isinstance(d2, ModuleDescriptor) else d2
+    return find_witness(d1.spec, s2, d1.support.lattice)

@@ -202,18 +202,19 @@ def main(argv=None) -> int:
                 "blocks": blocks_to_json(detect_blocks(base, support)),
             }
         elif args.command == "iso":
-            other = load_spec(paths[1], raws[1])
-            d1 = classify(_base(spec))
-            d2 = classify(_base(other))
-            res = decide_iso(d1, d2)
+            other = _base(load_spec(paths[1], raws[1]))
+            # A witness fixes the right spec's classification (classify.py),
+            # so it is classified only when there is none, for its errors.
+            res = decide_iso(classify(_base(spec)), other)
+            if not res:
+                classify(other)
+                exit_code = 1
             payload = iso_result_to_json(res)
             if not res and args.refute_box is not None:
                 payload["characters_differ"] = _characters_differ(
-                    _base(spec), _base(other), args.refute_box
+                    _base(spec), other, args.refute_box
                 )
             report["result"] = payload
-            if not res:
-                exit_code = 1
         elif args.command == "twisted-classify":
             tspec = _need_twisted(spec, args.command)
             report["result"] = twisted_descriptor_to_json(twisted_classify(tspec))
@@ -221,10 +222,11 @@ def main(argv=None) -> int:
             other = load_spec(paths[1], raws[1])
             t1 = _need_twisted(spec, args.command)
             t2 = _need_twisted(other, args.command)
-            res = decide_twisted_iso(twisted_classify(t1), twisted_classify(t2))
-            report["result"] = iso_result_to_json(res)
+            res = decide_twisted_iso(twisted_classify(t1), t2)
             if not res:
+                twisted_classify(t2)
                 exit_code = 1
+            report["result"] = iso_result_to_json(res)
         elif args.command == "reducibility":
             tspec = _need_twisted(spec, args.command)
             ok, reason = check_complete_reducibility(tspec)

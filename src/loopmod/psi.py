@@ -104,6 +104,18 @@ class PsiSpec:
             if not is_dominant(w):
                 raise InputError("weights must be dominant integral", index=I)
 
+    @classmethod
+    def unchecked(cls, algebra, n, dims, weights, evals, rho) -> "PsiSpec":
+        """A spec from data derived from a checked spec (lifted to another
+        field, or summed over an axis), which still passes every
+        ``__post_init__`` check; the checks are not run again.  ``rho`` has
+        one entry per axis."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(
+            algebra=algebra, n=n, dims=dims, weights=weights, evals=evals, rho=rho
+        )
+        return spec
+
     @property
     def field_order(self) -> int:
         return self.evals[0][0].order
@@ -124,13 +136,8 @@ class PsiSpec:
         evals = tuple(
             tuple(a.with_order(order) for a in axis) for axis in self.evals
         )
-        return PsiSpec(
-            algebra=self.algebra,
-            n=self.n,
-            dims=self.dims,
-            weights=dict(self.weights),
-            evals=evals,
-            rho=self.rho,
+        return PsiSpec.unchecked(
+            self.algebra, self.n, self.dims, dict(self.weights), evals, self.rho
         )
 
 

@@ -30,11 +30,22 @@ runs ``classify.find_witness`` with axis-1 candidates from
 root of unity.  Second-type tables are compared for equality, as in the
 untwisted search; first-type tables compare restricted components twisted by
 ε^{−j}, up to a gauge (``_first_type_test``).
+
+A witness fixes the second module's twisted classification, so the search
+needs only the first Γ^μ.  Its axis-1 factor is ε_j·℘₁ with ε_j^k = 1.  On
+first-type data the weight test matches the m₁ ≡ j components up to ε^{−j};
+on second-type data the weights are σ-fixed and the j ≠ 0 components vanish.
+Either way the second restricted functional is ℘₁^{m₁}·∏_{i≥2} 𝔰ᵢ^{mᵢ}
+times the first, so Γ^μ, m̂ₙ and the marginal index agree, and image
+equality agrees because b_j^k = ℘₁^k·a_{τ₁(j)}^k.  ``loopmod twisted-iso``
+therefore compares the second spec's type alone (``classify_type``) and
+classifies it only when no witness is found, for its errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from math import lcm
 from typing import Literal
@@ -144,7 +155,8 @@ class TwistedEvaluator:
                     comps = [[(0, c)] if c else [] for c in rw.comp0]
                 else:
                     comps = [
-                        [(e, c) for e, c in enumerate(v.coeffs) if c]
+                        [(e, x if v.den == 1 else Fraction(x, v.den))
+                         for e, x in enumerate(v.num) if x]
                         for v in rw.higher[j - 1]
                     ]
                 if any(comps):
@@ -205,13 +217,8 @@ def marginal_spec(spec: PsiSpec) -> PsiSpec:
             for c in range(len(total)):
                 total[c] += w[c]
         weights[J] = tuple(total)
-    return PsiSpec(
-        algebra=spec.algebra,
-        n=spec.n - 1,
-        dims=dims,
-        weights=weights,
-        evals=spec.evals[1:],
-        rho=spec.rho[1:],
+    return PsiSpec.unchecked(
+        spec.algebra, spec.n - 1, dims, weights, spec.evals[1:], spec.rho[1:]
     )
 
 
@@ -321,16 +328,19 @@ def _first_type_test(aut: DiagramAut, s1: PsiSpec, s2: PsiSpec):
     return test
 
 
-def decide_twisted_iso(d1: TwistedDescriptor, d2: TwistedDescriptor) -> IsoResult:
-    """Witness search per the twisted criteria, or the first failed clause."""
-    if d1.module_type != d2.module_type:
+def decide_twisted_iso(d1: TwistedDescriptor, d2: TwistedDescriptor | TwistedSpec) -> IsoResult:
+    """Witness search of ``d2`` against ``d1`` per the twisted criteria, or
+    the first failed clause.  ``d2`` is the second descriptor or only its
+    spec: a witness fixes the second Γ^μ (module docstring), so the spec need
+    not be classified first; only its type is compared."""
+    t2 = d2.spec if isinstance(d2, TwistedDescriptor) else d2
+    if d1.module_type != classify_type(t2):
         return IsoResult(False, reason="type-mismatch")
     return find_witness(
         d1.spec.base,
-        d2.spec.base,
+        t2.base,
         d1.gamma_mu.lattice,
-        d2.gamma_mu.lattice,
-        same_algebra=d1.spec.aut == d2.spec.aut,
+        same_algebra=d1.spec.aut == t2.aut,
         axis1=partial(_axis1_candidates, d1.spec),
         weight_test=partial(_first_type_test, d1.spec.aut) if d1.module_type == "first" else None,
         witness=TwistedWitness,

@@ -21,6 +21,7 @@ from loopmod.cyclotomic import CycScalar
 from loopmod.errors import (
     EngineError,
     StructureViolationError,
+    SupportNotSubgroupError,
     TrivialModuleError,
 )
 from loopmod.jsonio import parse_spec
@@ -215,6 +216,37 @@ def test_constructed_transformations_yield_witnesses():
         res = decide_iso(d, dt)
         assert res, (s.dims, res.reason)
         assert d.support.lattice.same_subgroup(dt.support.lattice)
+
+
+def test_transformed_specs_classify_alike():
+    # ``loopmod iso`` leaves the right spec unclassified when a witness is
+    # found, because a witness fixes its classification (classify.py); specs
+    # that raise must raise alike.
+    rng = random.Random(2501)
+    specs = [
+        spec(A1, (3,), {(1,): (1,), (2,): (1,), (3,): (0,)}, [(1, -1, 5)]),
+        spec(A1, (1,), {(1,): (0,)}, [(2,)]),
+    ]
+    specs += [orthogonal_block_spec(rng)[0] for _ in range(10)]
+    specs += [random_spec(rng) for _ in range(150)]
+    raised = set()
+    for s in specs:
+        t, _, _ = transformed_spec(rng, s)
+        try:
+            d = classify(s)
+        except EngineError as exc:
+            raised.add(type(exc))
+            with pytest.raises(EngineError) as info:
+                classify(t)
+            assert type(info.value) is type(exc)
+            continue
+        res = decide_iso(d, t)
+        assert res, res.reason
+        dt = classify(t)
+        assert dt.support.lattice.same_subgroup(d.support.lattice)
+        assert (dt.support.periods, dt.p) == (d.support.periods, d.p)
+        assert decide_iso(d, dt) == res
+    assert raised == {StructureViolationError, SupportNotSubgroupError, TrivialModuleError}
 
 
 def test_orthogonal_block_roundtrip():

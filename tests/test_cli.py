@@ -108,7 +108,68 @@ def test_iso_refutation_characters(write, capsys):
     c = write(SPEC_C, "c.json")
     code, doc = _run(capsys, ["iso", a, c, "--refute-box", "2"])
     assert code == 1
-    assert doc["result"]["characters_differ"] is True
+    assert doc["result"] == {
+        "characters_differ": True, "isomorphic": False, "reason": "weight-mismatch", "witness": None,
+    }
+
+
+def _scalar(num, order=1):
+    return {"den": 1, "num": num, "zeta_order": order, "zeta_pow": 0}
+
+
+# λ = (1, 0) at 2 against σ(λ) = (0, 1) at −2: a twisted witness with ε = −1.
+TWISTED_FIRST = dict(TWISTED, weights=[{"index": [1], "coords": [1, 0]}], evals=[[2]])
+TWISTED_FIRST_FLIPPED = dict(TWISTED, weights=[{"index": [1], "coords": [0, 1]}], evals=[[-2]])
+
+
+@pytest.mark.parametrize(
+    "command, docs, classified, result",
+    [
+        ("iso", (SPEC_A, SPEC_B), 1, {"isomorphic": True, "witness": {
+            "scalings": [_scalar(3)], "shift": [0], "tau": [[1]]}}),
+        ("iso", (SPEC_A, SPEC_C), 2, {"isomorphic": False, "reason": "weight-mismatch", "witness": None}),
+        ("twisted-iso", (TWISTED_FIRST, TWISTED_FIRST_FLIPPED), 1, {"isomorphic": True, "witness": {
+            "epsilons": [_scalar(-1, 2)], "scalings": [_scalar(1, 2)], "shift": [0], "tau": [[1]]}}),
+        ("twisted-iso", (TWISTED_FIRST, TWISTED), 2, {
+            "isomorphic": False, "reason": "type-mismatch", "witness": None}),
+    ],
+    ids=["iso-witness", "iso-refuted", "twisted-witness", "twisted-refuted"],
+)
+def test_iso_classifies_the_right_spec_only_without_a_witness(
+    write, capsys, monkeypatch, command, docs, classified, result
+):
+    # A witness fixes the right spec's classification, so only a refuted
+    # pair classifies it (for its errors); the search runs once either way.
+    names = ("classify", "decide_iso") if command == "iso" else (
+        "twisted_classify", "decide_twisted_iso")
+    calls = []
+    for name in names:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    paths = [write(doc, f"{i}.json") for i, doc in enumerate(docs)]
+    code, doc = _run(capsys, [command, *paths])
+    assert code == (0 if result["isomorphic"] else 1)
+    assert (doc["diagnostics"], doc["result"]) == ([], result)
+    assert (calls.count(names[0]), calls.count(names[1])) == (classified, 1)
+
+
+def test_iso_reports_the_right_spec_error_without_a_witness(write, capsys):
+    # The two-point spec plus a zero-weight point at 5 fails classification
+    # (its period 2 does not divide 3); no witness relates it to the
+    # two-point spec, so its diagnostic is the answer.
+    three = dict(
+        SPEC_2Z,
+        dims=[3],
+        weights=[{"index": [i], "coords": [c]} for i, c in ((1, 1), (2, 1), (3, 0))],
+        evals=[[1, -1, 5]],
+    )
+    code, doc = _run(capsys, ["iso", write(SPEC_2Z, "two.json"), write(three, "three.json")])
+    assert code == 3 and "result" not in doc
+    assert doc["diagnostics"] == [{
+        "type": "StructureViolationError",
+        "message": "axis period does not divide the axis size",
+        "data": {"axis": 1, "period": 2, "size": 3},
+    }]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +182,22 @@ def test_marginal_spec():
     assert marg.weights[(2,)] == (0, 1)
 
 
+def test_derived_specs_are_not_rechecked(monkeypatch):
+    # Lifting to another field and summing out axis 1 keep a checked spec
+    # valid, so neither runs the checks again; each equals the checked spec
+    # built from the same data.
+    base = spec(A2, (2, 2), {I: (1, 0) for I in table_indices((2, 2))}, [(1, 2), (1, -1)])
+    check = PsiSpec.__post_init__
+    checked = []
+    monkeypatch.setattr(PsiSpec, "__post_init__", lambda s: checked.append(s) or check(s))
+    derived = [base.with_field_order(6), marginal_spec(base), TwistedSpec(base=base, aut=A2_FLIP).base]
+    assert checked == []
+    for d in derived:
+        fields = {f: getattr(d, f) for f in ("algebra", "n", "dims", "weights", "evals", "rho")}
+        assert PsiSpec(**fields) == d
+    assert len(checked) == len(derived)
+
+
 def test_check_complete_reducibility_monotone_in_support():
     # Enlarging the weight data so the support becomes everything flips the
     # verdict from (False, None) to (True, "full-image").
@@ -247,50 +262,31 @@ def test_twisted_iso_weight_mismatch():
     assert decide_twisted_iso(d1, d2).reason == "weight-mismatch"
 
 
-def _first_type_transform(rng, t: TwistedSpec):
-    """Construct (ξ, b) from (λ, a) per the twisted witness clauses with a
-    random per-index k-th root of unity and random ℘'s."""
-    base = t.base
+def _witnessed_transform(rng, t: TwistedSpec) -> TwistedSpec:
+    """A copy of ``t`` that a twisted witness relates to it: ``transformed_spec``
+    on the base (axes permuted and scaled, over a field holding ζ₁₂), then
+    axis-1 index j scaled by ε_j = ζ_k^{c_j} with σ^{c_j} applied to every
+    weight of that index, for a random c_j per index."""
     k = t.order
-    order = lcm(base.field_order, 12)
-    base = base.with_field_order(order)
-    eps_prim = CycScalar(-1, 0, order) if k == 2 else CycScalar.zeta(order, order // 3)
-    n = base.n
-    wps = [CycScalar(rng.choice((1, 2, Fraction(1, 2), -3)), 0, order) for _ in range(n)]
-    perms = [list(range(base.dims[i])) for i in range(n)]
-    for p in perms:
-        rng.shuffle(p)
-    eps = [eps_prim ** rng.randrange(k) for _ in range(base.dims[0])]
-    evals = []
-    for i in range(n):
-        row = []
-        for j in range(base.dims[i]):
-            v = wps[i] * base.evals[i][perms[i][j]]
-            if i == 0:
-                v = eps[j] * v
-            row.append(v)
-        evals.append(tuple(row))
+    base, _, _ = transformed_spec(rng, t.base)
+    eps = CycScalar.zeta(base.field_order, base.field_order // k)
+    powers = [rng.randrange(k) for _ in range(base.dims[0])]
     weights = {}
-    for I in table_indices(base.dims):
-        J = tuple(perms[i][I[i] - 1] + 1 for i in range(n))
-        lam = base.weights[J]
-        if apply_aut(t.aut, lam) == lam:
-            weights[I] = lam
-        else:
-            # Realize ξ with ξ⁰ = λ⁰ and ξʲ = ε^{−j}λʲ; for order-2 twists a
-            # plain weight exists: ε = 1 keeps λ, ε = −1 swaps to μλ.
-            if eps[I[0] - 1].is_one:
-                weights[I] = lam
-            else:
-                weights[I] = apply_aut(t.aut, lam)
-        # adjust ε so the weight condition is exact for k = 2
-    return PsiSpec(
-        algebra=base.algebra,
-        n=n,
-        dims=base.dims,
-        weights=weights,
-        evals=tuple(evals),
-        rho=base.rho,
+    for I, w in base.weights.items():
+        for _ in range(powers[I[0] - 1]):
+            w = apply_aut(t.aut, w)
+        weights[I] = w
+    axis1 = tuple(eps ** c * b for c, b in zip(powers, base.evals[0]))
+    return TwistedSpec(
+        base=PsiSpec(
+            algebra=base.algebra,
+            n=base.n,
+            dims=base.dims,
+            weights=weights,
+            evals=(axis1,) + base.evals[1:],
+            rho=base.rho,
+        ),
+        aut=t.aut,
     )
 
 
@@ -340,9 +336,39 @@ def test_twisted_constructed_transformations_yield_witnesses():
         if d.module_type != "first":
             continue
         done += 1
-        other = TwistedSpec(base=_first_type_transform(rng, t), aut=A2_FLIP)
-        res = decide_twisted_iso(d, twisted_classify(other))
+        res = decide_twisted_iso(d, twisted_classify(_witnessed_transform(rng, t)))
         assert res, res.reason
+
+
+@pytest.mark.parametrize(
+    "algebra, aut", [(A2, A2_FLIP), (D4, D4_TRIALITY)], ids=["A2-flip", "D4-triality"]
+)
+def test_witnessed_transforms_classify_alike(algebra, aut):
+    # ``loopmod twisted-iso`` leaves the right spec unclassified when a
+    # witness is found, because a witness fixes its type, Γ^μ, exponent and
+    # marginal index (twisted.py); specs that raise must raise alike.
+    rng = random.Random(2502)
+    types, raised = set(), 0
+    for _ in range(40):
+        t = random_twisted_spec(rng, algebra, aut)
+        other = _witnessed_transform(rng, t)
+        try:
+            d = twisted_classify(t)
+        except EngineError as exc:
+            raised += 1
+            with pytest.raises(EngineError) as info:
+                twisted_classify(other)
+            assert type(info.value) is type(exc)
+            continue
+        res = decide_twisted_iso(d, other)
+        assert res, res.reason
+        d2 = twisted_classify(other)
+        assert d2.gamma_mu.lattice.same_subgroup(d.gamma_mu.lattice)
+        assert (d2.module_type, d2.m_hat_n, d2.exponent, d2.marginal_index) == (
+            d.module_type, d.m_hat_n, d.exponent, d.marginal_index)
+        assert decide_twisted_iso(d, d2) == res
+        types.add(d.module_type)
+    assert types == {"first", "second"} and raised
 
 
 def test_twisted_invariants_random_a2():
