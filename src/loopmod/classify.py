@@ -10,8 +10,8 @@ solution set of ``x^{rᵢ} = c^{rᵢ}``.  Any deviation is a structure violation
 into equality classes (each class size must be a multiple of the index ``p``);
 ``decide_iso`` searches for a witness (per-axis permutations τᵢ, per-axis
 scalings 𝔰ᵢ, and a grading shift in Γ) relating two classified descriptors.
-The search itself is ``find_witness``, which the twisted decision runs too,
-with its own axis-1 candidates and weight test.
+The search itself is ``find_witness``, which the twisted decision runs too;
+the untwisted search is its k = 1 case.
 
 The permutation search uses per-axis value distinctness: fixing the partner
 ``a_{i,j₀}`` of the first scalar ``b_{i,1}`` determines the scaling
@@ -21,6 +21,21 @@ lexicographic order of the ``j₀`` choices and the first full witness wins.
 A witness relates the tables by ``ξ_I = λ_{τ(I)}`` and the scalars by
 ``b_{i,j} = 𝔰ᵢ · a_{i,τᵢ(j)}`` (indices of the second spec map through τ to
 the first), and requires ``ς − ϱ ∈ Γ``.
+
+Under a twist σ of order k, axis 1 also carries per-index k-th roots of
+unity: ``b_j = ε_j·℘·a_{τ(j)}`` with ``ε_j = ω^{u_j}``, the axis-1
+candidates being those of the k-th powers.  The k-th root ℘ of the
+power-level scaling is fixed only up to a gauge ω^g, and the tables relate
+by ``ξ_I = σ^{u_I+g}(λ_{τ(I)})``.  This is the twisted criterion (equal 𝔥₀
+components, components on the m₁ ≡ j eigenbasis equal up to ε^{−j}; see
+``liealg.restrict_weight``) read on the integer weights: k ∈ {2, 3} is
+prime, so every σ-orbit has size 1 or k.  On a fixed node σ acts trivially
+and the one component is the value.  On a full orbit the components are the
+discrete Fourier coefficients of the values around it (Kac,
+*Infinite-dimensional Lie Algebras*, §8.3); multiplying the j-th by
+ε^{−j} = ω^{−ju} rotates the values by u, and the transform is invertible.
+σ-fixed tables are unmoved by every rotation, so they hit at g = 0, and at
+k = 1 the test is equality of the tables.
 
 A witness also fixes the second module's classification, so the search needs
 only the first support.  From ``b_{i,j} = 𝔰ᵢ · a_{i,τᵢ(j)}`` and
@@ -42,7 +57,7 @@ from fractions import Fraction
 from .cyclotomic import CycScalar, multiplicative_order
 from .errors import StructureViolationError
 from .lattice import Lattice
-from .liealg import Weight
+from .liealg import DiagramAut, Weight, apply_aut, primitive_root_of_unity
 from .psi import PsiSpec, SupportLattice, common_field_order, support_lattice, table_indices
 
 Index = tuple[int, ...]
@@ -188,6 +203,11 @@ class Witness:
 
 
 @dataclass(frozen=True)
+class TwistedWitness(Witness):
+    epsilons: tuple[CycScalar, ...]  # axis-1 per-index roots of unity
+
+
+@dataclass(frozen=True)
 class IsoResult:
     isomorphic: bool
     witness: Witness | None = None
@@ -198,21 +218,34 @@ class IsoResult:
 
 
 def axis_candidates(
-    a_values: tuple[CycScalar, ...], b_values: tuple[CycScalar, ...]
-) -> list[tuple[CycScalar, tuple[int, ...]]]:
-    """All (𝔰, τ) with b_j = 𝔰·a_{τ(j)}, ordered by the partner of b₁."""
+    a_values: tuple[CycScalar, ...],
+    b_values: tuple[CycScalar, ...],
+    roots: tuple[CycScalar, ...] = (),
+) -> list[tuple[CycScalar, tuple[int, ...], tuple[int, ...]]]:
+    """All (𝔰, τ, u) with b_j = ω^{u_j}·𝔰·a_{τ(j)} and u₁ = 0, ordered by the
+    partner of b₁.  ``roots`` lists ω, …, ω^{k−1} for a primitive k-th root
+    of unity ω; with none (k = 1) every u_j is 0.
+
+    These are the candidates of the k-th powers, b_j^k = 𝔰^k·a_{τ(j)}^k with
+    𝔰 = b₁/a_{τ(1)}: a ratio whose k-th power is 1 is a power of ω.  The
+    k-th powers of ``a_values`` are pairwise distinct (the values themselves
+    at k = 1, image equality of a twisted module), so the ω^u·a_j are too
+    and each b_j/𝔰 names at most one (j, u)."""
+    lookup = {a: (j, 0) for j, a in enumerate(a_values)}
+    for u, r in enumerate(roots, 1):
+        lookup.update({r * a: (j, u) for j, a in enumerate(a_values)})
     out = []
-    lookup = {a: j for j, a in enumerate(a_values)}
     for j0 in range(len(a_values)):
         s = b_values[0] / a_values[j0]
-        tau = []
+        hits = []
         for b in b_values:
-            j = lookup.get(b / s)
-            if j is None:
+            hit = lookup.get(b / s)
+            if hit is None:
                 break
-            tau.append(j)
+            hits.append(hit)
         else:
-            out.append((s, tuple(tau)))
+            tau, us = zip(*hits)
+            out.append((s, tau, us))
     return out
 
 
@@ -221,37 +254,24 @@ def tau_image(taus, I: Index) -> Index:
     return tuple(t[i - 1] + 1 for t, i in zip(taus, I))
 
 
-def _same_weights(s1: PsiSpec, s2: PsiSpec):
-    indices = table_indices(s1.dims)
-
-    def test(taus, candidate):
-        if all(s2.weights[I] == s1.weights[tau_image(taus, I)] for I in indices):
-            return candidate
-        return None
-
-    return test
-
-
 def find_witness(
     s1: PsiSpec,
     s2: PsiSpec,
     gamma: Lattice,
+    aut: DiagramAut | None = None,
     same_algebra: bool = True,
-    axis1=None,
-    weight_test=None,
-    witness=Witness,
 ) -> IsoResult:
     """The witness search of both isomorphism decisions, or its first failure.
 
-    After the dimension and algebra checks both specs are lifted to a common
-    field.  ``axis1(a, b)`` lists the axis-1 candidates (``axis_candidates``
-    unless given), each a tuple ``(scaling, τ, *extra)``; the other axes use
-    ``axis_candidates``.  Candidate tuples are tried in lexicographic order.
-    ``weight_test(s1, s2)`` gives the test of one (equal weight tables unless
-    given): called with the taus and the axis-1 candidate, it returns the
-    candidate to record, possibly re-gauged, or None.  The first hit must
-    also see an integral grading shift in ``gamma``, the support of ``s1``;
-    the witness is ``witness(taus, scalings, shift, *extra)``.
+    ``aut`` is the twist σ of order k (none: untwisted, k = 1).  After the
+    dimension and algebra checks both specs are lifted to a common field
+    holding ω, a primitive k-th root of unity.  Each axis takes the
+    candidates of ``axis_candidates``, axis 1 with the powers of ω, and
+    candidate tuples are tried in lexicographic order.  A tuple hits when,
+    for the least gauge g in [0, k), every index ``I`` of ``s2`` has
+    ``ξ_I = σ^{u_I+g}(λ_{τ(I)})``, with ω^{u_I} the root of its axis-1
+    entry; it is recorded as ℘/ω^g and, twisted, the roots ω^{u_j+g}.  The first hit must also see an integral grading shift in
+    ``gamma``, the support of ``s1``.
 
     ``s2`` needs no support of its own: a hit gives
     ``v_B(m) = ∏ᵢ 𝔰ᵢ^{mᵢ}·v_A(m)``, so ``s2`` classifies exactly when ``s1``
@@ -264,21 +284,36 @@ def find_witness(
     order = common_field_order(s1, s2)
     s1 = s1.with_field_order(order)
     s2 = s2.with_field_order(order)
+    k = 1 if aut is None else aut.order
+    root = primitive_root_of_unity(k, order)
+    roots = tuple(root ** u for u in range(k))
 
-    per_axis = [(axis1 or axis_candidates)(s1.evals[0], s2.evals[0])]
+    per_axis = [axis_candidates(s1.evals[0], s2.evals[0], roots[1:])]
     per_axis += [axis_candidates(s1.evals[i], s2.evals[i]) for i in range(1, s1.n)]
     if any(not c for c in per_axis):
         return IsoResult(False, reason="no-scaling-permutation")
 
-    test = (weight_test or _same_weights)(s1, s2)
+    rotated = [s1.weights]  # rotated[u][J] = σ^u(λ_J)
+    for _ in range(1, k):
+        rotated.append({J: apply_aut(aut, w) for J, w in rotated[-1].items()})
+    indices = table_indices(s1.dims)
+
+    def gauge(taus, us) -> int | None:
+        for g in range(k):
+            tables = [rotated[(u + g) % k] for u in us]
+            if all(s2.weights[I] == tables[I[0] - 1][tau_image(taus, I)] for I in indices):
+                return g
+        return None
+
     for combo in itertools.product(*per_axis):
         taus = tuple(c[1] for c in combo)
-        hit = test(taus, combo[0])
-        if hit is not None:
+        us = combo[0][2]
+        g = gauge(taus, us)
+        if g is not None:
             break
     else:
         return IsoResult(False, reason="weight-mismatch")
-    scalings = (hit[0],) + tuple(s for s, _ in combo[1:])
+    scalings = (combo[0][0] / roots[g],) + tuple(c[0] for c in combo[1:])
 
     delta = [b - a for a, b in zip(s1.rho, s2.rho)]
     if any(x.denominator != 1 for x in delta):
@@ -286,7 +321,10 @@ def find_witness(
     shift = tuple(int(x) for x in delta)
     if not gamma.contains(shift):
         return IsoResult(False, reason="grading-shift")
-    return IsoResult(True, witness=witness(taus, scalings, shift, *hit[2:]))
+    if aut is None:
+        return IsoResult(True, witness=Witness(taus, scalings, shift))
+    epsilons = tuple(roots[(u + g) % k] for u in us)
+    return IsoResult(True, witness=TwistedWitness(taus, scalings, shift, epsilons))
 
 
 def decide_iso(d1: ModuleDescriptor, d2: ModuleDescriptor | PsiSpec) -> IsoResult:

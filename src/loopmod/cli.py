@@ -52,10 +52,11 @@ def _need_twisted(spec, command: str) -> TwistedSpec:
 def _indented_json(x, level: int = 0) -> str:
     """``json.dumps(x, sort_keys=True, indent=2)``, nested ``level`` deep.
     With ``indent`` set, ``json`` runs its pure-Python encoder; this walks
-    non-empty lists and string-keyed dicts itself, quotes strings with the C
+    non-empty lists and dicts itself, quotes strings with the C
     ``encode_basestring_ascii``, writes ints with ``repr`` as ``json`` does, and
-    hands every other value to ``json.dumps``, so floats, other keys and
-    errors are exactly as there."""
+    hands every other value to ``json.dumps``, so floats and errors are
+    exactly as there.  Every dict key is a string: report keys are literals
+    or keyword names, and diagnostic data comes from JSON."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if type(x) is int:
@@ -66,8 +67,6 @@ def _indented_json(x, level: int = 0) -> str:
             _indented_json(v, level + 1) for v in x
         ) + inner[:-2] + "]"
     if isinstance(x, dict) and x:
-        if not all(isinstance(k, str) for k in x):
-            return json.dumps(x, sort_keys=True, indent=2).replace("\n", inner[:-2])
         return "{" + inner + ("," + inner).join(
             encode_basestring_ascii(k) + ": " + _indented_json(v, level + 1)
             for k, v in sorted(x.items())

@@ -14,13 +14,13 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .classify import IsoResult, ModuleDescriptor
+from .classify import IsoResult, ModuleDescriptor, TwistedWitness
 from .cyclotomic import CycScalar
 from .errors import InputError
 from .lattice import Lattice
 from .liealg import build_algebra, build_aut
 from .psi import PsiSpec, SupportLattice
-from .twisted import TwistedDescriptor, TwistedSpec, TwistedWitness
+from .twisted import TwistedDescriptor, TwistedSpec
 
 
 def _fraction_from(value) -> Fraction:

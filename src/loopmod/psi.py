@@ -151,7 +151,7 @@ class Evaluator:
     ``terms[j]`` is the term table the support certificates read: for the
     degrees with ``m₁ ≡ j (mod k)``, every index whose contribution does not
     vanish, with its contribution to each output slot as ``(ζ-exponent,
-    rational)`` pairs.  Untwisted, ``k = 1`` and slot ``c`` of index ``I``
+    integer)`` pairs.  Untwisted, ``k = 1`` and slot ``c`` of index ``I``
     holds ``λ_I[c]``, so each slot is a nonnegative integer combination of the
     ``a_I^m`` and the Lam–Leung test applies (``lam_leung``).  The support
     reads only the term table; ``functional`` and ``is_nonzero`` are the
@@ -247,11 +247,12 @@ class _CosetSums:
 
     Everything here is in integers.  A class ``classes[K]`` is ``ρ_K`` with
     each axis scaled by the lcm of that axis's active denominators.  The
-    term-table weights are scaled by one positive common denominator, so
-    ``sums`` gives that multiple of each ``u_K(r)`` as power-basis
-    numerators, and ``nonzero`` scales the ``ρ_K^m`` by one positive factor.
-    A common positive factor changes neither the sign of a coordinate, nor
-    linear independence over Q, nor whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
+    term-table weights are integers on both paths (the weights themselves,
+    or the twisted orbit sums and restricted numerators), so ``sums`` gives
+    each ``u_K(r)`` as power-basis numerators, and ``nonzero`` scales the
+    ``ρ_K^m`` by one positive factor.  A common positive factor changes
+    neither the sign of a coordinate, nor linear independence over Q, nor
+    whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
     """
 
     def __init__(self, ev):
@@ -280,11 +281,9 @@ class _CosetSums:
         rho = {I: tuple(up[j] for up, j in zip(scaled, I)) for I in active}
         self.classes = sorted(set(rho.values()))
         ids = {r: K for K, r in enumerate(self.classes)}
-        den = lcm(*(c.denominator for rows in ev.terms for _, cs in rows for t in cs for _, c in t))
         # table[j]: (class, axis phases (s, e), slots of (exponent, integer)).
         self.table = [[
-            (ids[rho[I]], [phase[j] for phase, j in zip(phases, I)],
-             [[(f, int(c * den)) for f, c in t] for t in comps])
+            (ids[rho[I]], [phase[j] for phase, j in zip(phases, I)], comps)
             for I, comps in rows
         ] for rows in ev.terms]
         # Integer bases per axis: ρ = up/D for m ≥ 0 and ρ⁻¹ = (N/up)/(N/D)
@@ -378,10 +377,9 @@ def _coset_status(form: _CosetSums, r):
     columns)`` for ``_CosetSums.nonzero``.
 
     Inside is ``Σ_K c_K·u_K ≠ 0`` for every choice of ``c_K > 0``.  The rows of
-    ``form.sums`` are each ``u_K`` times one positive integer shared by every
-    class and slot, so a coordinate's signs and the rows' independence over
-    Q (the rank of their Hermite form on the nonzero columns) are those of
-    the ``u_K``."""
+    ``form.sums`` are the ``u_K`` as integer numerators, so a coordinate's
+    signs and the rows' independence over Q (the rank of their Hermite form
+    on the nonzero columns) are read from them directly."""
     sums = form.sums(r)
     rows = [u for _, u in sums]
     if len(rows) < 2:

@@ -21,19 +21,20 @@ components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module 
 
 Both the support and the isomorphism search are the untwisted routines run
 on twisted inputs; what is the twisted path's own is the restricted term
-table, the realizer's twist-compatible generator list and the first-type
-weight test.  ``twisted_support`` hands the restricted evaluator, the bounds
-and the ordering to ``psi.nonvanishing_support``.  ``decide_twisted_iso``
-runs ``classify.find_witness`` with axis-1 candidates from
-``classify.axis_candidates`` on the k-th powers of the axis-1 scalars
-(b_j^k = ℘₁^k·a_{τ₁(j)}^k), so each ratio ε_j = b_j/(℘₁·a_{τ₁(j)}) is a k-th
-root of unity.  Second-type tables are compared for equality, as in the
-untwisted search; first-type tables compare restricted components twisted by
-ε^{−j}, up to a gauge (``_first_type_test``).
+table and the realizer's twist-compatible generator list.
+``twisted_support`` hands the restricted evaluator, the bounds and the
+ordering to ``psi.nonvanishing_support``.  ``decide_twisted_iso`` runs
+``classify.find_witness`` with the twist σ: axis 1 takes the candidates of
+the k-th powers of its scalars (b_j^k = ℘₁^k·a_{τ₁(j)}^k), so each ratio
+ε_j = b_j/(℘₁·a_{τ₁(j)}) is a k-th root of unity ω^{u_j}, and the tables
+compare as ξ_I = σ^{u_I+g}(λ_{τ(I)}) for some gauge g.  On first-type data
+that is the restricted-weight criterion, m₁ ≡ j components equal up to
+ε^{−j}, by the discrete Fourier argument in ``classify``; second-type
+tables are σ-fixed, so they compare for equality.
 
 A witness fixes the second module's twisted classification, so the search
 needs only the first Γ^μ.  Its axis-1 factor is ε_j·℘₁ with ε_j^k = 1.  On
-first-type data the weight test matches the m₁ ≡ j components up to ε^{−j};
+first-type data the rotated tables match the m₁ ≡ j components up to ε^{−j};
 on second-type data the weights are σ-fixed and the j ≠ 0 components vanish.
 Either way the second restricted functional is ℘₁^{m₁}·∏_{i≥2} 𝔰ᵢ^{mᵢ}
 times the first, so Γ^μ, m̂ₙ and the marginal index agree, and image
@@ -45,34 +46,18 @@ classifies it only when no witness is found, for its errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Literal
 
-from .classify import (
-    IsoResult,
-    Witness,
-    axis_candidates,
-    find_witness,
-    tau_image,
-    tensor_factors,
-    weight_classes,
-)
-from .cyclotomic import CycScalar, CycVector
+from .classify import IsoResult, find_witness, tensor_factors, weight_classes
+from .cyclotomic import CycVector
 from .errors import (
     ImageMismatchError,
     InputError,
     StructureViolationError,
     TrivialModuleError,
 )
-from .liealg import (
-    DiagramAut,
-    apply_aut,
-    node_orbits,
-    primitive_root_of_unity,
-    restrict_weight,
-)
+from .liealg import DiagramAut, apply_aut, node_orbits, restrict_weight
 from .psi import (
     Evaluator,
     PsiSpec,
@@ -146,19 +131,17 @@ class TwistedEvaluator:
         self.orbit_count = len(orbits)
         self.full_count = sum(1 for o in orbits if len(o) == self.k)
         # terms[j]: for each index whose components on the m₁ ≡ j eigenbasis
-        # do not all vanish, its components as (exponent, rational) pairs.
+        # do not all vanish, its components as (exponent, integer) pairs: the
+        # orbit sums at j = 0, the integer numerators of ``restrict_weight``
+        # beyond, built from the integer weights.
         self.terms: list[list[tuple[Index, list]]] = []
         for j in range(self.k):
             rows = []
             for I, rw in restricted:
                 if j == 0:
-                    comps = [[(0, c)] if c else [] for c in rw.comp0]
+                    comps = [[(0, c.numerator)] if c else [] for c in rw.comp0]
                 else:
-                    comps = [
-                        [(e, x if v.den == 1 else Fraction(x, v.den))
-                         for e, x in enumerate(v.num) if x]
-                        for v in rw.higher[j - 1]
-                    ]
+                    comps = [[(e, x) for e, x in enumerate(v.num) if x] for v in rw.higher[j - 1]]
                 if any(comps):
                     rows.append((I, comps))
             self.terms.append(rows)
@@ -274,60 +257,6 @@ def check_complete_reducibility(spec: TwistedSpec) -> tuple[bool, str | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class TwistedWitness(Witness):
-    epsilons: tuple[CycScalar, ...]  # axis-1 per-index roots of unity
-
-
-def _axis1_candidates(spec: TwistedSpec, a_values, b_values):
-    """(℘₁, τ₁, ε-list) with b_j = ε_j·℘₁·a_{τ₁(j)} and ε_j^k = 1.
-
-    These are the untwisted candidates of the k-th powers: a match
-    b_j^k = ℘₁^k·a_{τ₁(j)}^k already makes each ε_j a k-th root of unity."""
-    k = spec.order
-    out = []
-    for _, tau in axis_candidates([a ** k for a in a_values], [b ** k for b in b_values]):
-        wp = b_values[0] / a_values[tau[0]]
-        out.append((wp, tau, tuple(b / (wp * a_values[j]) for b, j in zip(b_values, tau))))
-    return out
-
-
-def _first_type_test(aut: DiagramAut, s1: PsiSpec, s2: PsiSpec):
-    """First-type weight test for ``find_witness``: equal 𝔥₀ components, and
-    components on the m₁ ≡ j eigenbasis that differ by ε^{−j}, where ε is the
-    index's axis-1 root of unity times a gauge.  The k-th root of the
-    power-level scaling is only fixed up to a k-th root of unity, so the test
-    ranges over that gauge and records the candidate re-gauged."""
-    k = aut.order
-    order = s1.field_order
-    r1 = {I: restrict_weight(aut, w, order) for I, w in s1.weights.items()}
-    r2 = {I: restrict_weight(aut, w, order) for I, w in s2.weights.items()}
-    eps_prim = primitive_root_of_unity(k, order)
-    indices = table_indices(s1.dims)
-
-    def matches(taus, eps_list, gauge) -> bool:
-        for I in indices:
-            J = tau_image(taus, I)
-            eps = eps_list[I[0] - 1] * gauge
-            if r2[I].comp0 != r1[J].comp0 or any(
-                v2 != v1.scale(eps ** (-j))
-                for j in range(1, k)
-                for v2, v1 in zip(r2[I].higher[j - 1], r1[J].higher[j - 1])
-            ):
-                return False
-        return True
-
-    def test(taus, candidate):
-        wp, tau1, eps_list = candidate
-        for g in range(k):
-            gauge = eps_prim ** g
-            if matches(taus, eps_list, gauge):
-                return wp / gauge, tau1, tuple(e * gauge for e in eps_list)
-        return None
-
-    return test
-
-
 def decide_twisted_iso(d1: TwistedDescriptor, d2: TwistedDescriptor | TwistedSpec) -> IsoResult:
     """Witness search of ``d2`` against ``d1`` per the twisted criteria, or
     the first failed clause.  ``d2`` is the second descriptor or only its
@@ -340,8 +269,6 @@ def decide_twisted_iso(d1: TwistedDescriptor, d2: TwistedDescriptor | TwistedSpe
         d1.spec.base,
         t2.base,
         d1.gamma_mu.lattice,
+        aut=d1.spec.aut,
         same_algebra=d1.spec.aut == t2.aut,
-        axis1=partial(_axis1_candidates, d1.spec),
-        weight_test=partial(_first_type_test, d1.spec.aut) if d1.module_type == "first" else None,
-        witness=TwistedWitness,
     )

@@ -8,6 +8,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from helpers import A2, A2_FLIP, spec
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -57,23 +59,25 @@ def test_tracer_installs_and_restores():
 
 
 def test_tracer_counts_the_twisted_axis1_candidates_too():
-    # The twisted axis-1 candidates come from ``classify.axis_candidates``,
-    # which ``twisted`` binds under the same name; the candidate counter must
-    # see those calls as well.
-    spans = _spans()
+    # The twisted search draws its axis-1 candidates from
+    # ``classify.axis_candidates`` too, with the k-th roots of unity; the
+    # candidate counter must see those calls as well, and uninstalling must
+    # restore the module-level binding it replaced.
     classify = importlib.import_module("loopmod.classify")
     twisted = importlib.import_module("loopmod.twisted")
     candidates = classify.axis_candidates
-    assert twisted.axis_candidates is candidates
-    tracer = spans.Tracer()
+    t = twisted.TwistedSpec(base=spec(A2, (2,), {(1,): (1, 0), (2,): (0, 1)}, [(1, 2)]), aut=A2_FLIP)
+    d = twisted.twisted_classify(t)
+    tracer = _spans().Tracer()
     tracer.install()
     try:
-        assert twisted.axis_candidates is not candidates
-        assert twisted.axis_candidates is classify.axis_candidates
+        assert classify.axis_candidates is not candidates
+        assert twisted.decide_twisted_iso(d, t)
     finally:
         tracer.uninstall()
-    assert twisted.axis_candidates is candidates
     assert classify.axis_candidates is candidates
+    assert tracer.calls["twisted.iso"] == 1
+    assert tracer.counts["classify.iso_candidates"] >= 1
 
 
 def test_declared_layer_metrics_are_the_ones_the_trace_reports():

@@ -16,14 +16,14 @@ from helpers import (
     sc,
     spec,
 )
-from loopmod.classify import classify, decide_iso
+from loopmod.classify import axis_candidates, classify, decide_iso, find_witness, tau_image
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import EngineError, ImageMismatchError, SupportNotSubgroupError
-from loopmod.liealg import apply_aut, build_aut
+from loopmod.lattice import from_generators
+from loopmod.liealg import apply_aut, build_aut, node_orbits, restrict_weight
 from loopmod.psi import PsiSpec, support_lattice, table_indices
 from loopmod.twisted import (
     TwistedSpec,
-    _axis1_candidates,
     check_complete_reducibility,
     classify_type,
     decide_twisted_iso,
@@ -312,16 +312,135 @@ def test_axis1_candidates_match_brute_force(seed, k, related):
     while t2.base.dims[0] != t1.base.dims[0]:
         t2 = random_twisted_spec(rng, algebra, aut)
     a_values, b_values = t1.base.evals[0], t2.base.evals[0]
+    order = t1.base.field_order
+    root = CycScalar.zeta(order, order // k)
     if related:
         # b_j = ε_j·℘·a_{π(j)}, so at least one candidate exists.
-        order = t1.base.field_order
-        root = CycScalar.zeta(order, order // k)
         wp = rng.choice(a_values) / rng.choice(a_values)
         perm = rng.sample(range(len(a_values)), len(a_values))
         b_values = tuple(root ** rng.randrange(k) * wp * a_values[j] for j in perm)
     expected = _brute_axis1(k, a_values, b_values)
-    assert _axis1_candidates(t1, a_values, b_values) == expected
+    roots = [root ** u for u in range(k)]
+    candidates = axis_candidates(a_values, b_values, tuple(roots[1:]))
+    assert [(wp, tau, tuple(roots[u] for u in us)) for wp, tau, us in candidates] == expected
     assert expected or not related
+
+
+def _reference_gauge(aut, s1, s2, taus, eps_list):
+    """The least gauge g under the restricted-weight comparison, or None:
+    equal 𝔥₀ components, and components on the m₁ ≡ j eigenbasis equal up
+    to ε^{−j}, with ε the index's axis-1 root of unity times ω^g."""
+    k, order = aut.order, s1.field_order
+    omega = CycScalar.zeta(order, order // k)
+    r1 = {I: restrict_weight(aut, w, order) for I, w in s1.weights.items()}
+    r2 = {I: restrict_weight(aut, w, order) for I, w in s2.weights.items()}
+    for g in range(k):
+        def matches(I):
+            J = tau_image(taus, I)
+            eps = eps_list[I[0] - 1] * omega ** g
+            return r2[I].comp0 == r1[J].comp0 and all(
+                v2 == v1.scale(eps ** (-j))
+                for j in range(1, k)
+                for v2, v1 in zip(r2[I].higher[j - 1], r1[J].higher[j - 1])
+            )
+        if all(matches(I) for I in s2.weights):
+            return g
+    return None
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)),
+       st.sampled_from(("any", "fixed", "perturbed")))
+@settings(max_examples=150, deadline=None)
+def test_rotated_weights_match_restricted_weights(seed, k, kind):
+    # ξ_I = σ^{u_I+g}(λ_{τ(I)}) for some gauge g iff the restricted
+    # components agree up to ε^{−j}: on each σ-orbit they are the discrete
+    # Fourier coefficients of the weight's values.  Axis scalars of distinct
+    # prime size leave one candidate, so the search decides on its weights.
+    rng = random.Random(seed)
+    algebra, aut = (A2, A2_FLIP) if k == 2 else (D4, D4_TRIALITY)
+    order = 12
+    omega = CycScalar.zeta(order, order // k)
+    n = rng.choice((1, 2))
+    dims = (rng.randint(1, 3), rng.randint(1, 2))[:n]
+    primes = ((2, 3, 5), (7, 11))
+    evals1 = tuple(
+        tuple(CycScalar(p, rng.randrange(order), order) for p in primes[i][:d])
+        for i, d in enumerate(dims)
+    )
+    taus = tuple(tuple(rng.sample(range(d), d)) for d in dims)
+    u = [rng.randrange(k) for _ in range(dims[0])]
+    g = rng.randrange(k)
+    wp = CycScalar(rng.choice((1, -1, 2, Fraction(1, 3))), rng.randrange(order), order)
+    evals2 = (tuple(omega ** u[j] * wp * evals1[0][taus[0][j]] for j in range(dims[0])),)
+    evals2 += tuple(tuple(evals1[i][t] for t in taus[i]) for i in range(1, n))
+
+    def rotate(w, times):
+        for _ in range(times % k):
+            w = apply_aut(aut, w)
+        return w
+
+    orbits = node_orbits(aut)
+    indices = table_indices(dims)
+    lam = {}
+    for J in indices:
+        if kind == "fixed":
+            w = [0] * algebra.rank
+            for orbit in orbits:
+                val = rng.randint(0, 2)
+                for node in orbit:
+                    w[node] = val
+            lam[J] = tuple(w)
+        else:
+            lam[J] = tuple(rng.randint(0, 2) for _ in range(algebra.rank))
+    xi = {I: rotate(lam[tau_image(taus, I)], u[I[0] - 1] + g) for I in indices}
+    if kind == "perturbed":
+        I = rng.choice(indices)
+        if rng.random() < 0.5:
+            xi[I] = rotate(xi[I], 1)
+        else:
+            c = rng.randrange(algebra.rank)
+            xi[I] = tuple(x + (i == c) for i, x in enumerate(xi[I]))
+    zero = (Fraction(0),) * n
+    s1 = PsiSpec(algebra=algebra, n=n, dims=dims, weights=lam, evals=evals1, rho=zero)
+    s2 = PsiSpec(algebra=algebra, n=n, dims=dims, weights=xi, evals=evals2, rho=zero)
+
+    res = find_witness(s1, s2, from_generators([[int(i == j) for j in range(n)] for i in range(n)]), aut=aut)
+    first = evals2[0][0] / evals1[0][taus[0][0]]
+    eps_list = [b / (first * evals1[0][t]) for b, t in zip(evals2[0], taus[0])]
+    ref = _reference_gauge(aut, s1, s2, taus, eps_list)
+    if ref is None:
+        assert res.reason == "weight-mismatch"
+    else:
+        assert res, res.reason
+        assert res.witness.taus == taus
+        assert res.witness.scalings[0] == first / omega ** ref
+        assert res.witness.epsilons == tuple(e * omega ** ref for e in eps_list)
+    assert ref is not None or kind == "perturbed"
+
+
+def test_twisted_iso_pins_a_witness_found_at_a_nonzero_gauge():
+    # Two axis-1 indices with different roots of unity, and tables that
+    # match only at gauge g ≠ 0: the recorded (℘, ε) absorb ω^g.
+    lam = (1, 0, 0, 0)
+    rot2 = apply_aut(D4_TRIALITY, apply_aut(D4_TRIALITY, lam))
+    other = (0, 1, 2, 0)
+    cases = [
+        (tsp({(1,): (1, 0), (2,): (2, 0)}, [(1, 2)]),
+         tsp({(1,): (0, 1), (2,): (2, 0)}, [(1, -2)]),
+         sc(-1), (sc(-1), sc(1))),
+        (TwistedSpec(base=spec(D4, (2,), {(1,): lam, (2,): other}, [(1, 2)]), aut=D4_TRIALITY),
+         TwistedSpec(base=spec(D4, (2,), {(1,): rot2, (2,): other}, [(1, (2, 4, 12))]),
+                     aut=D4_TRIALITY),
+         sc(1, 4, 12), (sc(-1, 2, 12), sc(1))),
+    ]
+    for t1, t2, scaling, epsilons in cases:
+        d1 = twisted_classify(t1)
+        assert d1.module_type == "first"
+        res = decide_twisted_iso(d1, t2)
+        assert res, res.reason
+        assert res.witness.taus == ((0, 1),)
+        assert res.witness.scalings == (scaling,)
+        assert res.witness.epsilons == epsilons
 
 
 def test_twisted_constructed_transformations_yield_witnesses():
