@@ -230,7 +230,10 @@ def axis_candidates(
     𝔰 = b₁/a_{τ(1)}: a ratio whose k-th power is 1 is a power of ω.  The
     k-th powers of ``a_values`` are pairwise distinct (the values themselves
     at k = 1, image equality of a twisted module), so the ω^u·a_j are too
-    and each b_j/𝔰 names at most one (j, u)."""
+    and each b_j/𝔰 names at most one (j, u).  Two b_j can still name the
+    same j when their own k-th powers collide (``b_values`` failing image
+    equality); such a τ is no permutation and is dropped.  At k = 1 that
+    never happens: the b_j are distinct, so the a_j they name are too."""
     lookup = {a: (j, 0) for j, a in enumerate(a_values)}
     for u, r in enumerate(roots, 1):
         lookup.update({r * a: (j, u) for j, a in enumerate(a_values)})
@@ -245,7 +248,8 @@ def axis_candidates(
             hits.append(hit)
         else:
             tau, us = zip(*hits)
-            out.append((s, tau, us))
+            if len(set(tau)) == len(tau):
+                out.append((s, tau, us))
     return out
 
 

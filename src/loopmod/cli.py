@@ -249,13 +249,8 @@ def main(argv=None) -> int:
 
 
 def _diag(exc: EngineError) -> dict:
-    data = {
-        k: (list(v) if isinstance(v, (tuple, set)) else v)
-        for k, v in sorted(exc.data.items())
-    }
-    for k, v in data.items():
-        if isinstance(v, (list, tuple)):
-            data[k] = [list(x) if isinstance(x, tuple) else x for x in v]
+    # ``_indented_json`` writes tuples as arrays and sorts keys; JSON has no sets.
+    data = {k: list(v) if isinstance(v, set) else v for k, v in exc.data.items()}
     return {"type": type(exc).__name__, "message": str(exc), "data": data}
 
 

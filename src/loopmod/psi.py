@@ -34,7 +34,6 @@ mismatch.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -524,9 +523,10 @@ def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
     the coset's first cube degree decides all of it.  An open coset needs one
     ``lat`` test and ``form.nonzero`` per degree; a coset with an exact zero,
     or every coset when ``D ⊄ lat``, is tested per degree on both sides.
-    Cosets are visited in the order of their first cube degree and the
-    per-degree ones merged, so degrees are tested in cube order and the
-    search stops at the first mismatch, as a scan of the cube would."""
+    Product order is lexicographic, so the answer is the least of the cosets'
+    first mismatches.  Cosets are visited in the order of their first cube
+    degree, and the search keeps the least mismatch so far: a coset's scan
+    stops at a degree past it, and the visit at a coset that starts past it."""
     periodic = all(map(lat.contains, cert.gens))
     holes = {tuple(x % M for x, M in zip(m, cert.moduli)) for m in cert.zeros}
     # Per axis, the cube degrees of each residue class as a range, by least
@@ -535,36 +535,28 @@ def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
         [range(x, a + 1, M) for x in range(-a, min(a + 1, M - a))]
         for a, M in zip(radii, cert.moduli)
     ]
-    pending: list = []  # (next degree, the coset's later degrees, test), sorted
-
-    def drain(limit):
-        while pending and (limit is None or pending[0][0] < limit):
-            m, rest, test = pending.pop(0)
-            if test(m):
-                return m
-            m = next(rest, None)
-            if m is not None:
-                insort(pending, (m, rest, test))
-        return None
-
+    best = None
     for ranges in itertools.product(*axes):
         first = tuple(p.start for p in ranges)
-        witness = drain(first)
-        if witness is not None:
-            return witness
+        if best is not None and first > best:
+            break
         r = tuple(x % M for x, M in zip(first, cert.moduli))
         if periodic and r not in holes:
             st, inside = cert.coset(r), lat.contains(first)
             if isinstance(st, bool):
                 if st != inside:
-                    return first
+                    best = first
                 continue
-            test = lambda m, st=st, inside=inside: cert.form.nonzero(st, m) != inside
+            test = lambda m: cert.form.nonzero(st, m) != inside
         else:
             test = lambda m: lat.contains(m) != cert.member(m)
-        rest = itertools.product(*ranges)
-        insort(pending, (next(rest), rest, test))
-    return drain(None)
+        for m in itertools.product(*ranges):
+            if best is not None and m > best:
+                break
+            if test(m):
+                best = m
+                break
+    return best
 
 
 def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:

@@ -236,8 +236,7 @@ class FieldEchelon:
     any nonzero α and no pivot is ever inverted (Bareiss, *Math. Comp.* 22,
     1968)."""
 
-    def __init__(self, length: int, order: int):
-        self.length = length
+    def __init__(self, order: int):
         self.order = order
         self.width = len(cyclotomic_polynomial(order)) - 1
         self.int_rows: list[list[int]] = []
@@ -539,12 +538,11 @@ class _ClosureTables:
         seed_cls = module.class_map(fin.basis_weights[fin.hw_index])
         seed_vec = [0] * (len(members[seed_cls]) * w)
         seed_vec[grading.local[fin.hw_index] * w] = 1
-        ech = parts[seed_degree, seed_cls] = FieldEchelon(len(members[seed_cls]), order)
+        ech = parts[seed_degree, seed_cls] = FieldEchelon(order)
         queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec))])
         while queue:
             deg, cls, row = queue.popleft()
             nonzero = list(compress(count(), row))
-            live = {s // w for s in nonzero}
             targets = []  # per step, the target degree, or None outside the box
             for step in steps:
                 tgt = tuple(map(add, deg, step))
@@ -556,11 +554,9 @@ class _ClosureTables:
                 key = tgt, tcls
                 ech = parts.get(key)
                 if ech is None:
-                    ech = parts[key] = FieldEchelon(size, order)
+                    ech = parts[key] = FieldEchelon(order)
                 if len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
-                if live.isdisjoint(plan.terms):
-                    continue  # every term reads a zero entry
                 added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
@@ -711,12 +707,12 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
         audit.fiber_dims.append((deg, ranks))
         combined_rank = 0
         overlap = False
-        for cls, gs in members.items():
+        for cls in members:
             parts = [ech for box in boxes if (ech := box.parts.get((deg, cls))) and ech.rank]
             if len(parts) == 1:
                 combined_rank += parts[0].rank
                 continue
-            combined = FieldEchelon(len(gs), order)
+            combined = FieldEchelon(order)
             for ech in parts:
                 for row in ech.int_rows:
                     if combined.add(row) is None:
@@ -768,7 +764,7 @@ def fiber_character(box: GradedBox, deg, weight_map):
             continue
         w = ech.width
         for wt, cols in groups.items():
-            sub = FieldEchelon(len(cols), ech.order)
+            sub = FieldEchelon(ech.order)
             for row in ech.int_rows:
                 if sub.add([x for c in cols for x in row[c * w:c * w + w]]) is not None:
                     mult[wt] = mult.get(wt, 0) + 1

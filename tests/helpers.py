@@ -311,7 +311,7 @@ def fiber_rows(box, deg) -> list[list[int]]:
 def fiber_span(box, deg) -> FieldEchelon:
     """One full-length ``FieldEchelon`` holding ``fiber_rows(box, deg)``,
     for membership tests."""
-    ech = FieldEchelon(box.fin.total, box.order)
+    ech = FieldEchelon(box.order)
     for row in fiber_rows(box, deg):
         ech.add(row)
     return ech

@@ -221,7 +221,7 @@ def test_acceptance_3a_component_count():
 
         fin = boxes[0].fin
         for deg in itertools.product(*(range(-3, 4) for _ in range(s.n))):
-            combined = FieldEchelon(fin.total, s.field_order)
+            combined = FieldEchelon(s.field_order)
             for b in boxes:
                 for row in fiber_rows(b, deg):
                     assert combined.add(row) is not None, ("overlap", s.dims, deg)
@@ -487,7 +487,7 @@ def test_acceptance_7_complete_reducibility_and_decomposition():
             twisted_generate_component(t, 2, seed_degree=rep) for rep in reps
         ]
         for deg in ((m,) for m in range(-2, 3)):
-            combined = FieldEchelon(untwisted.fin.total, base.field_order)
+            combined = FieldEchelon(base.field_order)
             span = fiber_span(untwisted, deg)
             total = 0
             for b in boxes:

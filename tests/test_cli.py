@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -768,3 +769,22 @@ def test_malformed_specs_never_escape(tmp_path_factory, doc):
         report = json.loads(out.getvalue())
         assert 0 <= code <= 3, (command, report["diagnostics"])
         assert report["command"] == command
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Every import in the package names a standard-library module or is
+    # relative to ``loopmod``.
+    root = os.path.dirname(loopmod.__file__)
+    for folder, _, names in os.walk(root):
+        for name in (n for n in names if n.endswith(".py")):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    tops = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    tops = [node.module.split(".")[0]]
+                else:
+                    continue
+                for top in tops:
+                    assert top in sys.stdlib_module_names or top == "loopmod", (name, top)

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -441,6 +442,46 @@ def test_coset_search_finds_the_cube_scans_witness(seed, kind, how):
     cube = itertools.product(*(range(-a, a + 1) for a in radii))
     expected = next((m for m in cube if lat.contains(m) != cert.member(m)), None)
     assert psi._first_mismatch(lat, cert, radii) == expected, (cert.label, how)
+
+
+@given(
+    st.integers(0, 2 ** 32),
+    st.sampled_from(("random", "forced", "twisted", "twisted-forced")),
+    st.sampled_from(("true", "super", "sub", "sub-over-D")),
+)
+@example(6, "random", "sub-over-D")
+@example(27, "random", "sub")
+@settings(max_examples=100, deadline=None)
+def test_coset_search_tests_each_cube_degree_once(seed, kind, how):
+    # The inputs of the test above.  Apart from the generators of D, every
+    # lattice test and every class-sum test is at a cube degree, and neither
+    # tests a degree twice: the search costs at most one pass over the cube.
+    rng = random.Random(seed)
+    s, ev, bounds = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
+    cert = psi._certify(ev, s.n, bounds)
+    generated = _generated(cert, s.n, bounds)
+    assume(generated is not None)
+    lat, radii = generated
+    if how != "true":
+        lat = _perturbed(lat, cert, how, rng)
+    calls = {"contains": Counter(), "nonzero": Counter()}
+    contains, nonzero = Lattice.contains, psi._CosetSums.nonzero
+
+    def counting_contains(self, m):
+        calls["contains"][tuple(m)] += 1
+        return contains(self, m)
+
+    def counting_nonzero(self, coset, m):
+        calls["nonzero"][tuple(m)] += 1
+        return nonzero(self, coset, m)
+
+    with mock.patch.object(Lattice, "contains", counting_contains), \
+            mock.patch.object(psi._CosetSums, "nonzero", counting_nonzero):
+        psi._first_mismatch(lat, cert, radii)
+    calls["contains"] -= Counter(cert.gens)
+    for name, tested in calls.items():
+        for m, times in tested.items():
+            assert all(abs(x) <= a for x, a in zip(m, radii)) and times == 1, (name, m, times)
 
 
 def test_audit_tests_the_lattice_once_per_coset(monkeypatch):

@@ -617,7 +617,7 @@ def test_graded_rows_vanish_outside_their_class(graded_boxes):
 def test_graded_rows_reinsert_to_the_fiber_rank(graded_boxes):
     for box, _ in graded_boxes:
         for deg in {deg for deg, _ in box.parts}:
-            full = FieldEchelon(box.fin.total, box.order)
+            full = FieldEchelon(box.order)
             span = fiber_span(box, deg)
             for row in fiber_rows(box, deg):
                 assert full.add(row) is not None, deg
@@ -645,7 +645,7 @@ def _character_from_rows(box, deg, weight_map):
         groups.setdefault(weight_map(wt), []).append(g)
     out = []
     for wt, cols in sorted(groups.items()):
-        sub = FieldEchelon(len(cols), box.order)
+        sub = FieldEchelon(box.order)
         mult = sum(
             1 for row in rows if sub.add(to_numerators([row[c] for c in cols])[1]) is not None
         )
@@ -698,7 +698,7 @@ def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
     z = CycVector.zero(order)
     zeta = CycVector(order, [0, 5, 0])
     one = CycVector.from_rational(1, order)
-    ech = FieldEchelon(3, order)
+    ech = FieldEchelon(order)
     assert ech.add(_ints([z, zeta, z])) is not None
     assert ech.add(_ints([one, one, one])) is not None
     # Reduces to one entry against the stored rows.
@@ -710,7 +710,7 @@ def test_echelon_never_inverts_a_pivot(monkeypatch, tmp_path, capsys):
 
     a, b = el((0, 1), (1, 2), (3, -1)), el((0, 1), (1, 1))  # 1 + 2ζ − ζ³, 1 + ζ
     r1, r2 = [a, b, el((2, 1))], [b, a, el((0, 3))]
-    ech = FieldEchelon(3, 12)
+    ech = FieldEchelon(12)
     assert ech.add(_ints(r1)) is not None and ech.add(_ints(r2)) is not None
     combo = _ints([b * x - a * y for x, y in zip(r1, r2)])
     assert ech.contains(combo) and ech.add(combo) is None
@@ -733,7 +733,7 @@ def test_echelon_stores_a_power_of_zeta_lead_with_a_rational_pivot():
         return CycVector.from_terms(12, terms)
 
     lead, rest = el((3, -2)), el((0, 1), (1, 1))  # −2ζ³, 1 + ζ
-    ech = FieldEchelon(2, 12)
+    ech = FieldEchelon(12)
     row = ech.add(_ints([lead, rest]))
     assert from_numerators(12, row, 1) == [el((0, -2)), rest * el((9, 1))]
     pivot = ech.int_rows[0][:ech.width]
@@ -756,7 +756,7 @@ def test_echelon_at_large_order_is_bounded():
         "lead = CycVector.from_terms(L, [(0, 1), (1, 2), (3, -1)])\n"
         "tail = CycVector.from_terms(L, [(7, 1), (50001, -4)])\n"
         "shift = CycVector.from_terms(L, [(5, 3)])\n"
-        "ech = FieldEchelon(2, L)\n"
+        "ech = FieldEchelon(L)\n"
         "assert ech.add(to_numerators([lead, tail])[1]) is not None\n"
         "assert ech.contains(to_numerators([lead * shift, tail * shift])[1])\n"
         "assert not ech.contains(to_numerators([lead, tail + shift])[1])\n"
@@ -833,7 +833,7 @@ def _echelon_inputs(draw):
 def test_echelon_matches_plain_elimination(case):
     order, length, vectors, probes = case
     accepted, rows = _reference_echelon(vectors)
-    ech = FieldEchelon(length, order)
+    ech = FieldEchelon(order)
     for vec, ok in zip(vectors, accepted):
         stored = ech.add(_ints(vec))
         assert (stored is not None) == ok

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from helpers import (
     sc,
     spec,
 )
+from loopmod.cli import main
 from loopmod.classify import axis_candidates, classify, decide_iso, find_witness, tau_image
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import EngineError, ImageMismatchError, SupportNotSubgroupError
@@ -262,6 +264,36 @@ def test_twisted_iso_weight_mismatch():
     assert decide_twisted_iso(d1, d2).reason == "weight-mismatch"
 
 
+def test_twisted_iso_refuses_a_tau_that_is_no_permutation(tmp_path, capsys):
+    # b₂ = −b₁, so the right spec's squares collide and b₁, b₂ both name
+    # a₁ = 1 (ε = 1, −1) with matching weights: τ = (1, 1) is no witness.
+    left = tsp({(1,): (1, 0), (2,): (2, 1)}, [(1, 2)])
+    right = tsp({(1,): (1, 0), (2,): (0, 1)}, [(1, -1)])
+    res = decide_twisted_iso(twisted_classify(left), right)
+    assert res.reason == "no-scaling-permutation"
+    with pytest.raises(ImageMismatchError):
+        twisted_classify(right)
+    paths = []
+    for name, second, evals in (("left", [2, 1], [1, 2]), ("right", [0, 1], [1, -1])):
+        doc = {
+            "schema": 1,
+            "algebra": {"series": "A", "rank": 2},
+            "n": 1,
+            "dims": [2],
+            "weights": [{"index": [1], "coords": [1, 0]}, {"index": [2], "coords": second}],
+            "evals": [evals],
+            "rho": [0],
+            "aut": {"perm": [2, 1], "order": 2},
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    assert main(["twisted-iso", *paths]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert [d["type"] for d in report["diagnostics"]] == ["ImageMismatchError"]
+    assert "result" not in report
+
+
 def _witnessed_transform(rng, t: TwistedSpec) -> TwistedSpec:
     """A copy of ``t`` that a twisted witness relates to it: ``transformed_spec``
     on the base (axes permuted and scaled, over a field holding ζ₁₂), then
@@ -288,6 +320,58 @@ def _witnessed_transform(rng, t: TwistedSpec) -> TwistedSpec:
         ),
         aut=t.aut,
     )
+
+
+def _folded(rng, t: TwistedSpec) -> TwistedSpec:
+    """A right spec with axis-1 entries ω^{u_j}·a_{π(j)} and weights
+    σ^{u_j}(λ_{π(j),…}), for distinct pairs (π(j), u_j) drawn at random.
+    When π is not injective the entries' k-th powers collide."""
+    base, k = t.base, t.order
+    order = base.field_order
+    root = CycScalar.zeta(order, order // k)
+    pairs = rng.sample([(j, u) for j in range(base.dims[0]) for u in range(k)], base.dims[0])
+    weights = {}
+    for I in table_indices(base.dims):
+        j, u = pairs[I[0] - 1]
+        w = base.weights[(j + 1,) + I[1:]]
+        for _ in range(u):
+            w = apply_aut(t.aut, w)
+        weights[I] = w
+    axis1 = tuple(root ** u * base.evals[0][j] for j, u in pairs)
+    return TwistedSpec(
+        base=PsiSpec(
+            algebra=base.algebra,
+            n=base.n,
+            dims=base.dims,
+            weights=weights,
+            evals=(axis1,) + base.evals[1:],
+            rho=base.rho,
+        ),
+        aut=t.aut,
+    )
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_twisted_witnesses_have_permutation_taus(seed, k, folded):
+    # Right specs whose axis-1 k-th powers collide have no witness: b_j^k =
+    # 𝔰^k·a_{τ(j)}^k would make them distinct.  The witnessed transforms
+    # keep the property from holding vacuously.
+    rng = random.Random(seed)
+    algebra, aut = (A2, A2_FLIP) if k == 2 else (D4, D4_TRIALITY)
+    while True:
+        t = random_twisted_spec(rng, algebra, aut)
+        try:
+            d = twisted_classify(t)
+            break
+        except EngineError:
+            continue
+    other = _folded(rng, t) if folded else _witnessed_transform(rng, t)
+    res = decide_twisted_iso(d, other)
+    powers = {b ** k for b in other.base.evals[0]}
+    assert not (res and len(powers) < other.base.dims[0])
+    for tau in res.witness.taus if res else ():
+        assert sorted(tau) == list(range(len(tau)))
 
 
 def _brute_axis1(k, a_values, b_values):
