@@ -86,35 +86,28 @@ def _emit(report: dict, output: str) -> None:
         sys.stdout.write(_indented_json(result) + "\n")
 
 
-def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
+def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
     descriptor = classify(spec)
     support = descriptor.support
     boxes = realizer.component_decomposition(spec, support, box, cap=cap)
     fin = boxes[0].fin
     audit = realizer.audit_decomposition(boxes)
-    table = [
-        {"component": ci, "degree": list(deg), "dim": rank}
-        for deg, ranks in audit.fiber_dims
-        for ci, rank in enumerate(ranks)
-        if rank
-    ]
-
     lat = support.lattice
+    # An untwisted closure's classes are the weights, and the top weight's
+    # class is the highest-weight vector alone.
+    top = fin.basis_weights[fin.hw_index]
+    table = []
     per_coset: dict = {}
-    periodic_ok = True
+    periodic_ok = top_ok = True
     for deg, ranks in audit.fiber_dims:
-        key = lat.residue(deg)
-        if key in per_coset and per_coset[key] != ranks[0]:
-            periodic_ok = False
-        per_coset.setdefault(key, ranks[0])
-
-    top_weight = fin.basis_weights[fin.hw_index]
-    top_ok = True
-    for deg, _ in audit.fiber_dims:
-        char = dict(realizer.fiber_character(boxes[0], deg, lambda w: w))
-        mult = char.get(top_weight, 0)
-        if mult != (1 if lat.contains(deg) else 0):
-            top_ok = False
+        table.extend(
+            {"component": ci, "degree": list(deg), "dim": rank}
+            for ci, rank in enumerate(ranks)
+            if rank
+        )
+        periodic_ok &= per_coset.setdefault(lat.residue(deg), ranks[0]) == ranks[0]
+        mult = dict(realizer.fiber_character(boxes[0], deg)).get(top, 0)
+        top_ok &= mult == (1 if lat.contains(deg) else 0)
 
     checks = {
         "component_count": len(boxes) == descriptor.p,
@@ -123,7 +116,7 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
         "support_periodicity": periodic_ok,
         "top_weight_support": top_ok,
     }
-    result = {
+    return {
         "box": box,
         "module_dimension": fin.total,
         "expected_components": descriptor.p,
@@ -133,7 +126,6 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> tuple[dict, bool]:
         "checks": checks,
         "ok": all(checks.values()),
     }
-    return result, all(checks.values())
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,9 +223,8 @@ def main(argv=None) -> int:
             ok, reason = check_complete_reducibility(tspec)
             report["result"] = {"completely_reducible": ok, "reason": reason}
         elif args.command == "verify":
-            result, ok = _verify_report(_base(spec), args.box, args.cap)
-            report["result"] = result
-            if not ok:
+            report["result"] = _verify_report(_base(spec), args.box, args.cap)
+            if not report["result"]["ok"]:
                 exit_code = 1
     except Exception as exc:
         if not isinstance(exc, EngineError):

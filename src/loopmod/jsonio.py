@@ -72,8 +72,6 @@ def _scalar_from(raw, order: int) -> CycScalar:
         num = _int(num, "num")
         own = _scalar_orders(raw)
         e = _int(raw.get("zeta_pow", 0), "zeta_pow")
-        if order % own:
-            raise InputError("scalar order does not divide the global order")
         return CycScalar.ratio(num, den, e * (order // own), order)
     raise InputError("bad scalar literal", value=raw)
 

@@ -479,8 +479,9 @@ class _Certificate:
         return self.gens + list(self.status)
 
 
-def _certify(ev, n: int, bounds) -> _Certificate:
+def _certify(ev, bounds) -> _Certificate:
     """The certificate ladder, cheapest first (see ``nonvanishing_support``)."""
+    n = len(ev.evals)
     everything = {(0,) * n: True}
     if _single_entry(ev):
         return _Certificate("single-entry", (1,) * n, everything)
@@ -510,7 +511,8 @@ def _certify(ev, n: int, bounds) -> _Certificate:
         status[r] = verdict
     if not all(isinstance(st, bool) for st in status.values()):
         label = "audit"
-    zeros.sort(key=lambda m: (abs(m[0]), -m[0]))  # n = 1: the audit cube's order
+    # n = 1: the order verify_support scans in (box_scan_order), not the cube's.
+    zeros.sort(key=lambda m: (abs(m[0]), -m[0]))
     return _Certificate(label, form.moduli, status, zeros, form)
 
 
@@ -559,14 +561,14 @@ def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
     return best
 
 
-def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
+def nonvanishing_support(ev, bounds, ordering=None) -> SupportLattice:
     """The set ``Γ = {m : ev.is_nonzero(m)}`` as a full-rank lattice.
 
     ``ev`` is an evaluator with a term table (``Evaluator``,
-    ``twisted.TwistedEvaluator``).  Γ is decided from the term table and the
-    integer class sums ``u_K(r)`` of ``_CosetSums`` alone; ``ev`` is never
-    evaluated.  The rungs, in order, and the ``certificate`` they leave on
-    the result:
+    ``twisted.TwistedEvaluator``), one variable per axis of ``ev.evals``.
+    Γ is decided from the term table and the integer class sums ``u_K(r)``
+    of ``_CosetSums`` alone; ``ev`` is never evaluated.  The rungs, in
+    order, and the ``certificate`` they leave on the result:
 
     * ``single-entry``: a slot that exactly one index reaches never vanishes,
       so Γ = Zⁿ.
@@ -598,7 +600,8 @@ def nonvanishing_support(ev, n: int, bounds, ordering=None) -> SupportLattice:
     order, and otherwise an exact zero (which lies in the group Γ generates)
     or the mismatching check.
     """
-    cert = _certify(ev, n, bounds)
+    cert = _certify(ev, bounds)
+    n = len(ev.evals)
     member = cert.member
     periods = []
     for i in range(n):
@@ -653,7 +656,7 @@ def support_lattice(spec: PsiSpec) -> SupportLattice:
     """
     if spec.is_trivial():
         raise TrivialModuleError("all weights are zero")
-    return nonvanishing_support(Evaluator(spec), spec.n, spec.dims)
+    return nonvanishing_support(Evaluator(spec), spec.dims)
 
 
 def box_scan_order(n: int, radius: int) -> list[tuple[int, ...]]:

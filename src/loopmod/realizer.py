@@ -577,10 +577,6 @@ def _slot_columns(fin: FinModule, kind: str, i: int) -> list:
     raise InputError("unknown generator kind", kind=kind)
 
 
-def _identity(wt):
-    return wt
-
-
 def _steps(n: int, axes, zero: bool = True):
     """The zero step when ``zero``, then ``+eᵢ`` and ``−eᵢ`` for each axis."""
     out = [(0,) * n] if zero else []
@@ -742,50 +738,27 @@ def count_components(spec: PsiSpec, radius: int, cap: int = 64) -> int:
     return len(boxes)
 
 
-def fiber_character(box: GradedBox, deg, weight_map):
-    """Multiplicity of each ``weight_map`` value in the fiber at ``deg``.
-
-    Where ``weight_map`` is constant on a weight class of the closure, that
-    class adds its rank; otherwise the class's rows are projected onto each
-    value's coordinates and ranked."""
+def fiber_character(box: GradedBox, deg):
+    """The fiber at ``deg`` as its ``(class, rank)`` pairs, in class order: a
+    class is the weight when untwisted and its values on the node orbit sums
+    (``h0_weight_map``) when twisted, and its rank is the multiplicity of
+    that class in the fiber."""
     deg = tuple(deg)
-    weights = box.fin.basis_weights
-    mult: dict = {}
-    for cls, gs in box.grading.members.items():
-        ech = box.parts.get((deg, cls))
-        if ech is None or not ech.rank:
-            continue
-        groups: dict = {}
-        for i, g in enumerate(gs):
-            groups.setdefault(weight_map(weights[g]), []).append(i)
-        if len(groups) == 1:
-            (wt,) = groups
-            mult[wt] = mult.get(wt, 0) + ech.rank
-            continue
-        w = ech.width
-        for wt, cols in groups.items():
-            sub = FieldEchelon(ech.order)
-            for row in ech.int_rows:
-                if sub.add([x for c in cols for x in row[c * w:c * w + w]]) is not None:
-                    mult[wt] = mult.get(wt, 0) + 1
-    return tuple(sorted(mult.items()))
+    return tuple(
+        (cls, ech.rank)
+        for cls in box.grading.members
+        if (ech := box.parts.get((deg, cls))) is not None and ech.rank
+    )
 
 
-def graded_character(
-    spec: PsiSpec,
-    radius: int,
-    cap: int = 64,
-    weight_map=None,
-    box: GradedBox | None = None,
-):
-    """Per-degree multiset of Cartan weights of the v(0̃)-component fibers."""
+def graded_character(spec: PsiSpec, radius: int, cap: int = 64, box: GradedBox | None = None):
+    """Per-degree ``fiber_character`` of the v(0̃)-component, or of ``box``
+    when given, over the degrees of its box whose fiber is nonzero."""
     if box is None:
         box = generate_component(spec, radius, cap=cap)
-    if weight_map is None:
-        weight_map = _identity
     out = {}
     for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(spec.n))):
-        char = fiber_character(box, deg, weight_map)
+        char = fiber_character(box, deg)
         if char:
             out[deg] = char
     return out

@@ -167,7 +167,7 @@ def twisted_support(spec: TwistedSpec) -> SupportLattice:
     n = spec.base.n
     bounds = [spec.order * spec.base.dims[0]] + list(spec.base.dims[1:])
     ordering = tuple(range(1, n)) + (0,)
-    return nonvanishing_support(TwistedEvaluator(spec), n, bounds, ordering)
+    return nonvanishing_support(TwistedEvaluator(spec), bounds, ordering)
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def twisted_classify(spec: TwistedSpec) -> TwistedDescriptor:
         marginal_index = support_lattice(marginal_spec(spec.base)).index
     exponent = marginal_index if module_type == "first" else marginal_index * mh // k
     classes = weight_classes(spec.base)
-    if all(size % exponent == 0 for _, size in classes) and exponent > 0:
+    if all(size % exponent == 0 for _, size in classes):
         realization = tuple((w, size // exponent) for w, size in classes)
     else:
         realization = classes

@@ -379,7 +379,7 @@ def test_certificate_membership_matches_evaluation(seed, kind):
     # Membership by coset lookup, the open cosets decided from their integer
     # class sums, against direct evaluation of the functional on a cube.
     s, ev, bounds = _ladder_input(random.Random(seed), kind)
-    cert = psi._certify(ev, s.n, bounds)
+    cert = psi._certify(ev, bounds)
     if kind == "forced":
         assert cert.label == ("audit" if s.n > 1 else "descartes"), cert.label
     if kind == "twisted-forced":
@@ -433,7 +433,7 @@ def test_coset_search_finds_the_cube_scans_witness(seed, kind, how):
     # the two examples an open coset mismatches before a settled one does.
     rng = random.Random(seed)
     s, ev, bounds = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
-    cert = psi._certify(ev, s.n, bounds)
+    cert = psi._certify(ev, bounds)
     generated = _generated(cert, s.n, bounds)
     assume(generated is not None)
     lat, radii = generated
@@ -458,7 +458,7 @@ def test_coset_search_tests_each_cube_degree_once(seed, kind, how):
     # tests a degree twice: the search costs at most one pass over the cube.
     rng = random.Random(seed)
     s, ev, bounds = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
-    cert = psi._certify(ev, s.n, bounds)
+    cert = psi._certify(ev, bounds)
     generated = _generated(cert, s.n, bounds)
     assume(generated is not None)
     lat, radii = generated
@@ -497,7 +497,7 @@ def test_audit_tests_the_lattice_once_per_coset(monkeypatch):
     monkeypatch.setattr(Lattice, "contains", counting)
     rng = random.Random(5)
     s = _forced_spec(rng, 3)
-    cert = psi._certify(Evaluator(s), s.n, s.dims)
+    cert = psi._certify(Evaluator(s), s.dims)
     assert cert.label == "audit"
     calls.clear()
     sup = support_lattice(s)

@@ -567,9 +567,10 @@ def test_twisted_h0_character():
     box = twisted_generate_component(t, 2)
     from loopmod.liealg import node_orbits
 
-    char = graded_character(
-        t.base, 2, weight_map=h0_weight_map(node_orbits(A2_FLIP)), box=box
-    )
+    # The box's classes are the orbit-sum values, so its character is in them.
+    h0 = h0_weight_map(node_orbits(A2_FLIP))
+    assert box.grading.members == realizer.Grading(box.fin, h0).members
+    char = graded_character(t.base, 2, box=box)
     # top orbit-sum weight 2 present at every even degree of the component
     assert ((2,), 1) in char[(0,)]
     assert ((2,), 1) in char[(2,)]
@@ -636,13 +637,13 @@ def test_graded_fiber_rejects_vectors_outside_it():
     assert not span.contains(to_numerators([one, zero, zero, zero])[1])
 
 
-def _character_from_rows(box, deg, weight_map):
+def _character_from_rows(box, deg, class_map):
     # Independent rebuild: rank of the fiber's full rows projected onto the
-    # coordinates of each weight_map value.
+    # coordinates of each class_map value.
     rows = [from_numerators(box.order, r, 1) for r in fiber_rows(box, deg)]
     groups = {}
     for g, wt in enumerate(box.fin.basis_weights):
-        groups.setdefault(weight_map(wt), []).append(g)
+        groups.setdefault(class_map(wt), []).append(g)
     out = []
     for wt, cols in sorted(groups.items()):
         sub = FieldEchelon(box.order)
@@ -655,19 +656,23 @@ def _character_from_rows(box, deg, weight_map):
 
 
 def test_fiber_character_matches_a_rebuild_from_rows(graded_boxes):
+    # The per-class ranks are the ranks of the full rows projected onto each
+    # class, and the fiber splits along the classes.
     for box, class_map in graded_boxes:
-        maps = (_identity, _H0) if box.fin.algebra.rank == 2 else (_identity,)
         for deg in {deg for deg, _ in box.parts}:
-            rank = len(fiber_rows(box, deg))
-            if not rank:
-                continue
-            for weight_map in maps:
-                char = fiber_character(box, deg, weight_map)
-                assert char == _character_from_rows(box, deg, weight_map)
-                if weight_map is _H0 or class_map is _identity:
-                    # weight_map is a function of the closure's class: the
-                    # fiber splits along it.
-                    assert sum(m for _, m in char) == rank
+            char = fiber_character(box, deg)
+            assert char == _character_from_rows(box, deg, class_map)
+            assert sum(m for _, m in char) == len(fiber_rows(box, deg))
+
+
+def test_top_weight_is_its_own_class():
+    # λ = Σλ_I has multiplicity one in the tensor, so its class in an
+    # untwisted closure is the highest-weight vector alone; verify's
+    # top_weight_support check reads its multiplicity as that class's rank.
+    for s in _acceptance3_specs():
+        box = generate_component(s, 1)
+        fin, members = box.fin, box.grading.members
+        assert members[fin.basis_weights[fin.hw_index]] == (fin.hw_index,)
 
 
 _SPEC_ZETA12 = {

@@ -63,3 +63,56 @@ def test_compare_outputs_leaves_no_bytecode(tmp_path, monkeypatch, capsys):
     assert compare_outputs.main([str(tree) for tree in trees]) == 0
     assert "0 of 0 operations differ" in capsys.readouterr().out
     assert not [p for tree in trees for p in tree.rglob("__pycache__")]
+
+
+_MODULE = '''"""A module docstring."""
+
+
+class Box:
+    """A class docstring."""
+
+    def size(self, xs):
+        """A method docstring."""
+        total = 0
+        for x in xs:
+            total += x
+        return total
+'''
+
+
+def _tree(root, source):
+    package = root / "src" / "loopmod"
+    package.mkdir(parents=True)
+    (package / "box.py").write_text(source)
+    return root
+
+
+def test_count_statements_ignores_docstrings_and_comments(tmp_path):
+    count_statements = _tool("count_statements")
+    reworded = (_MODULE.replace("A method docstring.", "Reworded, over\n        two lines.")
+                .replace("        total = 0\n", "        # a comment\n        total = 0\n\n"))
+    assert reworded != _MODULE
+    a, b = (tmp_path / name for name in ("a.py", "b.py"))
+    a.write_text(_MODULE)
+    b.write_text(reworded)
+    # class, def, assignment, for, augmented assignment, return.
+    assert count_statements.count_statements(a) == count_statements.count_statements(b) == 6
+
+
+def test_count_statements_counts_a_nested_statement(tmp_path, capsys):
+    count_statements = _tool("count_statements")
+    nested = _MODULE.replace("            total += x\n",
+                             "            if x:\n                total += x\n")
+    parent, change = _tree(tmp_path / "parent", _MODULE), _tree(tmp_path / "change", nested)
+    assert count_statements.counts(change) == {"box.py": 7}
+    assert count_statements.main([str(parent), str(change)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].split() == ["box.py", "6", "7", "+1"]
+    assert rows[-1].split() == ["total", "6", "7", "+1"]
+
+
+@pytest.mark.parametrize("argv", [[], ["one"], ["one", "two", "three"]])
+def test_count_statements_wants_two_trees(argv, capsys):
+    count_statements = _tool("count_statements")
+    assert count_statements.main(argv) == 2
+    assert "PARENT_DIR CHANGE_DIR" in capsys.readouterr().err

@@ -667,8 +667,8 @@ def test_twisted_witness_pairs_share_h0_characters():
     # A₃, A₄ and D₄ flips and D₄ triality, the pairs are λ against σ(λ) at
     # one point, and λ at 1 against σ(λ) at ω = ζ_k beside a shared λ at 3;
     # every tensor stays within the default cap of 64.
-    from loopmod.liealg import build_algebra, node_orbits
-    from loopmod.realizer import graded_character, h0_weight_map, twisted_generate_component
+    from loopmod.liealg import build_algebra
+    from loopmod.realizer import graded_character, twisted_generate_component
 
     a3, a4 = build_algebra("A", 3), build_algebra("A", 4)
     twists = [
@@ -685,14 +685,13 @@ def test_twisted_witness_pairs_share_h0_characters():
             (({(1,): lam}, [(1,)]), ({(1,): mu}, [(1,)])),
             (({(1,): lam, (2,): lam}, [(1, 3)]), ({(1,): mu, (2,): lam}, [(omega, 3)])),
         ]
-        proj = h0_weight_map(node_orbits(aut))
         for pair in pairs:
             t1, t2 = (tsp(w, ev, aut=aut, algebra=algebra) for w, ev in pair)
             assert decide_twisted_iso(twisted_classify(t1), twisted_classify(t2))
             chars = []
             for t in (t1, t2):
                 box = twisted_generate_component(t, 2)
-                chars.append(graded_character(t.base, 2, weight_map=proj, box=box))
+                chars.append(graded_character(t.base, 2, box=box))
             assert chars[0] == chars[1]
 
 
