@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -373,6 +374,68 @@ def test_text_output(write, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("command: support")
+
+
+# Every subcommand's positionals and options, as the help names them.
+GRAMMAR = {
+    "support": ("spec",),
+    "classify": ("spec",),
+    "blocks": ("spec",),
+    "iso": ("left", "right", "--refute-box"),
+    "twisted-classify": ("spec",),
+    "twisted-iso": ("left", "right"),
+    "reducibility": ("spec",),
+    "verify": ("spec", "--box", "--cap"),
+}
+
+
+@pytest.mark.parametrize("command", [None, *GRAMMAR])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_and_names_the_grammar(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: loopmod")
+    words = (*GRAMMAR, "--output") if command is None else GRAMMAR[command]
+    for word in ("--help", *words):
+        assert word in out, word
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus", "f"],
+        ["classify"],
+        ["iso", "a"],
+        ["classify", "a", "b"],
+        ["iso", "a", "b", "c"],
+        ["verify", "f", "--box", "x"],
+        ["verify", "f", "--box"],
+        ["verify", "f", "--cap", "1.5"],
+        ["iso", "a", "b", "--refute-box="],
+        ["classify", "f", "--output", "json"],
+        ["support", "f", "--box", "1"],
+        ["--output", "xml", "classify", "f"],
+        ["--output"],
+        ["--bogus", "classify", "f"],
+        ["--", "classify", "f"],
+        ["verify", "f", "--box", "1", "--"],
+        ["-hx"],
+        ["verify", "--=1", "f"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_usage_errors_exit_2_before_any_report(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: loopmod")
+    assert re.search(r"^loopmod( [a-z-]+)?: error: ", err, re.M), err
 
 
 _JSON_LEAVES = st.one_of(
