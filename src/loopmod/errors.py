@@ -61,7 +61,8 @@ class InfiniteIndexError(EngineError):
 
 
 class CapExceededError(EngineError):
-    """Realizer dimension cap exceeded."""
+    """A resource cap exceeded: the realizer's dimension cap, or the
+    interpreter's digit limit for writing an integer in a report."""
 
 
 class RealizationMismatchError(EngineError):

@@ -369,11 +369,34 @@ def test_reports_are_deterministic(write, capsys):
 
 
 def test_text_output(write, capsys):
+    # The text result block is the JSON report's result, written the same way.
     path = write(SPEC_A, "a.json")
     code = main(["--output", "text", "support", path])
     out = capsys.readouterr().out
+    _, doc = _run(capsys, ["support", path])
     assert code == 0
-    assert out.startswith("command: support")
+    assert out == "command: support\n" + json.dumps(doc["result"], sort_keys=True, indent=2) + "\n"
+
+
+def test_an_integer_too_long_to_write_is_a_cap_diagnostic(write, capsys):
+    # a = 1/10^3000 against 10^3000: the witness scales by 10^6000, whose
+    # 6,001 digits are more than ``repr`` may write; the report keeps the
+    # fields it can write.
+    a = write(dict(SPEC_A, evals=[[{"num": 1, "den": 10**3000}]]), "a.json")
+    b = write(dict(SPEC_A, evals=[[{"num": 10**3000, "den": 1}]]), "b.json")
+    limit = sys.get_int_max_str_digits()
+    assert limit < 6001
+    diag = {
+        "type": "CapExceededError",
+        "message": "an integer in the report has more digits than the limit for writing one",
+        "data": {"digit_limit": limit},
+    }
+    code, doc = _run(capsys, ["iso", a, b])
+    assert code == 2
+    assert doc["diagnostics"] == [diag]
+    assert sorted(doc) == ["command", "diagnostics", "input_digest", "schema"]
+    assert main(["--output", "text", "iso", a, b]) == 2
+    assert capsys.readouterr().out == f"command: iso\nerror[CapExceededError]: {diag['message']}\n"
 
 
 # Every subcommand's positionals and options, as the help names them.
@@ -414,6 +437,7 @@ def test_help_exits_0_and_names_the_grammar(capsys, command, flag):
         ["iso", "a", "b", "c"],
         ["verify", "f", "--box", "x"],
         ["verify", "f", "--box"],
+        ["verify", "f", "--box", "-1_0"],
         ["verify", "f", "--cap", "1.5"],
         ["iso", "a", "b", "--refute-box="],
         ["classify", "f", "--output", "json"],
@@ -438,21 +462,180 @@ def test_usage_errors_exit_2_before_any_report(capsys, argv):
     assert re.search(r"^loopmod( [a-z-]+)?: error: ", err, re.M), err
 
 
+
+def test_an_option_value_of_two_dashes_is_a_usage_error(capsys):
+    # Python 3.11's argparse strips "--" from ``--box=--`` and stores [];
+    # the reader reads the value "--", which is no int.  (The property
+    # below draws no "=--".)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "f", "--box=--"])
+    assert exc.value.code == 2
+    assert "invalid int value: '--'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "f"], ("json", "verify", ["f"], {"--box": 3, "--cap": 64})),
+        (["--output=text", "verify", "--box=-1", "f"], ("text", "verify", ["f"], {"--box": -1, "--cap": 64})),
+        (["--out", "text", "iso", "a", "--r", "2", "b"], ("text", "iso", ["a", "b"], {"--refute-box": 2})),
+        (["verify", "f", "--bo", "1", "--box", "2", "--c=9"], ("json", "verify", ["f"], {"--box": 2, "--cap": 9})),
+        (["verify", "--box", "-1", "f"], ("json", "verify", ["f"], {"--box": -1, "--cap": 64})),
+        (["classify", "--", "-f"], ("json", "classify", ["-f"], {})),
+        (["iso", "a", "--", "--box"], ("json", "iso", ["a", "--box"], {"--refute-box": None})),
+        (["classify", "f", "--"], ("json", "classify", ["f"], {})),
+        (["classify", "-1"], ("json", "classify", ["-1"], {})),
+        (["classify", "--a b"], ("json", "classify", ["--a b"], {})),
+        (["classify", "-x y"], ("json", "classify", ["-x y"], {})),
+        (["iso", "a", "--", "--"], ("json", "iso", ["a", "--"], {"--refute-box": None})),
+    ],
+)
+def test_reader_reads_the_argparse_forms(argv, expected):
+    assert cli.read_argv(argv) == expected
+
+
+@pytest.mark.parametrize("argv", [["-hhh"], ["-h=hh"], ["verify", "--he"], ["iso", "-hh", "a"]])
+def test_help_spellings_exit_0(capsys, argv):
+    # "-hh" is "-h -h", "-h=hh" gives "-h" the value "hh", which is "-h -h".
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: loopmod")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The argparse grammar that ``read_argv`` replaced: the oracle below.
+    parser = argparse.ArgumentParser(
+        prog="loopmod",
+        description="classify and compare graded loop-module evaluation data",
+    )
+    parser.add_argument("--output", choices=("json", "text"), default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, nargs=1, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        if nargs == 1:
+            p.add_argument("spec", help="path to a spec JSON file")
+        else:
+            p.add_argument("left", help="path to the first spec JSON file")
+            p.add_argument("right", help="path to the second spec JSON file")
+        return p
+
+    add("support", help="support lattice of the degree functional")
+    add("classify", help="full untwisted classification")
+    add("blocks", help="per-axis orbit block structure")
+    iso = add("iso", nargs=2, help="untwisted isomorphism decision")
+    iso.add_argument(
+        "--refute-box",
+        type=int,
+        default=None,
+        help="attach a graded-character comparison on this box when unsatisfied",
+    )
+    add("twisted-classify", help="twisted classification (needs an 'aut' block)")
+    add("twisted-iso", nargs=2, help="twisted isomorphism decision")
+    add("reducibility", help="complete-reducibility check of the restriction")
+    verify = add("verify", help="realize components and audit the classification")
+    verify.add_argument("--box", type=int, default=3, help="degree box radius")
+    verify.add_argument("--cap", type=int, default=64, help="dimension cap")
+    return parser
+
+
+ORACLE = build_parser()
+
+
+def _oracle(argv):
+    # ``ORACLE.parse_args`` in the reader's (output, command, paths, options).
+    ns = vars(ORACLE.parse_args(argv))
+    output, command = ns.pop("output"), ns.pop("command")
+    # Python 3.11's argparse strips "--" from a path too: a path [] is a
+    # "--" read after the first, which the reader keeps.
+    paths = [ns.pop(key) for key in ("spec", "left", "right") if key in ns]
+    paths = ["--" if path == [] else path for path in paths]
+    return output, command, paths, {"--" + key.replace("_", "-"): v for key, v in ns.items()}
+
+
+def _outcome(read, argv):
+    # The values read, or the exit status and which streams were written.
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return read(list(argv))
+    except SystemExit as exc:
+        return exc.code, bool(out.getvalue()), bool(err.getvalue())
+
+
+# Words of the grammar, their abbreviations, and junk argparse reads in its
+# own ways: "-" and "" are positionals, "-hh" is "-h -h", "--=1" is
+# ambiguous.  No "=--" value: see the test above.
+_ARGV_WORDS = st.sampled_from([
+    *GRAMMAR, "bogus", "a.json", "b.json", "--", "-", "", "-x", "--foo", "---", "--=1",
+    "-h", "--help", "--h", "--he", "-hh", "-hhh", "-h=h", "-h=hh", "-hx", "-h=", "--help=x",
+    "--output", "--out", "--o", "json", "text", "xml",
+    "--box", "--bo", "--b", "--cap", "--c", "--refute-box", "--ref", "--r", "--box 3", "-x y", "a b",
+])
+_INTS = st.integers(-12, 12).map(str) | st.sampled_from(["+2", "-0", "1.5", "-1.5", "0x1", " 7", "1_0", "-1_0"])
+_OPTION_VALUES = st.builds(
+    "{}={}".format,
+    st.sampled_from(["--box", "--bo", "--cap", "--refute-box", "--r", "--output", "--out", "--o"]),
+    _INTS | st.sampled_from(["json", "text", ""]),
+)
+_WORDS = _ARGV_WORDS | _INTS | _OPTION_VALUES
+@st.composite
+def _command_lines(draw):
+    # A subcommand, its paths, and its options abbreviated, each with its
+    # value in the next word or after "=", in any order; then, in a third of
+    # the lines, one more word anywhere.
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    pieces = [[f"{word}.json"] for word in GRAMMAR[command] if not word.startswith("--")]
+    options = [word for word in GRAMMAR[command] if word.startswith("--")]
+    for _ in range(draw(st.integers(0, 3)) if options else 0):
+        name = draw(st.sampled_from(options))
+        name = name[:draw(st.integers(3, len(name)))]
+        value = draw(_INTS)
+        pieces.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    words = [*draw(st.sampled_from([[], ["--output", "text"], ["--out=json"]])), command]
+    words += [word for piece in draw(st.permutations(pieces)) for word in piece]
+    if draw(st.sampled_from([False, False, True])):
+        words.insert(draw(st.integers(0, len(words))), draw(_WORDS))
+    return words
+
+
+_ARGVS = st.lists(_WORDS, max_size=8) | _command_lines()
+
+@given(_ARGVS)
+@settings(max_examples=800, deadline=None)
+def test_reader_agrees_with_argparse(argv):
+    # The same values when argparse accepts; otherwise the same exit status,
+    # help on stdout alone and usage errors on stderr alone.
+    assert _outcome(cli.read_argv, argv) == _outcome(_oracle, argv)
+
 _JSON_LEAVES = st.one_of(
     st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
 )
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
     max_leaves=20,
 )
 
 
-@given(_JSON_TREES)
+def _nested(doc, depth):
+    # ``doc`` inside ``depth`` containers, alternating lists, dicts and tuples.
+    for k in range(depth):
+        doc = ([doc, k], {"k": doc, "n": k}, (doc,))[k % 3]
+    return doc
+
+
+@given(st.one_of(_JSON_TREES, st.builds(_nested, _JSON_TREES, st.integers(20, 60))))
 @settings(max_examples=300, deadline=None)
 def test_report_emitter_matches_indented_json_dumps(doc):
     # Strings cover non-ASCII and control characters; floats cover NaN and
-    # the infinities; empty lists and dicts come from max_size.
+    # the infinities; empty lists and dicts come from max_size; tuples are
+    # arrays; nesting goes 60 levels deep.
     assert cli._indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -608,9 +791,10 @@ def test_main_reads_each_spec_file_once(write, capsys, monkeypatch, command):
     assert doc["input_digest"] == digest
 
 
-def test_main_builds_the_parser_once(write, capsys, monkeypatch):
-    path = write(SPEC_A, "a.json")
-    main(["classify", path])
+def test_main_builds_no_argparse_parser(write, capsys, monkeypatch):
+    # ``read_argv`` is the command line's one reader: no call of ``main``,
+    # the first included, builds an ``ArgumentParser``, and ``cli`` does not
+    # import ``argparse``.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -619,10 +803,17 @@ def test_main_builds_the_parser_once(write, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write(SPEC_A, "a.json")
     for argv in (["classify", path], ["support", path], ["verify", path, "--box", "1"]):
         assert main(argv) == 0
     capsys.readouterr()
     assert built == []
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "argparse" not in imported
 
 
 def test_verify_computes_the_support_once(write, capsys, monkeypatch):
