@@ -239,7 +239,9 @@ def _option(arg: str, names) -> tuple | None:
     """How argparse reads ``arg``, met before any ``--``, against the
     long option ``names`` and ``-h``: None for a positional, else (the
     option, or None when none matches; the value given in the argument,
-    or None).  A long option may be abbreviated to a unique prefix."""
+    or None).  A long option may be abbreviated to a prefix; no two of
+    the grammar's long options share one but ``--``, and ``read_argv``
+    rejects ``--=`` before it reads anything."""
     if len(arg) < 2 or arg[0] != "-":
         return None
     if arg[1] != "-":
@@ -274,7 +276,8 @@ def _take_option(command, args: list, i: int, option: tuple, values: dict, extra
         i += 1
     if name == "--output":
         if value not in _OUTPUTS:
-            _fail(command, f"argument --output: invalid choice: {value!r} (choose from 'json', 'text')")
+            choices = ", ".join(map(repr, _OUTPUTS))
+            _fail(command, f"argument --output: invalid choice: {value!r} (choose from {choices})")
     else:
         try:
             value = int(value)

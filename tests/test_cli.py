@@ -384,8 +384,9 @@ def test_an_integer_too_long_to_write_is_a_cap_diagnostic(write, capsys):
     # fields it can write.
     a = write(dict(SPEC_A, evals=[[{"num": 1, "den": 10**3000}]]), "a.json")
     b = write(dict(SPEC_A, evals=[[{"num": 10**3000, "den": 1}]]), "b.json")
-    limit = sys.get_int_max_str_digits()
-    assert limit < 6001
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > 6000:
+        pytest.skip("this interpreter writes a 6,001-digit int")
     diag = {
         "type": "CapExceededError",
         "message": "an integer in the report has more digits than the limit for writing one",
@@ -460,7 +461,6 @@ def test_usage_errors_exit_2_before_any_report(capsys, argv):
     assert out == ""
     assert err.startswith("usage: loopmod")
     assert re.search(r"^loopmod( [a-z-]+)?: error: ", err, re.M), err
-
 
 
 def test_an_option_value_of_two_dashes_is_a_usage_error(capsys):
