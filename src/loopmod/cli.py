@@ -33,7 +33,7 @@ from .jsonio import (
     support_to_json,
     twisted_descriptor_to_json,
 )
-from .psi import PsiSpec, support_lattice
+from .psi import PsiSpec, support_lattice, table_indices
 from .twisted import (
     TwistedSpec,
     check_complete_reducibility,
@@ -121,6 +121,8 @@ def _render(report: dict, output: str) -> str:
 
 
 def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
+    # The cap is checked before the support, which can cost far more.
+    realizer.check_tensor(spec.algebra, [spec.weights[I] for I in table_indices(spec.dims)], cap)
     descriptor = classify(spec)
     support = descriptor.support
     boxes = realizer.component_decomposition(spec, support, box, cap=cap)

@@ -16,9 +16,11 @@ This form is unique, so equality and hashing are structural and zero-testing
 is a scan for a nonzero numerator.  Every construction reduces once: a sum
 ``Σ qᵢ·ζ^{eᵢ}`` or a product is folded modulo ``x^L − 1`` (which ``Φ_L``
 divides), then divided by the monic ``Φ_L``; the division is skipped when the
-top exponent is already below ``φ(L)``.  An element takes O(φ(L)) memory and
-the only per-order table is ``Φ_L`` itself, built from the Möbius product
-``Φ_L = ∏_{d | L} (x^d − 1)^{μ(L/d)}`` (``cyclotomic_polynomial``).
+top exponent is already below ``φ(L)``.  An element takes O(φ(L)) memory.
+The per-order tables are ``Φ_L`` itself, built from the Möbius product
+``Φ_L = ∏_{d | L} (x^d − 1)^{μ(L/d)}`` (``cyclotomic_polynomial``), and the
+reduced powers of ζ as sparse numerators (``zeta_terms``), one bounded cache
+that the support's class sums and the realizer's term plans share.
 
 No floating point is used anywhere; ``complex(x)`` is provided only so tests
 can cross-check against numeric evaluation.
@@ -98,6 +100,20 @@ def _reduce(order: int, poly: list[int]) -> list[int]:
                 poly[base + j] -= c * t
     del poly[deg:]
     return poly
+
+
+@lru_cache(maxsize=1 << 14)
+def zeta_terms(order: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero power-basis numerators of ζ_order^m as (position, integer)
+    pairs, for ``0 ≤ m < order``: the one pair ``(m, 1)`` below φ(order), and
+    one reduction of x^m modulo Φ_order, kept in a bounded cache, above."""
+    deg = _phi_taps(order)[0]
+    if m < deg:
+        return ((m, 1),)
+    poly = [0] * (m + 1)
+    poly[m] = 1
+    num = _reduce(order, poly)
+    return tuple((k, num[k]) for k in compress(count(), num))
 
 
 class CycScalar:

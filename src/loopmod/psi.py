@@ -18,12 +18,15 @@ from a certificate ladder on the term table alone, cheapest rung first
 ``D = ⊕ MᵢZ`` (``domain``), an n = 1 dominance window that lists every zero
 (``descartes``), and, for the cosets left open, a check on the audit cube,
 one coset at a time (``audit``).  The rung is reported as the support's
-``certificate``.  Class sums are exact integer rows, and a degree in an open
-coset is decided from them: ``v(m) ≠ 0`` iff ``Σ_K ρ_K^m·u_K(r)`` has a
-nonzero coordinate, an integer test.  A coset the ladder did not scan,
-because the scan was over budget, is decided from its class sums when a
-lookup first reaches it, so the support never evaluates the functional.  The twisted support runs the
-same ladder on the restricted functional's term table.
+``certificate``.  Class sums are exact and sparse: each is its nonzero
+power-basis numerators by position, built term by term from the reduced
+powers of ζ in ``cyclotomic.zeta_terms``, so their cost follows the terms and
+not φ(L).  A degree in an open coset is decided from them: ``v(m) ≠ 0`` iff
+``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an integer test.  A coset the
+ladder did not scan, because the scan was over budget, is decided from its
+class sums when a lookup first reaches it, so the support never evaluates
+the functional.  The twisted support runs the same ladder on the restricted
+functional's term table.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation on a cube of degrees, scanning in order of increasing
@@ -39,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycScalar, CycVector, _prime_factors, _reduce
+from .cyclotomic import CycScalar, CycVector, _phi_taps, _prime_factors, zeta_terms
 from .errors import (
     InputError,
     NoPeriodWithinBoundError,
@@ -248,10 +251,11 @@ class _CosetSums:
     each axis scaled by the lcm of that axis's active denominators.  The
     term-table weights are integers on both paths (the weights themselves,
     or the twisted orbit sums and restricted numerators), so ``sums`` gives
-    each ``u_K(r)`` as power-basis numerators, and ``nonzero`` scales the
-    ``ρ_K^m`` by one positive factor.  A common positive factor changes
-    neither the sign of a coordinate, nor linear independence over Q, nor
-    whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
+    each ``u_K(r)`` as its nonzero power-basis numerators, a sparse map from
+    position to integer, and ``nonzero`` scales the ``ρ_K^m`` by one positive
+    factor.  A common positive factor changes neither the sign of a
+    coordinate, nor linear independence over Q, nor whether
+    ``Σ_K ρ_K^m·u_K(r)`` vanishes.
     """
 
     def __init__(self, ev):
@@ -280,11 +284,13 @@ class _CosetSums:
         rho = {I: tuple(up[j] for up, j in zip(scaled, I)) for I in active}
         self.classes = sorted(set(rho.values()))
         ids = {r: K for K, r in enumerate(self.classes)}
-        # table[j]: (class, axis phases (s, e), slots of (exponent, integer)).
+        # table[j]: (class, per-axis phase exponents e, per-axis phase signs
+        # s, slots of (exponent, integer)).
         self.table = [[
-            (ids[rho[I]], [phase[j] for phase, j in zip(phases, I)], comps)
+            (ids[rho[I]], *zip(*(phase[j][::-1] for phase, j in zip(phases, I))), comps)
             for I, comps in rows
         ] for rows in ev.terms]
+        self.width = _phi_taps(ev.order)[0]
         # Integer bases per axis: ρ = up/D for m ≥ 0 and ρ⁻¹ = (N/up)/(N/D)
         # for m < 0, with up the class's entry and N the lcm of the up; D and
         # N/D are shared by every class.
@@ -295,28 +301,30 @@ class _CosetSums:
             self._bases.append((up, [N // u for u in up]))
         self._pows: dict = {}
 
-    def sums(self, r) -> list[tuple[int, list[int]]]:
+    def sums(self, r) -> list[tuple[int, dict]]:
         """``(K, u_K(r))`` for every class with ``u_K(r) ≠ 0``, by class:
-        the integer numerators of each slot in turn, φ(L) per slot."""
+        ``u_K(r)`` as its nonzero integer numerators, by position ``t·φ(L) +
+        k`` for coordinate k of slot t.  Each term adds its integer times the
+        numerators of one ``ζ^m`` from ``zeta_terms``."""
         L = self.order
         acc: dict = {}
-        for K, phases, comps in self.table[r[0] % self.k]:
-            e = sign = 0
-            for (s, f), x in zip(phases, r):
-                e += f * x
-                sign += s * x
-            q = -1 if sign % 2 else 1
-            polys = acc.get(K)
-            if polys is None:
-                polys = acc[K] = [[0] * L for _ in comps]
-            for poly, terms in zip(polys, comps):
+        for K, exps, signs, comps in self.table[r[0] % self.k]:
+            e = sum(map(mul, exps, r))
+            q = -1 if sum(map(mul, signs, r)) % 2 else 1
+            poly = acc.get(K)
+            if poly is None:
+                poly = acc[K] = {}
+            for base, terms in zip(itertools.count(0, self.width), comps):
                 for f, c in terms:
-                    poly[(e + f) % L] += q * c
+                    c *= q
+                    for k, z in zeta_terms(L, (e + f) % L):
+                        k += base
+                        poly[k] = poly.get(k, 0) + c * z
         out = []
         for K in sorted(acc):
-            row = [x for poly in acc[K] for x in _reduce(L, poly)]
-            if any(row):
-                out.append((K, row))
+            u = {k: x for k, x in acc[K].items() if x}
+            if u:
+                out.append((K, u))
         return out
 
     def nonzero(self, coset, m) -> bool:
@@ -376,14 +384,16 @@ def _coset_status(form: _CosetSums, r):
     columns)`` for ``_CosetSums.nonzero``.
 
     Inside is ``Σ_K c_K·u_K ≠ 0`` for every choice of ``c_K > 0``.  The rows of
-    ``form.sums`` are the ``u_K`` as integer numerators, so a coordinate's
-    signs and the rows' independence over Q (the rank of their Hermite form
-    on the nonzero columns) are read from them directly."""
+    ``form.sums`` are the ``u_K`` as sparse integer numerators, and the
+    columns are the positions where some row is nonzero, in increasing order,
+    each as the tuple of the rows' entries there.  A coordinate's signs and
+    the rows' independence over Q (the rank of their Hermite form on those
+    columns) are read from them directly."""
     sums = form.sums(r)
     rows = [u for _, u in sums]
     if len(rows) < 2:
         return bool(rows)
-    cols = [c for c in zip(*rows) if any(c)]
+    cols = [tuple(u.get(k, 0) for u in rows) for k in sorted(set().union(*rows))]
     for vals in cols:
         if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
             return True  # one sign on a power-basis coordinate

@@ -44,16 +44,17 @@ fibers do not suffer boundary truncation.  Closure terminates because in-box
 fiber ranks grow monotonically.  What a closure needs besides its seed comes
 in two parts, each built whole, so a closure reads its plans and builds
 none.  The module part, ``_ModuleTables``, holds the tensor, the grading,
-each generator's class shift, the moves between classes with the plans of
-the step-0 generators, whose slot coefficients a_I^0 are all 1, and the
-reduced powers of ζ.  It reads the algebra, the ordered tensor factors, n,
-the twist's node orbits and order, L and the cap, and nothing of the
-evaluation points or ϱ, so ``_module_tables`` keeps it in a bounded cache
-keyed on exactly those, and the specs of one module share it.  The per-spec
-part, ``_ClosureTables``, holds every move with its plan: the module's at
-step 0, and its own at the steps s ≠ 0, whose coefficients a_I^s read the
-evaluation points; ``component_decomposition`` builds it once and closes
-every coset representative of the support from it.
+each generator's class shift, and the moves between classes with the plans
+of the step-0 generators, whose slot coefficients a_I^0 are all 1; the
+reduced powers of ζ that a plan reads come from ``cyclotomic.zeta_terms``.
+It reads the algebra, the ordered tensor factors, n, the twist's node orbits
+and order, L and the cap, and nothing of the evaluation points or ϱ, so
+``_module_tables`` keeps it in a bounded cache keyed on exactly those, and
+the specs of one module share it.  The per-spec part, ``_ClosureTables``,
+holds every move with its plan: the module's at step 0, and its own at the
+steps s ≠ 0, whose coefficients a_I^s read the evaluation points;
+``component_decomposition`` builds it once and closes every coset
+representative of the support from it.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -73,7 +74,7 @@ from math import gcd, lcm, prod
 from operator import add
 
 from .cyclotomic import (
-    CycScalar, _reduce, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators,
+    CycScalar, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators, zeta_terms,
 )
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
@@ -183,12 +184,13 @@ class FinModule:
     hw_index: int = 0
 
 
-def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
-    tops = [tuple(t) for t in tops]
+def check_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> int:
+    """The Weyl dimension of the tensor of the V(λ) for the ``tops``, in their
+    order; raises unless every top is dominant and that dimension is at most
+    ``cap``.  No V(λ) is built."""
     for top in tops:
         if not is_dominant(top):
             raise InputError("highest weight must be dominant", weight=top)
-    # The cap is checked on Weyl dimensions, before any V(λ) is built.
     total = 1
     for top in tops:
         total *= weyl_dim(algebra, top)
@@ -196,6 +198,12 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
             raise CapExceededError(
                 "tensor dimension exceeds the cap", dimension=total, cap=cap
             )
+    return total
+
+
+def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
+    tops = [tuple(t) for t in tops]
+    total = check_tensor(algebra, tops, cap)
     slots = tuple(irreducible_module(algebra, top) for top in tops)
     strides = tuple(prod(s.dim for s in slots[k + 1:]) for k in range(len(slots)))
     basis_weights = tuple(
@@ -212,9 +220,10 @@ def build_tensor(algebra: SimpleLieAlgebra, tops, cap: int = 64) -> FinModule:
 
 def _zeta_power(order: int, m: int, w: int) -> list[int]:
     """The ``w`` = φ(L) power-basis numerators of ζ^m, ``0 ≤ m < order``."""
-    poly = [0] * max(w, m + 1)
-    poly[m] = 1
-    return _reduce(order, poly)
+    out = [0] * w
+    for k, c in zeta_terms(order, m):
+        out[k] = c
+    return out
 
 
 def _times(order: int, m, x) -> list[int]:
@@ -347,8 +356,7 @@ class _Plan:
     ``(target position, ζ-exponent e, weight)`` triples.  ``columns`` maps
     each source numerator ``s = i·φ(L) + j`` read so far to the ``(target
     numerator, integer)`` pairs it adds to, built on first use from the
-    numerators of ``ζ^{(j+e) mod L}``; those come from ``powers``, a dict by
-    exponent that the caller owns."""
+    numerators of ``ζ^{(j+e) mod L}`` (``cyclotomic.zeta_terms``)."""
 
     __slots__ = ("terms", "columns")
 
@@ -356,21 +364,16 @@ class _Plan:
         self.terms = terms
         self.columns: dict = {}
 
-    def _column(self, s: int, powers: dict, order: int, w: int) -> list:
+    def _column(self, s: int, order: int, w: int) -> list:
         i, j = divmod(s, w)
         out: dict = {}
         for t, e, v in self.terms.get(i, ()):
-            m = (j + e) % order
-            power = powers.get(m)
-            if power is None:
-                num = _zeta_power(order, m, w)
-                power = powers[m] = [(k, num[k]) for k in compress(count(), num)]
             base = t * w
-            for k, c in power:
+            for k, c in zeta_terms(order, (j + e) % order):
                 out[base + k] = out.get(base + k, 0) + v * c
         return [(k, c) for k, c in out.items() if c]
 
-    def image(self, row, nonzero, length: int, powers: dict, order: int, w: int) -> list[int]:
+    def image(self, row, nonzero, length: int, order: int, w: int) -> list[int]:
         """The integer row of length ``length`` that the plan maps ``row`` to;
         ``nonzero`` lists the positions of the nonzero numerators of ``row``."""
         out = [0] * length
@@ -378,7 +381,7 @@ class _Plan:
         for s in nonzero:
             col = columns.get(s)
             if col is None:
-                col = columns[s] = self._column(s, powers, order, w)
+                col = columns[s] = self._column(s, order, w)
             x = row[s]
             for k, c in col:
                 out[k] += x * c
@@ -449,10 +452,9 @@ def _class_shift(slot_classes, terms):
 class _ModuleTables:
     """The part of the closure tables that depends on the module alone: the
     grading, each generator's class shift at each step, the moves between
-    classes, the reduced powers of ζ, and the term plans of the step-0
-    generators, whose slot coefficients a_I^0 are all 1.  Each step-0
-    generator is made integer once and planned for every move it makes, when
-    the tables are built; the powers are filled as images read them.
+    classes, and the term plans of the step-0 generators, whose slot
+    coefficients a_I^0 are all 1.  Each step-0 generator is made integer once
+    and planned for every move it makes, when the tables are built.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -497,7 +499,6 @@ class _ModuleTables:
                 if tcls in members:
                     plan = _plan(fin, int_terms, members[cls], local) if at_zero else None
                     out.append((gid, tcls, len(members[tcls]), sid, plan))
-        self.powers: dict = {}  # m -> the nonzero (numerator, integer) pairs of ζ^m
 
 
 class _ClosureTables:
@@ -528,7 +529,7 @@ class _ClosureTables:
         """Closure of the highest-weight vector placed at ``seed_degree``."""
         module, moves = self.module, self.moves
         fin, grading, order, w = module.fin, module.grading, module.order, module.width
-        powers, steps = module.powers, module.steps
+        steps = module.steps
         work = radius + _MARGIN
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
@@ -557,7 +558,7 @@ class _ClosureTables:
                     ech = parts[key] = FieldEchelon(order)
                 if len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
-                added = ech.add(plan.image(row, nonzero, size * w, powers, order, w))
+                added = ech.add(plan.image(row, nonzero, size * w, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
         return GradedBox(
@@ -664,7 +665,7 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     plan = _plan(fin, int_terms, everything, everything)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
-    image = plan.image(row, list(compress(count(), row)), len(row), {}, order, w)
+    image = plan.image(row, list(compress(count(), row)), len(row), order, w)
     return from_numerators(order, image, den * scale)
 
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
-canonical block-form constructions with a prescribed support, and full-length
-views of a realizer closure's fibers."""
+canonical block-form constructions with a prescribed support, full-length
+views of a realizer closure's fibers, and dense class sums as the oracle of
+the support's sparse ones."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from loopmod.cyclotomic import CycScalar, cyclotomic_polynomial
+from loopmod.cyclotomic import CycScalar, _reduce, cyclotomic_polynomial
 from loopmod.lattice import Lattice
 from loopmod.liealg import build_algebra, build_aut, node_orbits
 from loopmod.psi import PsiSpec, table_indices
@@ -315,3 +316,41 @@ def fiber_span(box, deg) -> FieldEchelon:
     for row in fiber_rows(box, deg):
         ech.add(row)
     return ech
+
+
+def dense_coset_sums(form, r) -> list[tuple[int, list[int]]]:
+    """The class sums ``u_K(r)`` of a ``psi._CosetSums``, built densely: one
+    ``[0] * L`` list per class and slot, each reduced modulo Φ_L.  Returns
+    ``(K, row)`` for every class with a nonzero row, the row being the
+    numerators of each slot in turn, φ(L) per slot."""
+    L = form.order
+    acc: dict = {}
+    for K, exps, signs, comps in form.table[r[0] % form.k]:
+        e = sum(f * x for f, x in zip(exps, r))
+        q = -1 if sum(s * x for s, x in zip(signs, r)) % 2 else 1
+        polys = acc.setdefault(K, [[0] * L for _ in comps])
+        for poly, terms in zip(polys, comps):
+            for f, c in terms:
+                poly[(e + f) % L] += q * c
+    out = []
+    for K in sorted(acc):
+        row = [x for poly in acc[K] for x in _reduce(L, poly)]
+        if any(row):
+            out.append((K, row))
+    return out
+
+
+def dense_coset_status(form, r):
+    """``psi._coset_status`` read from the dense rows of ``dense_coset_sums``:
+    the columns are those of the rows where some row is nonzero."""
+    sums = dense_coset_sums(form, r)
+    rows = [u for _, u in sums]
+    if len(rows) < 2:
+        return bool(rows)
+    cols = [c for c in zip(*rows) if any(c)]
+    for vals in cols:
+        if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
+            return True
+    if Lattice.from_generators(zip(*cols)).rank == len(rows):
+        return True
+    return [K for K, _ in sums], cols

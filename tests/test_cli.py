@@ -155,6 +155,23 @@ def test_iso_classifies_the_right_spec_only_without_a_witness(
     assert (calls.count(names[0]), calls.count(names[1])) == (classified, 1)
 
 
+def test_verify_checks_the_cap_before_the_support(write, capsys, monkeypatch):
+    # V(2) ⊗ V(2) of A₁ has dimension 9, over --cap 8: the diagnostic comes
+    # before any support is computed.
+    calls = []
+    # ``loopmod.classify`` is the function; the module is in sys.modules.
+    for module in (psi, sys.modules["loopmod.classify"], cli):
+        monkeypatch.setattr(module, "support_lattice", lambda *args: calls.append(args))
+    doc = dict(SPEC_2Z, weights=[{"index": [1], "coords": [2]}, {"index": [2], "coords": [2]}])
+    code, out = _run(capsys, ["verify", write(doc, "big.json"), "--box", "1", "--cap", "8"])
+    assert code == 2 and not calls
+    assert out["diagnostics"] == [{
+        "type": "CapExceededError",
+        "message": "tensor dimension exceeds the cap",
+        "data": {"cap": 8, "dimension": 9},
+    }]
+
+
 def test_iso_reports_the_right_spec_error_without_a_witness(write, capsys):
     # The two-point spec plus a zero-weight point at 5 fails classification
     # (its period 2 does not divide 3); no witness relates it to the

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from loopmod.cyclotomic import (
     CycScalar,
     CycVector,
+    _reduce,
     cyclotomic_polynomial,
     root_of_unity_order_divides,
     sum_is_zero,
+    zeta_terms,
 )
 from loopmod.errors import InputError, OrderMismatchError
 
@@ -333,3 +335,14 @@ def test_vector_equal_implies_equal_hash(draw):
     a, b = CycVector(order, ca), CycVector(order, shifted)
     assert a == b and hash(a) == hash(b)
     assert a + b - b == a and hash(a + b - b) == hash(a)
+
+
+@pytest.mark.parametrize("order", (12, 60, 210, 1024, 2003))
+def test_zeta_terms_are_the_reduced_powers_of_zeta(order):
+    # Every power ζ^m, m < L, against one reduction of x^m modulo Φ_L.
+    w = len(cyclotomic_polynomial(order)) - 1
+    for m in range(order):
+        poly = [0] * max(w, m + 1)
+        poly[m] = 1
+        num = _reduce(order, poly)
+        assert zeta_terms(order, m) == tuple((k, x) for k, x in enumerate(num) if x), m

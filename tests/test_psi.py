@@ -8,8 +8,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import A1, A2, A2_FLIP, D4, D4_TRIALITY, random_spec, random_twisted_spec, spec
-from loopmod import psi
+from helpers import (
+    A1, A2, A2_FLIP, D4, D4_TRIALITY, dense_coset_status, dense_coset_sums, random_spec,
+    random_twisted_spec, spec,
+)
+from loopmod import cyclotomic, psi
 from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import InputError, SupportNotSubgroupError, TrivialModuleError
@@ -386,6 +389,78 @@ def test_certificate_membership_matches_evaluation(seed, kind):
         assert cert.label == "descartes", cert.label
     for m in box_scan_order(s.n, 3 if s.n <= 2 else 2):
         assert cert.member(m) == ev.is_nonzero(m), (cert.label, m)
+
+
+def _at_order(rng, s, order):
+    # ``s`` with its evaluation points moved to order ``order``: each keeps its
+    # rational part and takes a phase from a random subgroup of the roots of
+    # unity, so that some class sums cancel; a point equal to an earlier one
+    # of its axis is doubled until it is not.
+    d = rng.choice([d for d in (1, 2, 3, 4, 6, 12, order) if order % d == 0])
+    evals = []
+    for axis in s.evals:
+        row = []
+        for a in axis:
+            b = CycScalar(a.q, rng.randrange(d) * (order // d), order)
+            while b in row:
+                b = CycScalar(2 * b.q, b.e, order)
+            row.append(b)
+        evals.append(tuple(row))
+    return PsiSpec(s.algebra, s.n, s.dims, dict(s.weights), tuple(evals), s.rho)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 12, 60, 210, 1024, 2003, 2310))
+@given(st.integers(0, 2 ** 32), st.sampled_from(("random", "forced", "twisted", "twisted-forced")))
+@settings(max_examples=8, deadline=None)
+def test_sparse_class_sums_match_the_dense_oracle(order, seed, kind):
+    # The sparse class sums are the nonzero entries of the dense ones, and
+    # the coset verdicts and open-coset columns read from them are the same.
+    # A twisted spec's order is raised to a multiple of k.
+    rng = random.Random(seed)
+    s, ev, _ = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
+    s = _at_order(rng, s, order)
+    if kind.startswith("twisted"):
+        ev = TwistedEvaluator(TwistedSpec(base=s, aut=ev.spec.aut))
+    else:
+        ev = Evaluator(s)
+    form = psi._CosetSums(ev)
+    for r in {tuple(rng.randrange(M) for M in form.moduli) for _ in range(3)}:
+        dense = dense_coset_sums(form, r)
+        assert form.sums(r) == [(K, {k: x for k, x in enumerate(u) if x}) for K, u in dense]
+        assert psi._coset_status(form, r) == dense_coset_status(form, r)
+
+
+# The wide-field descartes spec at L = 2003 (A₂, dims [3], rational points),
+# and the same points times ζ^{−1}: a common phase keeps the ladder's cosets,
+# and the class sums of the odd coset then read ζ^{2002}, past φ(2003).
+_DESCARTES_2003 = [
+    (-1, Fraction(1, 2), -2),
+    ((-1, 2002, 2003), (Fraction(1, 2), 2002, 2003), (-2, 2002, 2003)),
+]
+
+
+@pytest.mark.parametrize("evals", _DESCARTES_2003, ids=["rational", "common-phase"])
+def test_support_reduces_each_power_of_zeta_once(monkeypatch, evals):
+    s = spec(A2, (3,), {(1,): (1, 3), (2,): (1, 3), (3,): (1, 3)}, [evals], rho=[0])
+    s = s.with_field_order(2003)
+    reduced = Counter()
+    reduce = cyclotomic._reduce
+
+    def counting(order, poly):
+        reduced[order, len(poly) - 1] += 1
+        return reduce(order, poly)
+
+    cyclotomic.zeta_terms.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_reduce", counting)
+    first = support_lattice(s)
+    assert first.certificate == "descartes"
+    assert all(order == 2003 and m >= 2002 for order, m in reduced)
+    assert max(reduced.values(), default=0) <= 1
+    if evals[0] != -1:
+        assert reduced == {(2003, 2002): 1}
+    reduced.clear()
+    assert support_lattice(s) == first
+    assert not reduced
 
 
 def _generated(cert, n, bounds):

@@ -48,6 +48,44 @@ def test_bench_pairs_runs_without_writing_bytecode(tmp_path, monkeypatch):
     assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]
 
 
+_METRICS = [
+    {"name": "latency_p90_ms", "better": "lower", "bound": 0.25},
+    {"name": "throughput_ops_s", "better": "higher", "bound": 0.25},
+]
+
+
+def _runs(p90s, throughputs):
+    return [{"latency_p90_ms": a, "throughput_ops_s": b} for a, b in zip(p90s, throughputs)]
+
+
+def test_bench_pairs_flags_a_claim_by_wins_and_the_parents_spread():
+    bench_pairs = _tool("bench_pairs")
+    parent = _runs([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [100] * 10)
+    # p90: 9 wins of 10 and a median gap of 3 over the parent's IQR of 1.5.
+    # Throughput: 8 wins of 10 only, though the median is far better.
+    change = _runs([8, 8, 8, 8, 8, 8, 8, 8, 8, 13], [150] * 8 + [90, 90])
+    out = bench_pairs.summarize(parent, change, _METRICS)
+    p90, ops = out["latency_p90_ms"], out["throughput_ops_s"]
+    assert (p90["change_wins"], p90["claim_met"], p90["within_bound"]) == (9, True, True)
+    assert (ops["change_wins"], ops["claim_met"], ops["within_bound"]) == (8, False, True)
+    # Every pair won, by less than the parent's spread.
+    near = _runs([9.5, 10.5, 11.5, 9.5, 10.5, 11.5, 9.5, 10.5, 11.5, 10.5], [101] * 10)
+    out = bench_pairs.summarize(parent, near, _METRICS)
+    assert out["latency_p90_ms"]["change_wins"] == 10
+    assert not out["latency_p90_ms"]["claim_met"]
+
+
+def test_bench_pairs_flags_a_median_past_the_bound():
+    bench_pairs = _tool("bench_pairs")
+    parent = _runs([10] * 4, [100] * 4)
+    # p90 25% worse is at the bound; throughput 26% worse is past it.
+    change = _runs([12.5] * 4, [74] * 4)
+    out = bench_pairs.summarize(parent, change, _METRICS)
+    assert out["latency_p90_ms"]["within_bound"]
+    assert not out["throughput_ops_s"]["within_bound"]
+    assert not out["latency_p90_ms"]["claim_met"] and not out["throughput_ops_s"]["claim_met"]
+
+
 def test_compare_outputs_leaves_no_bytecode(tmp_path, monkeypatch, capsys):
     # Two trees whose bench modules import the engine but list no workloads:
     # every digest run imports them, and none may write bytecode.

@@ -8,9 +8,18 @@ each tree, one run at a time, each tree with its own ``bench/run.py``; the
 parent runs first in even pairs and the change first in odd ones.  A run whose
 ``correct`` is false or whose ``failed`` is above 0 stops the tool.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints both trees' median and
-quartiles and the change's wins (pairs where the change is strictly better;
-ties count for neither).  The summary is one ``rounds[]`` entry of the
-``BENCH_<n>.json`` files, written to ``--out`` when given.
+quartiles, the change's wins (pairs where the change is strictly better;
+ties count for neither) and two flags:
+
+* ``claim_met``: the change wins at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's
+  interquartile range, the rule a claimed gain must pass;
+* ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction of
+  the parent's median.
+
+The summary is one ``rounds[]`` entry of the ``BENCH_<n>.json`` files,
+written to ``--out`` when given.
 
 Both trees must be free of ``__pycache__`` directories, and every run has
 ``PYTHONDONTWRITEBYTECODE=1`` in its environment: a tree that loads bytecode
@@ -63,12 +72,17 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
         a = [r[name] for r in parent]
         b = [r[name] for r in change]
+        pq = quartiles(a)
         pm = statistics.median(a)
+        gain = sign * (statistics.median(b) - pm)  # > 0: the change is better
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         out[name] = {
-            "parent": quartiles(a),
+            "parent": pq,
             "change": quartiles(b),
-            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+            "change_wins": wins,
             "change_vs_parent_median": round((statistics.median(b) - pm) / pm, 6),
+            "claim_met": wins >= 0.9 * len(a) and gain > pq["q3"] - pq["q1"],
+            "within_bound": -gain <= metric["bound"] * abs(pm),
         }
     return out
 
@@ -117,7 +131,9 @@ def main(argv=None) -> int:
             p, c = s["parent"], s["change"]
             print(f"  {name:18s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
                   f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
-                  f"{s['change_vs_parent_median']:+.1%}  wins {s['change_wins']}/{args.pairs}")
+                  f"{s['change_vs_parent_median']:+.1%}  wins {s['change_wins']}/{args.pairs}  "
+                  f"claim {'met' if s['claim_met'] else 'not met'}  "
+                  f"{'within' if s['within_bound'] else 'OUTSIDE'} bound")
     if args.out:
         args.out.write_text(json.dumps(entry, indent=1) + "\n")
     return 0
