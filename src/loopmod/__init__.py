@@ -23,7 +23,7 @@ from .liealg import (
     restrict_weight,
     weyl_dim,
 )
-from .psi import PsiSpec, SupportLattice, eval_functional, support_lattice, verify_support
+from .psi import SupportLattice, eval_functional, support_lattice, verify_support
 from .realizer import (
     FinModule,
     GradedBox,
@@ -34,9 +34,9 @@ from .realizer import (
     loop_action,
     twisted_generate_component,
 )
+from .spec import PsiSpec, TwistedSpec
 from .twisted import (
     TwistedDescriptor,
-    TwistedSpec,
     check_complete_reducibility,
     classify_type,
     decide_twisted_iso,

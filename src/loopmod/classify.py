@@ -58,9 +58,8 @@ from .cyclotomic import CycScalar, multiplicative_order
 from .errors import StructureViolationError
 from .lattice import Lattice
 from .liealg import DiagramAut, Weight, apply_aut, primitive_root_of_unity
-from .psi import PsiSpec, SupportLattice, common_field_order, support_lattice, table_indices
-
-Index = tuple[int, ...]
+from .psi import SupportLattice, support_lattice
+from .spec import Index, PsiSpec, common_field_order, table_indices
 
 
 def scalar_sort_key(a: CycScalar):

@@ -33,9 +33,9 @@ from .jsonio import (
     support_to_json,
     twisted_descriptor_to_json,
 )
-from .psi import PsiSpec, support_lattice, table_indices
+from .psi import box_scan_order, support_lattice
+from .spec import PsiSpec, TwistedSpec, table_indices
 from .twisted import (
-    TwistedSpec,
     check_complete_reducibility,
     decide_twisted_iso,
     twisted_classify,
@@ -120,15 +120,39 @@ def _render(report: dict, output: str) -> str:
         ) from None
 
 
+def _seeds(lat, box: int) -> list:
+    """One seed degree per coset of ``lat`` inside the realizer's working box
+    ``[-w, w]ⁿ``, w = box + ``realizer.MARGIN``: the coset representative
+    when it lies there, and otherwise the coset's first degree in
+    ``box_scan_order`` (least max-norm)."""
+    work = box + realizer.MARGIN
+    seeds, scan = [], None
+    for rep in lat.coset_reps():
+        if max(map(abs, rep)) <= work:
+            seeds.append(rep)
+            continue
+        if scan is None:
+            scan = box_scan_order(lat.n, work)
+        residue = lat.residue(rep)
+        seed = next((m for m in scan if lat.residue(m) == residue), None)
+        if seed is None:
+            raise InputError(
+                "a coset of the support has no degree in the working box",
+                box=box, working_box=work, coset=rep,
+            )
+        seeds.append(seed)
+    return seeds
+
+
 def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
     # The cap is checked before the support, which can cost far more.
     realizer.check_tensor(spec.algebra, [spec.weights[I] for I in table_indices(spec.dims)], cap)
     descriptor = classify(spec)
     support = descriptor.support
-    boxes = realizer.component_decomposition(spec, support, box, cap=cap)
+    lat = support.lattice
+    boxes = realizer.component_decomposition(spec, _seeds(lat, box), box, cap=cap)
     fin = boxes[0].fin
     audit = realizer.audit_decomposition(boxes)
-    lat = support.lattice
     # An untwisted closure's classes are the weights, and the top weight's
     # class is the highest-weight vector alone.
     top = fin.basis_weights[fin.hw_index]

@@ -360,10 +360,6 @@ class CycVector:
         return cls(order, _num=num, _den=den)
 
     @classmethod
-    def from_scalar(cls, s: CycScalar, weight=1) -> "CycVector":
-        return cls.from_terms(s.order, [(s.e, Fraction(weight) * s.num / s.den)])
-
-    @classmethod
     def from_rational(cls, q, order: int) -> "CycVector":
         return cls.from_terms(order, [(0, Fraction(q))])
 

@@ -19,8 +19,9 @@ from .cyclotomic import CycScalar
 from .errors import InputError
 from .lattice import Lattice
 from .liealg import build_algebra, build_aut
-from .psi import PsiSpec, SupportLattice
-from .twisted import TwistedDescriptor, TwistedSpec
+from .psi import SupportLattice
+from .spec import PsiSpec, TwistedSpec
+from .twisted import TwistedDescriptor
 
 
 def _fraction_from(value) -> Fraction:

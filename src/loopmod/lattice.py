@@ -180,13 +180,6 @@ class Lattice:
             out.append(tuple(orig))
         return out
 
-    def sublattice_of(self, other: "Lattice") -> bool:
-        return all(other.contains(g) for g in self.generators_original())
-
-    def same_subgroup(self, other: "Lattice") -> bool:
-        """Equality as subgroups of Z^n, independent of axis ordering."""
-        return self.n == other.n and self.sublattice_of(other) and other.sublattice_of(self)
-
 
 def from_generators(gens, n=None, ordering=None) -> Lattice:
     return Lattice.from_generators(gens, n=n, ordering=ordering)

@@ -250,10 +250,6 @@ class RestrictedWeight:
     comp0: tuple[Fraction, ...]
     higher: tuple[tuple[CycVector, ...], ...]
 
-    @property
-    def higher_vanish(self) -> bool:
-        return all(v.is_zero() for comp in self.higher for v in comp)
-
 
 def restrict_weight(aut: DiagramAut, weight: Weight, field_order: int) -> RestrictedWeight:
     k = aut.order

@@ -1,8 +1,7 @@
-"""Evaluation data (λ, a) for graded highest-weight modules and its support.
+"""The support of a spec's degree functional.
 
-A :class:`PsiSpec` holds a weight table ``λ_I`` indexed over ``∏[1..Nᵢ]``, one
-tuple of pairwise-distinct nonzero evaluation scalars per loop axis, and the
-rational grading shifts ``ϱ``.  The degree-``m`` functional is
+For a :class:`~loopmod.spec.PsiSpec`, with weight table ``λ_I`` and evaluation
+scalars ``a_{i,j}``, the degree-``m`` functional is
 
     v(m) = Σ_I a_I^m · λ_I,      a_I^m = ∏ᵢ a_{i,Iᵢ}^{mᵢ},
 
@@ -29,9 +28,10 @@ the functional.  The twisted support runs the same ladder on the restricted
 functional's term table.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
-direct evaluation on a cube of degrees, scanning in order of increasing
-max-norm (ties broken componentwise descending) and reporting the first
-mismatch.
+direct evaluation (``Evaluator.functional``, from ``PsiSpec.coefficients``)
+on a cube of degrees, scanning in order of increasing max-norm (ties broken
+componentwise descending) and reporting the first mismatch.  The realizer,
+the other oracle, reads the spec and not this module.
 """
 
 from __future__ import annotations
@@ -50,105 +50,10 @@ from .errors import (
     TrivialModuleError,
 )
 from .lattice import Lattice
-from .liealg import SimpleLieAlgebra, Weight, is_dominant
-
-Index = tuple[int, ...]
-
-
-def table_indices(dims: tuple[int, ...]) -> list[Index]:
-    """All table indices I with 1 ≤ Iᵢ ≤ Nᵢ, in lexicographic order."""
-    return [tuple(i) for i in itertools.product(*(range(1, n + 1) for n in dims))]
-
-
-@dataclass(frozen=True)
-class PsiSpec:
-    algebra: SimpleLieAlgebra
-    n: int
-    dims: tuple[int, ...]
-    weights: dict[Index, Weight]
-    evals: tuple[tuple[CycScalar, ...], ...]
-    rho: tuple[Fraction, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("need at least one loop variable", n=self.n)
-        if len(self.dims) != self.n or any(d < 1 for d in self.dims):
-            raise InputError("dims must list one positive size per axis")
-        if not self.rho:
-            object.__setattr__(self, "rho", (Fraction(0),) * self.n)
-        if len(self.rho) != self.n:
-            raise InputError("rho must have one entry per axis")
-        if len(self.evals) != self.n:
-            raise InputError("evals must list one tuple per axis")
-        orders = {a.order for axis in self.evals for a in axis}
-        if len(orders) > 1:
-            raise InputError(
-                "evaluation scalars must share one cyclotomic order", orders=orders
-            )
-        for i, axis in enumerate(self.evals):
-            if len(axis) != self.dims[i]:
-                raise InputError("evaluation tuple has wrong length", axis=i + 1)
-            if len(set(axis)) != len(axis):
-                raise InputError(
-                    "evaluation scalars must be distinct on each axis", axis=i + 1
-                )
-        # The first five missing indices, found without listing the table.
-        indices = itertools.product(*(range(1, d + 1) for d in self.dims))
-        missing = list(itertools.islice((I for I in indices if I not in self.weights), 5))
-        if missing:
-            raise InputError("weight table is incomplete", missing=missing)
-        if len(self.weights) != self.table_size:
-            raise InputError("weight table has extraneous entries")
-        d = self.algebra.rank
-        for I, w in self.weights.items():
-            if len(w) != d:
-                raise InputError("weight has wrong length", index=I, expected=d)
-            if not is_dominant(w):
-                raise InputError("weights must be dominant integral", index=I)
-
-    @classmethod
-    def unchecked(cls, algebra, n, dims, weights, evals, rho) -> "PsiSpec":
-        """A spec from data derived from a checked spec (lifted to another
-        field, or summed over an axis), which still passes every
-        ``__post_init__`` check; the checks are not run again.  ``rho`` has
-        one entry per axis."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(
-            algebra=algebra, n=n, dims=dims, weights=weights, evals=evals, rho=rho
-        )
-        return spec
-
-    @property
-    def field_order(self) -> int:
-        return self.evals[0][0].order
-
-    @property
-    def table_size(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    def is_trivial(self) -> bool:
-        return all(not any(w) for w in self.weights.values())
-
-    def with_field_order(self, order: int) -> "PsiSpec":
-        if order == self.field_order:
-            return self
-        evals = tuple(
-            tuple(a.with_order(order) for a in axis) for axis in self.evals
-        )
-        return PsiSpec.unchecked(
-            self.algebra, self.n, self.dims, dict(self.weights), evals, self.rho
-        )
-
-
-def common_field_order(*specs: PsiSpec) -> int:
-    return lcm(*(s.field_order for s in specs))
-
+from .spec import PsiSpec, table_indices
 
 class Evaluator:
-    """Caches per-axis scalar powers and evaluates v(m) coordinatewise.
+    """The term table of a spec's functional, and its direct evaluation.
 
     ``terms[j]`` is the term table the support certificates read: for the
     degrees with ``m₁ ≡ j (mod k)``, every index whose contribution does not
@@ -157,7 +62,8 @@ class Evaluator:
     holds ``λ_I[c]``, so each slot is a nonnegative integer combination of the
     ``a_I^m`` and the Lam–Leung test applies (``lam_leung``).  The support
     reads only the term table; ``functional`` and ``is_nonzero`` are the
-    direct evaluation behind ``verify_support``.
+    direct evaluation behind ``verify_support``, from the spec's
+    ``coefficients``.
     """
 
     k = 1
@@ -167,7 +73,6 @@ class Evaluator:
         self.spec = spec
         self.order = spec.field_order
         self.evals = spec.evals
-        self._pows: dict[tuple[int, int, int], CycScalar] = {}
         self._indices = table_indices(spec.dims)
         self.terms = [[
             (I, [[(0, x)] if x else [] for x in spec.weights[I]])
@@ -175,29 +80,11 @@ class Evaluator:
             if any(spec.weights[I])
         ]]
 
-    def _pow(self, axis: int, j: int, m: int) -> CycScalar:
-        key = (axis, j, m)
-        hit = self._pows.get(key)
-        if hit is None:
-            hit = self.spec.evals[axis][j - 1] ** m
-            self._pows[key] = hit
-        return hit
-
-    def coefficient(self, I: Index, m) -> CycScalar:
-        out = self._pow(0, I[0], m[0])
-        for axis in range(1, self.spec.n):
-            out = out * self._pow(axis, I[axis], m[axis])
-        return out
-
     def functional(self, m) -> list[CycVector]:
         """v(m) as one cyclotomic vector per fundamental-weight coordinate."""
         terms = [[] for _ in range(self.spec.algebra.rank)]
-        for I in self._indices:
-            w = self.spec.weights[I]
-            if not any(w):
-                continue
-            a = self.coefficient(I, m)
-            for c, x in enumerate(w):
+        for I, a in zip(self._indices, self.spec.coefficients(m)):
+            for c, x in enumerate(self.spec.weights[I]):
                 if x:
                     terms[c].append((a.e, a.q * x))
         return [CycVector.from_terms(self.order, t) for t in terms]

@@ -39,7 +39,7 @@ class, and keeps, per source numerator it has read, the (target numerator,
 integer) pairs that numerator adds to, so an image is a scatter-add over the
 row's nonzero numerators.  The closure skips an image whose target class is
 already full, since the image lies in its span.  The box is widened by one
-degree (``_MARGIN``) during the sweep and cropped on return, so reported
+degree (``MARGIN``) during the sweep and cropped on return, so reported
 fibers do not suffer boundary truncation.  Closure terminates because in-box
 fiber ranks grow monotonically.  What a closure needs besides its seed comes
 in two parts, each built whole, so a closure reads its plans and builds
@@ -52,9 +52,14 @@ and order, L and the cap, and nothing of the evaluation points or ϱ, so
 ``_module_tables`` keeps it in a bounded cache keyed on exactly those, and
 the specs of one module share it.  The per-spec part, ``_ClosureTables``,
 holds every move with its plan: the module's at step 0, and its own at the
-steps s ≠ 0, whose coefficients a_I^s read the evaluation points;
-``component_decomposition`` builds it once and closes every coset
-representative of the support from it.
+steps s ≠ 0, whose coefficients a_I^s are the spec's ``coefficients``;
+``component_decomposition`` builds it once and closes every seed from it.
+
+The realizer is an oracle for the engine, so it imports none of it: only the
+spec data (``spec``), ``cyclotomic``, ``liealg`` and ``errors``.  It never
+computes a support.  ``component_decomposition`` and ``count_components``
+close one seed degree per coset of the Γ under test, and the caller chooses
+the seeds; ``loopmod verify`` passes the engine's coset representatives.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other, with one combined echelon per degree and weight class; ``verify``
@@ -78,12 +83,11 @@ from .cyclotomic import (
 )
 from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
-from .psi import Evaluator, PsiSpec, SupportLattice, support_lattice, table_indices
-from .twisted import TwistedSpec
+from .spec import PsiSpec, TwistedSpec, table_indices
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_MARGIN = 1  # degrees the closure sweeps beyond the reported box
+MARGIN = 1  # degrees the closure sweeps beyond the reported box
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +333,7 @@ class Grading:
 class GradedBox:
     """A closure on its box ``[-radius, radius]ⁿ``: ``parts`` maps each
     (degree, weight class) it reached to that class's ``FieldEchelon``, over
-    the class's members in ``grading``.  The sweep's ``_MARGIN`` degrees stay
+    the class's members in ``grading``.  The sweep's ``MARGIN`` degrees stay
     in ``parts``; ``dims`` crops them."""
 
     parts: dict
@@ -509,12 +513,11 @@ class _ClosureTables:
     a plan of this spec, whose generator is made integer once with the slot
     coefficients a_I^s that the spec's evaluation points give."""
 
-    def __init__(self, module: _ModuleTables, ev: Evaluator):
+    def __init__(self, module: _ModuleTables, spec: PsiSpec):
         self.module = module
         fin, members, local = module.fin, module.grading.members, module.grading.local
-        indices = table_indices(ev.spec.dims)
         int_terms = {
-            gid: _integer_terms(terms, [ev.coefficient(I, step) for I in indices])[1]
+            gid: _integer_terms(terms, spec.coefficients(step))[1]
             for gid, (terms, _, step) in enumerate(module.gens) if any(step)
         }
         self.moves = {  # plan: the module's at step 0, None at s ≠ 0
@@ -530,7 +533,7 @@ class _ClosureTables:
         module, moves = self.module, self.moves
         fin, grading, order, w = module.fin, module.grading, module.order, module.width
         steps = module.steps
-        work = radius + _MARGIN
+        work = radius + MARGIN
         seed_degree = tuple(int(x) for x in seed_degree)
         if any(abs(x) > work for x in seed_degree):
             raise InputError("seed degree outside the working box", seed=seed_degree)
@@ -584,11 +587,6 @@ def _steps(n: int, axes, zero: bool = True):
     return out + [tuple(sgn if j == i else 0 for j in range(n)) for i in axes for sgn in (1, -1)]
 
 
-def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
-    tops = [spec.weights[I] for I in table_indices(spec.dims)]
-    return build_tensor(spec.algebra, tops, cap=cap)
-
-
 @lru_cache(maxsize=64)
 def _module_tables(
     series: str, rank: int, tops, n: int, orbits, k: int, order: int, cap: int
@@ -631,7 +629,7 @@ def _closure_tables(spec: PsiSpec, orbits, k: int, cap: int) -> _ClosureTables:
         spec.algebra.series, spec.algebra.rank, tops, spec.n,
         tuple(map(tuple, orbits)), k, spec.field_order, cap,
     )
-    return _ClosureTables(module, Evaluator(spec))
+    return _ClosureTables(module, spec)
 
 
 def generate_component(
@@ -652,16 +650,16 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     """One graded generator applied to a vector: kind 'f'/'e'/'h' plus index,
     or ('d', axis) acting by the scalar degreeₐ + ϱₐ."""
     kind, idx = gen
-    ev = Evaluator(spec)
-    order = ev.order
+    order = spec.field_order
     if kind == "d":
         if degree is None:
             raise InputError("the derivation action needs the vector's degree")
         factor = Fraction(degree[idx]) + spec.rho[idx]
         return [v.scale_rational(factor) for v in vec]
     everything = range(fin.total)
-    coeffs = [ev.coefficient(I, step) for I in table_indices(spec.dims)]
-    scale, int_terms = _integer_terms([(_slot_columns(fin, kind, idx), 0)], coeffs)
+    scale, int_terms = _integer_terms(
+        [(_slot_columns(fin, kind, idx), 0)], spec.coefficients(step)
+    )
     plan = _plan(fin, int_terms, everything, everything)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
@@ -669,15 +667,14 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     return from_numerators(order, image, den * scale)
 
 
-def component_decomposition(
-    spec: PsiSpec, support: SupportLattice, radius: int, cap: int = 64
-) -> list[GradedBox]:
-    """One closure per coset representative of ``support``, the support of
-    ``spec``, all sharing one set of closure tables."""
+def component_decomposition(spec: PsiSpec, seeds, radius: int, cap: int = 64) -> list[GradedBox]:
+    """One closure per seed degree, all sharing one set of closure tables.
+    The caller gives one seed per coset of the support Γ it is checking, from
+    wherever that Γ came; each must lie in the working box."""
     tables = _closure_tables(spec, [(i,) for i in range(spec.algebra.rank)], 1, cap)
     return [
-        generate_component(spec, radius, cap=cap, seed_degree=rep, tables=tables)
-        for rep in support.coset_reps()
+        generate_component(spec, radius, cap=cap, seed_degree=seed, tables=tables)
+        for seed in seeds
     ]
 
 
@@ -722,9 +719,10 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     return audit
 
 
-def count_components(spec: PsiSpec, radius: int, cap: int = 64) -> int:
-    """Number of graded components, verified disjoint and jointly exhaustive."""
-    boxes = component_decomposition(spec, support_lattice(spec), radius, cap=cap)
+def count_components(spec: PsiSpec, seeds, radius: int, cap: int = 64) -> int:
+    """Number of graded components seeded at ``seeds`` (one degree per coset
+    of a support Γ), verified disjoint and jointly exhaustive."""
+    boxes = component_decomposition(spec, seeds, radius, cap=cap)
     audit = audit_decomposition(boxes)
     for deg, _ in audit.fiber_dims:
         if deg in audit.overlaps:

@@ -19,9 +19,11 @@ A table fixed pointwise by μ gives a *second type* module (all restricted
 components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module is of
 *first type* and ``m̂ₙ = 1``.
 
-Both the support and the isomorphism search are the untwisted routines run
-on twisted inputs; what is the twisted path's own is the restricted term
-table and the realizer's twist-compatible generator list.
+The spec itself, ``TwistedSpec``, is data in ``spec``.  Both the support
+and the isomorphism search are the untwisted routines run on twisted inputs;
+what is the twisted path's own is the restricted term table and the
+realizer's twist-compatible generator list.  ``restricted_values`` evaluates
+the restricted functional directly, from the base spec's ``coefficients``.
 ``twisted_support`` hands the restricted evaluator, the bounds and the
 ordering to ``psi.nonvanishing_support``.  ``decide_twisted_iso`` runs
 ``classify.find_witness`` with the twist σ: axis 1 takes the candidates of
@@ -46,7 +48,6 @@ classifies it only when no witness is found, for its errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Literal
 
 from .classify import IsoResult, find_witness, tensor_factors, weight_classes
@@ -57,39 +58,11 @@ from .errors import (
     StructureViolationError,
     TrivialModuleError,
 )
-from .liealg import DiagramAut, apply_aut, node_orbits, restrict_weight
-from .psi import (
-    Evaluator,
-    PsiSpec,
-    SupportLattice,
-    nonvanishing_support,
-    support_lattice,
-    table_indices,
-)
+from .liealg import apply_aut, node_orbits, restrict_weight
+from .psi import SupportLattice, nonvanishing_support, support_lattice
+from .spec import Index, PsiSpec, TwistedSpec, table_indices
 
-Index = tuple[int, ...]
 ModuleType = Literal["first", "second"]
-
-
-@dataclass(frozen=True)
-class TwistedSpec:
-    base: PsiSpec
-    aut: DiagramAut
-
-    def __post_init__(self):
-        k = self.aut.order
-        if k not in (1, 2, 3):
-            raise InputError("twist order must be 1, 2 or 3", k=k)
-        if len(self.aut.sigma) != self.base.algebra.rank:
-            raise InputError("automorphism rank does not match the algebra")
-        if self.base.field_order % k:
-            object.__setattr__(
-                self, "base", self.base.with_field_order(lcm(self.base.field_order, k))
-            )
-
-    @property
-    def order(self) -> int:
-        return self.aut.order
 
 
 def image_equality(spec: TwistedSpec) -> bool:
@@ -118,14 +91,13 @@ class TwistedEvaluator:
 
     def __init__(self, spec: TwistedSpec):
         self.spec = spec
-        self.base = Evaluator(spec.base)
         self.k = spec.order
-        self.order = self.base.order
+        self.order = spec.base.field_order
         self.evals = spec.base.evals
-        L = spec.base.field_order
+        self._indices = table_indices(spec.base.dims)
         restricted = [
-            (I, restrict_weight(spec.aut, spec.base.weights[I], L))
-            for I in self.base._indices
+            (I, restrict_weight(spec.aut, spec.base.weights[I], self.order))
+            for I in self._indices
         ]
         orbits = node_orbits(spec.aut)
         self.orbit_count = len(orbits)
@@ -150,11 +122,12 @@ class TwistedEvaluator:
         j = m[0] % self.k
         slots = self.orbit_count if j == 0 else self.full_count
         acc = [[] for _ in range(slots)]
+        coeffs = dict(zip(self._indices, self.spec.base.coefficients(m)))
         for I, comps in self.terms[j]:
-            a = self.base.coefficient(I, m)
+            a = coeffs[I]
             for t, terms in enumerate(comps):
                 acc[t].extend((e + a.e, a.q * c) for e, c in terms)
-        return [CycVector.from_terms(self.base.order, t) for t in acc]
+        return [CycVector.from_terms(self.order, t) for t in acc]
 
     def is_nonzero(self, m) -> bool:
         return any(not v.is_zero() for v in self.restricted_values(m))

@@ -1,7 +1,9 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
 canonical block-form constructions with a prescribed support, full-length
-views of a realizer closure's fibers, and dense class sums as the oracle of
-the support's sparse ones."""
+views of a realizer closure's fibers, dense class sums as the oracle of the
+support's sparse ones, and small conveniences that only tests need (a spec's
+tensor module, subgroup comparison, a scalar as a vector, vanishing of the
+higher restricted components)."""
 
 from __future__ import annotations
 
@@ -10,12 +12,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from loopmod.cyclotomic import CycScalar, _reduce, cyclotomic_polynomial
+from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynomial
 from loopmod.lattice import Lattice
 from loopmod.liealg import build_algebra, build_aut, node_orbits
-from loopmod.psi import PsiSpec, table_indices
-from loopmod.realizer import FieldEchelon
-from loopmod.twisted import TwistedSpec
+from loopmod.realizer import FieldEchelon, FinModule, build_tensor
+from loopmod.spec import PsiSpec, TwistedSpec, table_indices
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -26,6 +27,30 @@ D4_TRIALITY = build_aut(D4, (2, 1, 3, 0))
 
 def sc(q, e: int = 0, order: int = 1) -> CycScalar:
     return CycScalar(Fraction(q), e, order)
+
+
+def vector_from_scalar(s: CycScalar, weight=1) -> CycVector:
+    """``weight·s`` as a ``CycVector``."""
+    return CycVector.from_terms(s.order, [(s.e, Fraction(weight) * s.num / s.den)])
+
+
+def higher_vanish(rw) -> bool:
+    """Every component of a ``RestrictedWeight`` beyond 𝔥₀ is zero."""
+    return all(v.is_zero() for comp in rw.higher for v in comp)
+
+
+def sublattice_of(a: Lattice, b: Lattice) -> bool:
+    return all(b.contains(g) for g in a.generators_original())
+
+
+def same_subgroup(a: Lattice, b: Lattice) -> bool:
+    """Equality as subgroups of Z^n, independent of axis ordering."""
+    return a.n == b.n and sublattice_of(a, b) and sublattice_of(b, a)
+
+
+def fin_for_spec(spec: PsiSpec, cap: int = 64) -> FinModule:
+    """The realizer's tensor of the spec's weights, in table order."""
+    return build_tensor(spec.algebra, [spec.weights[I] for I in table_indices(spec.dims)], cap=cap)
 
 
 def spec(algebra, dims, weights, evals, rho=None) -> PsiSpec:

@@ -33,6 +33,8 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    same_subgroup,
+    sublattice_of,
     A1,
     A2,
     A2_FLIP,
@@ -122,7 +124,7 @@ def test_acceptance_2_block_structure_roundtrip():
     for _ in range(60):
         s, target = skew_block_spec(rng)
         d = classify(s)
-        assert d.support.lattice.same_subgroup(target)
+        assert same_subgroup(d.support.lattice, target)
         assert d.p == target.index
         assert all(size == d.p for _, size in d.classes)
         constructed += 1
@@ -208,7 +210,7 @@ def _acceptance3_specs():
 
 def _decomposed(s, radius=3):
     d = classify(s)
-    return d, component_decomposition(s, d.support, radius)
+    return d, component_decomposition(s, d.support.coset_reps(), radius)
 
 
 def test_acceptance_3a_component_count():
@@ -433,7 +435,7 @@ def test_acceptance_6_twisted_type_law():
             except _TYPED_SKIPS:
                 skipped += 1
                 continue
-            assert d.gamma_mu.lattice.sublattice_of(base_sup.lattice)
+            assert sublattice_of(d.gamma_mu.lattice, base_sup.lattice)
             if d.module_type == "first":
                 assert d.m_hat_n == 1
             else:

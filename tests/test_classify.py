@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    same_subgroup,
     A1,
     orthogonal_block_spec,
     random_spec,
@@ -215,7 +216,7 @@ def test_constructed_transformations_yield_witnesses():
         dt = classify(t)
         res = decide_iso(d, dt)
         assert res, (s.dims, res.reason)
-        assert d.support.lattice.same_subgroup(dt.support.lattice)
+        assert same_subgroup(d.support.lattice, dt.support.lattice)
 
 
 def test_transformed_specs_classify_alike():
@@ -243,7 +244,7 @@ def test_transformed_specs_classify_alike():
         res = decide_iso(d, t)
         assert res, res.reason
         dt = classify(t)
-        assert dt.support.lattice.same_subgroup(d.support.lattice)
+        assert same_subgroup(dt.support.lattice, d.support.lattice)
         assert (dt.support.periods, dt.p) == (d.support.periods, d.p)
         assert decide_iso(d, dt) == res
     assert raised == {StructureViolationError, SupportNotSubgroupError, TrivialModuleError}
@@ -264,6 +265,6 @@ def test_skew_block_roundtrip():
     for _ in range(10):
         s, target = skew_block_spec(rng)
         d = classify(s)
-        assert d.support.lattice.same_subgroup(target)
+        assert same_subgroup(d.support.lattice, target)
         assert d.p == target.index
         assert all(size == d.p for _, size in d.classes)

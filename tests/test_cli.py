@@ -248,6 +248,35 @@ def test_verify_passes(write, capsys):
     assert all(doc["result"]["checks"].values())
 
 
+# λ = (1) at a = (1, ζ₄, −1, −ζ₄): Γ = 4Z, and the coset representative 3
+# lies outside the working box [−2, 2] of --box 1.
+SPEC_4Z = dict(
+    SPEC_2Z,
+    dims=[4],
+    weights=[{"index": [i], "coords": [1]} for i in range(1, 5)],
+    evals=[[1, {"num": 1, "zeta_pow": 1, "zeta_order": 4}, -1,
+            {"num": -1, "zeta_pow": 1, "zeta_order": 4}]],
+)
+
+
+def test_verify_seeds_a_coset_at_its_least_degree_in_the_working_box(write, capsys):
+    # --box 1 seeds the coset 3 + 4Z at −1 and reports the --box 2 fiber
+    # table on |d| ≤ 1; --box 0 has no degree of 2 + 4Z in [−1, 1].
+    path = write(SPEC_4Z, "s.json")
+    code, wide = _run(capsys, ["verify", path, "--box", "2"])
+    assert code == 0 and wide["result"]["ok"]
+    code, narrow = _run(capsys, ["verify", path, "--box", "1"])
+    assert code == 0 and narrow["result"]["ok"] and narrow["result"]["components"] == 4
+    assert narrow["result"]["fiber_dims"] == [
+        row for row in wide["result"]["fiber_dims"] if abs(row["degree"][0]) <= 1
+    ]
+    code, doc = _run(capsys, ["verify", path, "--box", "0"])
+    assert code == 2
+    (diag,) = doc["diagnostics"]
+    assert diag["type"] == "InputError"
+    assert diag["data"] == {"box": 0, "working_box": 1, "coset": [2]}
+
+
 @pytest.mark.parametrize(
     "fault, failing",
     [
@@ -1018,25 +1047,29 @@ def _mangled_specs(draw):
     return doc
 
 
-@given(_mangled_specs())
+@given(_mangled_specs(), _mangled_specs())
 @settings(max_examples=200, deadline=None)
-def test_malformed_specs_never_escape(tmp_path_factory, doc):
+def test_malformed_specs_never_escape(tmp_path_factory, doc, other):
     # parse_spec raises only engine errors, and every command exits 0–3 with
-    # a JSON report.  ``verify`` runs on a box of radius 1: with zeta_order at
-    # most 60 and the default cap, its closure stays small, and no pivot is
-    # ever inverted.
+    # a JSON report; the two-spec commands read ``other`` second.  ``verify``
+    # and ``--refute-box`` run on a box of radius 1: with zeta_order at most
+    # 60 and the default cap, the closures stay small, and no pivot is ever
+    # inverted.
     try:
         parse_spec(doc)
     except errors.EngineError:
         pass
-    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, second = folder / "spec.json", folder / "other.json"
     path.write_text(json.dumps(doc))
-    for command, *opts in (
-        ("support",), ("classify",), ("twisted-classify",), ("verify", "--box", "1"),
+    second.write_text(json.dumps(other))
+    for command, *args in (
+        ("support",), ("classify",), ("blocks",), ("twisted-classify",), ("reducibility",),
+        ("verify", "--box", "1"), ("iso", second, "--refute-box", "1"), ("twisted-iso", second),
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([command, *opts, str(path)])
+            code = main([command, str(path), *map(str, args)])
         report = json.loads(out.getvalue())
         assert 0 <= code <= 3, (command, report["diagnostics"])
         assert report["command"] == command
@@ -1059,3 +1092,45 @@ def test_runtime_imports_only_the_standard_library():
                     continue
                 for top in tops:
                     assert top in sys.stdlib_module_names or top == "loopmod", (name, top)
+
+
+# What a module on the oracle side may import from ``loopmod``: the spec data
+# and the exact arithmetic it stands on, and nothing of the engine it checks.
+_LOCAL_IMPORTS = {
+    "realizer.py": {"spec", "cyclotomic", "liealg", "errors"},
+    "spec.py": {"cyclotomic", "liealg", "errors"},
+}
+
+
+def _local_imports(tree) -> set:
+    # The ``loopmod`` modules that a module's imports name.
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("loopmod."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("loopmod.")}
+    return out
+
+
+def test_oracles_import_no_engine_code():
+    # The realizer imports no psi, twisted or classify, and the spec module
+    # is data; only psi and twisted build an evaluator.
+    root = os.path.dirname(loopmod.__file__)
+    names = sorted(n for n in os.listdir(root) if n.endswith(".py"))
+    assert set(_LOCAL_IMPORTS) <= set(names)
+    for name in names:
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if name in _LOCAL_IMPORTS:
+            extra = _local_imports(tree) - _LOCAL_IMPORTS[name]
+            assert not extra, (name, extra)
+        built = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        if name not in ("psi.py", "twisted.py"):
+            assert not {b for b in built if b and b.endswith("Evaluator")}, name

@@ -17,6 +17,8 @@ from loopmod.cyclotomic import (
 )
 from loopmod.errors import InputError, OrderMismatchError
 
+from helpers import vector_from_scalar
+
 
 def test_canonical_fold():
     a = CycScalar(3, 5, 6)          # 3ζ₆⁵ = −3ζ₆²
@@ -245,11 +247,11 @@ def test_vector_zero_detection_nontrivial():
 
 
 def test_vector_scale_and_mul():
-    v = CycVector.from_scalar(CycScalar(2, 1, 6))
+    v = vector_from_scalar(CycScalar(2, 1, 6))
     w = v.scale(CycScalar(3, 5, 6))
-    assert w == CycVector.from_scalar(CycScalar(6, 6, 6))
-    prod = v * CycVector.from_scalar(CycScalar(1, 5, 6))
-    assert prod == CycVector.from_scalar(CycScalar(2, 0, 6))
+    assert w == vector_from_scalar(CycScalar(6, 6, 6))
+    prod = v * vector_from_scalar(CycScalar(1, 5, 6))
+    assert prod == vector_from_scalar(CycScalar(2, 0, 6))
 
 
 def test_vector_inverse():
@@ -310,7 +312,7 @@ def test_vector_arithmetic_vs_complex(data, e, wn, wd):
     assert _close(complex(a.scale(s, wd)), za * complex(s) * wd)
     w = Fraction(wn, wd)
     assert _close(complex(a.scale_rational(w)), za * float(w))
-    assert a.scale(s, wd) == a * CycVector.from_scalar(s, wd)
+    assert a.scale(s, wd) == a * vector_from_scalar(s, wd)
     assert (a == b) == _close(za, zb)
     if not a.is_zero():
         inv = a.inverse()

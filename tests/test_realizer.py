@@ -13,21 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    A1, A2, A2_FLIP, D4, D4_TRIALITY, fiber_rows, fiber_span, random_twisted_spec, sc, spec,
+    A1, A2, A2_FLIP, D4, D4_TRIALITY, fiber_rows, fiber_span, fin_for_spec, random_twisted_spec,
+    sc, spec,
 )
 import loopmod
-from loopmod import psi, realizer
+from loopmod import realizer
 from loopmod.cli import main
 from loopmod.cyclotomic import CycVector, from_numerators, to_numerators
 from loopmod.errors import CapExceededError, InputError, UnsupportedError
 from loopmod.liealg import build_algebra, build_aut, node_orbits, restrict_weight, weyl_dim
-from loopmod.psi import Evaluator, support_lattice
+from loopmod.psi import support_lattice
 from loopmod.realizer import (
     FieldEchelon,
     build_tensor,
     count_components,
     fiber_character,
-    fin_for_spec,
     generate_component,
     graded_character,
     h0_weight_map,
@@ -240,11 +240,9 @@ def _reference_action(fin, s, kind, idx, step, vec):
     # Each slot's e_i or f_i columns applied with CycVector arithmetic: the
     # entry x at row r of column c sends basis vector g (slot component c)
     # to g + (r − c)·stride, times the slot's coefficient at ``step``.
-    ev = Evaluator(s)
     out = [CycVector.zero(s.field_order)] * fin.total
-    for k, (slot, I) in enumerate(zip(fin.slots, psi.table_indices(s.dims))):
+    for k, (slot, coeff) in enumerate(zip(fin.slots, s.coefficients(step))):
         cols = (slot.raiser if kind == "e" else slot.lower)[idx]
-        coeff = ev.coefficient(I, step)
         stride = fin.strides[k]
         for g in range(fin.total):
             c = (g // stride) % slot.dim
@@ -332,9 +330,9 @@ def test_generate_component_splits_by_parity():
 
 def test_count_components_examples():
     s2 = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    assert count_components(s2, 3) == 2
+    assert count_components(s2, support_lattice(s2).coset_reps(), 3) == 2
     s1 = spec(A1, (2,), {(1,): (1,), (2,): (2,)}, [(1, 2)])
-    assert count_components(s1, 3) == 1
+    assert count_components(s1, support_lattice(s1).coset_reps(), 3) == 1
     u, w = (1,), (0,)
     cb = spec(
         A1,
@@ -343,7 +341,7 @@ def test_count_components_examples():
         [(1, -1), (1, -1)],
     )
     assert support_lattice(cb).lattice.rows == ((2, 0), (1, 1))
-    assert count_components(cb, 2) == 2
+    assert count_components(cb, support_lattice(cb).coset_reps(), 2) == 2
 
 
 def test_graded_character_scaling_invariance():
@@ -524,7 +522,7 @@ def test_twisted_step_generator_matches_restrict_weight():
     tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
     (gid,) = [gid for gid, (*_, step) in enumerate(tables.module.gens) if step == (1,)]
     gen_terms, _, step = tables.module.gens[gid]
-    den, terms = realizer._integer_terms(gen_terms, [Evaluator(t.base).coefficient((1,), step)])
+    den, terms = realizer._integer_terms(gen_terms, t.base.coefficients(step))
     assert den == 1 and len(terms) == 3
     # One slot, whose coefficient at a = (1) is 1: each term holds e_{σ^u b}'s
     # columns as they are, since they are integers.
@@ -862,7 +860,7 @@ def test_closure_rejects_a_generator_that_mixes_classes():
     e_sum = [(realizer._slot_columns(fin, "e", i), 0) for i in range(2)]
     with pytest.raises(UnsupportedError):
         module = realizer._ModuleTables(fin, s.field_order, [(e_sum, [(1,)])], _identity)
-        realizer._ClosureTables(module, Evaluator(s)).close((0,), 1)
+        realizer._ClosureTables(module, s).close((0,), 1)
 
 
 _CLOSURE_ALGEBRAS = (A1, A2, build_algebra("B", 2), build_algebra("G", 2))
@@ -902,7 +900,7 @@ def _comb(a, b, sign):
 
 def _assert_same_closure(new, old, n, radius):
     # Equal ranks and new rows inside the old fiber: the spans are equal.
-    work = radius + realizer._MARGIN
+    work = radius + realizer.MARGIN
     for deg in itertools.product(range(-work, work + 1), repeat=n):
         rows = fiber_rows(new, deg)
         assert len(rows) == len(fiber_rows(old, deg)), deg
@@ -948,7 +946,7 @@ def test_generating_set_closure_equals_full_set_closure(seed):
         for i in range(algebra.rank) for kind in "efh"
     ]
     module = realizer._ModuleTables(fin, s.field_order, full, _identity)
-    tables = realizer._ClosureTables(module, Evaluator(s))
+    tables = realizer._ClosureTables(module, s)
     old = tables.close(seed_degree, radius)
     new = generate_component(s, radius, seed_degree=seed_degree)
     _assert_same_closure(new, old, n, radius)
@@ -977,14 +975,14 @@ def test_twisted_generating_set_closure_equals_full_set_closure(seed):
     radius = 1
     class_map = h0_weight_map(node_orbits(A2_FLIP))
     module = realizer._ModuleTables(fin, s.field_order, full, class_map)
-    old = realizer._ClosureTables(module, Evaluator(s)).close((0,) * n, radius)
+    old = realizer._ClosureTables(module, s).close((0,) * n, radius)
     new = twisted_generate_component(t, radius)
     _assert_same_closure(new, old, n, radius)
 
 
-def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
+def test_audit_flags_shared_and_missing_fiber_vectors():
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    boxes = realizer.component_decomposition(s, support_lattice(s), 2)
+    boxes = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
     good = realizer.audit_decomposition(boxes)
     assert not good.overlaps and not good.shortfalls
     assert [deg for deg, _ in good.fiber_dims] == [(m,) for m in range(-2, 3)]
@@ -996,12 +994,14 @@ def test_audit_flags_shared_and_missing_fiber_vectors(monkeypatch):
     # A component counted twice shares every vector with itself.
     twice = realizer.audit_decomposition([boxes[0], boxes[0]])
     assert twice.overlaps == [(m,) for m in range(-2, 3)]
-    monkeypatch.setattr(realizer, "component_decomposition", lambda *a, **k: [boxes[0]] * 2)
-    with pytest.raises(realizer.RealizationMismatchError, match="fiber-disjoint"):
-        count_components(s, 2)
-    monkeypatch.setattr(realizer, "component_decomposition", lambda *a, **k: boxes[:1])
+    # count_components audits whatever seeds it is given: one seed leaves the
+    # odd degrees' vectors out, and seeds 0 and 2 lie in one coset of Γ = 2Z,
+    # so their closures share every vector.
     with pytest.raises(realizer.RealizationMismatchError, match="fill the module"):
-        count_components(s, 2)
+        count_components(s, [(0,)], 2)
+    with pytest.raises(realizer.RealizationMismatchError, match="fiber-disjoint"):
+        count_components(s, [(0,), (1,), (2,)], 2)
+    assert count_components(s, support_lattice(s).coset_reps(), 2) == 2
 
 
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
@@ -1036,7 +1036,7 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
 
     monkeypatch.setattr(realizer, "_closure_tables", keeping)
     monkeypatch.setattr(realizer, "generate_component", closing)
-    boxes = realizer.component_decomposition(s, sup, 2)
+    boxes = realizer.component_decomposition(s, sup.coset_reps(), 2)
     assert len(boxes) == 2 and built["build_tensor"] == 1
     assert at_close == [built, built]
     (shared_tables,) = tables
@@ -1055,7 +1055,7 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
 
     other = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, 2)])
     before = dict(built)
-    realizer.component_decomposition(other, support_lattice(other), 2)
+    realizer.component_decomposition(other, support_lattice(other).coset_reps(), 2)
     second = tables[-1]
     assert second.module is module and built["build_tensor"] == 1
     assert built["_integer_terms"] - before["_integer_terms"] == len(stepped)

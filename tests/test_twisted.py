@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    same_subgroup,
+    sublattice_of,
     random_spec,
     transformed_spec,
     A2,
@@ -76,7 +78,7 @@ def test_twisted_support_identity_aut_equals_support():
     ident = build_aut(A2, (0, 1))
     base = spec(A2, (2,), {(1,): (1, 0), (2,): (1, 1)}, [(1, 2)])
     t = TwistedSpec(base=base, aut=ident)
-    assert twisted_support(t).lattice.same_subgroup(support_lattice(base).lattice)
+    assert same_subgroup(twisted_support(t).lattice, support_lattice(base).lattice)
 
 
 def _perturbed(rng: random.Random, s: PsiSpec) -> PsiSpec:
@@ -566,7 +568,7 @@ def test_witnessed_transforms_classify_alike(algebra, aut):
         res = decide_twisted_iso(d, other)
         assert res, res.reason
         d2 = twisted_classify(other)
-        assert d2.gamma_mu.lattice.same_subgroup(d.gamma_mu.lattice)
+        assert same_subgroup(d2.gamma_mu.lattice, d.gamma_mu.lattice)
         assert (d2.module_type, d2.m_hat_n, d2.exponent, d2.marginal_index) == (
             d.module_type, d.m_hat_n, d.exponent, d.marginal_index)
         assert decide_twisted_iso(d, d2) == res
@@ -585,7 +587,7 @@ def test_twisted_invariants_random_a2():
         except EngineError:
             continue
         done += 1
-        assert d.gamma_mu.lattice.sublattice_of(base_sup.lattice)
+        assert sublattice_of(d.gamma_mu.lattice, base_sup.lattice)
         if d.module_type == "first":
             assert d.m_hat_n == 1
         else:
@@ -604,7 +606,7 @@ def test_twisted_invariants_random_d4():
         except EngineError:
             continue
         done += 1
-        assert d.gamma_mu.lattice.sublattice_of(base_sup.lattice)
+        assert sublattice_of(d.gamma_mu.lattice, base_sup.lattice)
         if d.module_type == "first":
             assert d.m_hat_n == 1
         else:
