@@ -43,12 +43,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import CycScalar, CycVector, _phi_taps, _prime_factors, zeta_terms
-from .errors import (
-    InputError,
-    NoPeriodWithinBoundError,
-    SupportNotSubgroupError,
-    TrivialModuleError,
-)
+from .errors import NoPeriodWithinBoundError, SupportNotSubgroupError, TrivialModuleError
 from .lattice import Lattice
 from .spec import PsiSpec, table_indices
 
