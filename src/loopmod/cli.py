@@ -1,6 +1,9 @@
 """Batch front-end: read the command line, parse spec files, dispatch, emit
 deterministic reports.
 
+A command line of the plain form ``COMMAND PATH... [--opt N]...`` is read
+directly; argparse, imported on first use, reads every other form.
+
 Exit codes: 0 success or witness; 1 criteria not satisfied or verification
 mismatch; otherwise the ``exit_code`` of the ``EngineError`` raised, which is
 2 for malformed input or a resource cap and 3 for the typed structure errors
@@ -13,10 +16,10 @@ stderr.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-import re
 import sys
 import traceback
 from json.encoder import encode_basestring_ascii
@@ -188,7 +191,6 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
     }
 
 
-_DESCRIPTION = "classify and compare graded loop-module evaluation data"
 _PATH_HELP = {
     "spec": "path to a spec JSON file",
     "left": "path to the first spec JSON file",
@@ -207,110 +209,54 @@ _COMMANDS = {
     "twisted-iso": ("twisted isomorphism decision", ("left", "right"), {}),
     "reducibility": ("complete-reducibility check of the restriction", ("spec",), {}),
     "verify": ("realize components and audit the classification", ("spec",), {
-        "--box": (3, "degree box radius"),
-        "--cap": (64, "dimension cap"),
+        "--box": (3, "degree box radius (default: %(default)s)"),
+        "--cap": (64, "dimension cap (default: %(default)s)"),
     }),
 }
-_OUTPUTS = ("json", "text")
-_TOP_OPTIONS = ("--help", "--output")
-# argparse reads an argument that looks like a negative number, and one
-# with a space in it, as a positional when no option matches it.
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _flag(name: str) -> str:
-    return f"{name} {name[2:].upper().replace('-', '_')}"  # --refute-box REFUTE_BOX
-
-
-def _usage(command) -> str:
-    if command is None:
-        return "usage: loopmod [-h] [--output {json,text}] COMMAND ...\n"
-    _, paths, options = _COMMANDS[command]
-    flags = "".join(f" [{_flag(name)}]" for name in options)
-    return f"usage: loopmod {command} [-h]{flags} {' '.join(paths)}\n"
-
-
-def _help(command):
-    """Print the help of the top level (``command`` None) or of one
-    subcommand to stdout, and exit 0."""
-    rows = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        text = _DESCRIPTION
-        tables = [("commands", [(name, entry[0]) for name, entry in _COMMANDS.items()])]
-        rows.append(("--output {json,text}", "report format (default: json)"))
-    else:
-        text, paths, options = _COMMANDS[command]
-        tables = [("positional arguments", [(path, _PATH_HELP[path]) for path in paths])]
-        rows += [
-            (_flag(name), info if default is None else f"{info} (default: {default})")
-            for name, (default, info) in options.items()
-        ]
-    tables.append(("options", rows))
-    out = [_usage(command), "\n", text, "\n"]
-    for title, table in tables:
-        width = max(len(left) for left, _ in table)
-        out += [f"\n{title}:\n"] + [f"  {left.ljust(width)}  {right}\n" for left, right in table]
-    sys.stdout.write("".join(out))
-    raise SystemExit(0)
-
-
-def _fail(command, message: str):
-    """Print the usage and ``message`` to stderr, and exit 2."""
-    prog = "loopmod" if command is None else f"loopmod {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(arg: str, names) -> tuple | None:
-    """How argparse reads ``arg``, met before any ``--``, against the
-    long option ``names`` and ``-h``: None for a positional, else (the
-    option, or None when none matches; the value given in the argument,
-    or None).  A long option may be abbreviated to a prefix; no two of
-    the grammar's long options share one but ``--``, and ``read_argv``
-    rejects ``--=`` before it reads anything."""
-    if len(arg) < 2 or arg[0] != "-":
+def _read_plain(argv: list):
+    """``argv`` read when it has the plain form ``COMMAND PATH... [--opt
+    N]...``: the command's paths, none starting with ``-``, then pairs of
+    the full name of one of its options and an ASCII digit string.  None
+    for any other form.  argparse reads a plain line the same way."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    if arg[1] != "-":
-        if arg[1] == "h":
-            return "-h", None if len(arg) == 2 else arg[3:] if arg[2] == "=" else arg[2:]
-        return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
-    prefix, eq, value = arg.partition("=")
-    for name in names:
-        if name.startswith(prefix):
-            return name, value if eq else None
-    return None if " " in arg else (None, None)
-
-
-def _take_option(command, args: list, i: int, option: tuple, values: dict, extras: list) -> int:
-    """Act on the ``option`` that ``args[i - 1]`` reads as: help exits 0,
-    an unknown option joins ``extras``, and any other, a key of ``values``,
-    takes its value from the argument or from ``args[i]``.  Returns the
-    index after the value."""
-    name, value = option
-    if name is None:
-        extras.append(args[i - 1])
-        return i
-    if name in ("-h", "--help"):
-        # ``-hh`` is ``-h -h``; any other value given to help is an error.
-        if value is None or (name == "-h" and value and not value.strip("h")):
-            _help(command)
-        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    if value is None:
-        if i == len(args) or args[i] == "--" or _option(args[i], ("--help", *values)) is not None:
-            _fail(command, f"argument {name}: expected one argument")
-        value = args[i]
-        i += 1
-    if name == "--output":
-        if value not in _OUTPUTS:
-            choices = ", ".join(map(repr, _OUTPUTS))
-            _fail(command, f"argument --output: invalid choice: {value!r} (choose from {choices})")
-    else:
+    _, positionals, defaults = _COMMANDS[argv[0]]
+    end = 1 + len(positionals)
+    paths = argv[1:end]
+    if len(paths) < len(positionals) or (len(argv) - end) % 2 or any(p.startswith("-") for p in paths):
+        return None
+    options = {name: default for name, (default, _) in defaults.items()}
+    for name, value in zip(argv[end::2], argv[end + 1::2]):
+        if name not in options or not (value.isascii() and value.isdigit()):
+            return None
         try:
-            value = int(value)
-        except ValueError:
-            _fail(command, f"argument {name}: invalid int value: {value!r}")
-    values[name] = value
-    return i
+            options[name] = int(value)
+        except ValueError:  # more digits than ``int`` converts
+            return None
+    return "json", argv[0], paths, options
+
+
+@functools.cache
+def _argparse():
+    """The argparse grammar of ``_COMMANDS``, built on first use: the top
+    parser and each subcommand's parser by name."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="loopmod", description="classify and compare graded loop-module evaluation data")
+    parser.add_argument("--output", choices=("json", "text"), default="json",
+                        help="report format (default: %(default)s)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for command, (text, paths, options) in _COMMANDS.items():
+        commands[command] = cmd = sub.add_parser(command, help=text, description=text)
+        for path in paths:
+            cmd.add_argument(path, help=_PATH_HELP[path])
+        for name, (default, info) in options.items():
+            cmd.add_argument(name, type=int, default=default, help=info)
+    return parser, commands
 
 
 def read_argv(argv) -> tuple[str, str, list, dict]:
@@ -318,66 +264,25 @@ def read_argv(argv) -> tuple[str, str, list, dict]:
     N]...`` into (output, command, paths, options), ``options`` mapping each
     of the command's options to its int value or default.
 
-    Every argument list is read as ``argparse`` read this grammar: options
-    before or after the paths, ``--opt=N``, unique prefixes of long options,
-    ``-N`` as a value, the last of a repeated option, and ``--`` before
-    positionals only; ``-h``/``--help`` print help and exit 0, and a usage
-    error prints the usage and the error to stderr and exits 2.  Unlike
-    Python 3.11's ``argparse``, which strips ``--`` from every value it
-    reads, ``--opt=--`` gives the value ``--``, which no option accepts,
-    and a ``--`` after the first is a path."""
+    A plain line (``_read_plain``) is read directly; argparse reads every
+    other, with its help, usage errors (exit 2) and exit codes.  Unlike
+    Python 3.11's argparse, which strips ``--`` from every value it reads,
+    ``--opt=--`` is a usage error and a ``--`` after the first is a path."""
     argv = list(argv)
-    # argparse reads every argument against the top-level options before it
-    # acts on any, and ``--=`` starts both ``--help`` and ``--output``.
-    for arg in argv:
-        if arg == "--":
-            break
-        if arg.startswith("--="):
-            _fail(None, f"ambiguous option: {arg} could match --help, --output")
-    top = {"--output": "json"}
-    extras: list = []
-    i = 0
-    while True:
-        if i == len(argv):
-            _fail(None, "the following arguments are required: command")
-        command = argv[i]
-        i += 1
-        option = None if command == "--" else _option(command, _TOP_OPTIONS)
-        if option is None:
-            break
-        i = _take_option(None, argv, i, option, top, extras)
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-
+    plain = _read_plain(argv)
+    if plain:
+        return plain
+    parser, commands = _argparse()
+    ns = vars(parser.parse_args(argv))
+    command = ns["command"]
     _, positionals, defaults = _COMMANDS[command]
-    names = ("--help", *defaults)
-    options = {name: default for name, (default, _) in defaults.items()}
-    paths: list = []
-    since_option = 0  # positionals read since the last option
-    dashed = False  # past the first "--": every argument is a positional
-    while i < len(argv):
-        arg = argv[i]
-        i += 1
-        if arg == "--" and not dashed:
-            # argparse matches the "--" with the positionals around it,
-            # unless every path was read before the last option.
-            dashed = True
-            if len(paths) == len(positionals) and not since_option:
-                extras.append(arg)
-            continue
-        option = None if dashed else _option(arg, names)
-        if option is None:
-            (paths if len(paths) < len(positionals) else extras).append(arg)
-            since_option += 1
-        else:
-            since_option = 0
-            i = _take_option(command, argv, i, option, options, extras)
-    if len(paths) < len(positionals):
-        _fail(command, "the following arguments are required: " + ", ".join(positionals[len(paths):]))
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    return top["--output"], command, paths, options
+    # A value argparse read as [] was a "--" it stripped.
+    paths = ["--" if ns[path] == [] else ns[path] for path in positionals]
+    options = {name: ns[name[2:].replace("-", "_")] for name in defaults}
+    for name, value in options.items():
+        if value == []:
+            commands[command].error(f"argument {name}: invalid int value: '--'")
+    return ns["output"], command, paths, options
 
 
 def main(argv=None) -> int:
@@ -467,6 +372,8 @@ def _characters_differ(a: PsiSpec, b: PsiSpec, box: int):
         return None
     if ca == cb:
         return False
+    if a.n != b.n:
+        return True  # degrees in Z^n for different n: no shift matches them
     # Characters are a necessary invariant up to a degree shift.
     deltas = set()
     for da in ca:

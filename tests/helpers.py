@@ -1,7 +1,8 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
 canonical block-form constructions with a prescribed support, full-length
 views of a realizer closure's fibers, dense class sums as the oracle of the
-support's sparse ones, and small conveniences that only tests need (a spec's
+support's sparse ones, the monomial substitution t ↦ t^B of a spec
+document, and small conveniences that only tests need (a spec's
 tensor module, subgroup comparison, a scalar as a vector, vanishing of the
 higher restricted components)."""
 
@@ -10,9 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynomial
+from loopmod.jsonio import parse_spec, scalar_to_json
 from loopmod.lattice import Lattice
 from loopmod.liealg import build_algebra, build_aut, node_orbits
 from loopmod.realizer import FieldEchelon, FinModule, build_tensor
@@ -269,6 +271,37 @@ def transformed_spec(rng: random.Random, base: PsiSpec, shift_support=None):
         evals=tuple(evals),
         rho=tuple(rho),
     ), perms, scalings
+
+
+def substituted_spec(doc: dict, B) -> dict:
+    """The untwisted spec document ``doc`` under the monomial substitution
+    t ↦ t^B, B an n × n integer matrix in GL_n(Z): index I's point a_I
+    becomes the point whose coordinate i is ∏ₖ a_{I,k}^{B_{k,i}}, so that
+    ψ'(m) = ψ(Bm) and supp ψ' = B⁻¹·supp ψ.  Each new axis lists its
+    coordinates in the order the table first meets them, and the grid they
+    span is padded with zero weights.  ``doc``'s rho must be zero."""
+    base = parse_spec(doc)
+    assert not any(base.rho), "a substitution moves rho; only rho = 0 is supported"
+    one = CycScalar.one(base.field_order)
+    points = {}
+    for I in table_indices(base.dims):
+        a = [base.evals[k][j - 1] for k, j in enumerate(I)]
+        points[I] = tuple(
+            prod((a[k] ** B[k][i] for k in range(base.n)), start=one) for i in range(base.n)
+        )
+    axes = [list(dict.fromkeys(point[i] for point in points.values())) for i in range(base.n)]
+    weights = {
+        tuple(axis.index(x) + 1 for axis, x in zip(axes, point)): base.weights[I]
+        for I, point in points.items()
+    }
+    dims = [len(axis) for axis in axes]
+    zero = (0,) * base.algebra.rank
+    return dict(
+        doc,
+        dims=dims,
+        weights=[{"index": list(J), "coords": list(weights.get(J, zero))} for J in table_indices(dims)],
+        evals=[[scalar_to_json(x) for x in axis] for axis in axes],
+    )
 
 
 def random_twisted_spec(rng: random.Random, algebra, aut) -> TwistedSpec:

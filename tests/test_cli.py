@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ import loopmod
 from loopmod import cli, errors, psi, realizer
 from loopmod.cli import main
 from loopmod.jsonio import parse_spec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SPEC_2Z = {
     "schema": 1,
@@ -113,6 +116,18 @@ def test_iso_refutation_characters(write, capsys):
     assert doc["result"] == {
         "characters_differ": True, "isomorphic": False, "reason": "weight-mismatch", "witness": None,
     }
+
+
+def test_characters_over_different_n_differ(write, capsys):
+    # A₁ with n = 2 against SPEC_A's n = 1: characters graded by Z² and by
+    # Z differ, whichever spec comes first.
+    two = write(dict(SPEC_A, n=2, dims=[1, 1], weights=[{"index": [1, 1], "coords": [1]}],
+                     evals=[[2], [3]], rho=[0, 0]), "two.json")
+    one = write(SPEC_A, "one.json")
+    for pair in ([two, one], [one, two]):
+        code, doc = _run(capsys, ["iso", *pair, "--refute-box", "1"])
+        assert code == 1
+        assert doc["result"]["characters_differ"] is True, pair
 
 
 def _scalar(num, order=1):
@@ -496,6 +511,7 @@ def test_help_exits_0_and_names_the_grammar(capsys, command, flag):
         ["verify", "f", "--box", "1", "--"],
         ["-hx"],
         ["verify", "--=1", "f"],
+        pytest.param(["verify", "f", "--box", "1" * 5000], id="verify f --box 1x5000"),
     ],
     ids=lambda argv: " ".join(argv) or "empty",
 )
@@ -837,10 +853,56 @@ def test_main_reads_each_spec_file_once(write, capsys, monkeypatch, command):
     assert doc["input_digest"] == digest
 
 
-def test_main_builds_no_argparse_parser(write, capsys, monkeypatch):
-    # ``read_argv`` is the command line's one reader: no call of ``main``,
-    # the first included, builds an ``ArgumentParser``, and ``cli`` does not
-    # import ``argparse``.
+def _traffic_lines() -> list:
+    # Every CLI line of the bench corpora, each spec's name standing for its
+    # path, and every line of the README's example block.
+    lines = []
+    for path in sorted((ROOT / "bench" / "corpus").glob("*.json")):
+        if not path.name.endswith(".expected.json"):
+            items = json.loads(path.read_text(encoding="utf-8"))["items"]
+            lines += [[op["call"], *op["args"], *op["flags"]]
+                      for versions in items for op in versions if op["call"] in cli._COMMANDS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    return lines + [line.split("#")[0].split()[1:] for line in block.splitlines()]
+
+
+@pytest.fixture(scope="module")
+def traffic():
+    # One fresh interpreter reads every traffic line with ``read_argv``.
+    # Returns the lines, their readings, and whether ``argparse`` was
+    # imported by then.
+    lines = _traffic_lines()
+    script = (
+        "import json, sys\n"
+        "from loopmod import cli\n"
+        "readings = [cli.read_argv(line) for line in json.load(sys.stdin)]\n"
+        "print(json.dumps([readings, 'argparse' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(loopmod.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(lines),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    readings, imported = json.loads(proc.stdout)
+    return lines, readings, imported
+
+
+def test_traffic_reads_as_argparse_without_importing_it(traffic):
+    # The corpus and README lines all have the plain form: each reads as
+    # argparse reads it, and reading them all imports no ``argparse``.
+    lines, readings, imported = traffic
+    assert len(lines) > 1000
+    assert readings == json.loads(json.dumps([_oracle(line) for line in lines]))
+    assert not imported
+
+
+def test_main_builds_no_argparse_parser(write, capsys, monkeypatch, traffic):
+    # ``main`` reads a plain line without argparse: no call of ``main`` on
+    # one, the first included, builds an ``ArgumentParser``, and a fresh
+    # interpreter that reads every traffic line never imports ``argparse``.
+    cli._argparse.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -854,12 +916,7 @@ def test_main_builds_no_argparse_parser(write, capsys, monkeypatch):
         assert main(argv) == 0
     capsys.readouterr()
     assert built == []
-    with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "argparse" not in imported
+    assert not traffic[2]
 
 
 def test_verify_computes_the_support_once(write, capsys, monkeypatch):

@@ -10,12 +10,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     A1, A2, A2_FLIP, D4, D4_TRIALITY, dense_coset_status, dense_coset_sums, random_spec,
-    random_twisted_spec, spec,
+    random_twisted_spec, same_subgroup, spec, substituted_spec,
 )
 from loopmod import cyclotomic, psi
 from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
-from loopmod.errors import InputError, SupportNotSubgroupError, TrivialModuleError
+from loopmod.errors import EngineError, InputError, SupportNotSubgroupError, TrivialModuleError
+from loopmod.jsonio import parse_spec
 from loopmod.lattice import Lattice, from_generators
 from loopmod.psi import (
     Evaluator,
@@ -204,6 +205,59 @@ def test_far_zero_is_flagged_with_its_exact_witness(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["diagnostics"][0]["type"] == "SupportNotSubgroupError"
     assert report["diagnostics"][0]["data"]["witness"] == [13]
+
+
+# ROADMAP item 2's spec: A₁, dims [2, 1], λ = (1), (8192), a₁ = (2, −1) and
+# a₂ = (3).  ψ vanishes at every degree (13, k).  SHEAR is t ↦ t^B with
+# c = 2, which gives dims [2, 2], a₁ = (2, −1) and a₂ = (12, 3).
+FAR_ZERO_2D = {
+    "schema": 1,
+    "algebra": {"series": "A", "rank": 1},
+    "n": 2,
+    "dims": [2, 1],
+    "weights": [{"index": [1, 1], "coords": [1]}, {"index": [2, 1], "coords": [8192]}],
+    "evals": [[2, -1], [3]],
+    "rho": [0, 0],
+}
+SHEAR = [[1, 2], [0, 1]]
+
+
+def _sheared(m) -> tuple:
+    # SHEAR·m.
+    return tuple(sum(b * x for b, x in zip(row, m)) for row in SHEAR)
+
+
+def test_substituted_spec_evaluates_psi_at_bm():
+    # ψ'(m) = ψ(Bm) as vectors, on a box around 0 and at the far zeros.
+    original = parse_spec(FAR_ZERO_2D)
+    sheared = parse_spec(substituted_spec(FAR_ZERO_2D, SHEAR))
+    assert sheared.dims == (2, 2)
+    degrees = [*itertools.product(range(-3, 4), repeat=2), (13, 0), (13, -26), (-1, 7)]
+    for m in degrees:
+        assert eval_functional(sheared, m) == eval_functional(original, _sheared(m)), m
+
+
+def _support_or_error(doc):
+    # The support lattice of ``doc``, or the name of the error it raises.
+    try:
+        return support_lattice(parse_spec(doc)).lattice
+    except EngineError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP items 2 and 15: the original exits 0 with Γ = Z² (audit) "
+    "while its shear exits 3"))
+def test_support_agrees_with_a_shear_of_the_far_zero_spec():
+    # supp ψ' = B⁻¹·supp ψ (ROADMAP item 17): the same error on both sides,
+    # or Γ = B·Γ'.
+    original = _support_or_error(FAR_ZERO_2D)
+    sheared = _support_or_error(substituted_spec(FAR_ZERO_2D, SHEAR))
+    if isinstance(original, str) or isinstance(sheared, str):
+        assert original == sheared
+    else:
+        image = [_sheared(g) for g in sheared.generators_original()]
+        assert same_subgroup(original, Lattice.from_generators(image, n=2))
 
 
 @pytest.fixture
