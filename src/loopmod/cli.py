@@ -157,7 +157,8 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
     fin = boxes[0].fin
     audit = realizer.audit_decomposition(boxes)
     # An untwisted closure's classes are the weights, and the top weight's
-    # class is the highest-weight vector alone.
+    # class is the highest-weight vector alone, so its multiplicity at a
+    # degree is the rank of that class's echelon.
     top = fin.basis_weights[fin.hw_index]
     table = []
     per_coset: dict = {}
@@ -168,9 +169,9 @@ def _verify_report(spec: PsiSpec, box: int, cap: int) -> dict:
             for ci, rank in enumerate(ranks)
             if rank
         )
-        periodic_ok &= per_coset.setdefault(lat.residue(deg), ranks[0]) == ranks[0]
-        mult = dict(realizer.fiber_character(boxes[0], deg)).get(top, 0)
-        top_ok &= mult == (1 if lat.contains(deg) else 0)
+        periodic_ok &= per_coset.setdefault(lat.residue(deg), ranks) == ranks
+        ech = boxes[0].parts.get((deg, top))
+        top_ok &= (ech.rank if ech else 0) == (1 if lat.contains(deg) else 0)
 
     checks = {
         "component_count": len(boxes) == descriptor.p,

@@ -5,7 +5,7 @@ row ``i`` evaluates the coroot ``αᵢ^∨`` on the simple roots.  Weights are
 integer tuples in the fundamental-weight basis; roots are integer tuples in
 the simple-root basis.  Positive roots are generated from the simple roots by
 the root-string closure, and the Weyl dimension formula is evaluated exactly
-over the rationals via graph-propagated symmetrizers.
+in integers, with graph-propagated symmetrizers scaled to positive integers.
 
 Diagram automorphisms are node permutations preserving the Cartan matrix, of
 order 1, 2 or 3.  ``restrict_weight`` evaluates a weight on a fixed eigenbasis
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CycScalar, CycVector
 from .errors import InputError, UnsupportedError
@@ -114,8 +115,9 @@ def _positive_roots(cartan) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def _symmetrizers(cartan) -> tuple[Fraction, ...]:
-    # d_i with d_i·C[i][j] = d_j·C[j][i]; propagated along the Dynkin graph.
+def _symmetrizers(cartan) -> tuple[int, ...]:
+    # Positive integers d_i with d_i·C[i][j] = d_j·C[j][i]: propagated along
+    # the Dynkin graph as fractions, then scaled by their denominators' lcm.
     d = len(cartan)
     sym: list[Fraction | None] = [None] * d
     for start in range(d):
@@ -129,7 +131,8 @@ def _symmetrizers(cartan) -> tuple[Fraction, ...]:
                 if i != j and cartan[i][j] and sym[j] is None:
                     sym[j] = sym[i] * Fraction(cartan[i][j], cartan[j][i])
                     stack.append(j)
-    return tuple(sym)  # type: ignore[arg-type]
+    scale = lcm(*(x.denominator for x in sym))  # type: ignore[union-attr]
+    return tuple(int(x * scale) for x in sym)  # type: ignore[operator]
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class SimpleLieAlgebra:
         return _positive_roots(self.cartan)
 
     @cached_property
-    def symmetrizers(self) -> tuple[Fraction, ...]:
+    def symmetrizers(self) -> tuple[int, ...]:
         return _symmetrizers(self.cartan)
 
 
@@ -168,20 +171,21 @@ def is_dominant(weight: Weight) -> bool:
 
 
 def weyl_dim(algebra: SimpleLieAlgebra, weight: Weight) -> int:
-    """dim V(λ) = ∏_{α>0} (λ+ρ, α)/(ρ, α), evaluated in exact rationals."""
+    """dim V(λ) = ∏_{α>0} (λ+ρ, α)/(ρ, α): the integer numerators and
+    denominators are multiplied out and divided once."""
     if len(weight) != algebra.rank:
         raise InputError("weight has wrong length", expected=algebra.rank)
     if not is_dominant(weight):
         raise InputError("weight is not dominant", weight=weight)
-    dim = Fraction(1)
+    num = den = 1
     sym = algebra.symmetrizers
     for alpha in algebra.positive_roots:
-        num = sum(c * s * (w + 1) for c, s, w in zip(alpha, sym, weight))
-        den = sum(c * s for c, s in zip(alpha, sym))
-        dim *= Fraction(num, den)
-    if dim.denominator != 1:
+        num *= sum(c * s * (w + 1) for c, s, w in zip(alpha, sym, weight))
+        den *= sum(c * s for c, s in zip(alpha, sym))
+    dim, rest = divmod(num, den)
+    if rest:
         raise ArithmeticError("Weyl dimension did not come out integral")
-    return int(dim)
+    return dim
 
 
 @dataclass(frozen=True)

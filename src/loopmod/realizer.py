@@ -30,25 +30,31 @@ it reaches to one ``FieldEchelon``, with rows only as long as the class.  A row
 matters only up to a nonzero scalar, so it is an integer list, the
 power-basis numerators over Z[ζ_L] of its entries, kept with the pivot it
 came with (times a unit when that is a·ζ^e, so that a is the pivot) and
-eliminated fraction-free, with no pivot inverse.  Each generator at each
-step is made integer once, when its tables are built: per term and slot,
-the coefficient q·ζ^e is folded into the slot's columns over one positive
-denominator (``_integer_terms``).  A term plan re-indexes those columns to
-the members of one class, one plan per move from a source class to a target
-class, and keeps, per source numerator it has read, the (target numerator,
-integer) pairs that numerator adds to, so an image is a scatter-add over the
-row's nonzero numerators.  The closure skips an image whose target class is
-already full, since the image lies in its span.  The box is widened by one
-degree (``MARGIN``) during the sweep and cropped on return, so reported
-fibers do not suffer boundary truncation.  Closure terminates because in-box
-fiber ranks grow monotonically.  What a closure needs besides its seed comes
-in two parts, each built whole, so a closure reads its plans and builds
-none.  The module part, ``_ModuleTables``, holds the tensor, the grading,
-each generator's class shift, and the moves between classes with the plans
-of the step-0 generators, whose slot coefficients a_I^0 are all 1; the
-reduced powers of ζ that a plan reads come from ``cyclotomic.zeta_terms``.
-It reads the algebra, the ordered tensor factors, n, the twist's node orbits
-and order, L and the cap, and nothing of the evaluation points or ϱ, so
+eliminated fraction-free, with no pivot inverse.  An echelon keeps each
+row's pivot offset and pivot numerators, and the pivot's integer value when
+it is rational; where that pivot and the vector's entry at it are both
+rational, a reduction is one integer pass ``x·vec − y·row``, x and y read
+off one two-int gcd.  Each generator at each step is made integer once, when
+its tables are built: per term and slot, the coefficient q·ζ^e is folded
+into the slot's columns over one positive denominator (``_integer_terms``).
+A term plan re-indexes those columns to the members of one class, one plan
+per move from a source class to a target class, and keeps, per source
+numerator it has read, the (target numerator, integer) pairs that numerator
+adds to, so an image is a scatter-add over the row's nonzero numerators.
+The closure works out each degree's in-box target per step once, skips a
+move into a target class that is already full before anything else, since
+the image lies in its span, and lists a row's nonzero numerators only when
+some move computes an image.  The box is widened by one degree (``MARGIN``)
+during the sweep and cropped on return, so reported fibers do not suffer
+boundary truncation.  Closure terminates because in-box fiber ranks grow
+monotonically.  What a closure needs besides its seed comes in two parts,
+each built whole, so a closure reads its plans and builds none.  The module
+part, ``_ModuleTables``, holds the tensor, the grading, each generator's
+class shift, and the moves between classes with the plans of the step-0
+generators, whose slot coefficients a_I^0 are all 1; the reduced powers of ζ
+that a plan reads come from ``cyclotomic.zeta_terms``.  It reads the
+algebra, the ordered tensor factors, n, the twist's node orbits and order, L
+and the cap, and nothing of the evaluation points or ϱ, so
 ``_module_tables`` keeps it in a bounded cache keyed on exactly those, and
 the specs of one module share it.  The per-spec part, ``_ClosureTables``,
 holds every move with its plan: the module's at step 0, and its own at the
@@ -62,8 +68,8 @@ close one seed degree per coset of the Γ under test, and the caller chooses
 the seeds; ``loopmod verify`` passes the engine's coset representatives.
 
 ``audit_decomposition`` checks the components of a decomposition against
-each other, with one combined echelon per degree and weight class; ``verify``
-and ``count_components`` both use it.
+each other, with one combined echelon per degree and weight class that two or
+more components reach; ``verify`` and ``count_components`` both use it.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, itemgetter
 
 from .cyclotomic import (
     CycScalar, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators, zeta_terms,
@@ -243,17 +249,20 @@ class FieldEchelon:
     power-basis numerators per entry; ``int_rows`` holds each stored row with
     its integer content divided out and whatever pivot entry α ∈ Z[ζ_L] it
     has, except that a pivot a·ζ^e is made the rational a by the unit
-    ζ^{L−e}.  A vector is reduced by ``vec ← α·vec − vec[piv]·row`` for each
-    row in pivot order, which is one integer pass when α and ``vec[piv]`` are
-    rational.  Z[ζ_L] is an integral domain, so that clears entry ``piv`` for
-    any nonzero α and no pivot is ever inverted (Bareiss, *Math. Comp.* 22,
-    1968)."""
+    ζ^{L−e}.  ``heads`` keeps, per stored row, the offset of its pivot entry,
+    that entry's numerators, and the integer a when the entry is rational
+    (else None).  A vector is reduced by ``vec ← α·vec − vec[piv]·row`` for
+    each row in pivot order, both divided by the gcd of their numerators.
+    When α and ``vec[piv]`` are both rational that is one integer pass over
+    the row, read off the cached head and one two-int gcd.  Z[ζ_L] is an
+    integral domain, so that clears entry ``piv`` for any nonzero α and no
+    pivot is ever inverted (Bareiss, *Math. Comp.* 22, 1968)."""
 
     def __init__(self, order: int):
         self.order = order
         self.width = len(cyclotomic_polynomial(order)) - 1
         self.int_rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.heads: list[tuple[int, list[int], int | None]] = []
 
     @property
     def rank(self) -> int:
@@ -261,26 +270,27 @@ class FieldEchelon:
 
     def _reduce(self, vec: list[int]) -> list[int]:
         w, order = self.width, self.order
-        for piv, row in zip(self.pivots, self.int_rows):
-            o = piv * w
+        for (o, a, a0), row in zip(self.heads, self.int_rows):
+            if a0 is not None and not any(vec[o + 1:o + w]):
+                c0 = vec[o]
+                if c0:  # rational α and multiplier
+                    g = gcd(a0, c0)
+                    a0, c0 = a0 // g, c0 // g
+                    vec = [a0 * x - c0 * y for x, y in zip(vec, row)]
+                continue
             c = vec[o:o + w]
             if not any(c):
                 continue
-            a = row[o:o + w]
             g = gcd(*a, *c)
             if g != 1:
                 a, c = [x // g for x in a], [x // g for x in c]
-            if any(a[1:]) or any(c[1:]):
-                # Entry piv cancels, and the row is zero before it.
-                head = [x for k in range(0, o, w) for x in _times(order, a, vec[k:k + w])]
-                vec = head + [0] * w + [
-                    x - y
-                    for k in range(o + w, len(vec), w)
-                    for x, y in zip(_times(order, a, vec[k:k + w]), _times(order, c, row[k:k + w]))
-                ]
-            else:  # rational α and multiplier
-                a0, c0 = a[0], c[0]
-                vec = [a0 * x - c0 * y for x, y in zip(vec, row)]
+            # Entry piv cancels, and the row is zero before it.
+            head = [x for k in range(0, o, w) for x in _times(order, a, vec[k:k + w])]
+            vec = head + [0] * w + [
+                x - y
+                for k in range(o + w, len(vec), w)
+                for x, y in zip(_times(order, a, vec[k:k + w]), _times(order, c, row[k:k + w]))
+            ]
         return vec
 
     def add(self, vec: list[int]) -> list[int] | None:
@@ -291,8 +301,8 @@ class FieldEchelon:
         if first is None:
             return None
         w, order = self.width, self.order
-        piv = first // w
-        lead = row[piv * w:piv * w + w]
+        o = first - first % w
+        lead = row[o:o + w]
         if not lead[0] and lead.count(0) == w - 1:  # a·ζ^e, e > 0: times the unit ζ^{L−e}
             e = lead.index(max(lead) or min(lead))  # a is the max or the min
             m = _zeta_power(order, order - e, w)
@@ -300,9 +310,10 @@ class FieldEchelon:
         g = gcd(*row)
         if g != 1:
             row = [x // g for x in row]
-        at = bisect_left(self.pivots, piv)
-        self.pivots.insert(at, piv)
+        lead = row[o:o + w]
+        at = bisect_left(self.heads, o, key=itemgetter(0))
         self.int_rows.insert(at, row)
+        self.heads.insert(at, (o, lead, None if any(lead[1:]) else lead[0]))
         return row
 
     def contains(self, vec) -> bool:
@@ -544,13 +555,16 @@ class _ClosureTables:
         seed_vec[grading.local[fin.hw_index] * w] = 1
         ech = parts[seed_degree, seed_cls] = FieldEchelon(order)
         queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec))])
+        targets_at: dict = {}  # degree -> per step, the target degree, or None outside the box
         while queue:
             deg, cls, row = queue.popleft()
-            nonzero = list(compress(count(), row))
-            targets = []  # per step, the target degree, or None outside the box
-            for step in steps:
-                tgt = tuple(map(add, deg, step))
-                targets.append(None if max(tgt) > work or min(tgt) < -work else tgt)
+            targets = targets_at.get(deg)
+            if targets is None:
+                targets = targets_at[deg] = [
+                    None if max(tgt) > work or min(tgt) < -work else tgt
+                    for tgt in (tuple(map(add, deg, step)) for step in steps)
+                ]
+            nonzero = None
             for plan, tcls, size, sid in moves[cls]:
                 tgt = targets[sid]
                 if tgt is None:
@@ -559,8 +573,10 @@ class _ClosureTables:
                 ech = parts.get(key)
                 if ech is None:
                     ech = parts[key] = FieldEchelon(order)
-                if len(ech.int_rows) == size:
+                elif len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
+                if nonzero is None:
+                    nonzero = list(compress(count(), row))
                 added = ech.add(plan.image(row, nonzero, size * w, order, w))
                 if added is not None:
                     queue.append((tgt, tcls, added))
@@ -689,32 +705,36 @@ class DecompositionAudit:
 
 def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     """Fiber-disjointness and degree sums of closures over one grading and
-    box, with one combined echelon per (degree, weight class).  A class that
-    only one component reaches needs no echelon: the rows of one echelon are
-    independent."""
+    box.  A combined echelon is built only for a (degree, weight class) that
+    two or more components reach: the rows of one echelon are independent,
+    so elsewhere the combined rank is the sum of the components' ranks, and
+    each row a combined echelon refuses lowers it by one."""
     box0 = boxes[0]
-    members, order = box0.grading.members, box0.order
     dims = [box.dims() for box in boxes]
+    shared: dict = {}  # degree -> per class that 2+ components reach, their echelons
+    if len(boxes) > 1:
+        reached: dict = {}
+        for box in boxes:
+            for key, ech in box.parts.items():
+                if ech.rank:
+                    reached.setdefault(key, []).append(ech)
+        for (deg, _), parts in reached.items():
+            if len(parts) > 1:
+                shared.setdefault(deg, []).append(parts)
     audit = DecompositionAudit([], [], {})
     for deg in itertools.product(*(range(-box0.radius, box0.radius + 1) for _ in box0.seed)):
         ranks = tuple(d.get(deg, 0) for d in dims)
         audit.fiber_dims.append((deg, ranks))
-        combined_rank = 0
-        overlap = False
-        for cls in members:
-            parts = [ech for box in boxes if (ech := box.parts.get((deg, cls))) and ech.rank]
-            if len(parts) == 1:
-                combined_rank += parts[0].rank
-                continue
-            combined = FieldEchelon(order)
+        combined_rank = total = sum(ranks)
+        for parts in shared.get(deg, ()):
+            combined = FieldEchelon(box0.order)
             for ech in parts:
                 for row in ech.int_rows:
                     if combined.add(row) is None:
-                        overlap = True
-            combined_rank += combined.rank
-        if overlap:
+                        combined_rank -= 1
+        if combined_rank != total:
             audit.overlaps.append(deg)
-        if combined_rank != box0.fin.total or combined_rank != sum(ranks):
+        if combined_rank != box0.fin.total or combined_rank != total:
             audit.shortfalls[deg] = combined_rank
     return audit
 

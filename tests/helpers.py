@@ -1,7 +1,8 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
 canonical block-form constructions with a prescribed support, full-length
 views of a realizer closure's fibers, dense class sums as the oracle of the
-support's sparse ones, the monomial substitution t ↦ t^B of a spec
+support's sparse ones, the per-class decomposition audit as the oracle of
+the realizer's, the monomial substitution t ↦ t^B of a spec
 document, and small conveniences that only tests need (a spec's
 tensor module, subgroup comparison, a scalar as a vector, vanishing of the
 higher restricted components)."""
@@ -17,7 +18,7 @@ from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynom
 from loopmod.jsonio import parse_spec, scalar_to_json
 from loopmod.lattice import Lattice
 from loopmod.liealg import build_algebra, build_aut, node_orbits
-from loopmod.realizer import FieldEchelon, FinModule, build_tensor
+from loopmod.realizer import DecompositionAudit, FieldEchelon, FinModule, build_tensor
 from loopmod.spec import PsiSpec, TwistedSpec, table_indices
 
 A1 = build_algebra("A", 1)
@@ -374,6 +375,34 @@ def fiber_span(box, deg) -> FieldEchelon:
     for row in fiber_rows(box, deg):
         ech.add(row)
     return ech
+
+
+def reference_audit(boxes) -> DecompositionAudit:
+    """``realizer.audit_decomposition`` walked class by class: at every degree
+    of the box and every weight class, the rows of the components that reach
+    it go into one combined echelon, and a refused row is an overlap."""
+    box0 = boxes[0]
+    members, order = box0.grading.members, box0.order
+    dims = [box.dims() for box in boxes]
+    audit = DecompositionAudit([], [], {})
+    for deg in itertools.product(*(range(-box0.radius, box0.radius + 1) for _ in box0.seed)):
+        ranks = tuple(d.get(deg, 0) for d in dims)
+        audit.fiber_dims.append((deg, ranks))
+        combined_rank = 0
+        overlap = False
+        for cls in members:
+            combined = FieldEchelon(order)
+            for box in boxes:
+                ech = box.parts.get((deg, cls))
+                for row in ech.int_rows if ech else ():
+                    if combined.add(row) is None:
+                        overlap = True
+            combined_rank += combined.rank
+        if overlap:
+            audit.overlaps.append(deg)
+        if combined_rank != box0.fin.total or combined_rank != sum(ranks):
+            audit.shortfalls[deg] = combined_rank
+    return audit
 
 
 def dense_coset_sums(form, r) -> list[tuple[int, list[int]]]:

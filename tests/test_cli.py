@@ -299,6 +299,7 @@ def test_verify_seeds_a_coset_at_its_least_degree_in_the_working_box(write, caps
         ("first-closure-twice", {"fibers_disjoint", "degree_sums"}),
         ("one-closure", {"component_count", "degree_sums"}),
         ("support-is-Z", {"support_periodicity", "degree_sums", "top_weight_support"}),
+        ("component-1-aperiodic", {"support_periodicity"}),
     ],
 )
 def test_verify_exits_1_on_the_checks_a_wrong_decomposition_breaks(
@@ -307,7 +308,9 @@ def test_verify_exits_1_on_the_checks_a_wrong_decomposition_breaks(
     # λ = (1),(1), a = (1, −1): Γ = 2Z and p = 2, so two closures.  Each fault
     # hands verify a decomposition or a classification that is wrong in one
     # way, and exactly the checks that see that way fail.
-    decompose, classify = realizer.component_decomposition, cli.classify
+    decompose, audit, classify = (
+        realizer.component_decomposition, realizer.audit_decomposition, cli.classify
+    )
 
     def decomposition(*args, **kwargs):
         boxes = decompose(*args, **kwargs)
@@ -316,6 +319,14 @@ def test_verify_exits_1_on_the_checks_a_wrong_decomposition_breaks(
             "first-closure-twice": boxes[:1] * 2,
             "one-closure": boxes[:1],
         }.get(fault, boxes)
+
+    def aperiodic_audit(boxes):
+        # Component 1 one rank up at the first degree, so its fibers differ
+        # at two degrees of one coset of Γ while W₀'s do not.
+        out = audit(boxes)
+        deg, (r0, r1) = out.fiber_dims[0]
+        out.fiber_dims[0] = deg, (r0, r1 + 1)
+        return out
 
     whole = psi.support_lattice(parse_spec(dict(SPEC_2Z, evals=[[1, 2]])))
     assert whole.index == 1
@@ -326,6 +337,8 @@ def test_verify_exits_1_on_the_checks_a_wrong_decomposition_breaks(
     monkeypatch.setattr(realizer, "component_decomposition", decomposition)
     if fault == "support-is-Z":
         monkeypatch.setattr(cli, "classify", index_one)
+    if fault == "component-1-aperiodic":
+        monkeypatch.setattr(realizer, "audit_decomposition", aperiodic_audit)
     code, doc = _run(capsys, ["verify", write(SPEC_2Z, "s.json"), "--box", "2"])
     assert code == 1 and not doc["result"]["ok"]
     assert {k for k, v in doc["result"]["checks"].items() if not v} == failing

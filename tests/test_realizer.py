@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     A1, A2, A2_FLIP, D4, D4_TRIALITY, fiber_rows, fiber_span, fin_for_spec, random_twisted_spec,
-    sc, spec,
+    reference_audit, sc, spec,
 )
 import loopmod
 from loopmod import realizer
@@ -49,9 +50,11 @@ def test_irreducible_module_sl2():
     assert m0.dim == 1
 
 
+# Every series at every rank up to 4, whose symmetrizers are not all 1 for
+# B, C, F and G, and E₆.
 _SMALL_ALGEBRAS = (
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3),
-    ("D", 4), ("F", 4), ("E", 6),
+    ("D", 3), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("E", 6),
 )
 
 
@@ -108,6 +111,7 @@ def _sparse_commutator(a, b):
 def test_irreducible_module_dims_match_weyl():
     assert {(a.series, a.rank) for a, _ in _small_irreps()} == set(_SMALL_ALGEBRAS)
     for algebra, lam in _small_irreps():
+        assert all(type(d) is int and d > 0 for d in algebra.symmetrizers)
         m = irreducible_module(algebra, lam)
         assert m.dim == weyl_dim(algebra, lam) == len(m.weights)
         assert m.weights[0] == lam
@@ -794,7 +798,7 @@ def _reference_echelon(vectors):
 
 @st.composite
 def _echelon_inputs(draw):
-    order = draw(st.sampled_from((1, 2, 3, 4, 12, 60, 105)))
+    order = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 9, 12, 60, 105)))
     small = order <= 12  # φ(60) = 16 and φ(105) = 48: fewer, shorter vectors
     length = draw(st.integers(1, 4 if small else 3))
     zero = CycVector.zero(order)
@@ -809,8 +813,12 @@ def _echelon_inputs(draw):
 
     vectors = []
     for _ in range(draw(st.integers(1, 6 if small else 3))):
-        kind = draw(st.sampled_from(("general", "one-entry", "one-coordinate", "combination")))
-        if kind == "one-entry":
+        kind = draw(st.sampled_from(
+            ("general", "one-entry", "one-coordinate", "combination", "rational")
+        ))
+        if kind == "rational":  # rational pivots, met by rational and cyclotomic entries
+            vec = [CycVector.from_rational(draw(st.integers(-3, 3)), order) for _ in range(length)]
+        elif kind == "one-entry":
             vec = [zero] * length
             vec[draw(st.integers(0, length - 1))] = element(2, nonzero=True)
         elif kind == "combination" and vectors:
@@ -1004,6 +1012,45 @@ def test_audit_flags_shared_and_missing_fiber_vectors():
     assert count_components(s, support_lattice(s).coset_reps(), 2) == 2
 
 
+def _echelon(order, rows):
+    ech = FieldEchelon(order)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def test_audit_matches_the_per_class_reference():
+    # The audit builds combined echelons only where two components share a
+    # (degree, class); the reference builds one for every class.
+    def same(boxes):
+        new, ref = realizer.audit_decomposition(boxes), reference_audit(boxes)
+        assert (new.fiber_dims, new.overlaps, new.shortfalls) == (
+            ref.fiber_dims, ref.overlaps, ref.shortfalls)
+        return new
+
+    for s in _acceptance3_specs():
+        reps = support_lattice(s).coset_reps()
+        if len(reps) > 1:
+            same(realizer.component_decomposition(s, reps, 2))
+    # Γ = 2Z: inject a row of W₀ at degree 0 into W₁, and drop a row of W₀
+    # at degree 1.
+    s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
+    b0, b1 = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
+    order = s.field_order
+    shared = next(key for key, ech in b0.parts.items() if key[0] == (0,) and ech.rank)
+    dropped = next(key for key, ech in b0.parts.items() if key[0] == (1,) and ech.rank)
+    kept = b1.parts.get(shared)
+    parts0 = dict(b0.parts)
+    parts0[dropped] = _echelon(order, b0.parts[dropped].int_rows[:-1])
+    parts1 = dict(b1.parts)
+    parts1[shared] = _echelon(order, (kept.int_rows if kept else []) + b0.parts[shared].int_rows[:1])
+    faulty = [dataclasses.replace(b0, parts=parts0), dataclasses.replace(b1, parts=parts1)]
+    audit = same(faulty)
+    assert audit.overlaps == [(0,)] and set(audit.shortfalls) == {(0,), (1,)}
+    for boxes in ([b0], [b0, b0], faulty[:1], faulty[::-1]):
+        same(boxes)
+
+
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     # Γ = 2Z, so two closures; they share the module, the generators and the
     # term plans, and give the fibers that separate closures give.  The
@@ -1071,7 +1118,8 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
 
 def _rows(boxes):
     return [
-        (box.dims(), {key: (ech.pivots, ech.int_rows) for key, ech in box.parts.items()})
+        (box.dims(), {key: ([h[0] for h in ech.heads], ech.int_rows)
+                      for key, ech in box.parts.items()})
         for box in boxes
     ]
 
