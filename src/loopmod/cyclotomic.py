@@ -20,7 +20,10 @@ top exponent is already below ``φ(L)``.  An element takes O(φ(L)) memory.
 The per-order tables are ``Φ_L`` itself, built from the Möbius product
 ``Φ_L = ∏_{d | L} (x^d − 1)^{μ(L/d)}`` (``cyclotomic_polynomial``), and the
 reduced powers of ζ as sparse numerators (``zeta_terms``), one bounded cache
-that the support's class sums and the realizer's term plans share.
+that the support's class sums and the realizer's term plans share.  The one
+division, ``CycVector.inverse``, is a product of Galois conjugates over the
+rational norm, so no polynomial arithmetic over Q is kept beside the integer
+numerators.
 
 No floating point is used anywhere; ``complex(x)`` is provided only so tests
 can cross-check against numeric evaluation.
@@ -36,8 +39,6 @@ from math import gcd, lcm, prod
 from typing import Iterable
 
 from .errors import InputError, OrderMismatchError
-
-_ZERO = Fraction(0)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -296,25 +297,6 @@ def multiplicative_order(a: CycScalar, bound: int) -> int | None:
     return None
 
 
-def _poly_divmod(p: list[Fraction], q: list[Fraction]):
-    # Quotient and remainder over Q, low-to-high; q and the returned
-    # remainder have no trailing zeros.
-    rem = list(p)
-    dq = len(q) - 1
-    quo = [_ZERO] * max(0, len(rem) - dq)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + dq] / q[-1]
-        if c:
-            quo[i] = c
-            for j, qc in enumerate(q):
-                rem[i + j] -= c * qc
-    if quo:
-        del rem[dq:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
-
 class CycVector:
     """Element of ``Q(ζ_L)``: integer numerators ``num`` over the power basis
     ``1, ζ, …, ζ^{φ(L)−1}`` and a positive common denominator ``den``, in
@@ -428,30 +410,20 @@ class CycVector:
         return _product(self, other)
 
     def inverse(self) -> "CycVector":
-        """Field inverse modulo Φ_order (extended Euclid over Q[x]).  No engine
-        path needs it; it is the tests' oracle, and the benchmark tracer wraps it."""
+        """Field inverse through the norm: with ``c = ∏ σ_u(x)`` over the
+        Galois automorphisms ``σ_u: ζ ↦ ζ^u``, ``1 < u < L``, ``gcd(u, L) = 1``,
+        the norm ``N(x) = x·c`` is rational and ``x⁻¹ = c/N(x)`` (Lang,
+        *Algebra*, VI §5).  No engine path needs it; it is the tests' oracle,
+        and the benchmark tracer wraps it."""
         if self.is_zero():
             raise ZeroDivisionError("zero element of the cyclotomic field")
-        L = self.order
-        live = [(e, a) for e, a in enumerate(self.num) if a]
-        if len(live) == 1:
-            # (a/den)·ζ^e has inverse (den/a)·ζ^{−e}.
-            (e, a), = live
-            return CycVector.from_terms(L, [(-e, Fraction(self.den, a))])
-        # Euclid on (Φ_L, num) keeps t·num ≡ r (mod Φ_L), so the cofactors t
-        # may be reduced: they are kept as field elements.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(L)]
-        r1 = [Fraction(c) for c in self.num]
-        while not r1[-1]:
-            r1.pop()
-        t0, t1 = CycVector.zero(L), CycVector.from_rational(1, L)
-        while r1:
-            quo, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, t0 - _product(CycVector.from_terms(L, enumerate(quo)), t1)
-        if len(r0) != 1:
-            raise ArithmeticError("element not invertible modulo Φ_L")
-        return t0.scale_rational(self.den / r0[0])
+        # c is built from the numerators: a rational multiple of the c above.
+        L, terms = self.order, list(enumerate(self.num))
+        c = CycVector.from_rational(1, L)
+        for u in range(2, L):
+            if gcd(u, L) == 1:
+                c = _product(c, CycVector.from_terms(L, [(u * e, a) for e, a in terms]))
+        return c.scale_rational(1 / _product(self, c).coeffs[0])
 
     def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)

@@ -4,8 +4,11 @@ Cartan matrices follow the convention ``C[i][j] = 2(αᵢ, αⱼ)/(αᵢ, αᵢ)
 row ``i`` evaluates the coroot ``αᵢ^∨`` on the simple roots.  Weights are
 integer tuples in the fundamental-weight basis; roots are integer tuples in
 the simple-root basis.  Positive roots are generated from the simple roots by
-the root-string closure, and the Weyl dimension formula is evaluated exactly
-in integers, with graph-propagated symmetrizers scaled to positive integers.
+the root-string closure.  The Weyl dimension formula is evaluated exactly in
+integers over the positive coroots, the positive roots of the dual system,
+whose Cartan matrix is the transpose: ``⟨ωᵢ, αⱼ^∨⟩ = δᵢⱼ``, so a coroot
+``β^∨ = Σ cᵢαᵢ^∨`` pairs with ``λ + ρ`` to ``Σ cᵢ(λᵢ + 1)`` (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, §9.2 and §24.3).
 
 Diagram automorphisms are node permutations preserving the Cartan matrix, of
 order 1, 2 or 3.  ``restrict_weight`` evaluates a weight on a fixed eigenbasis
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import CycScalar, CycVector
 from .errors import InputError, UnsupportedError
@@ -115,26 +117,6 @@ def _positive_roots(cartan) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def _symmetrizers(cartan) -> tuple[int, ...]:
-    # Positive integers d_i with d_i·C[i][j] = d_j·C[j][i]: propagated along
-    # the Dynkin graph as fractions, then scaled by their denominators' lcm.
-    d = len(cartan)
-    sym: list[Fraction | None] = [None] * d
-    for start in range(d):
-        if sym[start] is not None:
-            continue
-        sym[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(d):
-                if i != j and cartan[i][j] and sym[j] is None:
-                    sym[j] = sym[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-    scale = lcm(*(x.denominator for x in sym))  # type: ignore[union-attr]
-    return tuple(int(x * scale) for x in sym)  # type: ignore[operator]
-
-
 @dataclass(frozen=True)
 class SimpleLieAlgebra:
     series: str
@@ -144,20 +126,17 @@ class SimpleLieAlgebra:
     def __repr__(self) -> str:
         return f"SimpleLieAlgebra({self.series}{self.rank})"
 
-    # Only Weyl dimensions read these; A_n has n(n+1)/2 positive roots, so
-    # they are built on first use, not with every spec.
+    # Only Weyl dimensions read these; A_n has n(n+1)/2 of them, so they are
+    # built on first use, not with every spec.
     @cached_property
-    def positive_roots(self) -> tuple[Root, ...]:
-        return _positive_roots(self.cartan)
-
-    @cached_property
-    def symmetrizers(self) -> tuple[int, ...]:
-        return _symmetrizers(self.cartan)
+    def positive_coroots(self) -> tuple[Root, ...]:
+        """The positive roots of the dual system, in the simple-coroot basis."""
+        return _positive_roots(tuple(zip(*self.cartan)))
 
 
-# One instance per (series, rank), so its roots and symmetrizers are built once
-# for every spec that names it; bounded, so a batch over many ranks does not
-# keep every Cartan matrix.
+# One instance per (series, rank), so its coroots are built once for every
+# spec that names it; bounded, so a batch over many ranks does not keep every
+# Cartan matrix.
 @lru_cache(maxsize=16)
 def build_algebra(series: str, rank: int) -> SimpleLieAlgebra:
     if series not in _SERIES:
@@ -171,17 +150,17 @@ def is_dominant(weight: Weight) -> bool:
 
 
 def weyl_dim(algebra: SimpleLieAlgebra, weight: Weight) -> int:
-    """dim V(λ) = ∏_{α>0} (λ+ρ, α)/(ρ, α): the integer numerators and
+    """dim V(λ) = ∏_{β^∨>0} ⟨λ+ρ, β^∨⟩/⟨ρ, β^∨⟩ over the positive coroots
+    β^∨ = Σ cᵢαᵢ^∨, that is ∏ Σ cᵢ(λᵢ+1) / Σ cᵢ: the integer numerators and
     denominators are multiplied out and divided once."""
     if len(weight) != algebra.rank:
         raise InputError("weight has wrong length", expected=algebra.rank)
     if not is_dominant(weight):
         raise InputError("weight is not dominant", weight=weight)
     num = den = 1
-    sym = algebra.symmetrizers
-    for alpha in algebra.positive_roots:
-        num *= sum(c * s * (w + 1) for c, s, w in zip(alpha, sym, weight))
-        den *= sum(c * s for c, s in zip(alpha, sym))
+    for beta in algebra.positive_coroots:
+        num *= sum(c * (w + 1) for c, w in zip(beta, weight))
+        den *= sum(beta)
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError("Weyl dimension did not come out integral")

@@ -204,10 +204,15 @@ def twisted_classify(spec: TwistedSpec) -> TwistedDescriptor:
         marginal_index = support_lattice(marginal_spec(spec.base)).index
     exponent = marginal_index if module_type == "first" else marginal_index * mh // k
     classes = weight_classes(spec.base)
-    if all(size % exponent == 0 for _, size in classes):
-        realization = tuple((w, size // exponent) for w, size in classes)
-    else:
-        realization = classes
+    for w, size in classes:
+        if size % exponent:
+            raise StructureViolationError(
+                "weight class size is not a multiple of the exponent",
+                weight=w,
+                size=size,
+                exponent=exponent,
+            )
+    realization = tuple((w, size // exponent) for w, size in classes)
     return TwistedDescriptor(
         spec=spec,
         module_type=module_type,

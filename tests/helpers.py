@@ -2,7 +2,9 @@
 canonical block-form constructions with a prescribed support, full-length
 views of a realizer closure's fibers, dense class sums as the oracle of the
 support's sparse ones, the per-class decomposition audit as the oracle of
-the realizer's, the monomial substitution t ↦ t^B of a spec
+the realizer's, the Weyl dimension over the roots with symmetrizers as the
+oracle of the one over the coroots, a spec as a document, the monomial
+substitution t ↦ t^B and the Galois conjugation ζ ↦ ζ^u of a spec
 document, and small conveniences that only tests need (a spec's
 tensor module, subgroup comparison, a scalar as a vector, vanishing of the
 higher restricted components)."""
@@ -12,12 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynomial
 from loopmod.jsonio import parse_spec, scalar_to_json
 from loopmod.lattice import Lattice
-from loopmod.liealg import build_algebra, build_aut, node_orbits
+from loopmod.liealg import _positive_roots, build_algebra, build_aut, node_orbits
 from loopmod.realizer import DecompositionAudit, FieldEchelon, FinModule, build_tensor
 from loopmod.spec import PsiSpec, TwistedSpec, table_indices
 
@@ -40,6 +42,40 @@ def vector_from_scalar(s: CycScalar, weight=1) -> CycVector:
 def higher_vanish(rw) -> bool:
     """Every component of a ``RestrictedWeight`` beyond 𝔥₀ is zero."""
     return all(v.is_zero() for comp in rw.higher for v in comp)
+
+
+def symmetrizers(cartan) -> tuple[int, ...]:
+    """Positive integers d_i with d_i·C[i][j] = d_j·C[j][i]: propagated along
+    the Dynkin graph as fractions, then scaled by their denominators' lcm."""
+    d = len(cartan)
+    sym: list = [None] * d
+    for start in range(d):
+        if sym[start] is not None:
+            continue
+        sym[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if i != j and cartan[i][j] and sym[j] is None:
+                    sym[j] = sym[i] * Fraction(cartan[i][j], cartan[j][i])
+                    stack.append(j)
+    scale = lcm(*(x.denominator for x in sym))
+    return tuple(int(x * scale) for x in sym)
+
+
+def root_weyl_dim(algebra, weight) -> int:
+    """dim V(λ) = ∏_{α>0} (λ+ρ, α)/(ρ, α) over the positive roots
+    α = Σ cᵢαᵢ, with the invariant form scaled so that (ωᵢ, αⱼ) = δᵢⱼ·dⱼ
+    for the symmetrizers dⱼ: the oracle of ``liealg.weyl_dim``, which
+    sums over the positive coroots instead."""
+    num = den = 1
+    sym = symmetrizers(algebra.cartan)
+    for alpha in _positive_roots(algebra.cartan):
+        num *= sum(c * s * (w + 1) for c, s, w in zip(alpha, sym, weight))
+        den *= sum(c * s for c, s in zip(alpha, sym))
+    assert num % den == 0
+    return num // den
 
 
 def sublattice_of(a: Lattice, b: Lattice) -> bool:
@@ -272,6 +308,35 @@ def transformed_spec(rng: random.Random, base: PsiSpec, shift_support=None):
         evals=tuple(evals),
         rho=tuple(rho),
     ), perms, scalings
+
+
+def spec_doc(s: PsiSpec) -> dict:
+    """The document of ``s``, as ``parse_spec`` reads it."""
+    return {
+        "schema": 1,
+        "algebra": {"series": s.algebra.series, "rank": s.algebra.rank},
+        "n": s.n,
+        "dims": list(s.dims),
+        "weights": [{"index": list(I), "coords": list(w)} for I, w in sorted(s.weights.items())],
+        "evals": [[scalar_to_json(a) for a in axis] for axis in s.evals],
+        "rho": [str(x) for x in s.rho],
+    }
+
+
+def galois_spec(doc: dict, u: int) -> dict:
+    """The spec document ``doc`` under the Galois automorphism ζ_L ↦ ζ_L^u of
+    its field Q(ζ_L), gcd(u, L) = 1: every scalar's ``zeta_pow`` becomes
+    u·``zeta_pow`` modulo its own ``zeta_order``.  ψ(m) is conjugated
+    coordinate by coordinate, so its zero set does not move."""
+    orders = [a.get("zeta_order", 1) for axis in doc["evals"] for a in axis if isinstance(a, dict)]
+    assert gcd(u, lcm(1, *orders)) == 1, "u must be prime to the field order"
+
+    def conjugate(a):
+        if not isinstance(a, dict):
+            return a
+        return dict(a, zeta_pow=u * a.get("zeta_pow", 0) % a.get("zeta_order", 1))
+
+    return dict(doc, evals=[[conjugate(a) for a in axis] for axis in doc["evals"]])
 
 
 def substituted_spec(doc: dict, B) -> dict:

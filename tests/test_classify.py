@@ -1,17 +1,23 @@
+import json
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     same_subgroup,
     A1,
+    galois_spec,
     orthogonal_block_spec,
     random_spec,
     sc,
     skew_block_spec,
     spec,
+    spec_doc,
     transformed_spec,
 )
+from loopmod.cli import main
 from loopmod.classify import (
     classify,
     decide_iso,
@@ -27,7 +33,7 @@ from loopmod.errors import (
 )
 from loopmod.jsonio import parse_spec
 from loopmod.lattice import from_generators
-from loopmod.psi import SupportLattice, support_lattice
+from loopmod.psi import SupportLattice, eval_functional, support_lattice
 
 
 def test_detect_blocks_two_orbits():
@@ -268,3 +274,84 @@ def test_skew_block_roundtrip():
         assert same_subgroup(d.support.lattice, target)
         assert d.p == target.index
         assert all(size == d.p for _, size in d.classes)
+
+
+# ROADMAP item 6: both specs present ψ(m) = 2^m·ω₁; the second only adds the
+# point 3 with the zero weight.
+POINT_2 = {"algebra": {"series": "A", "rank": 1}, "n": 1, "dims": [1],
+           "weights": [{"index": [1], "coords": [1]}], "evals": [[2]]}
+POINT_2_AND_ZERO_AT_3 = {"algebra": {"series": "A", "rank": 1}, "n": 1, "dims": [2],
+                         "weights": [{"index": [1], "coords": [1]}, {"index": [2], "coords": [0]}],
+                         "evals": [[2, 3]]}
+
+
+def test_a_zero_weight_point_leaves_the_functional_unchanged():
+    # By Artin's independence of characters ψ determines the module, so the
+    # two specs present one module.
+    s1, s2 = parse_spec(POINT_2), parse_spec(POINT_2_AND_ZERO_AT_3)
+    for m in range(-3, 4):
+        assert eval_functional(s1, (m,)) == eval_functional(s2, (m,)), m
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: iso exits 1 with dimension-mismatch, counting the "
+    "zero-weight point"))
+def test_iso_ignores_a_zero_weight_point(tmp_path, capsys):
+    paths = []
+    for name, doc in (("one", POINT_2), ("two", POINT_2_AND_ZERO_AT_3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code = main(["iso", *paths])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["result"]["isomorphic"]) == (0, True)
+
+
+def _outcome(call, *args):
+    # ``call(*args)``, or the name of the engine error it raises.
+    try:
+        return call(*args)
+    except EngineError as exc:
+        return type(exc).__name__
+
+
+def _galois_invariants(doc, partner):
+    # support's basis, periods and index; classify's index and classes; the
+    # iso decision against ``partner``.  A refused step stands as its error.
+    s = parse_spec(doc)
+    sup = _outcome(support_lattice, s)
+    if not isinstance(sup, str):
+        sup = (sup.lattice.rows, sup.lattice.ordering, sup.periods, sup.index)
+    d = _outcome(classify, s)
+    if isinstance(d, str):
+        return sup, d
+    return sup, (d.p, d.classes), decide_iso(d, parse_spec(partner)).isomorphic
+
+
+_GENERATORS = {
+    "random": random_spec,
+    "orthogonal-block": lambda rng: orthogonal_block_spec(rng)[0],
+    "skew-block": lambda rng: skew_block_spec(rng)[0],
+}
+
+
+@given(
+    st.integers(0, 2 ** 32),
+    st.sampled_from(sorted(_GENERATORS)),
+    st.sampled_from(("transformed", "random")),
+    st.integers(0, 2 ** 16),
+)
+@settings(max_examples=100, deadline=None)
+def test_galois_conjugation_keeps_support_classes_and_iso(seed, kind, partner, pick):
+    # ROADMAP item 17: ζ_L ↦ ζ_L^u conjugates ψ(m) coordinate by coordinate,
+    # so the zero set, Γ, the classes and every iso decision stay.  The
+    # certificate label is not compared: power-basis signs move.
+    rng = random.Random(seed)
+    s = _GENERATORS[kind](rng)
+    t = transformed_spec(rng, s)[0] if partner == "transformed" else random_spec(rng)
+    L = lcm(s.field_order, t.field_order)
+    units = [u for u in range(1, L + 1) if gcd(u, L) == 1]
+    u = units[pick % len(units)]
+    doc, other = spec_doc(s), spec_doc(t)
+    assert _galois_invariants(galois_spec(doc, u), galois_spec(other, u)) == \
+        _galois_invariants(doc, other), u

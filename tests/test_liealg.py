@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import higher_vanish
+from helpers import higher_vanish, root_weyl_dim, symmetrizers
 from loopmod import liealg
 from loopmod.cyclotomic import CycVector
 from loopmod.errors import InputError, UnsupportedError
@@ -47,7 +47,8 @@ def test_cartan_tables():
     ],
 )
 def test_positive_root_counts(series, rank, count):
-    assert len(build_algebra(series, rank).positive_roots) == count
+    # Φ and Φ^∨ have equally many positive roots.
+    assert len(build_algebra(series, rank).positive_coroots) == count
 
 
 def test_unsupported_pairs():
@@ -101,6 +102,26 @@ def test_weyl_dim_frozen_values():
     assert {weyl_dim(G2, (1, 0)), weyl_dim(G2, (0, 1))} == {7, 14}
     D4 = build_algebra("D", 4)
     assert weyl_dim(D4, (1, 0, 0, 0)) in (8, 28)
+
+
+_SERIES_UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", _SERIES_UP_TO_RANK_8)
+def test_weyl_dim_over_coroots_matches_the_root_form(series, rank):
+    # Every series up to rank 8: the coroot form against the root form with
+    # symmetrizers, on 0, ρ, 2ρ and every ωᵢ, 2ωᵢ and ωᵢ + ωⱼ.
+    algebra = build_algebra(series, rank)
+    assert all(type(d) is int and d > 0 for d in symmetrizers(algebra.cartan))
+    unit = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    weights = [(0,) * rank, (1,) * rank, (2,) * rank] + unit
+    weights += [tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(unit) for b in unit[i:]]
+    for lam in weights:
+        assert weyl_dim(algebra, lam) == root_weyl_dim(algebra, lam), lam
 
 
 def test_weyl_dim_rejects_non_dominant():

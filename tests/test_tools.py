@@ -143,10 +143,15 @@ def test_count_statements_counts_a_nested_statement(tmp_path, capsys):
                              "            if x:\n                total += x\n")
     parent, change = _tree(tmp_path / "parent", _MODULE), _tree(tmp_path / "change", nested)
     assert count_statements.counts(change) == {"box.py": 7}
+    # The new ``if`` is one more line; the docstrings and blank lines count.
+    assert count_statements.line_counts(parent) == {"box.py": 12}
+    assert count_statements.line_counts(change) == {"box.py": 13}
     assert count_statements.main([str(parent), str(change)]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1].split() == ["box.py", "6", "7", "+1"]
-    assert rows[-1].split() == ["total", "6", "7", "+1"]
+    assert rows[0].split() == ["module", "parent", "change", "net",
+                               "parent_lines", "change_lines", "net_lines"]
+    assert rows[1].split() == ["box.py", "6", "7", "+1", "12", "13", "+1"]
+    assert rows[-1].split() == ["total", "6", "7", "+1", "12", "13", "+1"]
 
 
 @pytest.mark.parametrize("argv", [[], ["one"], ["one", "two", "three"]])

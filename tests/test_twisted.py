@@ -167,6 +167,54 @@ def test_twisted_classify_image_mismatch():
         twisted_classify(tsp({(1,): (1, 0), (2,): (1, 1)}, [(1, -1)]))
 
 
+def _triality_classify(tmp_path, capsys, dims, weights, evals):
+    # ``loopmod twisted-classify`` on D₄ with the triality σ = (1 3 4):
+    # its exit code and report.
+    doc = {
+        "schema": 1,
+        "algebra": {"series": "D", "rank": 4},
+        "n": 1,
+        "dims": dims,
+        "weights": [{"index": [j + 1], "coords": w} for j, w in enumerate(weights)],
+        "evals": [evals],
+        "rho": [0],
+        "aut": {"perm": [3, 2, 4, 1]},
+    }
+    path = tmp_path / "triality.json"
+    path.write_text(json.dumps(doc))
+    code = main(["twisted-classify", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_twisted_classify_refuses_a_class_size_the_exponent_does_not_divide(tmp_path, capsys):
+    # a = (−ζ₆, −1, 3ζ₆²): second type with m̂ = 6 and exponent 2, but the
+    # zero weight is a class of size 1, so no (⊗ V(λ)^{size/2})^⊗2 statement
+    # exists: exit 3, as ``classify`` does for a size its index p does not
+    # divide.
+    minus_zeta6 = {"num": -1, "zeta_pow": 1, "zeta_order": 6}
+    three_zeta3 = {"num": 3, "zeta_pow": 2, "zeta_order": 6}
+    code, report = _triality_classify(
+        tmp_path, capsys, [3], [[0, 2, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]],
+        [minus_zeta6, -1, three_zeta3],
+    )
+    assert code == 3
+    [diagnostic] = report["diagnostics"]
+    assert diagnostic["type"] == "StructureViolationError"
+    assert diagnostic["message"] == "weight class size is not a multiple of the exponent"
+    assert diagnostic["data"] == {"weight": [0, 0, 0, 0], "size": 1, "exponent": 2}
+    assert "result" not in report
+
+
+def test_twisted_classify_refuses_first_type_data_with_m_hat_above_one(tmp_path, capsys):
+    # λ = (0,2,0,2) is not σ-fixed (first type), and a = (1, −1) makes
+    # Γ^μ = 2Z, so m̂ = 2 where first-type data needs m̂ = 1.
+    code, report = _triality_classify(tmp_path, capsys, [2], [[0, 2, 0, 2]] * 2, [1, -1])
+    assert code == 3
+    [diagnostic] = report["diagnostics"]
+    assert diagnostic["type"] == "StructureViolationError"
+    assert diagnostic["data"] == {"m_hat": 2}
+
+
 def test_marginal_spec():
     base = spec(
         A2,

@@ -7,7 +7,8 @@ depth (a ``def`` and each statement in its body count separately).  Module,
 class and function docstrings are not counted, and comments and blank lines
 are not in the AST, so a change cannot lower its count by rewording or
 deleting prose.  Prints, per module present in either tree, the count at the
-parent, at the change and the net, then the totals.
+parent, at the change and the net, then the same three for the module's
+physical lines (as ``wc -l`` counts them, prose included), then the totals.
 """
 
 from __future__ import annotations
@@ -41,17 +42,24 @@ def counts(root: Path) -> dict[str, int]:
     return {p.name: count_statements(p) for p in sorted((root / _PACKAGE).glob("*.py"))}
 
 
+def line_counts(root: Path) -> dict[str, int]:
+    return {p.name: len(p.read_text().splitlines()) for p in sorted((root / _PACKAGE).glob("*.py"))}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     parent, change = (counts(Path(a)) for a in argv)
-    rows = [(m, parent.get(m, 0), change.get(m, 0)) for m in sorted(parent.keys() | change.keys())]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'module':<16}{'parent':>8}{'change':>8}{'net':>7}")
-    for module, a, b in rows:
-        print(f"{module:<16}{a:>8}{b:>8}{b - a:>+7}")
+    parent_lines, change_lines = (line_counts(Path(a)) for a in argv)
+    rows = [(m, parent.get(m, 0), change.get(m, 0), parent_lines.get(m, 0), change_lines.get(m, 0))
+            for m in sorted(parent.keys() | change.keys())]
+    rows.append(("total", *(sum(r[k] for r in rows) for k in range(1, 5))))
+    print(f"{'module':<16}{'parent':>8}{'change':>8}{'net':>7}"
+          f"{'parent_lines':>14}{'change_lines':>14}{'net_lines':>11}")
+    for module, a, b, la, lb in rows:
+        print(f"{module:<16}{a:>8}{b:>8}{b - a:>+7}{la:>14}{lb:>14}{lb - la:>+11}")
     return 0
 
 
