@@ -34,32 +34,44 @@ eliminated fraction-free, with no pivot inverse.  An echelon keeps each
 row's pivot offset and pivot numerators, and the pivot's integer value when
 it is rational; where that pivot and the vector's entry at it are both
 rational, a reduction is one integer pass ``x·vec − y·row``, x and y read
-off one two-int gcd.  Each generator at each step is made integer once, when
-its tables are built: per term and slot, the coefficient q·ζ^e is folded
-into the slot's columns over one positive denominator (``_integer_terms``).
-A term plan re-indexes those columns to the members of one class, one plan
-per move from a source class to a target class, and keeps, per source
-numerator it has read, the (target numerator, integer) pairs that numerator
-adds to, so an image is a scatter-add over the row's nonzero numerators.
-The closure works out each degree's in-box target per step once, skips a
-move into a target class that is already full before anything else, since
-the image lies in its span, and lists a row's nonzero numerators only when
-some move computes an image.  The box is widened by one degree (``MARGIN``)
-during the sweep and cropped on return, so reported fibers do not suffer
-boundary truncation.  Closure terminates because in-box fiber ranks grow
-monotonically.  What a closure needs besides its seed comes in two parts,
-each built whole, so a closure reads its plans and builds none.  The module
-part, ``_ModuleTables``, holds the tensor, the grading, each generator's
-class shift, and the moves between classes with the plans of the step-0
-generators, whose slot coefficients a_I^0 are all 1; the reduced powers of ζ
+off one two-int gcd.  Each generator is made integer once, when its
+module's tables are built: per term and slot, with every slot
+coefficient 1, the columns go over one positive denominator
+(``_integer_terms``).  A term plan re-indexes those columns to the members
+of one class, one plan per move from a source class to a target class, as
+``(target, slot, ζ-exponent, integer)`` entries per source position, and
+scales slot k by its coefficient, given as (integer, ζ-exponent) over a
+denominator the slots share: 1 at step 0, and the spec's a_I^s at a step
+s ≠ 0 (``_step_scales``).  Per source numerator it has read, a plan keeps
+the (target numerator, integer) pairs that numerator adds to, so an image is
+a scatter-add over the row's nonzero numerators.  The closure takes rows in PBW order, U(g₀) = U(n₀⁻)U(h₀)U(n₀⁺)
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+§17.3): a row is raised when it is the seed or the image of a degree step or
+of a raising generator at step 0 (``e_i``, or ``e_O`` when twisted), and the
+raising generators at step 0 act on raised rows only, since e·f·y =
+f·(e·y) + [e, f]·y, and every other move acts on every row, so the span is
+that of every move on every row (see ``_ClosureTables.close``).  The closure
+works out each degree's in-box target per step once, skips a move into a
+target class that is already full before anything else, since the image
+lies in its span, lists a row's nonzero numerators only when some move
+computes an image, and makes a class's echelon only for a nonzero image, so
+every echelon in a ``GradedBox`` has a row and a class it lacks has rank 0.
+The box is widened by one degree (``MARGIN``) during the sweep and cropped
+on return, so reported fibers do not suffer boundary truncation.  Closure
+terminates because in-box fiber ranks grow monotonically.  What a closure
+needs besides its seed comes in two parts, each built whole, so a closure
+reads its plans and builds none.  The module part, ``_ModuleTables``, holds
+the tensor, the grading, each generator's class shift, and the moves between
+classes with their plans, those at s ≠ 0 unscaled; the reduced powers of ζ
 that a plan reads come from ``cyclotomic.zeta_terms``.  It reads the
 algebra, the ordered tensor factors, n, the twist's node orbits and order, L
 and the cap, and nothing of the evaluation points or ϱ, so
 ``_module_tables`` keeps it in a bounded cache keyed on exactly those, and
 the specs of one module share it.  The per-spec part, ``_ClosureTables``,
-holds every move with its plan: the module's at step 0, and its own at the
-steps s ≠ 0, whose coefficients a_I^s are the spec's ``coefficients``;
-``component_decomposition`` builds it once and closes every seed from it.
+holds every move with its plan: the module's at step 0, and at the steps
+s ≠ 0 the module's terms with the spec's scales, so a spec makes nothing
+integer and plans nothing; ``component_decomposition`` builds it once and
+closes every seed from it.
 
 The realizer is an oracle for the engine, so it imports none of it: only the
 spec data (``spec``), ``cyclotomic``, ``liealg`` and ``errors``.  It never
@@ -68,8 +80,10 @@ close one seed degree per coset of the Γ under test, and the caller chooses
 the seeds; ``loopmod verify`` passes the engine's coset representatives.
 
 ``audit_decomposition`` checks the components of a decomposition against
-each other, with one combined echelon per degree and weight class that two or
-more components reach; ``verify`` and ``count_components`` both use it.
+each other in one pass over each component's ``parts`` on the reported box,
+with ranks read off the stored rows and one combined echelon per degree and
+weight class that two or more components reach, grown from a copy of the
+largest component echelon; ``verify`` and ``count_components`` both use it.
 """
 
 from __future__ import annotations
@@ -268,6 +282,13 @@ class FieldEchelon:
     def rank(self) -> int:
         return len(self.int_rows)
 
+    def copy(self) -> "FieldEchelon":
+        """An echelon of the same rows that ``add`` can grow on its own; the
+        rows are shared, since no method changes a stored row."""
+        out = FieldEchelon(self.order)
+        out.int_rows, out.heads = list(self.int_rows), list(self.heads)
+        return out
+
     def _reduce(self, vec: list[int]) -> list[int]:
         w, order = self.width, self.order
         for (o, a, a0), row in zip(self.heads, self.int_rows):
@@ -343,8 +364,9 @@ class Grading:
 @dataclass
 class GradedBox:
     """A closure on its box ``[-radius, radius]ⁿ``: ``parts`` maps each
-    (degree, weight class) it reached to that class's ``FieldEchelon``, over
-    the class's members in ``grading``.  The sweep's ``MARGIN`` degrees stay
+    (degree, weight class) where it has a nonzero vector to that class's
+    ``FieldEchelon``, over the class's members in ``grading``; an absent
+    class has rank 0.  The sweep's ``MARGIN`` degrees stay
     in ``parts``; ``dims`` crops them."""
 
     parts: dict
@@ -367,26 +389,32 @@ class GradedBox:
 
 class _Plan:
     """One generator at one step from one weight class, as integer data.
-    ``terms`` maps each source position the generator reads to its
-    ``(target position, ζ-exponent e, weight)`` triples.  ``columns`` maps
-    each source numerator ``s = i·φ(L) + j`` read so far to the ``(target
-    numerator, integer)`` pairs it adds to, built on first use from the
-    numerators of ``ζ^{(j+e) mod L}`` (``cyclotomic.zeta_terms``)."""
+    ``terms`` maps each source position the generator reads to its ``(target
+    position, slot k, ζ-exponent e, integer)`` entries, read with every slot
+    coefficient 1, and ``scales`` gives slot k's coefficient q·ζ^f as the pair
+    (integer, f) over a positive denominator that the slots share.
+    ``columns`` maps each source numerator ``s = i·φ(L) + j`` read so far to
+    the ``(target numerator, integer)`` pairs it adds to, built on first use
+    from the numerators of ``ζ^{(j+e+f) mod L}`` (``cyclotomic.zeta_terms``),
+    so entries with one target merge there."""
 
-    __slots__ = ("terms", "columns")
+    __slots__ = ("terms", "scales", "columns")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, scales):
         self.terms = terms
+        self.scales = scales
         self.columns: dict = {}
 
     def _column(self, s: int, order: int, w: int) -> list:
         i, j = divmod(s, w)
         out: dict = {}
-        for t, e, v in self.terms.get(i, ()):
-            base = t * w
-            for k, c in zeta_terms(order, (j + e) % order):
-                out[base + k] = out.get(base + k, 0) + v * c
-        return [(k, c) for k, c in out.items() if c]
+        scales = self.scales
+        for t, k, e, v in self.terms.get(i, ()):
+            m, f = scales[k]
+            base, v = t * w, m * v
+            for pos, c in zeta_terms(order, (j + e + f) % order):
+                out[base + pos] = out.get(base + pos, 0) + v * c
+        return [(pos, c) for pos, c in out.items() if c]
 
     def image(self, row, nonzero, length: int, order: int, w: int) -> list[int]:
         """The integer row of length ``length`` that the plan maps ``row`` to;
@@ -430,20 +458,30 @@ def _integer_terms(terms, coeffs_per_slot) -> tuple[int, list]:
     return den, out
 
 
-def _plan(fin: FinModule, int_terms, members, local) -> _Plan:
-    """The ``_Plan`` from the basis vectors ``members`` of ``den`` times one
-    generator at one step, given as its ``_integer_terms``."""
-    acc: list[dict] = [{} for _ in members]  # per source: {(target, ζ-exponent): weight}
+def _plan(fin: FinModule, int_terms, members, local) -> dict:
+    """The ``_Plan`` terms from the basis vectors ``members`` of ``den`` times
+    one generator at one step, given as its ``_integer_terms``: per source
+    position that the generator reads, its ``(target position, slot,
+    ζ-exponent, integer)`` entries."""
+    acc: list[dict] = [{} for _ in members]  # per source: {(target, slot, ζ-exponent): integer}
     for slots in int_terms:
-        for k, (ce, cols) in enumerate(slots):
+        for k, (e, cols) in enumerate(slots):
             stride, dim = fin.strides[k], fin.slots[k].dim
             for out, g in zip(acc, members):
                 comp = (g // stride) % dim
                 for r, v in cols[comp]:
-                    key = local[g + (r - comp) * stride], ce
+                    key = local[g + (r - comp) * stride], k, e
                     out[key] = out.get(key, 0) + v
-    plan = {i: [(t, e, v) for (t, e), v in out.items() if v] for i, out in enumerate(acc)}
-    return _Plan({i: triples for i, triples in plan.items() if triples})
+    plan = {i: [(t, k, e, v) for (t, k, e), v in out.items() if v] for i, out in enumerate(acc)}
+    return {i: entries for i, entries in plan.items() if entries}
+
+
+def _step_scales(spec: PsiSpec, step) -> list[tuple[int, int]]:
+    """The slot coefficients ``a_I^step`` of ``spec`` in table order, as
+    ``(integer, ζ-exponent)`` pairs over their common positive denominator."""
+    coeffs = spec.coefficients(step)
+    den = lcm(*(c.den for c in coeffs))
+    return [(c.num * (den // c.den), c.e) for c in coeffs]
 
 
 def _class_shift(slot_classes, terms):
@@ -466,10 +504,13 @@ def _class_shift(slot_classes, terms):
 
 class _ModuleTables:
     """The part of the closure tables that depends on the module alone: the
-    grading, each generator's class shift at each step, the moves between
-    classes, and the term plans of the step-0 generators, whose slot
-    coefficients a_I^0 are all 1.  Each step-0 generator is made integer once
-    and planned for every move it makes, when the tables are built.
+    grading, each generator's class shift at each step, and the moves between
+    classes, each with its plan read with every slot coefficient a_I^s set to
+    1: the ``_Plan`` at step 0, where that is the coefficient, and at a step
+    s ≠ 0 the ``_Plan`` terms that each spec scales by its own a_I^s.  Each
+    generator is made integer once and planned once per move, when the
+    tables are built.  A move also carries whether its generator is a
+    raising one at step 0, which the closure applies to raised rows only.
 
     ``generators`` need only generate the loop algebra, as a Lie algebra, on
     the steps they are given: ``x⊗1`` for x in a generating set of g₀ (all of
@@ -484,7 +525,8 @@ class _ModuleTables:
 
     def __init__(self, fin: FinModule, order: int, generators, class_map):
         # generators: list of (terms, list of step degrees), where the terms
-        # are (per-slot columns, ζ-exponent) pairs that the generator sums.
+        # are (per-slot columns, ζ-exponent) pairs that the generator sums,
+        # with a third entry True for a raising generator at step 0.
         self.fin = fin
         self.order = order
         self.width = len(cyclotomic_polynomial(order)) - 1
@@ -493,54 +535,73 @@ class _ModuleTables:
         members, local = grading.members, grading.local
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
         ones = [CycScalar.one(order)] * len(fin.slots)
-        gens = []  # (terms, class shift, step)
-        for terms, steps in generators:
-            shift = _class_shift(slot_classes, terms)
-            if shift is None:
-                continue
-            gens.extend((terms, shift, tuple(s)) for s in steps)
-        self.gens = gens
-        self.steps = list(dict.fromkeys(step for *_, step in gens))
+        units = [(1, 0)] * len(fin.slots)
+        self.gens = []  # (terms, class shift, step)
+        sids: dict = {}  # step -> its index in steps
         # Per source class, the moves into classes that have basis vectors:
-        # (generator id, target class, its size, index of the step in steps,
-        # and the term plan at step 0, None at s ≠ 0).
+        # (plan, target class, its size, index of the step in steps, raising).
+        # The plan is a _Plan at step 0, and at s ≠ 0 the _Plan terms that
+        # each spec scales by its a_I^s.
         self.moves: dict = {cls: [] for cls in members}
-        for gid, (terms, shift, step) in enumerate(gens):
-            sid = self.steps.index(step)
-            at_zero = not any(step)
-            int_terms = _integer_terms(terms, ones)[1] if at_zero else None
-            for cls, out in self.moves.items():
-                tcls = tuple(a + b for a, b in zip(cls, shift))
-                if tcls in members:
-                    plan = _plan(fin, int_terms, members[cls], local) if at_zero else None
-                    out.append((gid, tcls, len(members[tcls]), sid, plan))
+        for terms, steps, *raising in generators:
+            shift = _class_shift(slot_classes, terms)
+            if shift is None or not steps:
+                continue
+            int_terms = _integer_terms(terms, ones)[1]
+            for step in map(tuple, steps):
+                self.gens.append((terms, shift, step))
+                sid = sids.setdefault(step, len(sids))
+                for cls, out in self.moves.items():
+                    tcls = tuple(a + b for a, b in zip(cls, shift))
+                    if tcls in members:
+                        plan = _plan(fin, int_terms, members[cls], local)
+                        if not any(step):
+                            plan = _Plan(plan, units)
+                        out.append((plan, tcls, len(members[tcls]), sid, any(raising)))
+        self.steps = list(sids)
 
 
 class _ClosureTables:
     """The seed-independent part of one spec's closure, built whole: its
-    module's ``_ModuleTables``, and ``moves``, per source class, the ``(term
-    plan, target class, its size, index of the step)`` of each of the module's
-    moves.  A move at step 0 carries the module's plan; one at s ≠ 0 carries
-    a plan of this spec, whose generator is made integer once with the slot
-    coefficients a_I^s that the spec's evaluation points give."""
+    module's ``_ModuleTables``, and ``moves``, per source class, two lists of
+    ``(term plan, target class, its size, index of the step, raised)`` moves:
+    those a closure makes from a row that is not raised, then those it makes
+    from a raised one, ``raised`` being the tag of the image row (see
+    ``close``).  A move at step 0 carries the module's plan; one at s ≠ 0
+    carries a plan of the module's terms scaled by the spec's slot
+    coefficients a_I^s, so the spec plans nothing."""
 
     def __init__(self, module: _ModuleTables, spec: PsiSpec):
         self.module = module
-        fin, members, local = module.fin, module.grading.members, module.grading.local
-        int_terms = {
-            gid: _integer_terms(terms, spec.coefficients(step))[1]
-            for gid, (terms, _, step) in enumerate(module.gens) if any(step)
-        }
-        self.moves = {  # plan: the module's at step 0, None at s ≠ 0
-            cls: [
-                (plan or _plan(fin, int_terms[gid], members[cls], local), tcls, size, sid)
-                for gid, tcls, size, sid, plan in out
-            ]
-            for cls, out in module.moves.items()
-        }
+        scales = [_step_scales(spec, step) if any(step) else None for step in module.steps]
+        self.moves = {}
+        for cls, out in module.moves.items():
+            lowered, raised = [], []
+            for plan, tcls, size, sid, raising in out:
+                stepped = scales[sid] is not None
+                if stepped:
+                    plan = _Plan(plan, scales[sid])
+                move = plan, tcls, size, sid, raising or stepped
+                raised.append(move)
+                if not raising:
+                    lowered.append(move)
+            self.moves[cls] = lowered, raised
 
     def close(self, seed_degree, radius: int) -> GradedBox:
-        """Closure of the highest-weight vector placed at ``seed_degree``."""
+        """Closure of the highest-weight vector placed at ``seed_degree``.
+
+        Rows are taken in PBW order, U(g₀) = U(n₀⁻)U(h₀)U(n₀⁺) (Humphreys,
+        *Introduction to Lie Algebras and Representation Theory*, §17.3): a
+        raising generator e at step 0 is applied to raised rows only, and
+        every other move to every row.  The span is that of the closure under
+        every move on every row.  By induction on the order rows are stored
+        in, e·x lies in the final span for every row x: for a raised row it
+        is computed; any other row is α·f·y minus earlier rows of its echelon,
+        for a lowering generator f at step 0 and an earlier row y, and
+        e·f·y = f·(e·y) + [e, f]·y, where [e, f] is 0 or an h that scales the
+        weight vector y, and the final span is stable under f.  An image that
+        is zero, or whose target weight space is full, adds nothing, and no
+        echelon is made for it."""
         module, moves = self.module, self.moves
         fin, grading, order, w = module.fin, module.grading, module.order, module.width
         steps = module.steps
@@ -554,10 +615,10 @@ class _ClosureTables:
         seed_vec = [0] * (len(members[seed_cls]) * w)
         seed_vec[grading.local[fin.hw_index] * w] = 1
         ech = parts[seed_degree, seed_cls] = FieldEchelon(order)
-        queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec))])
+        queue: deque = deque([(seed_degree, seed_cls, ech.add(seed_vec), True)])
         targets_at: dict = {}  # degree -> per step, the target degree, or None outside the box
         while queue:
-            deg, cls, row = queue.popleft()
+            deg, cls, row, raised = queue.popleft()
             targets = targets_at.get(deg)
             if targets is None:
                 targets = targets_at[deg] = [
@@ -565,21 +626,24 @@ class _ClosureTables:
                     for tgt in (tuple(map(add, deg, step)) for step in steps)
                 ]
             nonzero = None
-            for plan, tcls, size, sid in moves[cls]:
+            for plan, tcls, size, sid, tag in moves[cls][raised]:
                 tgt = targets[sid]
                 if tgt is None:
                     continue
                 key = tgt, tcls
                 ech = parts.get(key)
-                if ech is None:
-                    ech = parts[key] = FieldEchelon(order)
-                elif len(ech.int_rows) == size:
+                if ech is not None and len(ech.int_rows) == size:
                     continue  # the image lies in a full weight space
                 if nonzero is None:
                     nonzero = list(compress(count(), row))
-                added = ech.add(plan.image(row, nonzero, size * w, order, w))
+                image = plan.image(row, nonzero, size * w, order, w)
+                if not any(image):
+                    continue
+                if ech is None:
+                    ech = parts[key] = FieldEchelon(order)
+                added = ech.add(image)
                 if added is not None:
-                    queue.append((tgt, tcls, added))
+                    queue.append((tgt, tcls, added, tag))
         return GradedBox(
             parts=parts, fin=fin, grading=grading, radius=radius, seed=seed_degree, order=order
         )
@@ -625,7 +689,7 @@ def _module_tables(
                 for u, i in enumerate(orbit)]
 
     zero = _steps(n, ())
-    generators = [(orbit_sum(kind, o), zero) for o in orbits for kind in "fe"]
+    generators = [(orbit_sum(kind, o), zero, kind == "e") for o in orbits for kind in "fe"]
     full = next(o for o in orbits if len(o) == k)
     generators += [
         (orbit_sum("e", full, -sgn), [step])
@@ -676,7 +740,7 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
     scale, int_terms = _integer_terms(
         [(_slot_columns(fin, kind, idx), 0)], spec.coefficients(step)
     )
-    plan = _plan(fin, int_terms, everything, everything)
+    plan = _Plan(_plan(fin, int_terms, everything, everything), [(1, 0)] * len(fin.slots))
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
     image = plan.image(row, list(compress(count(), row)), len(row), order, w)
@@ -705,30 +769,35 @@ class DecompositionAudit:
 
 def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     """Fiber-disjointness and degree sums of closures over one grading and
-    box.  A combined echelon is built only for a (degree, weight class) that
-    two or more components reach: the rows of one echelon are independent,
-    so elsewhere the combined rank is the sum of the components' ranks, and
-    each row a combined echelon refuses lowers it by one."""
+    box, reading each component's ``parts`` once, on the box.  A combined
+    echelon is built only for a (degree, weight class) that two or more
+    components reach: the rows of one echelon are independent, so elsewhere
+    the combined rank is the sum of the components' ranks, and each row a
+    combined echelon refuses lowers it by one.  A combined echelon starts as
+    a copy of the largest component echelon and takes the others' rows."""
     box0 = boxes[0]
-    dims = [box.dims() for box in boxes]
+    degrees = list(itertools.product(*(range(-box0.radius, box0.radius + 1) for _ in box0.seed)))
+    ranks: dict = {deg: [0] * len(boxes) for deg in degrees}  # per component, its fiber rank
+    reached: dict = {}  # (degree, class) -> the component echelons with rows there
+    for b, box in enumerate(boxes):
+        for key, ech in box.parts.items():
+            fiber, rank = ranks.get(key[0]), len(ech.int_rows)
+            if fiber is not None and rank:
+                fiber[b] += rank
+                reached.setdefault(key, []).append(ech)
     shared: dict = {}  # degree -> per class that 2+ components reach, their echelons
-    if len(boxes) > 1:
-        reached: dict = {}
-        for box in boxes:
-            for key, ech in box.parts.items():
-                if ech.rank:
-                    reached.setdefault(key, []).append(ech)
-        for (deg, _), parts in reached.items():
-            if len(parts) > 1:
-                shared.setdefault(deg, []).append(parts)
+    for (deg, _), parts in reached.items():
+        if len(parts) > 1:
+            shared.setdefault(deg, []).append(parts)
     audit = DecompositionAudit([], [], {})
-    for deg in itertools.product(*(range(-box0.radius, box0.radius + 1) for _ in box0.seed)):
-        ranks = tuple(d.get(deg, 0) for d in dims)
-        audit.fiber_dims.append((deg, ranks))
-        combined_rank = total = sum(ranks)
+    for deg in degrees:
+        fiber = tuple(ranks[deg])
+        audit.fiber_dims.append((deg, fiber))
+        combined_rank = total = sum(fiber)
         for parts in shared.get(deg, ()):
-            combined = FieldEchelon(box0.order)
-            for ech in parts:
+            parts.sort(key=lambda ech: len(ech.int_rows), reverse=True)
+            combined = parts[0].copy()
+            for ech in parts[1:]:
                 for row in ech.int_rows:
                     if combined.add(row) is None:
                         combined_rank -= 1

@@ -1,8 +1,9 @@
 """Shared builders for the test suite: quick scalars, random spec generators,
 canonical block-form constructions with a prescribed support, full-length
-views of a realizer closure's fibers, dense class sums as the oracle of the
-support's sparse ones, the per-class decomposition audit as the oracle of
-the realizer's, the Weyl dimension over the roots with symmetrizers as the
+views of a realizer closure's fibers, the plain closure as the oracle of the
+realizer's PBW-ordered one, dense class sums as the oracle of the support's
+sparse ones, the per-class decomposition audit as the oracle of the
+realizer's, the Weyl dimension over the roots with symmetrizers as the
 oracle of the one over the coroots, a spec as a document, the monomial
 substitution t ↦ t^B and the Galois conjugation ζ ↦ ζ^u of a spec
 document, and small conveniences that only tests need (a spec's
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -20,7 +22,9 @@ from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynom
 from loopmod.jsonio import parse_spec, scalar_to_json
 from loopmod.lattice import Lattice
 from loopmod.liealg import _positive_roots, build_algebra, build_aut, node_orbits
-from loopmod.realizer import DecompositionAudit, FieldEchelon, FinModule, build_tensor
+from loopmod.realizer import (
+    MARGIN, DecompositionAudit, FieldEchelon, FinModule, GradedBox, build_tensor,
+)
 from loopmod.spec import PsiSpec, TwistedSpec, table_indices
 
 A1 = build_algebra("A", 1)
@@ -440,6 +444,36 @@ def fiber_span(box, deg) -> FieldEchelon:
     for row in fiber_rows(box, deg):
         ech.add(row)
     return ech
+
+
+def reference_close(tables, seed_degree, radius: int) -> GradedBox:
+    """``tables.close`` (``realizer._ClosureTables``) as a plain closure:
+    every move on every row, raised or not, in queue order, with the target
+    echelon made before the image is computed, so a zero image leaves an
+    empty echelon."""
+    module = tables.module
+    fin, grading, order, w = module.fin, module.grading, module.order, module.width
+    work = radius + MARGIN
+    seed_degree = tuple(seed_degree)
+    seed_cls = module.class_map(fin.basis_weights[fin.hw_index])
+    seed_vec = [0] * (len(grading.members[seed_cls]) * w)
+    seed_vec[grading.local[fin.hw_index] * w] = 1
+    parts = {(seed_degree, seed_cls): FieldEchelon(order)}
+    queue = deque([(seed_degree, seed_cls, parts[seed_degree, seed_cls].add(seed_vec))])
+    while queue:
+        deg, cls, row = queue.popleft()
+        _, every_move = tables.moves[cls]
+        for plan, tcls, size, sid, _ in every_move:
+            tgt = tuple(a + b for a, b in zip(deg, module.steps[sid]))
+            if max(abs(x) for x in tgt) > work:
+                continue
+            ech = parts.setdefault((tgt, tcls), FieldEchelon(order))
+            nonzero = [i for i, x in enumerate(row) if x]
+            added = ech.add(plan.image(row, nonzero, size * w, order, w))
+            if added is not None:
+                queue.append((tgt, tcls, added))
+    return GradedBox(parts=parts, fin=fin, grading=grading, radius=radius,
+                     seed=seed_degree, order=order)
 
 
 def reference_audit(boxes) -> DecompositionAudit:

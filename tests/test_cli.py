@@ -352,6 +352,49 @@ def test_exit_code_structure_errors(write, capsys):
     assert doc["diagnostics"][0]["type"] == "TrivialModuleError"
 
 
+_DUPLICATE = dict(SPEC_A, dims=[2], evals=[[2, 3]], weights=[
+    {"index": [1], "coords": [1]}, {"index": [1], "coords": [2]},
+])
+
+
+@pytest.mark.parametrize("command, doc, message, data", [
+    ("classify", dict(SPEC_A, rho=["x/2"]), "bad rational literal", {"value": "x/2"}),
+    ("classify", dict(SPEC_A, rho=["1/0"]), "bad rational literal", {"value": "1/0"}),
+    ("classify", _DUPLICATE, "duplicate weight table entry", {"index": [1]}),
+    ("twisted-classify", dict(TWISTED, aut={"order": 2}), "aut needs a 'perm' node list", {}),
+], ids=["bad-literal", "zero-denominator", "duplicate-index", "aut-without-perm"])
+def test_spec_reader_diagnostics(write, capsys, command, doc, message, data):
+    code, out = _run(capsys, [command, write(doc, "s.json")])
+    assert code == 2
+    assert out["diagnostics"] == [{"type": "InputError", "message": message, "data": data}]
+
+
+@pytest.mark.parametrize("series, rank, message", [
+    ("A", 0, "A series needs rank >= 1"),
+    ("B", 1, "B series needs rank >= 2"),
+    ("C", 1, "C series needs rank >= 2"),
+    ("D", 2, "D series needs rank >= 3"),
+    ("E", 5, "E series needs rank 6, 7 or 8"),
+    ("F", 3, "F series needs rank 4"),
+    ("G", 3, "G series needs rank 2"),
+    ("H", 2, "unknown series"),
+])
+def test_series_rank_diagnostics(write, capsys, series, rank, message):
+    doc = dict(SPEC_A, algebra={"series": series, "rank": rank},
+               weights=[{"index": [1], "coords": [1] * rank}])
+    code, out = _run(capsys, ["classify", write(doc, "s.json")])
+    assert code == 2
+    (diag,) = out["diagnostics"]
+    assert (diag["type"], diag["message"]) == ("UnsupportedError", message)
+
+
+def test_trivial_twisted_module_exits_3(write, capsys):
+    trivial = dict(TWISTED, weights=[{"index": [1], "coords": [0, 0]}])
+    code, out = _run(capsys, ["twisted-classify", write(trivial, "t.json")])
+    assert code == 3
+    assert out["diagnostics"][0]["type"] == "TrivialModuleError"
+
+
 # The exit code of every engine error type, as the README lists them; a new
 # type must be added here.
 EXIT_CODES = {

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     A1, A2, A2_FLIP, D4, D4_TRIALITY, fiber_rows, fiber_span, fin_for_spec, random_twisted_spec,
-    reference_audit, sc, spec,
+    reference_audit, reference_close, sc, scalar_pool, spec,
 )
 import loopmod
 from loopmod import realizer
@@ -987,6 +987,73 @@ def test_twisted_generating_set_closure_equals_full_set_closure(seed):
     _assert_same_closure(new, old, n, radius)
 
 
+_A4 = build_algebra("A", 4)
+# The twists the PBW-ordered closure is checked on: the A₂ flip, the A₄ flip
+# (its orbit {2, 3} is two adjacent nodes), and D₄ of orders 2 and 3.
+_TWISTS = (
+    (A2, A2_FLIP), (_A4, build_aut(_A4, (3, 2, 1, 0))),
+    (D4, build_aut(D4, (0, 1, 3, 2))), (D4, D4_TRIALITY),
+)
+
+
+def _ranks(box):
+    return {key: ech.rank for key, ech in box.parts.items() if ech.rank}
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pbw_closure_ranks_equal_the_plain_closure(seed):
+    # Raising at step 0 only from raised rows, and no echelon for a zero
+    # image, give the ranks per (degree, class) that every move on every row
+    # gives (helpers.reference_close), untwisted and twisted.
+    rng = random.Random(seed)
+    case = rng.randrange(len(_CLOSURE_ALGEBRAS) + len(_TWISTS))
+    if case < len(_CLOSURE_ALGEBRAS):
+        algebra = _CLOSURE_ALGEBRAS[case]
+        orbits, k = [(i,) for i in range(algebra.rank)], 1
+    else:
+        algebra, aut = _TWISTS[case - len(_CLOSURE_ALGEBRAS)]
+        orbits, k = node_orbits(aut), aut.order
+    n = rng.choice((1, 2))
+    dims = tuple(rng.randint(1, 3 if n == 1 else 2) for _ in range(n))
+    indices = list(itertools.product(*(range(1, d + 1) for d in dims)))
+    pool = scalar_pool(12)
+    evals = [tuple(rng.sample(pool, d)) for d in dims]
+    s = spec(algebra, dims, _capped_weights(rng, algebra, indices), evals)
+    tables = realizer._closure_tables(s, orbits, k, 64)
+    seed_degree = tuple(rng.randint(-1, 1) for _ in range(n))
+    new = tables.close(seed_degree, 1)
+    assert _ranks(new) == _ranks(reference_close(tables, seed_degree, 1))
+    assert all(ech.rank for ech in new.parts.values())
+
+
+def test_closure_keeps_no_empty_echelon(tmp_path, capsys):
+    # A zero image makes no echelon, so every (degree, class) in parts holds
+    # a row; an unreached class reads as rank 0, in fiber_character and in
+    # verify's top-weight check.
+    boxes = [generate_component(s, 2) for s in _acceptance3_specs()]
+    t = TwistedSpec(base=spec(A2, (2,), {(1,): (1, 0), (2,): (0, 1)}, [(1, -1)]), aut=A2_FLIP)
+    boxes.append(twisted_generate_component(t, 2))
+    for box in boxes:
+        assert box.parts and all(ech.rank >= 1 for ech in box.parts.values())
+    # Γ = 2Z: the component of degree 0 has no top-weight vector at odd
+    # degrees, and the class has no key there.
+    s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
+    b0, _ = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
+    top = b0.fin.basis_weights[b0.fin.hw_index]
+    for m in range(-2, 3):
+        assert (((m,), top) in b0.parts) == (m % 2 == 0)
+        assert any(cls == top for cls, _ in fiber_character(b0, (m,))) == (m % 2 == 0)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "schema": 1, "algebra": {"series": "A", "rank": 1}, "n": 1, "dims": [2],
+        "weights": [{"index": [1], "coords": [1]}, {"index": [2], "coords": [1]}],
+        "evals": [[1, -1]],
+    }))
+    assert main(["verify", str(path), "--box", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["checks"]["top_weight_support"]
+
+
 def test_audit_flags_shared_and_missing_fiber_vectors():
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
     boxes = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
@@ -1053,11 +1120,12 @@ def test_audit_matches_the_per_class_reference():
 def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     # Γ = 2Z, so two closures; they share the module, the generators and the
     # term plans, and give the fibers that separate closures give.  The
-    # tensor is built once per module.  The module makes each step-0
-    # generator integer once and plans it once per move; a spec's tables do
-    # the same for each generator at a step s ≠ 0, and closing a seed builds
-    # nothing.  A second spec on the same module builds its steps s ≠ 0 only,
-    # and its step-0 moves carry the module's plans.
+    # tensor is built once per module.  The module makes each generator
+    # integer once, with every slot coefficient 1, and plans it once per
+    # move: a plan at step 0, and at a step s ≠ 0 the terms that a spec
+    # scales by its a_I^s.  A spec's tables make nothing integer and plan
+    # nothing, and closing a seed builds nothing.  A second spec on the same
+    # module carries the module's step-0 plans and its own plans at s ≠ 0.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
     sup = support_lattice(s)
     realizer._module_tables.cache_clear()
@@ -1088,12 +1156,11 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     (shared_tables,) = tables
     module = shared_tables.module
     moves = [move for out in module.moves.values() for move in out]
-    stepped = [gid for gid, (*_, step) in enumerate(module.gens) if any(step)]
-    at_zero = [move for move in moves if move[4] is not None]
-    assert stepped and at_zero and len(at_zero) < len(moves)
-    assert built["_integer_terms"] == len(module.gens)
+    stepped = [move for move in moves if any(module.steps[move[3]])]
+    assert stepped and len(stepped) < len(moves)
+    assert built["_integer_terms"] == len({id(terms) for terms, *_ in module.gens})
     assert built["_plan"] == len(moves)
-    plans = {id(plan) for out in shared_tables.moves.values() for plan, *_ in out}
+    plans = {id(plan) for out in shared_tables.moves.values() for plan, *_ in out[1]}
     assert len(plans) == len(moves)
     separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
     assert built["build_tensor"] == 1
@@ -1103,16 +1170,14 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     before = dict(built)
     realizer.component_decomposition(other, support_lattice(other).coset_reps(), 2)
     second = tables[-1]
-    assert second.module is module and built["build_tensor"] == 1
-    assert built["_integer_terms"] - before["_integer_terms"] == len(stepped)
-    assert built["_plan"] - before["_plan"] == len(moves) - len(at_zero)
+    assert second.module is module and built == before
     for cls, out in module.moves.items():
-        pairs = zip(out, second.moves[cls], shared_tables.moves[cls])
-        for (*_, plan), (own, *_), (first, *_) in pairs:
-            if plan is None:
-                assert own is not first
+        pairs = zip(out, second.moves[cls][1], shared_tables.moves[cls][1])
+        for (plan, _, _, sid, _), (own, *_), (first, *_) in pairs:
+            if any(module.steps[sid]):
+                assert own is not first and own.terms is plan is first.terms
             else:
-                assert own is plan
+                assert own is plan is first
 
 
 def _rows(boxes):
