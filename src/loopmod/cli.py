@@ -65,19 +65,25 @@ def _indented_json(x) -> str:
     return "".join(out)
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _write_json(x, out: list, newline: str) -> None:
     # Appends ``x`` to ``out``, ``newline`` being the line break and indent
     # of its own level.  A member that is a str or an int is written inline,
     # with the C ``encode_basestring_ascii`` and with ``repr`` as ``json``
-    # does; only containers recurse, and ``json.dumps`` writes every other
-    # value, so floats and errors are exactly as there.
+    # does; only containers recurse.  ``true``, ``false`` and ``null`` are
+    # written here too, and ``json.dumps`` writes every other value, so
+    # floats and errors are exactly as there.
     if isinstance(x, dict):
         brackets, members = "{}", sorted(x.items())
     elif isinstance(x, (list, tuple)):
         brackets, members = "[]", x
     else:
         out.append(encode_basestring_ascii(x) if isinstance(x, str)
-                   else repr(x) if type(x) is int else json.dumps(x))
+                   else repr(x) if type(x) is int
+                   else _LITERALS[x] if x is None or type(x) is bool
+                   else json.dumps(x))
         return
     if not members:
         out.append(brackets)

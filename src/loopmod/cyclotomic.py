@@ -289,12 +289,24 @@ def root_of_unity_order_divides(a: CycScalar, k: int) -> bool:
     return (a ** k).is_one
 
 
+def phase(a: CycScalar) -> int:
+    """The exponent ``g`` with ``a/|a| = ζ_{2L}^g``, ``L`` the order:
+    ``a/|a| = (−1)^s·ζ_L^e`` and ``−1 = ζ_{2L}^L``, so ``g = 2e + s·L``."""
+    return 2 * a.e + (a.order if a.num < 0 else 0)
+
+
+def phase_order(g: int, order: int) -> int:
+    """The multiplicative order of ``ζ_{2·order}^g``."""
+    return 2 * order // gcd(2 * order, g)
+
+
 def multiplicative_order(a: CycScalar, bound: int) -> int | None:
-    """Smallest ``t`` in [1, bound] with ``a^t = 1``, or None."""
-    for t in range(1, bound + 1):
-        if (a ** t).is_one:
-            return t
-    return None
+    """Smallest ``t`` in [1, bound] with ``a^t = 1``, or None.  ``a^t = 1``
+    needs ``|q| = 1``, and then ``a = ζ_{2L}^g`` has the order of ``g``."""
+    if a.den != 1 or abs(a.num) != 1:
+        return None
+    t = phase_order(phase(a), a.order)
+    return t if t <= bound else None
 
 
 class CycVector:

@@ -18,14 +18,17 @@ from a certificate ladder on the term table alone, cheapest rung first
 (``descartes``), and, for the cosets left open, a check on the audit cube,
 one coset at a time (``audit``).  The rung is reported as the support's
 ``certificate``.  Class sums are exact and sparse: each is its nonzero
-power-basis numerators by position, built term by term from the reduced
-powers of ζ in ``cyclotomic.zeta_terms``, so their cost follows the terms and
-not φ(L).  A degree in an open coset is decided from them: ``v(m) ≠ 0`` iff
-``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an integer test.  A coset the
-ladder did not scan, because the scan was over budget, is decided from its
-class sums when a lookup first reaches it, so the support never evaluates
-the functional.  The twisted support runs the same ladder on the restricted
-functional's term table.
+power-basis numerators by position, built from each index's flat (slot,
+ζ-exponent, integer) terms and the reduced powers of ζ of
+``cyclotomic.zeta_terms``, so their cost follows the terms and not φ(L).  A
+coset is settled at its first power-basis coordinate of one sign.  A degree
+in an open coset is decided from its class sums: ``v(m) ≠ 0`` iff
+``Σ_K ρ_K^m·u_K(r)`` has a nonzero coordinate, an integer test, and the audit
+walks an open coset's cube degrees a prefix at a time, each prefix's
+partial products formed once.  A coset the ladder did not scan, because the
+scan was over budget, is decided from its class sums when a lookup first
+reaches it, so the support never evaluates the functional.  The twisted
+support runs the same ladder on the restricted functional's term table.
 
 ``verify_support`` is the independent oracle: it rechecks membership against
 direct evaluation (``Evaluator.functional``, from ``PsiSpec.coefficients``)
@@ -39,10 +42,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .cyclotomic import CycScalar, CycVector, _phi_taps, _prime_factors, zeta_terms
+from .cyclotomic import (
+    CycVector, _phi_taps, _prime_factors, phase, phase_order, zeta_terms,
+)
 from .errors import NoPeriodWithinBoundError, SupportNotSubgroupError, TrivialModuleError
 from .lattice import Lattice
 from .spec import PsiSpec, table_indices
@@ -103,27 +108,17 @@ class SupportLattice:
         return self.lattice.coset_reps()
 
 
-def _phase(a: CycScalar) -> tuple[int, int]:
-    # a/|a| = (−1)^s·ζ^e as (s, e).
-    return (1 if a.num < 0 else 0), a.e
-
-
-def _phase_order(s: int, e: int, order: int) -> int:
-    # Multiplicative order of (−1)^s·ζ_order^e, a (2·order)-th root of unity.
-    return 2 * order // gcd(2 * order, 2 * e + s * order)
-
-
 class _CosetSums:
     """An evaluator's functional on the cosets of ``D = ⊕ MᵢZ``.
 
-    Write ``a_{i,j} = |q_{i,j}|·φ_{i,j}`` with ``φ`` a root of unity, so an
-    active index has ``a_I^m = ρ_I^m·φ_I^m`` with ``ρ_I`` its vector of
-    ``|q|`` values.  ``Mᵢ`` is the order of the phase ratios
-    ``φ_{i,j}/φ_{i,j₀}`` over the active ``j`` of axis ``i`` (times ``k`` on
-    axis 1, so that the term table is constant on a coset).  Then
-    ``φ_I^{r+d} = χ(d)·φ_I^r`` for ``d ∈ D``, with a root of unity ``χ(d)``
-    shared by every ``I``, and grouping the indices into torsion classes
-    ``K`` by ``ρ_I`` gives
+    Write ``a_{i,j} = |q_{i,j}|·φ_{i,j}`` with ``φ = ζ_{2L}^g`` a root of
+    unity (``cyclotomic.phase``), so an active index has
+    ``a_I^m = ρ_I^m·φ_I^m`` with ``ρ_I`` its vector of ``|q|`` values.
+    ``Mᵢ`` is the order of the phase ratios ``φ_{i,j}/φ_{i,j₀}`` over the
+    active ``j`` of axis ``i`` (times ``k`` on axis 1, so that the term table
+    is constant on a coset).  Then ``φ_I^{r+d} = χ(d)·φ_I^r`` for ``d ∈ D``,
+    with a root of unity ``χ(d)`` shared by every ``I``, and grouping the
+    indices into torsion classes ``K`` by ``ρ_I`` gives
 
         v(r + d) = χ(d)·Σ_K ρ_K^{r+d}·u_K(r),   u_K(r) = Σ_{I∈K} φ_I^r·c_I(r),
 
@@ -134,10 +129,13 @@ class _CosetSums:
     term-table weights are integers on both paths (the weights themselves,
     or the twisted orbit sums and restricted numerators), so ``sums`` gives
     each ``u_K(r)`` as its nonzero power-basis numerators, a sparse map from
-    position to integer, and ``nonzero`` scales the ``ρ_K^m`` by one positive
-    factor.  A common positive factor changes neither the sign of a
-    coordinate, nor linear independence over Q, nor whether
-    ``Σ_K ρ_K^m·u_K(r)`` vanishes.
+    position to integer.  ``table[j]`` lists, by class, ``(K, rows)``: one
+    row ``(phase exponents g, terms)`` per index of the class, the terms
+    flat ``(slot offset, ζ-exponent, integer)`` triples, the offset of slot
+    t being ``t·φ(L)``.  ``scan`` and ``nonzero`` scale the ``ρ_K^m`` by one
+    positive factor, read from one per-axis power table.  A common positive
+    factor changes neither the sign of a coordinate, nor linear
+    independence over Q, nor whether ``Σ_K ρ_K^m·u_K(r)`` vanishes.
     """
 
     def __init__(self, ev):
@@ -152,27 +150,24 @@ class _CosetSums:
             js = sorted({I[i] for I in active})
             D = lcm(*(axis[j - 1].den for j in js))
             scaled.append({j: abs(axis[j - 1].num) * (D // axis[j - 1].den) for j in js})
-            phase = {j: _phase(axis[j - 1]) for j in js}
-            phases.append(phase)
-            mod = 1
-            if js:
-                s0, e0 = phase[js[0]]
-                for j in js[1:]:
-                    s, e = phase[j]
-                    mod = lcm(mod, _phase_order(s ^ s0, e - e0, ev.order))
-            moduli.append(mod)
+            g = {j: phase(axis[j - 1]) for j in js}
+            phases.append(g)
+            moduli.append(lcm(1, *(phase_order(g[j] - g[js[0]], ev.order) for j in js[1:])))
         moduli[0] = lcm(moduli[0], ev.k)
         self.moduli = tuple(moduli)
         rho = {I: tuple(up[j] for up, j in zip(scaled, I)) for I in active}
         self.classes = sorted(set(rho.values()))
         ids = {r: K for K, r in enumerate(self.classes)}
-        # table[j]: (class, per-axis phase exponents e, per-axis phase signs
-        # s, slots of (exponent, integer)).
-        self.table = [[
-            (ids[rho[I]], *zip(*(phase[j][::-1] for phase, j in zip(phases, I))), comps)
-            for I, comps in rows
-        ] for rows in ev.terms]
         self.width = _phi_taps(ev.order)[0]
+        self.table = []
+        for rows in ev.terms:
+            by_class: dict = {}
+            for I, comps in rows:
+                by_class.setdefault(ids[rho[I]], []).append((
+                    tuple(g[j] for g, j in zip(phases, I)),
+                    tuple((t * self.width, f, c) for t, slot in enumerate(comps) for f, c in slot),
+                ))
+            self.table.append(sorted(by_class.items()))
         # Integer bases per axis: ρ = up/D for m ≥ 0 and ρ⁻¹ = (N/up)/(N/D)
         # for m < 0, with up the class's entry and N the lcm of the up; D and
         # N/D are shared by every class.
@@ -182,47 +177,78 @@ class _CosetSums:
             N = lcm(*up)
             self._bases.append((up, [N // u for u in up]))
         self._pows: dict = {}
+        self._zeta: dict = {}  # ζ-exponent → its numerators from zeta_terms
 
     def sums(self, r) -> list[tuple[int, dict]]:
         """``(K, u_K(r))`` for every class with ``u_K(r) ≠ 0``, by class:
         ``u_K(r)`` as its nonzero integer numerators, by position ``t·φ(L) +
-        k`` for coordinate k of slot t.  Each term adds its integer times the
-        numerators of one ``ζ^m`` from ``zeta_terms``."""
-        L = self.order
-        acc: dict = {}
-        for K, exps, signs, comps in self.table[r[0] % self.k]:
-            e = sum(map(mul, exps, r))
-            q = -1 if sum(map(mul, signs, r)) % 2 else 1
-            poly = acc.get(K)
-            if poly is None:
-                poly = acc[K] = {}
-            for base, terms in zip(itertools.count(0, self.width), comps):
-                for f, c in terms:
+        k`` for coordinate k of slot t.  An index's phase at ``r`` is
+        ``ζ_{2L}^g``, which is ``ζ^{g/2}`` for even g and ``−ζ^{(g+L)/2}`` for
+        odd g (odd L only).  Each term adds its integer times the numerators
+        of one ``ζ^x``, read from this form's ``_zeta``."""
+        L, zeta = self.order, self._zeta
+        out = []
+        for K, rows in self.table[r[0] % self.k]:
+            poly: dict = {}
+            for g, terms in rows:
+                g = sum(map(mul, g, r)) % (2 * L)
+                q, e = (-1, (g + L) // 2) if g % 2 else (1, g // 2)
+                for base, f, c in terms:
+                    x = (e + f) % L
+                    nums = zeta.get(x)
+                    if nums is None:
+                        nums = zeta[x] = zeta_terms(L, x)
                     c *= q
-                    for k, z in zeta_terms(L, (e + f) % L):
+                    for k, z in nums:
                         k += base
                         poly[k] = poly.get(k, 0) + c * z
-        out = []
-        for K in sorted(acc):
-            u = {k: x for k, x in acc[K].items() if x}
+            u = {k: x for k, x in poly.items() if x}
             if u:
                 out.append((K, u))
         return out
 
-    def nonzero(self, coset, m) -> bool:
-        """``v(m) ≠ 0`` for ``m`` in an open coset ``(classes, columns)``:
-        ``χ(d)`` is a root of unity, so this is whether ``Σ_K ρ_K^m·u_K(r)``
-        has a nonzero power-basis coordinate.  ``ρ_K^m`` comes from per-axis
-        power tables, times one integer ``c > 0``."""
+    def _powers(self, i: int, x: int, ks) -> list[int]:
+        # The scaled ρ_K^x on axis i for the classes ks, from the power table
+        # of every class.
+        p = self._pows.get((i, x))
+        if p is None:
+            p = self._pows[i, x] = [b ** abs(x) for b in self._bases[i][x < 0]]
+        return [p[K] for K in ks]
+
+    def scan(self, coset, ranges, bound=None):
+        """Walks ``∏ ranges``, which lies in one open coset ``(classes,
+        columns)``, in product order, a prefix at a time: yields ``(head,
+        flags)`` for every prefix ``head = (m₁, …, mₙ₋₁)``, up to
+        ``bound[:-1]`` when a bound is given, with ``flags[t]`` whether
+        ``v(head + (ranges[-1][t],)) ≠ 0``.
+
+        ``χ(d)`` is a root of unity, so ``v(m) ≠ 0`` is whether
+        ``Σ_K ρ_K^m·u_K(r)`` has a nonzero power-basis coordinate.  Each
+        axis's powers are listed once, restricted to the coset's classes;
+        each prefix scales every column by its partial product once, and the
+        last axis's powers are dotted into the scaled columns."""
         ks, cols = coset
-        w = None
-        for i, x in enumerate(m):
-            p = self._pows.get((i, x))
-            if p is None:
-                p = self._pows[i, x] = [b ** abs(x) for b in self._bases[i][x < 0]]
-            w = p if w is None else list(map(mul, w, p))
-        ws = [w[K] for K in ks]
-        return any(sum(map(mul, ws, col)) for col in cols)
+        *heads, last = [[(x, self._powers(i, x, ks)) for x in r] for i, r in enumerate(ranges)]
+        last = [p for _, p in last]
+        stop = None if bound is None else bound[:-1]
+        for prefix in itertools.product(*heads):
+            head = tuple(x for x, _ in prefix)
+            if stop is not None and head > stop:
+                return
+            scaled = cols
+            if prefix:
+                w = prefix[0][1]
+                for _, p in prefix[1:]:
+                    w = list(map(mul, w, p))
+                scaled = [list(map(mul, w, c)) for c in cols]
+            dots = [sum(map(mul, p, scaled[0])) for p in last]
+            for c in scaled[1:]:
+                dots = [d or sum(map(mul, p, c)) for d, p in zip(dots, last)]
+            yield head, list(map(bool, dots))
+
+    def nonzero(self, coset, m) -> bool:
+        """``v(m) ≠ 0`` for ``m`` in an open coset: ``scan`` at one degree."""
+        return next(self.scan(coset, [(x,) for x in m]))[1][0]
 
 
 def _single_entry(ev) -> bool:
@@ -263,23 +289,27 @@ def _in_semigroup(w: int, primes: list[int]) -> bool:
 def _coset_status(form: _CosetSums, r):
     """The coset ``r + D`` from its class sums: True (inside), False
     (outside), or, left open, its nonzero class sums as ``(classes,
-    columns)`` for ``_CosetSums.nonzero``.
+    columns)`` for ``_CosetSums.scan``.
 
     Inside is ``Σ_K c_K·u_K ≠ 0`` for every choice of ``c_K > 0``.  The rows of
     ``form.sums`` are the ``u_K`` as sparse integer numerators, and the
     columns are the positions where some row is nonzero, in increasing order,
-    each as the tuple of the rows' entries there.  A coordinate's signs and
-    the rows' independence over Q (the rank of their Hermite form on those
-    columns) are read from them directly."""
+    each as the tuple of the rows' entries there.  The first column whose
+    entries share one sign settles the coset.  Otherwise the rows'
+    independence over Q (the rank of their Hermite form on the columns) is
+    tested, and only when there are as many columns as rows, since the rank
+    is at most the smaller count."""
     sums = form.sums(r)
     rows = [u for _, u in sums]
     if len(rows) < 2:
         return bool(rows)
-    cols = [tuple(u.get(k, 0) for u in rows) for k in sorted(set().union(*rows))]
-    for vals in cols:
+    cols = []
+    for k in sorted(set().union(*rows)):
+        vals = tuple(u.get(k, 0) for u in rows)
         if min(vals) >= 0 < max(vals) or max(vals) <= 0 > min(vals):
             return True  # one sign on a power-basis coordinate
-    if Lattice.from_generators(zip(*cols)).rank == len(rows):
+        cols.append(vals)
+    if len(cols) >= len(rows) and Lattice.from_generators(zip(*cols)).rank == len(rows):
         return True
     return [K for K, _ in sums], cols
 
@@ -415,12 +445,14 @@ def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
     Membership in Γ is constant on a settled coset ``r + D`` that holds no
     exact zero, and so is membership in ``lat`` once ``D ⊂ lat``: one test at
     the coset's first cube degree decides all of it.  An open coset needs one
-    ``lat`` test and ``form.nonzero`` per degree; a coset with an exact zero,
-    or every coset when ``D ⊄ lat``, is tested per degree on both sides.
-    Product order is lexicographic, so the answer is the least of the cosets'
-    first mismatches.  Cosets are visited in the order of their first cube
-    degree, and the search keeps the least mismatch so far: a coset's scan
-    stops at a degree past it, and the visit at a coset that starts past it."""
+    ``lat`` test, and its cube degrees are walked in product order by
+    ``form.scan``, a prefix at a time; a coset with an exact zero, or every
+    coset when ``D ⊄ lat``, is tested per degree on both sides.  Product
+    order is lexicographic, so the answer is the least of the cosets' first
+    mismatches.  Cosets are visited in the order of their first cube degree,
+    and the search keeps the least mismatch so far: a coset's walk ends
+    before the first prefix past it (and a per-degree scan at the first
+    degree past it), and the visit at a coset that starts past it."""
     periodic = all(map(lat.contains, cert.gens))
     holes = {tuple(x % M for x, M in zip(m, cert.moduli)) for m in cert.zeros}
     # Per axis, the cube degrees of each residue class as a range, by least
@@ -441,13 +473,17 @@ def _first_mismatch(lat: Lattice, cert: _Certificate, radii) -> tuple | None:
                 if st != inside:
                     best = first
                 continue
-            test = lambda m: cert.form.nonzero(st, m) != inside
-        else:
-            test = lambda m: lat.contains(m) != cert.member(m)
+            for head, flags in cert.form.scan(st, ranges, best):
+                if (not inside) in flags:
+                    m = head + (ranges[-1][flags.index(not inside)],)
+                    if best is None or m < best:
+                        best = m
+                    break
+            continue
         for m in itertools.product(*ranges):
             if best is not None and m > best:
                 break
-            if test(m):
+            if lat.contains(m) != cert.member(m):
                 best = m
                 break
     return best
@@ -476,9 +512,10 @@ def nonvanishing_support(ev, bounds, ordering=None) -> SupportLattice:
     * ``audit``: some coset is left open (n ≥ 2, or an n = 1 window would
       cost more than the cube), and closure is checked on the cube of radii
       ``max(6, 2·max(rᵢ, boundsᵢ))`` per D-coset (``_first_mismatch``): one
-      lattice test for a settled coset, and per degree only in open ones.
-      A degree ``m`` of an open coset is decided from its class sums:
-      ``Σ_K ρ_K^m·u_K(r) ≠ 0``, in integers.  When the coset scan itself
+      lattice test for a settled coset, and per degree only in open ones,
+      walked a prefix at a time (``_CosetSums.scan``).  A degree ``m`` of an
+      open coset is decided from its class sums: ``Σ_K ρ_K^m·u_K(r) ≠ 0``,
+      in integers.  When the coset scan itself
       would cost more than the cube, no coset is scanned ahead, and each
       coset the cube reaches is decided from its class sums on first use.
 

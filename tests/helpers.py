@@ -4,7 +4,8 @@ views of a realizer closure's fibers, the plain closure as the oracle of the
 realizer's PBW-ordered one, dense class sums as the oracle of the support's
 sparse ones, the per-class decomposition audit as the oracle of the
 realizer's, the Weyl dimension over the roots with symmetrizers as the
-oracle of the one over the coroots, a spec as a document, the monomial
+oracle of the one over the coroots, the power loop as the oracle of the
+closed-form multiplicative order, a spec as a document, the monomial
 substitution t ↦ t^B and the Galois conjugation ζ ↦ ζ^u of a spec
 document, and small conveniences that only tests need (a spec's
 tensor module, subgroup comparison, a scalar as a vector, vanishing of the
@@ -504,23 +505,38 @@ def reference_audit(boxes) -> DecompositionAudit:
     return audit
 
 
+def reference_multiplicative_order(a: CycScalar, bound: int) -> int | None:
+    """Smallest ``t`` in [1, bound] with ``a^t = 1``, or None, by trying
+    every power in turn."""
+    for t in range(1, bound + 1):
+        if (a ** t).is_one:
+            return t
+    return None
+
+
 def dense_coset_sums(form, r) -> list[tuple[int, list[int]]]:
     """The class sums ``u_K(r)`` of a ``psi._CosetSums``, built densely: one
-    ``[0] * L`` list per class and slot, each reduced modulo Φ_L.  Returns
-    ``(K, row)`` for every class with a nonzero row, the row being the
-    numerators of each slot in turn, φ(L) per slot."""
-    L = form.order
-    acc: dict = {}
-    for K, exps, signs, comps in form.table[r[0] % form.k]:
-        e = sum(f * x for f, x in zip(exps, r))
-        q = -1 if sum(s * x for s, x in zip(signs, r)) % 2 else 1
-        polys = acc.setdefault(K, [[0] * L for _ in comps])
-        for poly, terms in zip(polys, comps):
-            for f, c in terms:
-                poly[(e + f) % L] += q * c
+    ``[0] * L`` list per class and slot, filled from the table's flat
+    ``(slot offset, ζ-exponent, integer)`` terms and each reduced modulo Φ_L.
+    An axis phase ``ζ_{2L}^g`` is ``ζ^{g/2}`` for even g and ``−ζ^{(g+L)/2}``
+    for odd g, and the phase at ``r`` is their product.  Returns ``(K, row)``
+    for every class with a nonzero row, the row being the numerators of each
+    slot in turn, φ(L) per slot."""
+    L, width = form.order, form.width
+    groups = form.table[r[0] % form.k]
+    slots = 1 + max((base // width for _, rows in groups for _, terms in rows
+                     for base, _, _ in terms), default=0)
     out = []
-    for K in sorted(acc):
-        row = [x for poly in acc[K] for x in _reduce(L, poly)]
+    for K, rows in groups:
+        polys = [[0] * L for _ in range(slots)]
+        for phases, terms in rows:
+            q, e = 1, 0
+            for g, x in zip(phases, r):
+                s, f = (-1, (g + L) // 2) if g % 2 else (1, g // 2)
+                q, e = q * s ** (x % 2), e + f * x
+            for base, f, c in terms:
+                polys[base // width][(e + f) % L] += q * c
+        row = [x for poly in polys for x in _reduce(L, poly)]
         if any(row):
             out.append((K, row))
     return out

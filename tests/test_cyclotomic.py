@@ -11,13 +11,14 @@ from loopmod.cyclotomic import (
     CycVector,
     _reduce,
     cyclotomic_polynomial,
+    multiplicative_order,
     root_of_unity_order_divides,
     sum_is_zero,
     zeta_terms,
 )
 from loopmod.errors import InputError, OrderMismatchError
 
-from helpers import vector_from_scalar
+from helpers import reference_multiplicative_order, vector_from_scalar
 
 
 def test_canonical_fold():
@@ -153,6 +154,25 @@ def test_zero_part_is_input_error(zero):
 def test_zero_ratio_part_is_input_error(num, den):
     with pytest.raises(InputError):
         CycScalar.ratio(num, den, 1, 6)
+
+
+def test_multiplicative_order_matches_the_power_loop():
+    # Every exponent and both signs at orders 1–60, and non-unit rationals,
+    # at every bound 1…2L+1.  The loop's answer at bound b is its answer at
+    # 2L+1 when that is at most b, and None otherwise, so one loop per
+    # scalar gives it for every bound.
+    cases = 0
+    for order in range(1, 61):
+        for e in range(order):
+            for q in (1, -1, 2, Fraction(-1, 3)):
+                a = CycScalar(q, e, order)
+                top = reference_multiplicative_order(a, 2 * order + 1)
+                assert top is None or top <= 2 * order
+                for bound in range(1, 2 * order + 2):
+                    expected = top if top is not None and top <= bound else None
+                    assert multiplicative_order(a, bound) == expected, (a, bound)
+                    cases += 1
+    assert cases == sum(4 * L * (2 * L + 1) for L in range(1, 61))
 
 
 def test_root_of_unity_order_divides():

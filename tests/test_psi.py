@@ -15,7 +15,9 @@ from helpers import (
 from loopmod import cyclotomic, psi
 from loopmod.cli import main
 from loopmod.cyclotomic import CycScalar
-from loopmod.errors import EngineError, InputError, SupportNotSubgroupError, TrivialModuleError
+from loopmod.errors import (
+    EngineError, InputError, NoPeriodWithinBoundError, SupportNotSubgroupError, TrivialModuleError,
+)
 from loopmod.jsonio import parse_spec
 from loopmod.lattice import Lattice, from_generators
 from loopmod.psi import (
@@ -24,6 +26,7 @@ from loopmod.psi import (
     SupportLattice,
     box_scan_order,
     eval_functional,
+    nonvanishing_support,
     support_lattice,
     verify_support,
 )
@@ -445,6 +448,33 @@ def test_certificate_membership_matches_evaluation(seed, kind):
         assert cert.member(m) == ev.is_nonzero(m), (cert.label, m)
 
 
+@given(st.integers(0, 2 ** 32), st.sampled_from(("random", "forced", "twisted", "twisted-forced")))
+@settings(max_examples=150, deadline=None)
+def test_every_axis_period_is_within_its_bound(seed, kind):
+    # Untwisted, the bound is Nᵢ and v(t·eᵢ) = Σⱼ aᵢⱼᵗ·Λⱼ, Λⱼ the weight sum
+    # of slice j: the aᵢⱼ are distinct and nonzero, so by the Vandermonde
+    # determinant v(t·eᵢ) = 0 for t = 1…Nᵢ forces every Λⱼ = 0.  Twisted, the
+    # bound k·N₁ works the same way through the orbit sums, since image
+    # equality keeps the aⱼᵏ distinct.  So a nontrivial spec reaches a
+    # period within its bounds, by direct evaluation and by the certificate.
+    s, ev, bounds = _ladder_input(random.Random(seed), kind)
+    cert = psi._certify(ev, bounds)
+    for i, b in enumerate(bounds):
+        axis = [tuple(t if j == i else 0 for j in range(s.n)) for t in range(1, b + 1)]
+        assert any(map(ev.is_nonzero, axis)), (kind, i + 1)
+        assert any(map(cert.member, axis)), (kind, i + 1)
+
+
+def test_a_bound_below_the_period_raises():
+    # v(t) = 1 + (−1)^t vanishes at t = 1, so the period 2 lies past the
+    # bound 1 that a caller of the public search may give.
+    s = _two_point((1,), (1,), 1, -1)
+    assert support_lattice(s).periods == (2,)
+    with pytest.raises(NoPeriodWithinBoundError) as info:
+        nonvanishing_support(Evaluator(s), (1,))
+    assert info.value.data == {"axis": 1, "bound": 1}
+
+
 def _at_order(rng, s, order):
     # ``s`` with its evaluation points moved to order ``order``: each keeps its
     # rational part and takes a phase from a random subgroup of the roots of
@@ -573,6 +603,23 @@ def test_coset_search_finds_the_cube_scans_witness(seed, kind, how):
     assert psi._first_mismatch(lat, cert, radii) == expected, (cert.label, how)
 
 
+@pytest.mark.parametrize("how", ("sub", "sub-over-D"))
+def test_coset_walk_runs_the_prefix_of_the_least_mismatch(how):
+    # Seed 323 gives D = 4Z ⊕ 6Z on the audit rung.  The coset visited first
+    # mismatches at (−6, 0), and a later one at (−6, −5), on the same prefix
+    # m₁ = −6: a walk bounded by the least mismatch so far must still run
+    # the prefix of that mismatch.
+    rng = random.Random(323)
+    s, ev, bounds = _ladder_input(rng, "random", twisted_algebras=((A2, A2_FLIP),))
+    cert = psi._certify(ev, bounds)
+    lat, radii = _generated(cert, s.n, bounds)
+    lat = _perturbed(lat, cert, how, rng)
+    assert (cert.label, cert.moduli, radii) == ("audit", (4, 6), [6, 6])
+    cube = itertools.product(*(range(-a, a + 1) for a in radii))
+    assert next(m for m in cube if lat.contains(m) != cert.member(m)) == (-6, -5)
+    assert psi._first_mismatch(lat, cert, radii) == (-6, -5)
+
+
 @given(
     st.integers(0, 2 ** 32),
     st.sampled_from(("random", "forced", "twisted", "twisted-forced")),
@@ -583,8 +630,10 @@ def test_coset_search_finds_the_cube_scans_witness(seed, kind, how):
 @settings(max_examples=100, deadline=None)
 def test_coset_search_tests_each_cube_degree_once(seed, kind, how):
     # The inputs of the test above.  Apart from the generators of D, every
-    # lattice test and every class-sum test is at a cube degree, and neither
-    # tests a degree twice: the search costs at most one pass over the cube.
+    # lattice test and every degree the coset walk evaluates is a cube
+    # degree, and neither tests a degree twice: the search costs at most one
+    # pass over the cube.  A walk evaluates the whole last axis of each
+    # prefix it yields, and a lookup through ``nonzero`` walks one degree.
     rng = random.Random(seed)
     s, ev, bounds = _ladder_input(rng, kind, twisted_algebras=((A2, A2_FLIP),))
     cert = psi._certify(ev, bounds)
@@ -593,19 +642,22 @@ def test_coset_search_tests_each_cube_degree_once(seed, kind, how):
     lat, radii = generated
     if how != "true":
         lat = _perturbed(lat, cert, how, rng)
-    calls = {"contains": Counter(), "nonzero": Counter()}
-    contains, nonzero = Lattice.contains, psi._CosetSums.nonzero
+    calls = {"contains": Counter(), "walked": Counter()}
+    contains, scan = Lattice.contains, psi._CosetSums.scan
 
     def counting_contains(self, m):
         calls["contains"][tuple(m)] += 1
         return contains(self, m)
 
-    def counting_nonzero(self, coset, m):
-        calls["nonzero"][tuple(m)] += 1
-        return nonzero(self, coset, m)
+    def counting_scan(self, coset, ranges, bound=None):
+        for head, flags in scan(self, coset, ranges, bound):
+            assert len(flags) == len(ranges[-1])
+            for x in ranges[-1]:
+                calls["walked"][head + (x,)] += 1
+            yield head, flags
 
     with mock.patch.object(Lattice, "contains", counting_contains), \
-            mock.patch.object(psi._CosetSums, "nonzero", counting_nonzero):
+            mock.patch.object(psi._CosetSums, "scan", counting_scan):
         psi._first_mismatch(lat, cert, radii)
     calls["contains"] -= Counter(cert.gens)
     for name, tested in calls.items():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,30 @@ def test_compare_outputs_leaves_no_bytecode(tmp_path, monkeypatch, capsys):
     assert compare_outputs.main([str(tree) for tree in trees]) == 0
     assert "0 of 0 operations differ" in capsys.readouterr().out
     assert not [p for tree in trees for p in tree.rglob("__pycache__")]
+
+
+def test_inprocess_ab_times_two_trees_and_compares_their_stdout(tmp_path, monkeypatch, capsys):
+    inprocess_ab = _tool("inprocess_ab")
+    # The tool sets these for its own process; the test process gets them back.
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argv = ["--workload", "classify-corpus", "--items", "2", "--reps", "2"]
+    assert inprocess_ab.main([str(ROOT), str(ROOT), *argv]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 16 operations differ" in out
+    assert [line.split()[0] for line in out.splitlines()[1:4]] == ["total", "p50", "p90"]
+    # A tree whose reports end in one more blank line differs on every
+    # operation, and neither tree writes bytecode.
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src" / "loopmod", change / "src" / "loopmod",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = change / "src" / "loopmod" / "cli.py"
+    source = cli.read_text()
+    assert source.count('_indented_json(report) + "\\n"') == 1
+    cli.write_text(source.replace('_indented_json(report) + "\\n"', '_indented_json(report) + "\\n\\n"'))
+    assert inprocess_ab.main([str(ROOT), str(change), *argv]) == 1
+    assert "16 of 16 operations differ" in capsys.readouterr().out
+    assert not list(change.rglob("__pycache__"))
 
 
 _MODULE = '''"""A module docstring."""
