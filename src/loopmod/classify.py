@@ -6,8 +6,13 @@ fall into complete orbits of size ``rᵢ`` under multiplication by a primitive
 and a block with exactly ``rᵢ`` distinct members is automatically the full
 solution set of ``x^{rᵢ} = c^{rᵢ}``.  Any deviation is a structure violation.
 
-``classify`` combines support, blocks and the partition of the weight table
-into equality classes (each class size must be a multiple of the index ``p``);
+``classify`` combines support, the orbit check and the partition of the
+weight table into equality classes (each class size must be a multiple of the
+index ``p``).  It checks the blocks but never builds them: each axis is
+grouped by the integer key ``(|num|, den, g·rᵢ mod 2L)`` of ``a^{rᵢ}``, with
+``g = cyclotomic.phase(a)`` the exponent of ``a/|a| = ζ_{2L}^g``.  A
+descriptor builds its ``blocks`` with ``detect_blocks`` on first read, which
+of the reports only ``classify`` does, so ``iso`` builds none.
 ``decide_iso`` searches for a witness (per-axis permutations τᵢ, per-axis
 scalings 𝔰ᵢ, and a grading shift in Γ) relating two classified descriptors.
 The search itself is ``find_witness``, which the twisted decision runs too;
@@ -43,9 +48,12 @@ only the first support.  From ``b_{i,j} = 𝔰ᵢ · a_{i,τᵢ(j)}`` and
 the two functionals vanish at the same degrees, so they have the same Γ and
 the same axis periods; r-th powers scale by 𝔰ᵢ^r, so the blocks agree; and
 τ carries each weight class onto one of the same size.  The second spec
-therefore classifies exactly when the first does, with the same Γ, and
-``loopmod iso`` classifies it only when no witness is found (for its errors,
-which come before a refutation).
+therefore classifies exactly when the first does, with the same Γ.  A search
+that fails only at the grading shift has found such a (τ, 𝔰) all the same,
+so that hit fixes the second classification too.  ``loopmod iso`` therefore
+classifies the second spec only when the search found no hit (for its
+errors, which come before a refutation): never after a witness or a
+``grading-shift`` refutation.
 """
 
 from __future__ import annotations
@@ -53,8 +61,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
-from .cyclotomic import CycScalar, multiplicative_order
+from .cyclotomic import CycScalar, phase, phase_order
 from .errors import StructureViolationError
 from .lattice import Lattice
 from .liealg import DiagramAut, Weight, apply_aut, primitive_root_of_unity
@@ -84,13 +94,19 @@ class BlockStructure:
     axes: tuple[AxisBlocks, ...]
 
 
-def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
-    """Group each axis into complete ε-orbits of size rᵢ."""
-    axes = []
-    one = CycScalar.one(spec.field_order)
+def _orbits(spec: PsiSpec, support: SupportLattice) -> list[list[list[int]]]:
+    """Per axis, its indices grouped by the rᵢ-th power of their scalars, or
+    the first structure violation, axis by axis: rᵢ must divide Nᵢ, and each
+    group must be a complete orbit of rᵢ members.
+
+    ``a^r`` is keyed ``(|num|, den, g·r mod 2L)``, ``g = phase(a)``: ``a`` is
+    ``|num|/den`` times ``ζ_{2L}^g``, and scalars of one order are equal
+    exactly when these agree.  Groups are in the order of their first
+    member."""
+    full = 2 * spec.field_order
+    out = []
     for i in range(spec.n):
         r = support.periods[i]
-        values = spec.evals[i]
         n_i = spec.dims[i]
         if n_i % r:
             raise StructureViolationError(
@@ -99,9 +115,9 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
                 period=r,
                 size=n_i,
             )
-        groups: dict[CycScalar, list[int]] = {}
-        for j, a in enumerate(values):
-            groups.setdefault(a ** r, []).append(j)
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for j, a in enumerate(spec.evals[i]):
+            groups.setdefault((abs(a.num), a.den, phase(a) * r % full), []).append(j)
         for members in groups.values():
             if len(members) != r:
                 raise StructureViolationError(
@@ -110,29 +126,45 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
                     period=r,
                     group=[j + 1 for j in members],
                 )
+        out.append(list(groups.values()))
+    return out
+
+
+def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
+    """Group each axis into complete ε-orbits of size rᵢ (``_orbits``).
+
+    A block's base is its least member by ``scalar_sort_key``, and blocks
+    are in the order of their bases.  The members of a block share
+    ``|a|``, so each is its base times ``ζ_{2L}^Δ``, Δ their phase
+    difference.  ε is the least primitive rᵢ-th root of unity among the
+    first block's ratios, those with ``phase_order(Δ) = rᵢ``, and a member
+    sits at the position ``p`` with ``p·phase(ε) ≡ Δ (mod 2L)``."""
+    order = spec.field_order
+    full = 2 * order
+    axes = []
+    for i, groups in enumerate(_orbits(spec, support)):
+        r = support.periods[i]
+        values = spec.evals[i]
+        phases = [phase(a) for a in values]
         # Each group by its least member, as (key, j): keys are distinct.
         keys = [scalar_sort_key(a) for a in values]
-        least = sorted((min((keys[j], j) for j in g), g) for g in groups.values())
-        ordered = [g for _, g in least]
+        least = sorted((min((keys[j], j) for j in g), g) for g in groups)
         bases = tuple(values[j] for (_, j), _ in least)
-        if r == 1:
-            eps = one
-        else:
-            ratios = [values[j] / bases[0] for j in ordered[0]]
-            primitive = [x for x in ratios if multiplicative_order(x, r) == r]
-            eps = min(primitive, key=scalar_sort_key)
-        assignment: list[tuple[int, int]] = [(-1, -1)] * n_i
-        for ell, g in enumerate(ordered):
-            table, x = {}, bases[ell]
-            for p in range(r):
-                table[x], x = p, eps * x
+        (_, head), first = least[0]
+        eps = min(
+            (values[j] / bases[0] for j in first if phase_order(phases[j] - phases[head], order) == r),
+            key=scalar_sort_key,
+        )
+        position = {p * phase(eps) % full: p for p in range(r)}
+        assignment: list[tuple[int, int]] = [(-1, -1)] * len(values)
+        for ell, ((_, base), g) in enumerate(least):
             for j in g:
-                assignment[j] = (ell, table[values[j]])
+                assignment[j] = (ell, position[(phases[j] - phases[base]) % full])
         axes.append(
             AxisBlocks(
                 axis=i,
                 period=r,
-                block_count=n_i // r,
+                block_count=len(values) // r,
                 bases=bases,
                 epsilon=eps,
                 assignment=tuple(assignment),
@@ -143,12 +175,19 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
 
 @dataclass(frozen=True)
 class ModuleDescriptor:
+    """A classified spec.  ``classify`` has checked its orbits; ``blocks``
+    builds them on first read (``detect_blocks``) and keeps them.  Of the
+    reports only ``classify`` reads them, so ``iso`` never builds them."""
+
     spec: PsiSpec
     support: SupportLattice
-    blocks: BlockStructure
     p: int
     classes: tuple[tuple[Weight, int], ...]      # (weight value, class size)
     realization: tuple[tuple[Weight, int], ...]  # (weight value, size // p)
+
+    @cached_property
+    def blocks(self) -> BlockStructure:
+        return detect_blocks(self.spec, self.support)
 
     @property
     def realization_statement(self) -> str:
@@ -173,7 +212,7 @@ def weight_classes(spec: PsiSpec) -> tuple[tuple[Weight, int], ...]:
 def classify(spec: PsiSpec) -> ModuleDescriptor:
     support = support_lattice(spec)
     p = support.index
-    blocks = detect_blocks(spec, support)
+    _orbits(spec, support)
     classes = weight_classes(spec)
     for w, size in classes:
         if size % p:
@@ -187,7 +226,6 @@ def classify(spec: PsiSpec) -> ModuleDescriptor:
     return ModuleDescriptor(
         spec=spec,
         support=support,
-        blocks=blocks,
         p=p,
         classes=classes,
         realization=realization,
@@ -232,23 +270,35 @@ def axis_candidates(
     and each b_j/𝔰 names at most one (j, u).  Two b_j can still name the
     same j when their own k-th powers collide (``b_values`` failing image
     equality); such a τ is no permutation and is dropped.  At k = 1 that
-    never happens: the b_j are distinct, so the a_j they name are too."""
-    lookup = {a: (j, 0) for j, a in enumerate(a_values)}
-    for u, r in enumerate(roots, 1):
-        lookup.update({r * a: (j, u) for j, a in enumerate(a_values)})
+    never happens: the b_j are distinct, so the a_j they name are too.
+
+    The values share one order L and are matched on integer keys
+    ``(|num|, den, g)``, ``g = phase(x)`` in [0, 2L), which are equal
+    exactly when the scalars are: ``ω^u·a`` is keyed by its phase sum, and
+    ``b/𝔰 = b·a_{j₀}/b₁`` by the reduced product of magnitudes and the phase
+    ``g_b + g_{a_{j₀}} − g_{b₁}``.  Only a candidate's 𝔰 is a scalar."""
+    full = 2 * a_values[0].order
+    keys = [(abs(a.num), a.den, phase(a)) for a in a_values]
+    lookup = {}
+    for u, turn in enumerate([0] + [phase(r) for r in roots]):
+        lookup.update({(num, den, (g + turn) % full): (j, u) for j, (num, den, g) in enumerate(keys)})
+    b_keys = [(abs(b.num), b.den, phase(b)) for b in b_values]
+    num1, den1, g1 = b_keys[0]
     out = []
-    for j0 in range(len(a_values)):
-        s = b_values[0] / a_values[j0]
+    for j0, (num0, den0, g0) in enumerate(keys):
+        up, down, turn = num0 * den1, den0 * num1, g0 - g1
         hits = []
-        for b in b_values:
-            hit = lookup.get(b / s)
+        for num, den, g in b_keys:
+            x, y = num * up, den * down
+            c = gcd(x, y)
+            hit = lookup.get((x // c, y // c, (g + turn) % full))
             if hit is None:
                 break
             hits.append(hit)
         else:
             tau, us = zip(*hits)
             if len(set(tau)) == len(tau):
-                out.append((s, tau, us))
+                out.append((b_values[0] / a_values[j0], tau, us))
     return out
 
 

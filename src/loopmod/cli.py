@@ -318,11 +318,13 @@ def main(argv=None) -> int:
             }
         elif command == "iso":
             other = _base(load_spec(paths[1], raws[1]))
-            # A witness fixes the right spec's classification (classify.py),
-            # so it is classified only when there is none, for its errors.
+            # A witness, or a hit refuted only at the grading shift, fixes the
+            # right spec's classification (classify.py): it is classified,
+            # for its errors, only when the search found no hit.
             res = decide_iso(classify(_base(spec)), other)
             if not res:
-                classify(other)
+                if res.reason != "grading-shift":
+                    classify(other)
                 exit_code = 1
             payload = iso_result_to_json(res)
             if not res and options["--refute-box"] is not None:
@@ -339,7 +341,8 @@ def main(argv=None) -> int:
             t2 = _need_twisted(other, command)
             res = decide_twisted_iso(twisted_classify(t1), t2)
             if not res:
-                twisted_classify(t2)
+                if res.reason != "grading-shift":
+                    twisted_classify(t2)
                 exit_code = 1
             report["result"] = iso_result_to_json(res)
         elif command == "reducibility":

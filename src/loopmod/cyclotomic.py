@@ -300,15 +300,6 @@ def phase_order(g: int, order: int) -> int:
     return 2 * order // gcd(2 * order, g)
 
 
-def multiplicative_order(a: CycScalar, bound: int) -> int | None:
-    """Smallest ``t`` in [1, bound] with ``a^t = 1``, or None.  ``a^t = 1``
-    needs ``|q| = 1``, and then ``a = ζ_{2L}^g`` has the order of ``g``."""
-    if a.den != 1 or abs(a.num) != 1:
-        return None
-    t = phase_order(phase(a), a.order)
-    return t if t <= bound else None
-
-
 class CycVector:
     """Element of ``Q(ζ_L)``: integer numerators ``num`` over the power basis
     ``1, ζ, …, ζ^{φ(L)−1}`` and a positive common denominator ``den``, in

@@ -40,9 +40,11 @@ first-type data the rotated tables match the m₁ ≡ j components up to ε^{−
 on second-type data the weights are σ-fixed and the j ≠ 0 components vanish.
 Either way the second restricted functional is ℘₁^{m₁}·∏_{i≥2} 𝔰ᵢ^{mᵢ}
 times the first, so Γ^μ, m̂ₙ and the marginal index agree, and image
-equality agrees because b_j^k = ℘₁^k·a_{τ₁(j)}^k.  ``loopmod twisted-iso``
-therefore compares the second spec's type alone (``classify_type``) and
-classifies it only when no witness is found, for its errors.
+equality agrees because b_j^k = ℘₁^k·a_{τ₁(j)}^k.  A hit that fails only at
+the grading shift has the same factors, so it fixes Γ^μ too.  ``loopmod
+twisted-iso`` therefore compares the second spec's type alone
+(``classify_type``) and classifies it only when the search found no hit,
+for its errors: never after a witness or a ``grading-shift`` refutation.
 """
 
 from __future__ import annotations

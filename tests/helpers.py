@@ -5,7 +5,9 @@ realizer's PBW-ordered one, dense class sums as the oracle of the support's
 sparse ones, the per-class decomposition audit as the oracle of the
 realizer's, the Weyl dimension over the roots with symmetrizers as the
 oracle of the one over the coroots, the power loop as the oracle of the
-closed-form multiplicative order, a spec as a document, the monomial
+closed-form multiplicative order, the block detection and witness candidates
+on scalar arithmetic as the oracles of the ones on integer phases, a spec as
+a document, a grading shift moved off a lattice, the monomial
 substitution t ↦ t^B and the Galois conjugation ζ ↦ ζ^u of a spec
 document, and small conveniences that only tests need (a spec's
 tensor module, subgroup comparison, a scalar as a vector, vanishing of the
@@ -19,7 +21,9 @@ from collections import deque
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from loopmod.classify import AxisBlocks, BlockStructure, scalar_sort_key
 from loopmod.cyclotomic import CycScalar, CycVector, _reduce, cyclotomic_polynomial
+from loopmod.errors import StructureViolationError
 from loopmod.jsonio import parse_spec, scalar_to_json
 from loopmod.lattice import Lattice
 from loopmod.liealg import _positive_roots, build_algebra, build_aut, node_orbits
@@ -315,6 +319,22 @@ def transformed_spec(rng: random.Random, base: PsiSpec, shift_support=None):
     ), perms, scalings
 
 
+def off_support_shift(rng: random.Random, s: PsiSpec, lattice: Lattice, integral: bool) -> PsiSpec:
+    """``s`` with its grading shift ϱ moved by a vector outside ``lattice``:
+    when ``integral`` is set, a nonzero one of [−2, 2]ⁿ if ``lattice`` leaves
+    one out, and otherwise 1/2 on one axis."""
+    outside = [v for v in itertools.product(range(-2, 3), repeat=s.n)
+               if any(v) and not lattice.contains(v)] if integral else []
+    if outside:
+        delta = rng.choice(outside)
+    else:
+        axis = rng.randrange(s.n)
+        delta = [Fraction(1, 2) if i == axis else 0 for i in range(s.n)]
+    rho = tuple(x + y for x, y in zip(s.rho, delta))
+    return PsiSpec(algebra=s.algebra, n=s.n, dims=s.dims, weights=dict(s.weights),
+                   evals=s.evals, rho=rho)
+
+
 def spec_doc(s: PsiSpec) -> dict:
     """The document of ``s``, as ``parse_spec`` reads it."""
     return {
@@ -512,6 +532,89 @@ def reference_multiplicative_order(a: CycScalar, bound: int) -> int | None:
         if (a ** t).is_one:
             return t
     return None
+
+
+def reference_detect_blocks(spec: PsiSpec, support) -> BlockStructure:
+    """``classify.detect_blocks`` on ``CycScalar`` arithmetic: groups keyed
+    by the scalars' r-th powers, ε tested by the power loop, positions read
+    from a table of ε^p·base per block.  This is the former implementation,
+    with ``reference_multiplicative_order`` for the closed form it called."""
+    axes = []
+    one = CycScalar.one(spec.field_order)
+    for i in range(spec.n):
+        r = support.periods[i]
+        values = spec.evals[i]
+        n_i = spec.dims[i]
+        if n_i % r:
+            raise StructureViolationError(
+                "axis period does not divide the axis size",
+                axis=i + 1,
+                period=r,
+                size=n_i,
+            )
+        groups: dict[CycScalar, list[int]] = {}
+        for j, a in enumerate(values):
+            groups.setdefault(a ** r, []).append(j)
+        for members in groups.values():
+            if len(members) != r:
+                raise StructureViolationError(
+                    "scalars sharing an r-th power do not form a complete orbit",
+                    axis=i + 1,
+                    period=r,
+                    group=[j + 1 for j in members],
+                )
+        # Each group by its least member, as (key, j): keys are distinct.
+        keys = [scalar_sort_key(a) for a in values]
+        least = sorted((min((keys[j], j) for j in g), g) for g in groups.values())
+        ordered = [g for _, g in least]
+        bases = tuple(values[j] for (_, j), _ in least)
+        if r == 1:
+            eps = one
+        else:
+            ratios = [values[j] / bases[0] for j in ordered[0]]
+            primitive = [x for x in ratios if reference_multiplicative_order(x, r) == r]
+            eps = min(primitive, key=scalar_sort_key)
+        assignment: list[tuple[int, int]] = [(-1, -1)] * n_i
+        for ell, g in enumerate(ordered):
+            table, x = {}, bases[ell]
+            for p in range(r):
+                table[x], x = p, eps * x
+            for j in g:
+                assignment[j] = (ell, table[values[j]])
+        axes.append(
+            AxisBlocks(
+                axis=i,
+                period=r,
+                block_count=n_i // r,
+                bases=bases,
+                epsilon=eps,
+                assignment=tuple(assignment),
+            )
+        )
+    return BlockStructure(axes=tuple(axes))
+
+
+def reference_axis_candidates(a_values, b_values, roots=()):
+    """``classify.axis_candidates`` on ``CycScalar`` arithmetic: ω^u·a_j
+    looked up by value, and b/𝔰 divided out for every b.  This is the former
+    implementation."""
+    lookup = {a: (j, 0) for j, a in enumerate(a_values)}
+    for u, r in enumerate(roots, 1):
+        lookup.update({r * a: (j, u) for j, a in enumerate(a_values)})
+    out = []
+    for j0 in range(len(a_values)):
+        s = b_values[0] / a_values[j0]
+        hits = []
+        for b in b_values:
+            hit = lookup.get(b / s)
+            if hit is None:
+                break
+            hits.append(hit)
+        else:
+            tau, us = zip(*hits)
+            if len(set(tau)) == len(tau):
+                out.append((s, tau, us))
+    return out
 
 
 def dense_coset_sums(form, r) -> list[tuple[int, list[int]]]:

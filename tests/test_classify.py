@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,11 @@ from helpers import (
     same_subgroup,
     A1,
     galois_spec,
+    off_support_shift,
     orthogonal_block_spec,
     random_spec,
+    reference_axis_candidates,
+    reference_detect_blocks,
     sc,
     skew_block_spec,
     spec,
@@ -19,9 +24,11 @@ from helpers import (
 )
 from loopmod.cli import main
 from loopmod.classify import (
+    axis_candidates,
     classify,
     decide_iso,
     detect_blocks,
+    find_witness,
     scalar_sort_key,
 )
 from loopmod.cyclotomic import CycScalar
@@ -33,6 +40,7 @@ from loopmod.errors import (
 )
 from loopmod.jsonio import parse_spec
 from loopmod.lattice import from_generators
+from loopmod.liealg import primitive_root_of_unity
 from loopmod.psi import SupportLattice, eval_functional, support_lattice
 
 
@@ -101,6 +109,124 @@ def test_detect_blocks_violation():
     fake = SupportLattice(lattice=from_generators([(2,)]), periods=(2,), index=2)
     with pytest.raises(StructureViolationError):
         detect_blocks(s, fake)
+
+
+# Orders with and without the sign fold, odd ones whose roots of unity are
+# the 2L-th, and composite ones with many orbit sizes.
+_ORDERS = (1, 2, 3, 4, 5, 12, 15, 60, 105)
+
+
+def _random_scalar(rng, order):
+    # Either sign, |q| in 1..5 over a denominator of 1, 2 or 3, any exponent:
+    # negative scalars at odd order, sign-folded ones at even order, den > 1.
+    q = Fraction(rng.randint(1, 5), rng.choice((1, 1, 2, 3))) * rng.choice((1, -1))
+    return CycScalar(q, rng.randrange(order), order)
+
+
+def _unit(g, order):
+    # ζ_{2L}^g as a scalar of order L: ζ_L^{g/2} for even g, and for odd g
+    # (then L is odd) −ζ_L^{(g−L)/2}, since ζ_{2L}^L = −1.
+    odd = g % 2
+    return CycScalar(-1 if odd else 1, (g - odd * order) // 2, order)
+
+
+def _orbit_axis(rng, order):
+    """(scalars, period): one to three ε-orbits of a period r dividing the
+    number of roots of unity of the field, on random bases, shuffled.  In
+    half the draws the data is off: a scalar is dropped, or replaced by a
+    random one, or the period is another one dividing the axis size."""
+    roots = lcm(2, order)
+    r = rng.choice([d for d in range(1, 7) if roots % d == 0])
+    axis = []
+    for _ in range(rng.randint(1, 3)):
+        base = _random_scalar(rng, order)
+        axis += [base * _unit(p * (2 * order // r), order) for p in range(r)]
+    fault = rng.choice((None, None, None, "drop", "swap", "period"))
+    if fault == "drop" and len(axis) > 1:
+        axis.pop(rng.randrange(len(axis)))
+    elif fault == "swap":
+        axis[rng.randrange(len(axis))] = _random_scalar(rng, order)
+    elif fault == "period":
+        r = rng.choice([d for d in range(1, 7) if len(axis) % d == 0])
+    axis = list(dict.fromkeys(axis))  # overlapping orbits share members
+    rng.shuffle(axis)
+    return axis, r
+
+
+def _blocks_or_violation(detect, s, support):
+    try:
+        return detect(s, support)
+    except StructureViolationError as exc:
+        return str(exc), exc.data
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_detect_blocks_matches_the_scalar_version(order, seed):
+    # The blocks on integer phases against the former ones on scalar
+    # arithmetic: bases, ε and assignment per axis, or the same violation
+    # with the same data.  ``classify``'s orbit check raises it too.
+    rng = random.Random(seed)
+    axes, periods = zip(*(_orbit_axis(rng, order) for _ in range(rng.choice((1, 2)))))
+    dims = tuple(map(len, axes))
+    s = spec(A1, dims, {I: (1,) for I in itertools.product(*(range(1, d + 1) for d in dims))}, axes)
+    support = SupportLattice(
+        lattice=from_generators([tuple(r if j == i else 0 for j in range(len(dims)))
+                                 for i, r in enumerate(periods)]),
+        periods=periods,
+        index=prod(periods),
+    )
+    got = _blocks_or_violation(detect_blocks, s, support)
+    expected = _blocks_or_violation(reference_detect_blocks, s, support)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    for a, b in zip(got.axes, expected.axes, strict=True):
+        assert (a.axis, a.period, a.block_count) == (b.axis, b.period, b.block_count)
+        assert a.bases == b.bases and a.epsilon == b.epsilon
+        assert a.assignment == b.assignment
+        for j, (ell, p) in enumerate(a.assignment):
+            assert s.evals[a.axis][j] == a.bases[ell] * a.epsilon ** p
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+@given(st.integers(0, 2 ** 32), st.sampled_from((1, 2, 3)),
+       st.sampled_from(("related", "colliding", "random")))
+@settings(max_examples=30, deadline=None)
+def test_axis_candidates_match_the_scalar_version(order, seed, k, kind):
+    # The candidates on integer keys against the former ones on scalar
+    # arithmetic, over a field holding ω, a primitive k-th root of unity.
+    # Related values are b_j = ω^{u_j}·𝔰·a_{π(j)}; colliding ones also have
+    # two b (and at times two a) whose k-th powers agree.
+    rng = random.Random(seed)
+    order = lcm(order, k)
+    omega = primitive_root_of_unity(k, order)
+    roots = tuple(omega ** u for u in range(1, k))
+    # The a_j have distinct k-th powers, as image equality gives a twisted
+    # module (and distinctness an untwisted one); colliding draws break that.
+    powers = {}
+    for _ in range(rng.randint(1, 4)):
+        a = _random_scalar(rng, order)
+        powers.setdefault(a ** k, a)
+    a_values = list(powers.values())
+    if kind == "random":
+        b_values = list(dict.fromkeys(_random_scalar(rng, order) for _ in a_values))
+    else:
+        s = _random_scalar(rng, order)
+        perm = rng.sample(range(len(a_values)), len(a_values))
+        b_values = [omega ** rng.randrange(k) * s * a_values[j] for j in perm]
+    if kind == "colliding" and k > 1 and len(a_values) > 1:
+        j = rng.randrange(1, len(b_values))
+        b_values[j] = omega ** rng.randrange(1, k) * b_values[0]
+        if rng.random() < 0.5:
+            a_values[1] = omega ** rng.randrange(1, k) * a_values[0]
+        a_values = list(dict.fromkeys(a_values))
+        b_values = list(dict.fromkeys(b_values))
+    a_values, b_values = tuple(a_values), tuple(b_values)
+    got = axis_candidates(a_values, b_values, roots)
+    assert got == reference_axis_candidates(a_values, b_values, roots)
+    assert got or kind != "related"
 
 
 def test_classify_examples():
@@ -254,6 +380,34 @@ def test_transformed_specs_classify_alike():
         assert (dt.support.periods, dt.p) == (d.support.periods, d.p)
         assert decide_iso(d, dt) == res
     assert raised == {StructureViolationError, SupportNotSubgroupError, TrivialModuleError}
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(("random", "orthogonal", "skew")), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_grading_shift_refutation_fixes_the_right_classification(seed, kind, integral):
+    # ``loopmod iso`` leaves the right spec unclassified after a
+    # ``grading-shift`` refutation: the search hit a (τ, 𝔰) and failed only
+    # at the shift, so the right spec classifies, with the left one's Γ,
+    # periods and index (classify.py).
+    rng = random.Random(seed)
+    draw = {
+        "random": lambda: random_spec(rng),
+        "orthogonal": lambda: orthogonal_block_spec(rng)[0],
+        "skew": lambda: skew_block_spec(rng)[0],
+    }[kind]
+    while True:
+        s = draw()
+        try:
+            d = classify(s)
+            break
+        except EngineError:
+            continue
+    t, _, _ = transformed_spec(rng, s)
+    t = off_support_shift(rng, t, d.support.lattice, integral)
+    assert find_witness(s, t, d.support.lattice).reason == "grading-shift"
+    dt = classify(t)
+    assert same_subgroup(dt.support.lattice, d.support.lattice)
+    assert (dt.support.periods, dt.p) == (d.support.periods, d.p)
 
 
 def test_orthogonal_block_roundtrip():

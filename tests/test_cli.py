@@ -149,14 +149,23 @@ TWISTED_FIRST_FLIPPED = dict(TWISTED, weights=[{"index": [1], "coords": [0, 1]}]
             "epsilons": [_scalar(-1, 2)], "scalings": [_scalar(1, 2)], "shift": [0], "tau": [[1]]}}),
         ("twisted-iso", (TWISTED_FIRST, TWISTED), 2, {
             "isomorphic": False, "reason": "type-mismatch", "witness": None}),
+        # Γ = 2Z and a shift of 1; then Γ^μ = 2Z (m̂ = 2) and a shift of 1.
+        ("iso", (SPEC_2Z, dict(SPEC_2Z, rho=[1])), 1, {
+            "isomorphic": False, "reason": "grading-shift", "witness": None}),
+        ("twisted-iso", (TWISTED, dict(TWISTED, rho=[1])), 1, {
+            "isomorphic": False, "reason": "grading-shift", "witness": None}),
     ],
-    ids=["iso-witness", "iso-refuted", "twisted-witness", "twisted-refuted"],
+    ids=["iso-witness", "iso-refuted", "twisted-witness", "twisted-refuted",
+         "iso-grading-shift", "twisted-grading-shift"],
 )
 def test_iso_classifies_the_right_spec_only_without_a_witness(
     write, capsys, monkeypatch, command, docs, classified, result
 ):
-    # A witness fixes the right spec's classification, so only a refuted
-    # pair classifies it (for its errors); the search runs once either way.
+    # A witness, or a hit refuted only at the grading shift, fixes the right
+    # spec's classification, so only a pair the search found no hit for
+    # classifies it (for its errors); the search runs once either way.  A
+    # grading-shift report is the same as when the right spec was classified
+    # too, since that spec classifies without a diagnostic.
     names = ("classify", "decide_iso") if command == "iso" else (
         "twisted_classify", "decide_twisted_iso")
     calls = []

@@ -11,7 +11,8 @@ from loopmod.cyclotomic import (
     CycVector,
     _reduce,
     cyclotomic_polynomial,
-    multiplicative_order,
+    phase,
+    phase_order,
     root_of_unity_order_divides,
     sum_is_zero,
     zeta_terms,
@@ -158,9 +159,11 @@ def test_zero_ratio_part_is_input_error(num, den):
 
 def test_multiplicative_order_matches_the_power_loop():
     # Every exponent and both signs at orders 1–60, and non-unit rationals,
-    # at every bound 1…2L+1.  The loop's answer at bound b is its answer at
-    # 2L+1 when that is at most b, and None otherwise, so one loop per
-    # scalar gives it for every bound.
+    # at every bound 1…2L+1: the least t ≤ bound with a^t = 1 is the order
+    # ``phase_order(phase(a), L)`` of a/|a| when |q| = 1 and that order is
+    # at most the bound, and there is none otherwise.  The loop's answer at
+    # bound b is its answer at 2L+1 when that is at most b, and None
+    # otherwise, so one loop per scalar gives it for every bound.
     cases = 0
     for order in range(1, 61):
         for e in range(order):
@@ -168,9 +171,10 @@ def test_multiplicative_order_matches_the_power_loop():
                 a = CycScalar(q, e, order)
                 top = reference_multiplicative_order(a, 2 * order + 1)
                 assert top is None or top <= 2 * order
+                t = phase_order(phase(a), order) if abs(a.q) == 1 else None
                 for bound in range(1, 2 * order + 2):
                     expected = top if top is not None and top <= bound else None
-                    assert multiplicative_order(a, bound) == expected, (a, bound)
+                    assert (t if t is not None and t <= bound else None) == expected, (a, bound)
                     cases += 1
     assert cases == sum(4 * L * (2 * L + 1) for L in range(1, 61))
 

@@ -514,6 +514,22 @@ def test_sparse_class_sums_match_the_dense_oracle(order, seed, kind):
         assert psi._coset_status(form, r) == dense_coset_status(form, r)
 
 
+def test_coset_status_tests_the_rank_with_as_many_columns_as_class_sums():
+    # A₁, weight 3 throughout, axis 1 at (ζ₃, −2ζ₃, −ζ₃²) and axis 2 at
+    # −3ζ₃: the coset (5, 0) has two class sums with the columns (−3, 3) and
+    # (−6, 3), as many as the sums, each of mixed sign.  They are
+    # independent, so no positive combination vanishes and the coset is
+    # inside; only the rank test run at equal counts says so.
+    s = spec(A1, (3, 1), {(1, 1): (3,), (2, 1): (3,), (3, 1): (3,)},
+             [((1, 1, 3), (-2, 1, 3), (-1, 2, 3)), ((-3, 1, 3),)])
+    ev = Evaluator(s)
+    form = psi._CosetSums(ev)
+    assert form.sums((5, 0)) == [(0, {0: -3, 1: -6}), (1, {0: 3, 1: 3})]
+    assert psi._coset_status(form, (5, 0)) is True
+    assert dense_coset_status(form, (5, 0)) is True
+    assert ev.is_nonzero((5, 0))
+
+
 # The wide-field descartes spec at L = 2003 (A₂, dims [3], rational points),
 # and the same points times ζ^{−1}: a common phase keeps the ladder's cosets,
 # and the class sums of the odd coset then read ζ^{2002}, past φ(2003).

@@ -113,7 +113,19 @@ def test_inprocess_ab_times_two_trees_and_compares_their_stdout(tmp_path, monkey
     assert inprocess_ab.main([str(ROOT), str(ROOT), *argv]) == 0
     out = capsys.readouterr().out
     assert "0 of 16 operations differ" in out
-    assert [line.split()[0] for line in out.splitlines()[1:4]] == ["total", "p50", "p90"]
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:4]] == ["total", "p50", "p90"]
+    # Under the totals, one line per (call, tag) pair: its operation count,
+    # both trees' totals and their ratio.  The two items are one random spec
+    # in eight versions, each version run by ``support`` and ``classify``.
+    assert lines[4] == "total by call/tag:"
+    rows = [line.split() for line in lines[5:7]]
+    assert [row[:3] for row in rows] == [["classify/random", "8", "ops"], ["support/random", "8", "ops"]]
+    for row in rows:
+        assert row[3::2] == ["parent", "change", "change/parent"]
+        parent, change, ratio = map(float, row[4::2])
+        assert ratio == pytest.approx(change / parent, abs=2e-3)  # totals print to 1 µs
+    assert lines[7] == "0 of 16 operations differ"
     # A tree whose reports end in one more blank line differs on every
     # operation, and neither tree writes bytecode.
     change = tmp_path / "change"

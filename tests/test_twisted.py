@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    off_support_shift,
     same_subgroup,
     sublattice_of,
     random_spec,
@@ -622,6 +623,36 @@ def test_witnessed_transforms_classify_alike(algebra, aut):
         assert decide_twisted_iso(d, d2) == res
         types.add(d.module_type)
     assert types == {"first", "second"} and raised
+
+
+@pytest.mark.parametrize(
+    "algebra, aut", [(A2, A2_FLIP), (D4, D4_TRIALITY)], ids=["A2-flip", "D4-triality"]
+)
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_grading_shift_refutation_fixes_the_right_twisted_classification(
+    algebra, aut, seed, integral
+):
+    # ``loopmod twisted-iso`` leaves the right spec unclassified after a
+    # ``grading-shift`` refutation: the search hit and failed only at the
+    # shift, so the right spec classifies, with the left one's Γ^μ, type,
+    # m̂ₙ, exponent and marginal index (twisted.py).
+    rng = random.Random(seed)
+    while True:
+        t = random_twisted_spec(rng, algebra, aut)
+        try:
+            d = twisted_classify(t)
+            break
+        except EngineError:
+            continue
+    other = _witnessed_transform(rng, t)
+    lattice = d.gamma_mu.lattice
+    other = TwistedSpec(base=off_support_shift(rng, other.base, lattice, integral), aut=aut)
+    assert decide_twisted_iso(d, other).reason == "grading-shift"
+    d2 = twisted_classify(other)
+    assert same_subgroup(d2.gamma_mu.lattice, lattice)
+    assert (d2.module_type, d2.m_hat_n, d2.exponent, d2.marginal_index) == (
+        d.module_type, d.m_hat_n, d.exponent, d.marginal_index)
 
 
 def test_twisted_invariants_random_a2():

@@ -11,8 +11,11 @@ compares exit code and stdout.  Then ``--reps`` timed rounds run each
 operation on both trees in turn, the parent first in even rounds and the
 change first in odd ones.  An operation's time is its minimum over the
 rounds.  Prints each tree's total, p50 and p90 over the operations, in
-unscaled milliseconds on this host, and the change-to-parent ratios.  Exits
-1 if any operation's exit code or stdout differs between the trees.
+unscaled milliseconds on this host, and the change-to-parent ratios; under
+them, one line per (call, tag) pair of the operations, in sorted order, with
+its operation count, each tree's total and the ratio, so that a saving shows
+where it lands.  Exits 1 if any operation's exit code or stdout differs
+between the trees.
 
 Nothing here is scaled to a reference speed, so the ratios, not the
 milliseconds, are the result; one interpreter sees one host speed at a time
@@ -108,6 +111,14 @@ def main(argv=None) -> int:
     for name in ("total", "p50", "p90"):
         p, c = stats["parent"][name], stats["change"][name]
         print(f"  {name:6s} parent {p:10.3f}  change {c:10.3f}  change/parent {c / p:.4f}")
+    groups: dict = {}
+    for k, op in enumerate(every):
+        groups.setdefault((op["call"], op["tag"]), []).append(k)
+    print("total by call/tag:")
+    for (call, tag), ks in sorted(groups.items()):
+        p, c = (1000 * sum(best[side][k] for k in ks) for side in SIDES)
+        print(f"  {call + '/' + tag:32s} {len(ks):5d} ops  parent {p:10.3f}  change {c:10.3f}  "
+              f"change/parent {c / p:.4f}")
     print(f"{len(differ)} of {len(every)} operations differ")
     return 1 if differ else 0
 
