@@ -10,9 +10,9 @@ from .classify import (
     decide_iso,
     detect_blocks,
 )
-from .cyclotomic import CycScalar, CycVector, cyclotomic_polynomial, root_of_unity_order_divides, sum_is_zero
+from .cyclotomic import CycScalar, CycVector, cyclotomic_polynomial
 from .errors import EngineError
-from .lattice import Lattice, from_generators
+from .lattice import Lattice
 from .liealg import (
     DiagramAut,
     RestrictedWeight,
@@ -23,12 +23,11 @@ from .liealg import (
     restrict_weight,
     weyl_dim,
 )
-from .psi import SupportLattice, eval_functional, support_lattice, verify_support
+from .psi import SupportLattice, support_lattice, verify_support
 from .realizer import (
     FinModule,
     GradedBox,
     build_tensor,
-    count_components,
     generate_component,
     graded_character,
     loop_action,
@@ -47,4 +46,27 @@ from .twisted import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # classify
+    "BlockStructure", "IsoResult", "ModuleDescriptor", "Witness",
+    "classify", "decide_iso", "detect_blocks",
+    # cyclotomic
+    "CycScalar", "CycVector", "cyclotomic_polynomial",
+    # errors
+    "EngineError",
+    # lattice
+    "Lattice",
+    # liealg
+    "DiagramAut", "RestrictedWeight", "SimpleLieAlgebra",
+    "apply_aut", "build_algebra", "build_aut", "restrict_weight", "weyl_dim",
+    # psi
+    "SupportLattice", "support_lattice", "verify_support",
+    # realizer
+    "FinModule", "GradedBox", "build_tensor", "generate_component", "graded_character",
+    "loop_action", "twisted_generate_component",
+    # spec
+    "PsiSpec", "TwistedSpec",
+    # twisted
+    "TwistedDescriptor", "check_complete_reducibility", "classify_type", "decide_twisted_iso",
+    "image_equality", "twisted_classify", "twisted_support",
+]

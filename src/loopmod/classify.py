@@ -11,8 +11,9 @@ weight table into equality classes (each class size must be a multiple of the
 index ``p``).  It checks the blocks but never builds them: each axis is
 grouped by the integer key ``(|num|, den, g·rᵢ mod 2L)`` of ``a^{rᵢ}``, with
 ``g = cyclotomic.phase(a)`` the exponent of ``a/|a| = ζ_{2L}^g``.  A
-descriptor builds its ``blocks`` with ``detect_blocks`` on first read, which
-of the reports only ``classify`` does, so ``iso`` builds none.
+descriptor keeps those groups and builds its ``blocks`` from them on first
+read, which of the reports only ``classify`` does, so ``iso`` builds none
+and no report groups an axis twice.
 ``decide_iso`` searches for a witness (per-axis permutations τᵢ, per-axis
 scalings 𝔰ᵢ, and a grading shift in Γ) relating two classified descriptors.
 The search itself is ``find_witness``, which the twisted decision runs too;
@@ -131,7 +132,13 @@ def _orbits(spec: PsiSpec, support: SupportLattice) -> list[list[list[int]]]:
 
 
 def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
-    """Group each axis into complete ε-orbits of size rᵢ (``_orbits``).
+    """Group each axis into complete ε-orbits of size rᵢ (``_orbits``), and
+    build the blocks from the groups (``_blocks``)."""
+    return _blocks(spec, support.periods, _orbits(spec, support))
+
+
+def _blocks(spec: PsiSpec, periods, orbits) -> BlockStructure:
+    """The blocks of each axis from its groups ``orbits[i]`` of ``_orbits``.
 
     A block's base is its least member by ``scalar_sort_key``, and blocks
     are in the order of their bases.  The members of a block share
@@ -142,8 +149,8 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
     order = spec.field_order
     full = 2 * order
     axes = []
-    for i, groups in enumerate(_orbits(spec, support)):
-        r = support.periods[i]
+    for i, groups in enumerate(orbits):
+        r = periods[i]
         values = spec.evals[i]
         phases = [phase(a) for a in values]
         # Each group by its least member, as (key, j): keys are distinct.
@@ -175,19 +182,21 @@ def detect_blocks(spec: PsiSpec, support: SupportLattice) -> BlockStructure:
 
 @dataclass(frozen=True)
 class ModuleDescriptor:
-    """A classified spec.  ``classify`` has checked its orbits; ``blocks``
-    builds them on first read (``detect_blocks``) and keeps them.  Of the
-    reports only ``classify`` reads them, so ``iso`` never builds them."""
+    """A classified spec.  ``classify`` has checked its orbits and keeps
+    them, per axis its index groups (``_orbits``); ``blocks`` builds the
+    blocks from them on first read and keeps those.  Of the reports only
+    ``classify`` reads them, so ``iso`` never builds them."""
 
     spec: PsiSpec
     support: SupportLattice
     p: int
     classes: tuple[tuple[Weight, int], ...]      # (weight value, class size)
     realization: tuple[tuple[Weight, int], ...]  # (weight value, size // p)
+    orbits: list[list[list[int]]]                # per axis, its index groups
 
     @cached_property
     def blocks(self) -> BlockStructure:
-        return detect_blocks(self.spec, self.support)
+        return _blocks(self.spec, self.support.periods, self.orbits)
 
     @property
     def realization_statement(self) -> str:
@@ -212,7 +221,7 @@ def weight_classes(spec: PsiSpec) -> tuple[tuple[Weight, int], ...]:
 def classify(spec: PsiSpec) -> ModuleDescriptor:
     support = support_lattice(spec)
     p = support.index
-    _orbits(spec, support)
+    orbits = _orbits(spec, support)
     classes = weight_classes(spec)
     for w, size in classes:
         if size % p:
@@ -229,6 +238,7 @@ def classify(spec: PsiSpec) -> ModuleDescriptor:
         p=p,
         classes=classes,
         realization=realization,
+        orbits=orbits,
     )
 
 

@@ -161,10 +161,6 @@ class CycScalar:
         return cls(1, 0, order)
 
     @classmethod
-    def from_rational(cls, q, order: int) -> "CycScalar":
-        return cls(q, 0, order)
-
-    @classmethod
     def zeta(cls, order: int, e: int = 1) -> "CycScalar":
         return cls(1, e, order)
 
@@ -280,13 +276,6 @@ def _reduced(num: int, den: int, e: int, order: int) -> CycScalar:
     out = object.__new__(CycScalar)
     _fill(out, num, den, e, order)
     return out
-
-
-def root_of_unity_order_divides(a: CycScalar, k: int) -> bool:
-    """True iff ``a^k = 1``, i.e. ``a`` is a k-th root of unity."""
-    if k < 1:
-        raise InputError("k must be positive", k=k)
-    return (a ** k).is_one
 
 
 def phase(a: CycScalar) -> int:
@@ -481,20 +470,3 @@ def from_numerators(order: int, row, den: int) -> list[CycVector]:
     w = _phi_taps(order)[0]
     return [CycVector(order, _num=row[k:k + w], _den=den) for k in range(0, len(row), w)]
 
-
-def sum_is_zero(terms: Iterable[tuple[CycScalar, object]]) -> bool:
-    """Exact zero-test of ``Σ wᵢ·qᵢ·ζ^{eᵢ}`` for rational weights ``wᵢ``.
-
-    An empty sum is zero.  All scalars must share the same order.
-    """
-    terms = list(terms)
-    if not terms:
-        return True
-    order = terms[0][0].order
-    for s, _ in terms:
-        if s.order != order:
-            raise OrderMismatchError(
-                "terms have different cyclotomic orders", left=order, right=s.order
-            )
-    terms = [(s.e, Fraction(w) * s.num / s.den) for s, w in terms]
-    return CycVector.from_terms(order, terms).is_zero()

@@ -65,10 +65,6 @@ class CapExceededError(EngineError):
     interpreter's digit limit for writing an integer in a report."""
 
 
-class RealizationMismatchError(EngineError):
-    """Realized graded components failed a decomposition consistency check."""
-
-
 class UnsupportedError(EngineError):
     """Requested a combination outside the supported tables."""
 

@@ -180,6 +180,3 @@ class Lattice:
             out.append(tuple(orig))
         return out
 
-
-def from_generators(gens, n=None, ordering=None) -> Lattice:
-    return Lattice.from_generators(gens, n=n, ordering=ordering)

@@ -79,12 +79,10 @@ def _cartan_matrix(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
         bond(0, 1)
         bond(1, 2, -1, -2)
         bond(2, 3)
-    elif series == "G":
+    else:  # G: ``build_algebra`` refuses a series outside ``_SERIES`` first
         if d != 2:
             raise UnsupportedError("G series needs rank 2")
         bond(0, 1, -3, -1)
-    else:
-        raise UnsupportedError("unknown series", series=series)
     return tuple(tuple(r) for r in C)
 
 

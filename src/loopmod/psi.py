@@ -93,19 +93,12 @@ class Evaluator:
         return any(not v.is_zero() for v in self.functional(m))
 
 
-def eval_functional(spec: PsiSpec, m) -> list[CycVector]:
-    return Evaluator(spec).functional(m)
-
-
 @dataclass(frozen=True)
 class SupportLattice:
     lattice: Lattice
     periods: tuple[int, ...]
     index: int
     certificate: str = "audit"
-
-    def coset_reps(self):
-        return self.lattice.coset_reps()
 
 
 class _CosetSums:

@@ -75,15 +75,15 @@ closes every seed from it.
 
 The realizer is an oracle for the engine, so it imports none of it: only the
 spec data (``spec``), ``cyclotomic``, ``liealg`` and ``errors``.  It never
-computes a support.  ``component_decomposition`` and ``count_components``
-close one seed degree per coset of the Γ under test, and the caller chooses
-the seeds; ``loopmod verify`` passes the engine's coset representatives.
+computes a support.  ``component_decomposition`` closes one seed degree per
+coset of the Γ under test, and the caller chooses the seeds; ``loopmod
+verify`` passes the engine's coset representatives.
 
 ``audit_decomposition`` checks the components of a decomposition against
 each other in one pass over each component's ``parts`` on the reported box,
 with ranks read off the stored rows and one combined echelon per degree and
 weight class that two or more components reach, grown from a copy of the
-largest component echelon; ``verify`` and ``count_components`` both use it.
+largest component echelon; ``verify`` reads it.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ from math import gcd, lcm, prod
 from operator import add, itemgetter
 
 from .cyclotomic import (
-    CycScalar, cyclotomic_polynomial, from_numerators, mul_mod, to_numerators, zeta_terms,
+    cyclotomic_polynomial, from_numerators, mul_mod, to_numerators, zeta_terms,
 )
-from .errors import CapExceededError, InputError, RealizationMismatchError, UnsupportedError
+from .errors import CapExceededError, InputError, UnsupportedError
 from .liealg import SimpleLieAlgebra, Weight, build_algebra, is_dominant, node_orbits, weyl_dim
 from .spec import PsiSpec, TwistedSpec, table_indices
 
@@ -431,31 +431,23 @@ class _Plan:
         return out
 
 
-def _integer_terms(terms, coeffs_per_slot) -> tuple[int, list]:
-    """One generator at one step as integer data: a positive integer ``den``
+def _integer_terms(terms) -> tuple[int, list]:
+    """One generator as integer data, read with every slot coefficient 1: a
+    positive integer ``den``, the lcm of the column entries' denominators,
     and, per ``(per-slot columns, ζ-exponent)`` term of the generator, per
-    slot the pair (ζ-exponent, columns of ``den`` times the slot's part).  A
-    term's exponent adds to the exponent of the slot's coefficient q·ζ^e, and
-    q is folded into the slot's columns, as integers over ``den``, the lcm of
-    ``c.den · x.denominator`` over the slot coefficients c and the column
-    entries x."""
+    slot the pair (ζ-exponent, columns of ``den`` times the slot's part)."""
     den = lcm(*(
-        c.den * x.denominator
+        x.denominator
         for cols_per_slot, _ in terms
-        for c, cols in zip(coeffs_per_slot, cols_per_slot)
+        for cols in cols_per_slot
         for col in cols
         for _, x in col
     ))
-    out = []
-    for cols_per_slot, e in terms:
-        slots = []
-        for cols, c in zip(cols_per_slot, coeffs_per_slot):
-            slots.append(((c.e + e) % c.order, [
-                [(r, c.num * x.numerator * (den // (c.den * x.denominator))) for r, x in col]
-                for col in cols
-            ]))
-        out.append(slots)
-    return den, out
+    return den, [
+        [(e, [[(r, x.numerator * (den // x.denominator)) for r, x in col] for col in cols])
+         for cols in cols_per_slot]
+        for cols_per_slot, e in terms
+    ]
 
 
 def _plan(fin: FinModule, int_terms, members, local) -> dict:
@@ -476,12 +468,13 @@ def _plan(fin: FinModule, int_terms, members, local) -> dict:
     return {i: entries for i, entries in plan.items() if entries}
 
 
-def _step_scales(spec: PsiSpec, step) -> list[tuple[int, int]]:
-    """The slot coefficients ``a_I^step`` of ``spec`` in table order, as
-    ``(integer, ζ-exponent)`` pairs over their common positive denominator."""
+def _step_scales(spec: PsiSpec, step) -> tuple[int, list[tuple[int, int]]]:
+    """The slot coefficients ``a_I^step`` of ``spec`` in table order: their
+    common positive denominator ``den``, and each as the ``(integer,
+    ζ-exponent)`` pair of its numerator over ``den``."""
     coeffs = spec.coefficients(step)
     den = lcm(*(c.den for c in coeffs))
-    return [(c.num * (den // c.den), c.e) for c in coeffs]
+    return den, [(c.num * (den // c.den), c.e) for c in coeffs]
 
 
 def _class_shift(slot_classes, terms):
@@ -534,7 +527,6 @@ class _ModuleTables:
         self.grading = grading = Grading(fin, class_map)
         members, local = grading.members, grading.local
         slot_classes = [[class_map(w) for w in slot.weights] for slot in fin.slots]
-        ones = [CycScalar.one(order)] * len(fin.slots)
         units = [(1, 0)] * len(fin.slots)
         self.gens = []  # (terms, class shift, step)
         sids: dict = {}  # step -> its index in steps
@@ -547,7 +539,7 @@ class _ModuleTables:
             shift = _class_shift(slot_classes, terms)
             if shift is None or not steps:
                 continue
-            int_terms = _integer_terms(terms, ones)[1]
+            int_terms = _integer_terms(terms)[1]
             for step in map(tuple, steps):
                 self.gens.append((terms, shift, step))
                 sid = sids.setdefault(step, len(sids))
@@ -573,7 +565,7 @@ class _ClosureTables:
 
     def __init__(self, module: _ModuleTables, spec: PsiSpec):
         self.module = module
-        scales = [_step_scales(spec, step) if any(step) else None for step in module.steps]
+        scales = [_step_scales(spec, step)[1] if any(step) else None for step in module.steps]
         self.moves = {}
         for cls, out in module.moves.items():
             lowered, raised = [], []
@@ -728,7 +720,9 @@ def generate_component(
 
 def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, degree=None):
     """One graded generator applied to a vector: kind 'f'/'e'/'h' plus index,
-    or ('d', axis) acting by the scalar degreeₐ + ϱₐ."""
+    or ('d', axis) acting by the scalar degreeₐ + ϱₐ.  A kind 'f'/'e'/'h'
+    goes the closure's way at every step: its ``_integer_terms``, planned
+    over the whole basis, in a ``_Plan`` scaled by ``_step_scales``."""
     kind, idx = gen
     order = spec.field_order
     if kind == "d":
@@ -737,14 +731,13 @@ def loop_action(fin: FinModule, spec: PsiSpec, gen: tuple[str, int], step, vec, 
         factor = Fraction(degree[idx]) + spec.rho[idx]
         return [v.scale_rational(factor) for v in vec]
     everything = range(fin.total)
-    scale, int_terms = _integer_terms(
-        [(_slot_columns(fin, kind, idx), 0)], spec.coefficients(step)
-    )
-    plan = _Plan(_plan(fin, int_terms, everything, everything), [(1, 0)] * len(fin.slots))
+    term_den, int_terms = _integer_terms([(_slot_columns(fin, kind, idx), 0)])
+    scale_den, scales = _step_scales(spec, step)
+    plan = _Plan(_plan(fin, int_terms, everything, everything), scales)
     den, row = to_numerators(vec)
     w = len(cyclotomic_polynomial(order)) - 1
     image = plan.image(row, list(compress(count(), row)), len(row), order, w)
-    return from_numerators(order, image, den * scale)
+    return from_numerators(order, image, den * term_den * scale_den)
 
 
 def component_decomposition(spec: PsiSpec, seeds, radius: int, cap: int = 64) -> list[GradedBox]:
@@ -808,24 +801,6 @@ def audit_decomposition(boxes: list[GradedBox]) -> DecompositionAudit:
     return audit
 
 
-def count_components(spec: PsiSpec, seeds, radius: int, cap: int = 64) -> int:
-    """Number of graded components seeded at ``seeds`` (one degree per coset
-    of a support Γ), verified disjoint and jointly exhaustive."""
-    boxes = component_decomposition(spec, seeds, radius, cap=cap)
-    audit = audit_decomposition(boxes)
-    for deg, _ in audit.fiber_dims:
-        if deg in audit.overlaps:
-            raise RealizationMismatchError("components are not fiber-disjoint", degree=deg)
-        if deg in audit.shortfalls:
-            raise RealizationMismatchError(
-                "component fibers do not fill the module at a degree",
-                degree=deg,
-                rank=audit.shortfalls[deg],
-                expected=boxes[0].fin.total,
-            )
-    return len(boxes)
-
-
 def fiber_character(box: GradedBox, deg):
     """The fiber at ``deg`` as its ``(class, rank)`` pairs, in class order: a
     class is the weight when untwisted and its values on the node orbit sums
@@ -839,11 +814,10 @@ def fiber_character(box: GradedBox, deg):
     )
 
 
-def graded_character(spec: PsiSpec, radius: int, cap: int = 64, box: GradedBox | None = None):
-    """Per-degree ``fiber_character`` of the v(0̃)-component, or of ``box``
-    when given, over the degrees of its box whose fiber is nonzero."""
-    if box is None:
-        box = generate_component(spec, radius, cap=cap)
+def graded_character(spec: PsiSpec, radius: int, cap: int = 64):
+    """Per-degree ``fiber_character`` of the v(0̃)-component, over the
+    degrees of its box whose fiber is nonzero."""
+    box = generate_component(spec, radius, cap=cap)
     out = {}
     for deg in itertools.product(*(range(-radius, radius + 1) for _ in range(spec.n))):
         char = fiber_character(box, deg)

@@ -15,9 +15,12 @@ positive sums of roots of unity, so the Lam–Leung rung is skipped, and
 Axis-period bounds are ``Nᵢ`` on axes ≥ 2 and ``k·N₁`` on axis 1 (the
 restricted support can be coarser there by a factor dividing k).
 
-A table fixed pointwise by μ gives a *second type* module (all restricted
-components beyond 𝔥₀ vanish, forcing ``k | m̂ₙ``); otherwise the module is of
-*first type* and ``m̂ₙ = 1``.
+A table fixed pointwise by μ gives a *second type* module: all restricted
+components beyond 𝔥₀ vanish, so the restricted term tables of the residues
+j ≠ 0 are empty, every nonvanishing degree has ``k | m₁``, and so do the
+generators of ``Γ^μ`` (its axis periods and the nonvanishing degrees of its
+box), forcing ``k | m̂ₙ``.  Otherwise the module is of *first type* and
+``m̂ₙ = 1``.
 
 The spec itself, ``TwistedSpec``, is data in ``spec``.  Both the support
 and the isomorphism search are the untwisted routines run on twisted inputs;
@@ -194,16 +197,11 @@ def twisted_classify(spec: TwistedSpec) -> TwistedDescriptor:
         raise StructureViolationError(
             "first-type data must have axis-1 projection generator 1", m_hat=mh
         )
-    if module_type == "second" and mh % k:
-        raise StructureViolationError(
-            "second-type data must have k dividing the axis-1 projection generator",
-            m_hat=mh,
-            k=k,
-        )
     if spec.base.n == 1:
         marginal_index = 1
     else:
         marginal_index = support_lattice(marginal_spec(spec.base)).index
+    # Second type: k | m̂ₙ (module docstring).
     exponent = marginal_index if module_type == "first" else marginal_index * mh // k
     classes = weight_classes(spec.base)
     for w, size in classes:

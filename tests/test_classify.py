@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -39,9 +40,9 @@ from loopmod.errors import (
     TrivialModuleError,
 )
 from loopmod.jsonio import parse_spec
-from loopmod.lattice import from_generators
+from loopmod.lattice import Lattice
 from loopmod.liealg import primitive_root_of_unity
-from loopmod.psi import SupportLattice, eval_functional, support_lattice
+from loopmod.psi import Evaluator, SupportLattice, support_lattice
 
 
 def test_detect_blocks_two_orbits():
@@ -61,6 +62,33 @@ def test_detect_blocks_two_orbits():
     assert ab.assignment == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert d.p == 2
     assert d.classes == (((1,), 2), ((2,), 2))
+
+
+def test_a_classify_report_groups_each_axis_once(tmp_path, capsys, monkeypatch):
+    # classify checks the orbits and keeps them, and the descriptor builds
+    # its blocks from them: one report groups each axis once, and its blocks
+    # are those of detect_blocks.
+    s = spec(
+        A1,
+        (4, 2),
+        {(i, j): (1 + (i > 2),) for i in range(1, 5) for j in range(1, 3)},
+        [(2, -2, 3, -3), (1, 5)],
+    )
+    module = sys.modules["loopmod.classify"]  # ``loopmod.classify`` is the function
+    calls = []
+
+    def counting(*args, _original=module._orbits):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(module, "_orbits", counting)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec_doc(s)))
+    assert main(["classify", str(path)]) == 0
+    blocks = json.loads(capsys.readouterr().out)["result"]["blocks"]
+    assert len(calls) == 1 and [b["period"] for b in blocks] == [2, 1]
+    d = classify(s)
+    assert d.blocks == detect_blocks(s, d.support)
 
 
 def _blocks_of(evals):
@@ -106,7 +134,7 @@ def test_detect_blocks_single_orbit():
 
 def test_detect_blocks_violation():
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, 2)])
-    fake = SupportLattice(lattice=from_generators([(2,)]), periods=(2,), index=2)
+    fake = SupportLattice(lattice=Lattice.from_generators([(2,)]), periods=(2,), index=2)
     with pytest.raises(StructureViolationError):
         detect_blocks(s, fake)
 
@@ -172,7 +200,7 @@ def test_detect_blocks_matches_the_scalar_version(order, seed):
     dims = tuple(map(len, axes))
     s = spec(A1, dims, {I: (1,) for I in itertools.product(*(range(1, d + 1) for d in dims))}, axes)
     support = SupportLattice(
-        lattice=from_generators([tuple(r if j == i else 0 for j in range(len(dims)))
+        lattice=Lattice.from_generators([tuple(r if j == i else 0 for j in range(len(dims)))
                                  for i, r in enumerate(periods)]),
         periods=periods,
         index=prod(periods),
@@ -444,7 +472,7 @@ def test_a_zero_weight_point_leaves_the_functional_unchanged():
     # two specs present one module.
     s1, s2 = parse_spec(POINT_2), parse_spec(POINT_2_AND_ZERO_AT_3)
     for m in range(-3, 4):
-        assert eval_functional(s1, (m,)) == eval_functional(s2, (m,)), m
+        assert Evaluator(s1).functional((m,)) == Evaluator(s2).functional((m,)), m
 
 
 @pytest.mark.xfail(strict=True, reason=(

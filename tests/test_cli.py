@@ -118,6 +118,21 @@ def test_iso_refutation_characters(write, capsys):
     }
 
 
+def test_characters_over_the_cap_are_not_compared(write, capsys):
+    # A₁ with 7 points of weight (1) has a tensor of dimension 2⁷ = 128, over
+    # the default cap of 64: the refutation reports no comparison.
+    seven = dict(SPEC_A, dims=[7], weights=[{"index": [j], "coords": [1]} for j in range(1, 8)],
+                 evals=[list(range(1, 8))])
+    other = dict(seven, evals=[[*range(1, 7), 8]])
+    code, doc = _run(capsys, ["iso", write(seven, "a.json"), write(other, "b.json"),
+                              "--refute-box", "1"])
+    assert code == 1
+    assert doc["result"] == {
+        "characters_differ": None, "isomorphic": False, "reason": "no-scaling-permutation",
+        "witness": None,
+    }
+
+
 def test_characters_over_different_n_differ(write, capsys):
     # A₁ with n = 2 against SPEC_A's n = 1: characters graded by Z² and by
     # Z differ, whichever spec comes first.
@@ -371,7 +386,18 @@ _DUPLICATE = dict(SPEC_A, dims=[2], evals=[[2, 3]], weights=[
     ("classify", dict(SPEC_A, rho=["1/0"]), "bad rational literal", {"value": "1/0"}),
     ("classify", _DUPLICATE, "duplicate weight table entry", {"index": [1]}),
     ("twisted-classify", dict(TWISTED, aut={"order": 2}), "aut needs a 'perm' node list", {}),
-], ids=["bad-literal", "zero-denominator", "duplicate-index", "aut-without-perm"])
+    ("classify", dict(SPEC_A, n=0), "need at least one loop variable", {"n": 0}),
+    ("classify", dict(SPEC_A, rho=[0, 0]), "rho must have one entry per axis", {}),
+    ("classify", dict(SPEC_A, evals=[[2], [3]]), "evals must list one tuple per axis", {}),
+    ("classify", dict(_DUPLICATE, weights=SPEC_2Z["weights"], evals=[[2]]),
+     "evaluation tuple has wrong length", {"axis": 1}),
+    ("classify", dict(SPEC_A, weights=SPEC_2Z["weights"]), "weight table has extraneous entries", {}),
+    ("classify", dict(SPEC_A, rho=[True]), "booleans are not numbers", {"value": True}),
+    ("classify", dict(SPEC_A, evals=[[True]]), "booleans are not numbers", {"value": True}),
+], ids=[
+    "bad-literal", "zero-denominator", "duplicate-index", "aut-without-perm", "no-loop-variable",
+    "more-rho-entries-than-n", "more-evals-axes-than-n", "short-evals-axis", "index-beyond-dims", "rho-bool", "scalar-bool",
+])
 def test_spec_reader_diagnostics(write, capsys, command, doc, message, data):
     code, out = _run(capsys, [command, write(doc, "s.json")])
     assert code == 2
@@ -417,7 +443,6 @@ EXIT_CODES = {
     "ImageMismatchError": 3,
     "InfiniteIndexError": 2,
     "CapExceededError": 2,
-    "RealizationMismatchError": 2,
     "UnsupportedError": 2,
     "InternalError": 4,
 }
@@ -1256,3 +1281,21 @@ def test_oracles_import_no_engine_code():
         }
         if name not in ("psi.py", "twisted.py"):
             assert not {b for b in built if b and b.endswith("Evaluator")}, name
+
+
+def test_public_names_are_one_literal_list():
+    # ``__all__`` is written out, names no module, and lists every public
+    # name that the package imports; each one resolves.
+    with open(loopmod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    assert ast.literal_eval(value) == loopmod.__all__
+    assert len(set(loopmod.__all__)) == len(loopmod.__all__)
+    public = {
+        name for name, obj in vars(loopmod).items()
+        if not name.startswith("_") and not isinstance(obj, type(loopmod))
+    }
+    assert public == set(loopmod.__all__)

@@ -19,13 +19,12 @@ from loopmod.errors import (
     EngineError, InputError, NoPeriodWithinBoundError, SupportNotSubgroupError, TrivialModuleError,
 )
 from loopmod.jsonio import parse_spec
-from loopmod.lattice import Lattice, from_generators
+from loopmod.lattice import Lattice
 from loopmod.psi import (
     Evaluator,
     PsiSpec,
     SupportLattice,
     box_scan_order,
-    eval_functional,
     nonvanishing_support,
     support_lattice,
     verify_support,
@@ -39,11 +38,11 @@ def _two_point(w1, w2, a1, a2):
 
 def test_eval_functional_examples():
     s = _two_point((1,), (1,), 1, -1)
-    assert all(v.is_zero() for v in eval_functional(s, (1,)))
-    v2 = eval_functional(s, (2,))
+    assert all(v.is_zero() for v in Evaluator(s).functional((1,)))
+    v2 = Evaluator(s).functional((2,))
     assert not v2[0].is_zero()
     assert v2[0].coeffs[0] == 2
-    v0 = eval_functional(s, (0,))
+    v0 = Evaluator(s).functional((0,))
     assert v0[0].coeffs[0] == 2  # Σ λ_I
 
 
@@ -173,7 +172,7 @@ def test_verify_support_examples():
     s = _two_point((1,), (1,), 1, -1)
     sup = support_lattice(s)
     assert verify_support(s, sup, 4)
-    corrupt = SupportLattice(lattice=from_generators([(1,)]), periods=(1,), index=1)
+    corrupt = SupportLattice(lattice=Lattice.from_generators([(1,)]), periods=(1,), index=1)
     res = verify_support(s, corrupt, 4)
     assert not res
     assert res.counterexample == (1,)
@@ -237,7 +236,7 @@ def test_substituted_spec_evaluates_psi_at_bm():
     assert sheared.dims == (2, 2)
     degrees = [*itertools.product(range(-3, 4), repeat=2), (13, 0), (13, -26), (-1, 7)]
     for m in degrees:
-        assert eval_functional(sheared, m) == eval_functional(original, _sheared(m)), m
+        assert Evaluator(sheared).functional(m) == Evaluator(original).functional(_sheared(m)), m
 
 
 def _support_or_error(doc):
@@ -576,7 +575,7 @@ def _generated(cert, n, bounds):
     gens = [m for m in itertools.product(*(range(r) for r in periods)) if cert.member(m)]
     gens += [tuple(r if j == i else 0 for j in range(n)) for i, r in enumerate(periods)]
     radii = [max(6, 2 * max(r, b)) for r, b in zip(periods, bounds)]
-    return from_generators(gens, n=n), radii
+    return Lattice.from_generators(gens, n=n), radii
 
 
 def _perturbed(lat, cert, how, rng):
@@ -585,12 +584,12 @@ def _perturbed(lat, cert, how, rng):
     rows = [list(r) for r in lat.rows]
     n = len(rows[0])
     if how == "super":
-        return from_generators(rows + [[rng.randint(-2, 2) for _ in range(n)]], n=n)
+        return Lattice.from_generators(rows + [[rng.randint(-2, 2) for _ in range(n)]], n=n)
     drop = rng.randrange(len(rows))
     if how == "sub":
         rows[drop] = [rng.choice((2, 3)) * x for x in rows[drop]]
-        return from_generators(rows, n=n)
-    return from_generators(cert.gens + rows[:drop] + rows[drop + 1:], n=n)
+        return Lattice.from_generators(rows, n=n)
+    return Lattice.from_generators(cert.gens + rows[:drop] + rows[drop + 1:], n=n)
 
 
 @given(

@@ -27,7 +27,6 @@ from loopmod.psi import support_lattice
 from loopmod.realizer import (
     FieldEchelon,
     build_tensor,
-    count_components,
     fiber_character,
     generate_component,
     graded_character,
@@ -331,11 +330,20 @@ def test_generate_component_splits_by_parity():
         assert len(fiber_rows(box, (m,))) == len(expected)
 
 
+def _audited_count(s, radius) -> int:
+    # The number of closures, one seed per coset of the support, after the
+    # audit finds them fiber-disjoint and filling the module at every degree.
+    boxes = realizer.component_decomposition(s, support_lattice(s).lattice.coset_reps(), radius)
+    audit = realizer.audit_decomposition(boxes)
+    assert not audit.overlaps and not audit.shortfalls
+    return len(boxes)
+
+
 def test_count_components_examples():
     s2 = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    assert count_components(s2, support_lattice(s2).coset_reps(), 3) == 2
+    assert _audited_count(s2, 3) == 2
     s1 = spec(A1, (2,), {(1,): (1,), (2,): (2,)}, [(1, 2)])
-    assert count_components(s1, support_lattice(s1).coset_reps(), 3) == 1
+    assert _audited_count(s1, 3) == 1
     u, w = (1,), (0,)
     cb = spec(
         A1,
@@ -344,7 +352,7 @@ def test_count_components_examples():
         [(1, -1), (1, -1)],
     )
     assert support_lattice(cb).lattice.rows == ((2, 0), (1, 1))
-    assert count_components(cb, support_lattice(cb).coset_reps(), 2) == 2
+    assert _audited_count(cb, 2) == 2
 
 
 def test_graded_character_scaling_invariance():
@@ -525,8 +533,9 @@ def test_twisted_step_generator_matches_restrict_weight():
     tables = realizer._closure_tables(t.base, node_orbits(D4_TRIALITY), 3, 64)
     (gid,) = [gid for gid, (*_, step) in enumerate(tables.module.gens) if step == (1,)]
     gen_terms, _, step = tables.module.gens[gid]
-    den, terms = realizer._integer_terms(gen_terms, t.base.coefficients(step))
+    den, terms = realizer._integer_terms(gen_terms)
     assert den == 1 and len(terms) == 3
+    assert realizer._step_scales(t.base, step) == (1, [(1, 0)])
     # One slot, whose coefficient at a = (1) is 1: each term holds e_{σ^u b}'s
     # columns as they are, since they are integers.
     for ((e, int_cols),), node in zip(terms, orbit):
@@ -571,7 +580,7 @@ def test_twisted_h0_character():
     # The box's classes are the orbit-sum values, so its character is in them.
     h0 = h0_weight_map(node_orbits(A2_FLIP))
     assert box.grading.members == realizer.Grading(box.fin, h0).members
-    char = graded_character(t.base, 2, box=box)
+    char = {deg: fiber_character(box, deg) for deg in box.dims()}
     # top orbit-sum weight 2 present at every even degree of the component
     assert ((2,), 1) in char[(0,)]
     assert ((2,), 1) in char[(2,)]
@@ -1039,7 +1048,7 @@ def test_closure_keeps_no_empty_echelon(tmp_path, capsys):
     # Γ = 2Z: the component of degree 0 has no top-weight vector at odd
     # degrees, and the class has no key there.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    b0, _ = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
+    b0, _ = realizer.component_decomposition(s, support_lattice(s).lattice.coset_reps(), 2)
     top = b0.fin.basis_weights[b0.fin.hw_index]
     for m in range(-2, 3):
         assert (((m,), top) in b0.parts) == (m % 2 == 0)
@@ -1056,7 +1065,7 @@ def test_closure_keeps_no_empty_echelon(tmp_path, capsys):
 
 def test_audit_flags_shared_and_missing_fiber_vectors():
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    boxes = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
+    boxes = realizer.component_decomposition(s, support_lattice(s).lattice.coset_reps(), 2)
     good = realizer.audit_decomposition(boxes)
     assert not good.overlaps and not good.shortfalls
     assert [deg for deg, _ in good.fiber_dims] == [(m,) for m in range(-2, 3)]
@@ -1068,14 +1077,11 @@ def test_audit_flags_shared_and_missing_fiber_vectors():
     # A component counted twice shares every vector with itself.
     twice = realizer.audit_decomposition([boxes[0], boxes[0]])
     assert twice.overlaps == [(m,) for m in range(-2, 3)]
-    # count_components audits whatever seeds it is given: one seed leaves the
-    # odd degrees' vectors out, and seeds 0 and 2 lie in one coset of Γ = 2Z,
-    # so their closures share every vector.
-    with pytest.raises(realizer.RealizationMismatchError, match="fill the module"):
-        count_components(s, [(0,)], 2)
-    with pytest.raises(realizer.RealizationMismatchError, match="fiber-disjoint"):
-        count_components(s, [(0,), (1,), (2,)], 2)
-    assert count_components(s, support_lattice(s).coset_reps(), 2) == 2
+    # The audit checks whatever seeds it is given: seeds 0 and 2 lie in one
+    # coset of Γ = 2Z, so their closures share every vector.
+    three = realizer.audit_decomposition(realizer.component_decomposition(s, [(0,), (1,), (2,)], 2))
+    assert three.overlaps == [(m,) for m in range(-2, 3)]
+    assert _audited_count(s, 2) == 2
 
 
 def _echelon(order, rows):
@@ -1095,13 +1101,13 @@ def test_audit_matches_the_per_class_reference():
         return new
 
     for s in _acceptance3_specs():
-        reps = support_lattice(s).coset_reps()
+        reps = support_lattice(s).lattice.coset_reps()
         if len(reps) > 1:
             same(realizer.component_decomposition(s, reps, 2))
     # Γ = 2Z: inject a row of W₀ at degree 0 into W₁, and drop a row of W₀
     # at degree 1.
     s = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, -1)])
-    b0, b1 = realizer.component_decomposition(s, support_lattice(s).coset_reps(), 2)
+    b0, b1 = realizer.component_decomposition(s, support_lattice(s).lattice.coset_reps(), 2)
     order = s.field_order
     shared = next(key for key, ech in b0.parts.items() if key[0] == (0,) and ech.rank)
     dropped = next(key for key, ech in b0.parts.items() if key[0] == (1,) and ech.rank)
@@ -1150,7 +1156,7 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
 
     monkeypatch.setattr(realizer, "_closure_tables", keeping)
     monkeypatch.setattr(realizer, "generate_component", closing)
-    boxes = realizer.component_decomposition(s, sup.coset_reps(), 2)
+    boxes = realizer.component_decomposition(s, sup.lattice.coset_reps(), 2)
     assert len(boxes) == 2 and built["build_tensor"] == 1
     assert at_close == [built, built]
     (shared_tables,) = tables
@@ -1162,13 +1168,13 @@ def test_component_decomposition_builds_its_closure_tables_once(monkeypatch):
     assert built["_plan"] == len(moves)
     plans = {id(plan) for out in shared_tables.moves.values() for plan, *_ in out[1]}
     assert len(plans) == len(moves)
-    separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.coset_reps()]
+    separate = [generate_component(s, 2, seed_degree=rep) for rep in sup.lattice.coset_reps()]
     assert built["build_tensor"] == 1
     assert [b.dims() for b in boxes] == [b.dims() for b in separate]
 
     other = spec(A1, (2,), {(1,): (1,), (2,): (1,)}, [(1, 2)])
     before = dict(built)
-    realizer.component_decomposition(other, support_lattice(other).coset_reps(), 2)
+    realizer.component_decomposition(other, support_lattice(other).lattice.coset_reps(), 2)
     second = tables[-1]
     assert second.module is module and built == before
     for cls, out in module.moves.items():

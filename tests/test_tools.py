@@ -196,3 +196,44 @@ def test_count_statements_wants_two_trees(argv, capsys):
     count_statements = _tool("count_statements")
     assert count_statements.main(argv) == 2
     assert "PARENT_DIR CHANGE_DIR" in capsys.readouterr().err
+
+
+_TRACED = '''"""A module docstring."""
+
+
+def pick(x):
+    """A function docstring."""
+    if x:
+        return 1
+    return 2
+'''
+
+
+def test_line_trace_lists_the_lines_no_pass_reaches(tmp_path):
+    line_trace = _tool("line_trace")
+    package = tmp_path / "src" / "loopmod"
+    package.mkdir(parents=True)
+    path = package / "pick.py"
+    path.write_text(_TRACED)
+    # The def, the if and both returns; not the docstrings.
+    assert line_trace.executable_lines(path) == {4, 6, 7, 8}
+    spec = importlib.util.spec_from_file_location("traced_pick", path)
+    module = importlib.util.module_from_spec(spec)
+    tracer = line_trace.LineTracer([path])
+    with tracer.active():
+        spec.loader.exec_module(module)
+        module.pick(1)
+    watcher = line_trace._SubprocessTests()
+    watcher.current = "tests/test_x.py::test_runs_a_child"
+    with watcher.watching():
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+    assert watcher.tests == {watcher.current}
+    text, missed, total = line_trace.report(package, tracer.hits, watcher.tests)
+    assert (missed, total) == (1, 4)
+    assert text.splitlines() == [
+        "pick.py: 8",
+        "1 of 4 executable lines reached by neither tier-1 nor the corpus",
+        "tests that start a subprocess, which the trace does not follow: 1",
+        "  tests/test_x.py::test_runs_a_child",
+    ]
+    assert line_trace.ranges([9, 1, 2, 3, 7, 10]) == "1-3, 7, 9-10"

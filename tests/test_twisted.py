@@ -24,7 +24,7 @@ from loopmod.cli import main
 from loopmod.classify import axis_candidates, classify, decide_iso, find_witness, tau_image
 from loopmod.cyclotomic import CycScalar
 from loopmod.errors import EngineError, ImageMismatchError, SupportNotSubgroupError
-from loopmod.lattice import from_generators
+from loopmod.lattice import Lattice
 from loopmod.liealg import apply_aut, build_aut, node_orbits, restrict_weight
 from loopmod.psi import PsiSpec, support_lattice, table_indices
 from loopmod.twisted import (
@@ -539,7 +539,7 @@ def test_rotated_weights_match_restricted_weights(seed, k, kind):
     s1 = PsiSpec(algebra=algebra, n=n, dims=dims, weights=lam, evals=evals1, rho=zero)
     s2 = PsiSpec(algebra=algebra, n=n, dims=dims, weights=xi, evals=evals2, rho=zero)
 
-    res = find_witness(s1, s2, from_generators([[int(i == j) for j in range(n)] for i in range(n)]), aut=aut)
+    res = find_witness(s1, s2, Lattice.from_generators([[int(i == j) for j in range(n)] for i in range(n)]), aut=aut)
     first = evals2[0][0] / evals1[0][taus[0][0]]
     eps_list = [b / (first * evals1[0][t]) for b, t in zip(evals2[0], taus[0])]
     ref = _reference_gauge(aut, s1, s2, taus, eps_list)
@@ -749,7 +749,7 @@ def test_twisted_witness_pairs_share_h0_characters():
     # one point, and λ at 1 against σ(λ) at ω = ζ_k beside a shared λ at 3;
     # every tensor stays within the default cap of 64.
     from loopmod.liealg import build_algebra
-    from loopmod.realizer import graded_character, twisted_generate_component
+    from loopmod.realizer import fiber_character, twisted_generate_component
 
     a3, a4 = build_algebra("A", 3), build_algebra("A", 4)
     twists = [
@@ -772,7 +772,7 @@ def test_twisted_witness_pairs_share_h0_characters():
             chars = []
             for t in (t1, t2):
                 box = twisted_generate_component(t, 2)
-                chars.append(graded_character(t.base, 2, box=box))
+                chars.append({deg: fiber_character(box, deg) for deg in box.dims()})
             assert chars[0] == chars[1]
 
 
